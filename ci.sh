@@ -22,6 +22,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "cargo fmt --check"
 cargo fmt --check
 
+step "cargo doc -D warnings"
+# Unresolved, ambiguous, redundant or private intra-doc links fail the
+# gate, so no doc comment keeps pointing at a removed item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 step "BENCH_*.json schema"
 # table1 is the cheapest bin (pure model, no CPU measurement); its output
 # must match the stable schema every bench binary shares.

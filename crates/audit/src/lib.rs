@@ -11,8 +11,8 @@
 //! This crate is that comparison:
 //!
 //! * an [`AuditSpec`] carries the *predicted* side — per-module
-//!   [`PipelineCost`]s, the clock frequency, the DRAM ceiling, and the
-//!   MDAG critical path;
+//!   [`PipelineCost`](fblas_hlssim::PipelineCost)s, the clock
+//!   frequency, the DRAM ceiling, and the MDAG critical path;
 //! * [`measure::aggregate`] condenses the *measured* side from
 //!   [`fblas_trace::Lane`]s into per-module cycle/throughput/stall
 //!   figures;

@@ -2,7 +2,7 @@
 //!
 //! For each routine (DOT, GEMV, GER) a seeded set of fault scenarios is
 //! injected into the planned execution via a `fblas-chaos` [`FaultPlan`]
-//! and absorbed by [`execute_plan_with_recovery`]: payload bit flips on
+//! and absorbed by [`execute_plan`] in [`ExecMode::Recover`]: payload bit flips on
 //! the push and pop sides (including bit 0, far below numeric noise —
 //! the digest guards' territory), element drop and duplication, a
 //! latency spike (undetectable by design: it changes timing, not
@@ -30,7 +30,8 @@ use std::time::{Duration, Instant};
 use fblas_bench::metrics::{BenchReport, Cell};
 use fblas_chaos::{ChaosRng, FaultAction, FaultPlan, FaultSite, ModuleFault};
 use fblas_core::composition::{
-    execute_plan_with_recovery, plan, Op, PlannerConfig, Program, RecoveryReport, RetryPolicy,
+    execute_plan, plan, ExecMode, ExecOptions, Op, PlannerConfig, Program, RecoveryReport,
+    RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 
@@ -368,17 +369,21 @@ fn main() {
 
         // Fault-free reference: the bits every recovered run must match.
         let ref_bufs = bind(&routine.bindings);
-        let (ref_out, ref_report) = execute_plan_with_recovery::<f64>(
-            &routine.program,
-            &the_plan,
-            &routine.cfg,
-            &ref_bufs,
-            &RetryPolicy::default(),
-            None,
-            None,
-        )
-        .expect("fault-free run succeeds");
-        assert_eq!(ref_report.retries, 0, "{}: clean run retried", routine.name);
+        let opts = ExecOptions {
+            mode: ExecMode::Recover {
+                policy: RetryPolicy::default(),
+                hook: None,
+            },
+            ..ExecOptions::default()
+        };
+        let ref_out =
+            execute_plan::<f64>(&routine.program, &the_plan, &routine.cfg, &ref_bufs, &opts)
+                .expect("fault-free run succeeds");
+        assert_eq!(
+            ref_out.recovery.retries, 0,
+            "{}: clean run retried",
+            routine.name
+        );
         let ref_bits = output_bits(&routine, &ref_bufs, &ref_out.scalars);
 
         let mut rng = ChaosRng::new(seed ^ (ri as u64).wrapping_mul(0x9e37_79b9));
@@ -390,25 +395,26 @@ fn main() {
                 deadline: sc.deadline,
                 ..RetryPolicy::default()
             };
+            let opts = ExecOptions {
+                mode: ExecMode::Recover {
+                    policy: policy.clone(),
+                    hook: Some(hook.clone()),
+                },
+                ..ExecOptions::default()
+            };
             let t0 = Instant::now();
-            let outcome = execute_plan_with_recovery::<f64>(
-                &routine.program,
-                &the_plan,
-                &routine.cfg,
-                &bufs,
-                &policy,
-                Some(hook.clone()),
-                None,
-            );
+            let outcome =
+                execute_plan::<f64>(&routine.program, &the_plan, &routine.cfg, &bufs, &opts);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-            let (out, rec) = match outcome {
-                Ok(pair) => pair,
+            let out = match outcome {
+                Ok(out) => out,
                 Err(e) => panic!(
                     "{} / {}: not recovered within {} attempts: {}",
                     routine.name, sc.label, policy.max_attempts, e
                 ),
             };
+            let rec = &out.recovery;
             let attempts = rec.attempts.len() as u64;
             let first_kind = rec.attempts[0].error;
             let was_detected = first_kind.is_some();
@@ -474,7 +480,7 @@ fn main() {
                 ("cpu_wall_ms", Cell::from(wall_ms)),
             ]);
             fault_reports.push(hook.report());
-            recovery_reports.push(rec);
+            recovery_reports.push(out.recovery);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Fused-backend throughput vs the threaded dataflow simulator.
 //!
 //! Runs five planner programs — DOT, a four-op elementwise chain,
-//! GEMVER, AXPYDOT, and BICG — through `execute_plan_audited_with_backend`
+//! GEMVER, AXPYDOT, and BICG — through `execute_plan` in audit mode
 //! under `Backend::Threaded` and `Backend::Fused`, each at
 //! `FBLAS_CHUNK ∈ {1, 256}`. The fused backend compiles validated
 //! fusion regions into straight-line loops (no channels, no threads);
@@ -27,8 +27,8 @@ use std::time::Instant;
 
 use fblas_bench::metrics::{BenchReport, Cell};
 use fblas_core::composition::{
-    execute_plan_audited_with_backend, fusion_plan_for_component, plan, Backend, Op, PlannerConfig,
-    Program,
+    execute_plan, fusion_plan_for_component, plan, Backend, ExecMode, ExecOptions, Op,
+    PlannerConfig, Program,
 };
 use fblas_core::host::DeviceBuffer;
 
@@ -289,18 +289,18 @@ fn run_case(case: &Case, backend: Backend) -> Sample {
     for _ in 0..REPS {
         let bufs = bind(case);
         let t0 = Instant::now();
-        let (out, audits) = execute_plan_audited_with_backend::<f32>(
-            &case.program,
-            &planned,
-            &cfg,
-            &bufs,
-            200.0e6,
-            0.25,
+        let opts = ExecOptions {
             backend,
-        )
-        .expect("benchmark program executes");
+            tracer: None,
+            mode: ExecMode::Audit {
+                freq_hz: 200.0e6,
+                tolerance: 0.25,
+            },
+        };
+        let out = execute_plan::<f32>(&case.program, &planned, &cfg, &bufs, &opts)
+            .expect("benchmark program executes");
         wall = wall.min(t0.elapsed().as_secs_f64());
-        model_cycles = audits.iter().map(|a| a.predicted_cycles).sum();
+        model_cycles = out.audits.iter().map(|a| a.predicted_cycles).sum();
         let mut bits: Vec<(String, Vec<u32>)> = case
             .shapes
             .iter()

@@ -12,7 +12,7 @@
 //!   transposed)
 //! * `ger`:  `ΣA' = ΣA + α·(Σx)(Σy)`
 //!
-//! The recovery layer ([`super::executor::execute_plan_with_recovery`])
+//! The recovery layer ([`super::executor::ExecMode::Recover`])
 //! evaluates these identities against the *staged* write-back buffers
 //! before committing, so a corrupted result never reaches the caller's
 //! device memory. Identities are evaluated in `f64` regardless of the

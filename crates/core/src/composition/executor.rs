@@ -1,7 +1,7 @@
 //! Execution of planner-derived compositions.
 //!
 //! [`execute_plan`] closes the loop on the planner: each
-//! [`PlannedComponent`](super::planner::PlannedComponent) is instantiated
+//! [`PlannedComponent`] is instantiated
 //! as a real dataflow simulation — interface readers with the right
 //! replay counts and tile orders, the computational modules with the
 //! planner's GEMV variants, fan-out stages where an output has several
@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fblas_audit::{AuditReport, AuditSpec, ModulePrediction};
 use fblas_hlssim::{
@@ -115,203 +115,182 @@ impl From<PlanError> for ExecError {
 pub struct ExecOutcome<T> {
     /// DOT results by scalar operand name.
     pub scalars: HashMap<String, T>,
+    /// One [`AuditReport`] per component, in schedule order; empty
+    /// unless the run was [`ExecMode::Audit`].
+    pub audits: Vec<AuditReport>,
+    /// The run's component count and run ID, plus — under
+    /// [`ExecMode::Recover`] — every attempt.
+    pub recovery: RecoveryReport,
 }
 
-/// Execute every component of `plan` sequentially on the dataflow
-/// simulator. Vector/matrix operands are read from and written to
+/// What [`execute_plan`] does around each component besides running
+/// it. Audit and recovery exclude each other: an audit measures the one
+/// run of each component, recovery may run a component several times.
+#[derive(Clone)]
+pub enum ExecMode {
+    /// Run each component once, straight into the caller's buffers.
+    Plain,
+    /// Audit every component: it runs under its own [`Tracer`], the
+    /// pipeline costs of the computational modules it instantiates are
+    /// recorded as they are attached, and after the run the predicted
+    /// and measured sides are joined into one [`AuditReport`].
+    ///
+    /// A fused region appears in the measured side as a *single*
+    /// compute lane (`fused:<name>`) — there are no channels inside a
+    /// region, so no per-channel stall ledger to attribute; the
+    /// predicted side carries the per-op analytic model, which is
+    /// backend-invariant.
+    Audit {
+        /// Modeled clock the predictions are stated at (use
+        /// [`crate::perf::estimate_time`]'s achieved frequency for a
+        /// device-accurate figure).
+        freq_hz: f64,
+        /// Busy-share drift beyond which a module is flagged.
+        tolerance: f64,
+    },
+    /// Transactional write-back, fault detection, and retry.
+    ///
+    /// Each component's output buffers are **staged**: the simulation
+    /// writes into per-attempt scratch copies, and only a fully verified
+    /// attempt is committed to the caller's buffers (DOT results are
+    /// merged the same way). On failure — stall, deadline, module panic,
+    /// poisoned or disconnected channels, a dirty channel digest guard,
+    /// or a violated ABFT checksum identity — the attempt's writes are
+    /// discarded and the component is re-run from the last committed
+    /// state, up to [`RetryPolicy::max_attempts`] times with exponential
+    /// backoff. On exhaustion the buffers stay at the last committed
+    /// state.
+    Recover {
+        /// Attempt budget, per-attempt deadline, backoff, ABFT switch.
+        policy: RetryPolicy,
+        /// Armed on every attempt's simulation context; a one-shot
+        /// fault plan (e.g. `fblas-chaos`'s `FaultPlan`) therefore
+        /// injects on the first attempt and lets the retry run clean —
+        /// the transient-fault model. An armed hook also makes the
+        /// fusion analysis reject every region (`recovery-guards`), so
+        /// fault-injected attempts run threaded on every backend.
+        hook: Option<Arc<dyn FaultHook>>,
+    },
+}
+
+/// How [`execute_plan`] runs a plan.
+#[derive(Clone)]
+pub struct ExecOptions<'a> {
+    /// Execution backend. The default resolves the `FBLAS_BACKEND`
+    /// knob; in-process comparisons (differential tests, benchmarks)
+    /// pin it so both backends run side by side without environment
+    /// races. Fusion is best-effort: regions whose proof obligations do
+    /// not re-verify still run threaded.
+    pub backend: Backend,
+    /// Tracer for the run: each component gets its own span lane
+    /// (`component:<index>`) on the executing thread, every module
+    /// inside it a trace lane, and the watchdog samples channel
+    /// occupancies. `None` is the zero-overhead untraced path.
+    pub tracer: Option<&'a Tracer>,
+    /// Plain, audited, or recovering execution.
+    pub mode: ExecMode,
+}
+
+impl Default for ExecOptions<'_> {
+    fn default() -> Self {
+        ExecOptions {
+            backend: Backend::resolve(),
+            tracer: None,
+            mode: ExecMode::Plain,
+        }
+    }
+}
+
+/// Execute every component of `plan` sequentially on the selected
+/// backend. Vector/matrix operands are read from and written to
 /// `buffers`; scalar results are returned.
+///
+/// On failure returns the error together with the [`RecoveryReport`]
+/// built so far, which under [`ExecMode::Recover`] holds the attempt
+/// history up to the exhausted budget.
 pub fn execute_plan<T: Scalar>(
     program: &Program,
     plan: &Plan,
     cfg: &PlannerConfig,
     buffers: &HashMap<String, DeviceBuffer<T>>,
-) -> Result<ExecOutcome<T>, ExecError> {
-    execute_plan_traced(program, plan, cfg, buffers, None)
-}
-
-/// [`execute_plan`] with an optional tracer attached to every component's
-/// simulation: each component gets its own span lane (`component:<index>`)
-/// on the executing thread, every module inside it gets a trace lane, and
-/// the watchdog samples channel occupancies. Pass `None` for the
-/// zero-overhead untraced path.
-pub fn execute_plan_traced<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    tracer: Option<&Tracer>,
-) -> Result<ExecOutcome<T>, ExecError> {
-    execute_plan_with_backend(program, plan, cfg, buffers, tracer, Backend::resolve())
-}
-
-/// [`execute_plan`] forcing the fused compiled backend regardless of the
-/// `FBLAS_BACKEND` environment knob. Fusion remains *best-effort*:
-/// regions whose proof obligations do not re-verify (and everything that
-/// is not a legal region) still run threaded.
-pub fn execute_plan_fused<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-) -> Result<ExecOutcome<T>, ExecError> {
-    execute_plan_with_backend(program, plan, cfg, buffers, None, Backend::Fused)
-}
-
-/// [`execute_plan_traced`] forcing the fused backend.
-pub fn execute_plan_fused_traced<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    tracer: Option<&Tracer>,
-) -> Result<ExecOutcome<T>, ExecError> {
-    execute_plan_with_backend(program, plan, cfg, buffers, tracer, Backend::Fused)
-}
-
-/// [`execute_plan_traced`] with an explicit backend selection instead of
-/// the `FBLAS_BACKEND` environment resolution — the form in-process
-/// comparisons (differential tests, benchmarks) use so both backends can
-/// run side by side without environment races.
-pub fn execute_plan_with_backend<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    tracer: Option<&Tracer>,
-    backend: Backend,
-) -> Result<ExecOutcome<T>, ExecError> {
-    cfg.validate()?;
-    check_bindings(program, buffers)?;
-    propagate_run_id(tracer);
-    if let Some(t) = tracer {
-        t.set_backend(backend.as_str());
+    opts: &ExecOptions<'_>,
+) -> Result<ExecOutcome<T>, Box<RecoveryError>> {
+    let mut out = ExecOutcome {
+        scalars: HashMap::new(),
+        audits: Vec::new(),
+        recovery: RecoveryReport {
+            components: plan.components.len(),
+            run_id: fblas_metrics::current_run_id().map(|id| id.to_string()),
+            ..RecoveryReport::default()
+        },
+    };
+    propagate_run_id(opts.tracer);
+    if let Some(t) = opts.tracer {
+        t.set_backend(opts.backend.as_str());
     }
-    let metrics = ExecMetrics::arm();
+    let checked = cfg
+        .validate()
+        .map_err(ExecError::from)
+        .and_then(|()| check_bindings(program, buffers));
+    if let Err(error) = checked {
+        return Err(Box::new(RecoveryError {
+            error,
+            report: out.recovery,
+        }));
+    }
 
-    let scalars: Arc<Mutex<HashMap<String, T>>> = Arc::new(Mutex::new(HashMap::new()));
-    let router = BufRouter::direct(buffers);
-    let opts = ComponentOptions::default();
+    let run = Run {
+        program,
+        cfg,
+        buffers,
+        backend: opts.backend,
+        metrics: ExecMetrics::arm(),
+    };
     for (ix, component) in plan.components.iter().enumerate() {
         // One span lane per component on this thread; module lanes are
         // created inside the simulation's worker threads.
-        let _component_span = ModuleScope::enter(&format!("component:{ix}"), tracer);
-        if let Some(t) = tracer {
+        let _component_span = ModuleScope::enter(&format!("component:{ix}"), opts.tracer);
+        if let Some(t) = opts.tracer {
             t.metrics().counter_add("exec.components", 1);
         }
-        let comp_t0 = metrics.as_ref().map(|_| std::time::Instant::now());
-        dispatch_component(
-            backend, program, cfg, component, &router, &scalars, tracer, None, &opts,
-        )?;
-        if let (Some(m), Some(t0)) = (&metrics, comp_t0) {
+        let comp_t0 = run.metrics.as_ref().map(|_| Instant::now());
+        let scalars = match &opts.mode {
+            ExecMode::Plain => run
+                .once(
+                    component,
+                    &BufRouter::direct(buffers),
+                    opts.tracer,
+                    None,
+                    &ComponentOptions::default(),
+                )
+                .map(|(scalars, _)| scalars),
+            ExecMode::Audit { freq_hz, tolerance } => run
+                .audited(component, *freq_hz, *tolerance)
+                .map(|(scalars, audit)| {
+                    out.audits.push(audit);
+                    scalars
+                }),
+            ExecMode::Recover { policy, hook } => {
+                run.recover(ix, component, policy, hook, opts.tracer, &mut out.recovery)
+            }
+        };
+        match scalars {
+            Ok(scalars) => out.scalars.extend(scalars),
+            Err(error) => {
+                return Err(Box::new(RecoveryError {
+                    error,
+                    report: out.recovery,
+                }))
+            }
+        }
+        if let (Some(m), Some(t0)) = (&run.metrics, comp_t0) {
             m.component_done(t0);
         }
     }
-    let scalars = Arc::try_unwrap(scalars)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone());
-    Ok(ExecOutcome { scalars })
+    Ok(out)
 }
 
-/// [`execute_plan`] with a performance audit of every component: each
-/// component runs under its own [`Tracer`], the pipeline costs of the
-/// computational modules it instantiates are recorded as they are
-/// attached, and after the run the predicted and measured sides are
-/// joined into one [`AuditReport`] per component (in schedule order).
-///
-/// `freq_hz` is the modeled clock the predictions are stated at (use
-/// [`crate::perf::estimate_time`]'s achieved frequency for a device-
-/// accurate figure) and `tolerance` the busy-share drift beyond which a
-/// module is flagged.
-pub fn execute_plan_audited<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    freq_hz: f64,
-    tolerance: f64,
-) -> Result<(ExecOutcome<T>, Vec<AuditReport>), ExecError> {
-    execute_plan_audited_with_backend(
-        program,
-        plan,
-        cfg,
-        buffers,
-        freq_hz,
-        tolerance,
-        Backend::resolve(),
-    )
-}
-
-/// [`execute_plan_audited`] forcing the fused backend. A fused region
-/// appears in the measured side as a *single* compute lane
-/// (`fused:<name>`) — there are no channels inside a region, so there is
-/// no per-channel stall ledger to attribute; the predicted side still
-/// carries the per-op analytic model, which is backend-invariant.
-pub fn execute_plan_fused_audited<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    freq_hz: f64,
-    tolerance: f64,
-) -> Result<(ExecOutcome<T>, Vec<AuditReport>), ExecError> {
-    execute_plan_audited_with_backend(
-        program,
-        plan,
-        cfg,
-        buffers,
-        freq_hz,
-        tolerance,
-        Backend::Fused,
-    )
-}
-
-/// [`execute_plan_audited`] with an explicit backend selection.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_audited_with_backend<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    freq_hz: f64,
-    tolerance: f64,
-    backend: Backend,
-) -> Result<(ExecOutcome<T>, Vec<AuditReport>), ExecError> {
-    cfg.validate()?;
-    check_bindings(program, buffers)?;
-
-    let scalars: Arc<Mutex<HashMap<String, T>>> = Arc::new(Mutex::new(HashMap::new()));
-    let router = BufRouter::direct(buffers);
-    let opts = ComponentOptions::default();
-    let mut reports = Vec::with_capacity(plan.components.len());
-    for component in &plan.components {
-        // A fresh tracer per component keeps each audit's lanes (and the
-        // busy-share normalization over them) scoped to the modules that
-        // actually ran together.
-        let tracer = Tracer::new();
-        tracer.set_backend(backend.as_str());
-        let mut predictions: Vec<ModulePrediction> = Vec::new();
-        dispatch_component(
-            backend,
-            program,
-            cfg,
-            component,
-            &router,
-            &scalars,
-            Some(&tracer),
-            Some(&mut predictions),
-            &opts,
-        )?;
-        let mut spec = AuditSpec::new(freq_hz).with_tolerance(tolerance);
-        spec.predictions = merge_predictions(predictions);
-        reports.push(fblas_audit::report::audit_tracer(&spec, &tracer));
-    }
-    let scalars = Arc::try_unwrap(scalars)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone());
-    Ok((ExecOutcome { scalars }, reports))
-}
-
-/// Retry discipline for [`execute_plan_with_recovery`].
+/// Retry discipline for [`ExecMode::Recover`].
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Attempts per component before giving up (≥ 1). The default is
@@ -326,8 +305,8 @@ pub struct RetryPolicy {
     /// `Duration::ZERO` (the default) retries immediately, which keeps
     /// recovery runs deterministic in time-free reports.
     pub backoff: Duration,
-    /// Whether to evaluate the ABFT checksum identities
-    /// ([`super::abft`]) on the staged results before committing.
+    /// Whether to evaluate the ABFT (Huang–Abraham) checksum identities
+    /// on the staged results before committing.
     pub abft: bool,
 }
 
@@ -489,8 +468,9 @@ pub struct RecoveryReport {
     pub run_id: Option<String>,
 }
 
-/// Terminal failure of [`execute_plan_with_recovery`]: the last error
-/// plus the full attempt history up to it.
+/// Terminal failure of [`execute_plan`]: the last error plus the
+/// attempt history up to it (only [`ExecMode::Recover`] records
+/// attempts).
 #[derive(Debug)]
 pub struct RecoveryError {
     /// The error that exhausted the retry budget (or failed up front).
@@ -501,12 +481,10 @@ pub struct RecoveryError {
 
 impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "recovery exhausted after {} attempt(s): {}",
-            self.report.attempts.len(),
-            self.error
-        )
+        match self.report.attempts.len() {
+            0 => write!(f, "{}", self.error),
+            n => write!(f, "recovery exhausted after {n} attempt(s): {}", self.error),
+        }
     }
 }
 
@@ -523,18 +501,18 @@ impl std::error::Error for RecoveryError {
 /// histogram covers failed runs too.
 struct ExecMetrics {
     reg: Arc<fblas_metrics::Registry>,
-    plan_t0: std::time::Instant,
+    plan_t0: Instant,
 }
 
 impl ExecMetrics {
     fn arm() -> Option<ExecMetrics> {
         fblas_metrics::registry().map(|reg| ExecMetrics {
             reg,
-            plan_t0: std::time::Instant::now(),
+            plan_t0: Instant::now(),
         })
     }
 
-    fn component_done(&self, t0: std::time::Instant) {
+    fn component_done(&self, t0: Instant) {
         self.reg.counter("fblas_exec_components_total", &[]).inc();
         self.reg
             .histogram("fblas_component_us", &[])
@@ -596,78 +574,8 @@ fn capture_exhaustion_postmortem(
     );
 }
 
-/// [`execute_plan`] with transactional write-back, fault detection, and
-/// retry.
-///
-/// Each component's output buffers are **staged**: the simulation writes
-/// into per-attempt scratch copies, and only a fully verified attempt is
-/// committed to `buffers` (DOT results are merged the same way). On
-/// failure — stall, deadline, module panic, poisoned or disconnected
-/// channels, a dirty channel digest guard, or a violated ABFT checksum
-/// identity — the attempt's writes are discarded and the component is
-/// re-run from the last committed state, up to
-/// [`RetryPolicy::max_attempts`] times with exponential backoff.
-///
-/// `hook` is armed on every attempt's simulation context; a one-shot
-/// fault plan (e.g. `fblas-chaos`'s `FaultPlan`) therefore injects on
-/// the first attempt and lets the retry run clean — the transient-fault
-/// model. Because a fresh scratch is cut per attempt, replay is sound
-/// even when a faulted attempt completed the simulation and wrote
-/// garbage.
-///
-/// On success returns the outcome plus a [`RecoveryReport`]; on
-/// exhaustion returns [`RecoveryError`] with the error and the attempt
-/// history, leaving `buffers` at the last committed state.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_with_recovery<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    policy: &RetryPolicy,
-    hook: Option<Arc<dyn FaultHook>>,
-    tracer: Option<&Tracer>,
-) -> Result<(ExecOutcome<T>, RecoveryReport), Box<RecoveryError>> {
-    execute_plan_with_recovery_backend(
-        program,
-        plan,
-        cfg,
-        buffers,
-        policy,
-        hook,
-        tracer,
-        Backend::resolve(),
-    )
-}
-
-/// [`execute_plan_with_recovery`] forcing the fused backend. When `hook`
-/// is armed the fusion analysis rejects every region (`recovery-guards`
-/// obligation), so fault-injected attempts run fully threaded and the
-/// resulting [`RecoveryReport`] is identical to the threaded backend's
-/// by construction; hook-free runs fuse as usual, with staged write-back
-/// unchanged.
-pub fn execute_plan_fused_with_recovery<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    policy: &RetryPolicy,
-    hook: Option<Arc<dyn FaultHook>>,
-    tracer: Option<&Tracer>,
-) -> Result<(ExecOutcome<T>, RecoveryReport), Box<RecoveryError>> {
-    execute_plan_with_recovery_backend(
-        program,
-        plan,
-        cfg,
-        buffers,
-        policy,
-        hook,
-        tracer,
-        Backend::Fused,
-    )
-}
-
-/// [`execute_plan_with_recovery`] with an explicit backend selection.
+/// [`execute_plan`] under [`ExecMode::Recover`], with the attempt
+/// history handed back beside the outcome.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_with_recovery_backend<T: Scalar>(
     program: &Program,
@@ -679,34 +587,112 @@ pub fn execute_plan_with_recovery_backend<T: Scalar>(
     tracer: Option<&Tracer>,
     backend: Backend,
 ) -> Result<(ExecOutcome<T>, RecoveryReport), Box<RecoveryError>> {
-    let mut report = RecoveryReport {
-        components: plan.components.len(),
-        run_id: fblas_metrics::current_run_id().map(|id| id.to_string()),
-        ..RecoveryReport::default()
+    let mode = ExecMode::Recover {
+        policy: policy.clone(),
+        hook,
     };
-    propagate_run_id(tracer);
-    if let Some(t) = tracer {
-        t.set_backend(backend.as_str());
-    }
-    if let Err(e) = cfg.validate() {
-        return Err(Box::new(RecoveryError {
-            error: e.into(),
-            report,
-        }));
-    }
-    if let Err(e) = check_bindings(program, buffers) {
-        return Err(Box::new(RecoveryError { error: e, report }));
+    let opts = ExecOptions {
+        backend,
+        tracer,
+        mode,
+    };
+    let mut out = execute_plan(program, plan, cfg, buffers, &opts)?;
+    let report = std::mem::take(&mut out.recovery);
+    Ok((out, report))
+}
+
+/// What every component of one [`execute_plan`] run shares.
+struct Run<'a, T> {
+    program: &'a Program,
+    cfg: &'a PlannerConfig,
+    buffers: &'a HashMap<String, DeviceBuffer<T>>,
+    backend: Backend,
+    metrics: Option<ExecMetrics>,
+}
+
+impl<T: Scalar> Run<'_, T> {
+    /// Run `component` once on the backend — the fused dispatcher when
+    /// the backend allows fusion (it degrades to threaded per component
+    /// when fusion is not provably safe), the plain threaded simulation
+    /// otherwise — and return its DOT results and guard reports.
+    fn once(
+        &self,
+        component: &PlannedComponent,
+        router: &BufRouter<'_, T>,
+        tracer: Option<&Tracer>,
+        predictions: Option<&mut Vec<ModulePrediction>>,
+        opts: &ComponentOptions,
+    ) -> Result<(HashMap<String, T>, Vec<GuardReport>), ExecError> {
+        let scalars = Arc::new(Mutex::new(HashMap::new()));
+        let guards = if self.backend.fused_allowed() {
+            fused::run_component_fused(
+                self.program,
+                self.cfg,
+                component,
+                router,
+                &scalars,
+                tracer,
+                predictions,
+                opts,
+            )?
+        } else {
+            run_component(
+                self.program,
+                self.cfg,
+                &component.ops,
+                &component.gemv_variants,
+                router,
+                &scalars,
+                tracer,
+                predictions,
+                opts,
+            )?
+        };
+        let scalars = Arc::try_unwrap(scalars)
+            .map(Mutex::into_inner)
+            .unwrap_or_else(|arc| arc.lock().clone());
+        Ok((scalars, guards))
     }
 
-    let metrics = ExecMetrics::arm();
-    let mut committed: HashMap<String, T> = HashMap::new();
-    let max = policy.max_attempts.max(1);
-    for (ix, component) in plan.components.iter().enumerate() {
-        let _component_span = ModuleScope::enter(&format!("component:{ix}"), tracer);
-        if let Some(t) = tracer {
-            t.metrics().counter_add("exec.components", 1);
-        }
-        let comp_t0 = metrics.as_ref().map(|_| std::time::Instant::now());
+    /// [`ExecMode::Audit`]: run `component` under a fresh tracer, which
+    /// keeps the audit's lanes (and the busy-share normalization over
+    /// them) scoped to the modules that actually ran together, and join
+    /// the recorded predictions with the measured lanes.
+    fn audited(
+        &self,
+        component: &PlannedComponent,
+        freq_hz: f64,
+        tolerance: f64,
+    ) -> Result<(HashMap<String, T>, AuditReport), ExecError> {
+        let tracer = Tracer::new();
+        tracer.set_backend(self.backend.as_str());
+        let mut predictions = Vec::new();
+        let (scalars, _) = self.once(
+            component,
+            &BufRouter::direct(self.buffers),
+            Some(&tracer),
+            Some(&mut predictions),
+            &ComponentOptions::default(),
+        )?;
+        let mut spec = AuditSpec::new(freq_hz).with_tolerance(tolerance);
+        spec.predictions = merge_predictions(predictions);
+        Ok((scalars, fblas_audit::report::audit_tracer(&spec, &tracer)))
+    }
+
+    /// [`ExecMode::Recover`]: attempt component `ix` until one attempt
+    /// completes with clean digest guards and (if enabled) intact ABFT
+    /// identities, then commit its staged outputs to the caller's
+    /// buffers. Every attempt is appended to `report`.
+    fn recover(
+        &self,
+        ix: usize,
+        component: &PlannedComponent,
+        policy: &RetryPolicy,
+        hook: &Option<Arc<dyn FaultHook>>,
+        tracer: Option<&Tracer>,
+        report: &mut RecoveryReport,
+    ) -> Result<HashMap<String, T>, ExecError> {
+        let (program, buffers) = (self.program, self.buffers);
         // Operands this component writes; each attempt stages them.
         let mut out_names: Vec<&str> = component
             .ops
@@ -715,9 +701,14 @@ pub fn execute_plan_with_recovery_backend<T: Scalar>(
             .collect();
         out_names.sort_unstable();
         out_names.dedup();
-
-        let mut recovered_here = false;
-        for attempt in 1..=max {
+        let opts = ComponentOptions {
+            hook: hook.clone(),
+            deadline: policy.deadline,
+        };
+        let max = policy.max_attempts.max(1);
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
             // Fresh scratch per attempt, cut from the committed state:
             // a faulted attempt that ran to completion left garbage in
             // the *previous* scratch, never in `buffers`.
@@ -732,8 +723,6 @@ pub fn execute_plan_with_recovery_backend<T: Scalar>(
                     })
                 })
                 .collect();
-            let attempt_scalars: Arc<Mutex<HashMap<String, T>>> =
-                Arc::new(Mutex::new(HashMap::new()));
             // Fused schedules split a component into sequential units
             // that hand values off through the operand buffers, so a
             // later unit must *read* what an earlier unit staged. The
@@ -743,7 +732,7 @@ pub fn execute_plan_with_recovery_backend<T: Scalar>(
             // state only, since its in-component traffic never touches
             // buffers.
             let merged: Option<HashMap<String, DeviceBuffer<T>>> =
-                backend.fused_allowed().then(|| {
+                self.backend.fused_allowed().then(|| {
                     let mut m = buffers.clone();
                     for (k, v) in &staged {
                         m.insert(k.clone(), v.clone());
@@ -754,47 +743,32 @@ pub fn execute_plan_with_recovery_backend<T: Scalar>(
                 inputs: merged.as_ref().unwrap_or(buffers),
                 outputs: Some(&staged),
             };
-            let opts = ComponentOptions {
-                hook: hook.clone(),
-                deadline: policy.deadline,
-            };
             // Suppress sim-level postmortem capture for the attempt: a
             // retried failure is not terminal, and on exhaustion the
             // executor publishes the one authoritative bundle (with the
             // recovery history attached) below.
             let result = {
                 let _supp = fblas_metrics::flight::suppress_capture();
-                dispatch_component(
-                    backend,
-                    program,
-                    cfg,
-                    component,
-                    &router,
-                    &attempt_scalars,
-                    tracer,
-                    None,
-                    &opts,
-                )
+                self.once(component, &router, tracer, None, &opts)
             };
 
             let mut attempt_guards: Option<serde::Value> = None;
             let mut guard_flagged = false;
             let mut abft_flagged = false;
-            let failure: Option<ExecError> = match result {
-                Ok(guards) => {
+            let (scalars, failure) = match result {
+                Ok((scalars, guards)) => {
                     if fblas_metrics::flight::armed() {
                         attempt_guards = serde_json::to_value(&guards).ok();
                     }
                     guard_flagged = guards.iter().any(|g| !g.clean());
                     let abft_detail = if policy.abft {
-                        let snapshot = attempt_scalars.lock().clone();
-                        abft::verify_component(program, &component.ops, &staged, buffers, &snapshot)
+                        abft::verify_component(program, &component.ops, &staged, buffers, &scalars)
                             .err()
                     } else {
                         None
                     };
                     abft_flagged = abft_detail.is_some();
-                    if guard_flagged {
+                    let failure = if guard_flagged {
                         let dirty: Vec<String> = guards
                             .iter()
                             .filter(|g| !g.clean())
@@ -812,12 +786,13 @@ pub fn execute_plan_with_recovery_backend<T: Scalar>(
                             component: ix,
                             detail,
                         })
-                    }
+                    };
+                    (scalars, failure)
                 }
-                Err(e) => Some(e),
+                Err(e) => (HashMap::new(), Some(e)),
             };
 
-            if let Some(m) = &metrics {
+            if let Some(m) = &self.metrics {
                 m.reg.counter("fblas_exec_attempts_total", &[]).inc();
                 if guard_flagged {
                     m.reg.counter("fblas_exec_guard_trips_total", &[]).inc();
@@ -827,76 +802,63 @@ pub fn execute_plan_with_recovery_backend<T: Scalar>(
                 }
             }
 
-            match failure {
-                None => {
-                    report.attempts.push(AttemptRecord {
-                        component: ix,
-                        attempt,
-                        error: None,
-                        guard_flagged: false,
-                        abft_flagged: false,
-                        recovered: attempt > 1,
-                    });
-                    recovered_here = attempt > 1;
-                    // Commit: publish the verified scratch to the
-                    // caller's buffers, merge the scalar results.
-                    for (name, scratch) in &staged {
-                        if let Some(real) = buffers.get(name) {
-                            real.from_host(&scratch.to_host());
-                        }
-                    }
-                    for (k, v) in attempt_scalars.lock().iter() {
-                        committed.insert(k.clone(), *v);
-                    }
-                    if let (Some(m), Some(t0)) = (&metrics, comp_t0) {
-                        m.component_done(t0);
-                    }
-                    break;
-                }
-                Some(err) => {
-                    let kind = RecoveryErrorKind::of(&err);
-                    report.attempts.push(AttemptRecord {
-                        component: ix,
-                        attempt,
-                        error: Some(kind),
-                        guard_flagged,
-                        abft_flagged,
-                        recovered: false,
-                    });
-                    if let Some(t) = tracer {
-                        t.record_sample(
-                            &format!("recovery:component:{ix}"),
-                            t.now_us(),
-                            attempt as f64,
-                        );
-                        t.metrics().counter_add("recovery.failures", 1);
-                    }
-                    if attempt == max {
-                        capture_exhaustion_postmortem(&err, &report, attempt_guards.take());
-                        return Err(Box::new(RecoveryError { error: err, report }));
-                    }
-                    report.retries += 1;
-                    if let Some(t) = tracer {
-                        t.metrics().counter_add("recovery.retries", 1);
-                    }
-                    if let Some(m) = &metrics {
-                        m.reg.counter("fblas_exec_retries_total", &[]).inc();
-                    }
-                    if !policy.backoff.is_zero() {
-                        let shift = (attempt - 1).min(16);
-                        std::thread::sleep(policy.backoff * (1u32 << shift));
+            let Some(err) = failure else {
+                report.attempts.push(AttemptRecord {
+                    component: ix,
+                    attempt,
+                    error: None,
+                    guard_flagged: false,
+                    abft_flagged: false,
+                    recovered: attempt > 1,
+                });
+                // Commit: publish the verified scratch to the caller's
+                // buffers.
+                for (name, scratch) in &staged {
+                    if let Some(real) = buffers.get(name) {
+                        real.from_host(&scratch.to_host());
                     }
                 }
+                if attempt > 1 {
+                    report.recovered += 1;
+                    if let Some(m) = &self.metrics {
+                        m.reg.counter("fblas_exec_recovered_total", &[]).inc();
+                    }
+                }
+                return Ok(scalars);
+            };
+            report.attempts.push(AttemptRecord {
+                component: ix,
+                attempt,
+                error: Some(RecoveryErrorKind::of(&err)),
+                guard_flagged,
+                abft_flagged,
+                recovered: false,
+            });
+            if let Some(t) = tracer {
+                t.record_sample(
+                    &format!("recovery:component:{ix}"),
+                    t.now_us(),
+                    attempt as f64,
+                );
+                t.metrics().counter_add("recovery.failures", 1);
             }
-        }
-        if recovered_here {
-            report.recovered += 1;
-            if let Some(m) = &metrics {
-                m.reg.counter("fblas_exec_recovered_total", &[]).inc();
+            if attempt == max {
+                capture_exhaustion_postmortem(&err, report, attempt_guards.take());
+                return Err(err);
+            }
+            report.retries += 1;
+            if let Some(t) = tracer {
+                t.metrics().counter_add("recovery.retries", 1);
+            }
+            if let Some(m) = &self.metrics {
+                m.reg.counter("fblas_exec_retries_total", &[]).inc();
+            }
+            if !policy.backoff.is_zero() {
+                let shift = (attempt - 1).min(16);
+                std::thread::sleep(policy.backoff * (1u32 << shift));
             }
         }
     }
-    Ok((ExecOutcome { scalars: committed }, report))
 }
 
 /// Shape-check every operand binding up front.
@@ -1023,48 +985,6 @@ pub(super) struct ComponentOptions {
     pub(super) hook: Option<Arc<dyn FaultHook>>,
     /// Watchdog wall-clock deadline for the run.
     pub(super) deadline: Option<Duration>,
-}
-
-/// Route one planned component to its backend: the fused dispatcher
-/// when the backend allows fusion (it degrades to threaded per
-/// component when fusion is not provably safe), the plain threaded
-/// simulation otherwise.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_component<T: Scalar>(
-    backend: Backend,
-    program: &Program,
-    cfg: &PlannerConfig,
-    component: &PlannedComponent,
-    router: &BufRouter<'_, T>,
-    scalars: &Arc<Mutex<HashMap<String, T>>>,
-    tracer: Option<&Tracer>,
-    predictions: Option<&mut Vec<ModulePrediction>>,
-    opts: &ComponentOptions,
-) -> Result<Vec<GuardReport>, ExecError> {
-    if backend.fused_allowed() {
-        fused::run_component_fused(
-            program,
-            cfg,
-            component,
-            router,
-            scalars,
-            tracer,
-            predictions,
-            opts,
-        )
-    } else {
-        run_component(
-            program,
-            cfg,
-            &component.ops,
-            &component.gemv_variants,
-            router,
-            scalars,
-            tracer,
-            predictions,
-            opts,
-        )
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1695,7 +1615,7 @@ mod tests {
             ("u", uv.clone()),
             ("z", vec![0.0; n]),
         ]);
-        let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs).unwrap();
+        let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, &ExecOptions::default()).unwrap();
 
         let (z_ref, beta_ref) = refblas::apps::axpydot(&wv, &vv, &uv, 0.8);
         let z = bufs["z"].to_host();
@@ -1750,7 +1670,7 @@ mod tests {
             ("q", vec![0.0; n]),
             ("s", vec![0.0; m]),
         ]);
-        execute_plan::<f64>(&p, &thep, &cfg, &bufs).unwrap();
+        execute_plan::<f64>(&p, &thep, &cfg, &bufs, &ExecOptions::default()).unwrap();
 
         let (q_ref, s_ref) = refblas::apps::bicg(n, m, &av, &pv, &rv);
         let q = bufs["q"].to_host();
@@ -1812,7 +1732,7 @@ mod tests {
                 ("t", vec![0.0; n]),
                 ("y", vec![0.0; m]),
             ]);
-            execute_plan::<f64>(&p, &thep, &cfg, &bufs).unwrap();
+            execute_plan::<f64>(&p, &thep, &cfg, &bufs, &ExecOptions::default()).unwrap();
             let y = bufs["y"].to_host();
             for j in 0..m {
                 assert!(
@@ -1894,7 +1814,7 @@ mod tests {
             ("x", vec![0.0; n]),
             ("w", vec![0.0; n]),
         ]);
-        execute_plan::<f64>(&p, &thep, &cfg, &bufs).unwrap();
+        execute_plan::<f64>(&p, &thep, &cfg, &bufs, &ExecOptions::default()).unwrap();
 
         let r = refblas::apps::gemver(n, alpha, beta, &av, &u1, &v1, &u2, &v2, &yv, &zv);
         let b = bufs["B"].to_host();
@@ -1952,8 +1872,15 @@ mod tests {
         ]);
         // A wide tolerance: this checks plumbing, not timing fidelity —
         // wall-clock shares on a loaded test host are not the subject.
-        let (out, reports) =
-            execute_plan_audited::<f64>(&p, &thep, &cfg, &bufs, 200.0e6, 1.0).unwrap();
+        let opts = ExecOptions {
+            mode: ExecMode::Audit {
+                freq_hz: 200.0e6,
+                tolerance: 1.0,
+            },
+            ..ExecOptions::default()
+        };
+        let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, &opts).unwrap();
+        let reports = &out.audits;
 
         let (_, beta_ref) = refblas::apps::axpydot(&wv, &vv, &uv, 0.8);
         assert!((out.scalars["beta"] - beta_ref).abs() < 1e-9);
@@ -1969,7 +1896,7 @@ mod tests {
             assert!(row.predicted_cycles.is_some(), "{routine} not predicted");
             assert!(row.run_us > 0, "{routine} lane never ran");
         }
-        for r in &reports {
+        for r in reports {
             assert!(r.predicted_cycles > 0);
             assert!(r.bottleneck.is_some(), "no bottleneck named");
             assert!(!r.memory_bound);
@@ -2040,6 +1967,16 @@ mod tests {
         }
     }
 
+    fn recover(hook: Option<Arc<OneShot>>) -> ExecOptions<'static> {
+        ExecOptions {
+            mode: ExecMode::Recover {
+                policy: RetryPolicy::default(),
+                hook: hook.map(|h| h as Arc<dyn FaultHook>),
+            },
+            ..ExecOptions::default()
+        }
+    }
+
     fn axpydot_setup() -> (
         Program,
         PlannerConfig,
@@ -2081,16 +2018,8 @@ mod tests {
     fn recovery_without_faults_matches_plain_execution() {
         let (p, cfg, bufs, beta_ref) = axpydot_setup();
         let thep = plan(&p, &cfg).unwrap();
-        let (out, report) = execute_plan_with_recovery::<f64>(
-            &p,
-            &thep,
-            &cfg,
-            &bufs,
-            &RetryPolicy::default(),
-            None,
-            None,
-        )
-        .unwrap();
+        let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, &recover(None)).unwrap();
+        let report = &out.recovery;
         assert!((out.scalars["beta"] - beta_ref).abs() < 1e-9);
         assert_eq!(report.retries, 0);
         assert_eq!(report.recovered, 0);
@@ -2105,16 +2034,8 @@ mod tests {
         // Flip the exponent of one element as it enters the write-back
         // channel for z.
         let hook = OneShot::corrupt("write_z", 11, 62);
-        let (out, report) = execute_plan_with_recovery::<f64>(
-            &p,
-            &thep,
-            &cfg,
-            &bufs,
-            &RetryPolicy::default(),
-            Some(hook),
-            None,
-        )
-        .unwrap();
+        let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, &recover(Some(hook))).unwrap();
+        let report = &out.recovery;
         assert!((out.scalars["beta"] - beta_ref).abs() < 1e-9);
         assert_eq!(report.retries, 1);
         assert_eq!(report.recovered, 1);
@@ -2134,16 +2055,8 @@ mod tests {
         let (p, cfg, bufs, beta_ref) = axpydot_setup();
         let thep = plan(&p, &cfg).unwrap();
         let hook = OneShot::crash("axpy");
-        let (out, report) = execute_plan_with_recovery::<f64>(
-            &p,
-            &thep,
-            &cfg,
-            &bufs,
-            &RetryPolicy::default(),
-            Some(hook),
-            None,
-        )
-        .unwrap();
+        let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, &recover(Some(hook))).unwrap();
+        let report = &out.recovery;
         assert!((out.scalars["beta"] - beta_ref).abs() < 1e-9);
         assert_eq!(report.retries, 1);
         let failed = &report.attempts[0];
@@ -2163,13 +2076,17 @@ mod tests {
         let thep = plan(&p, &cfg).unwrap();
         let z_before = bufs["z"].to_host();
         let hook = OneShot::corrupt("write_z", 3, 60);
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
+        let opts = ExecOptions {
+            mode: ExecMode::Recover {
+                policy: RetryPolicy {
+                    max_attempts: 1,
+                    ..RetryPolicy::default()
+                },
+                hook: Some(hook),
+            },
+            ..ExecOptions::default()
         };
-        let err =
-            execute_plan_with_recovery::<f64>(&p, &thep, &cfg, &bufs, &policy, Some(hook), None)
-                .unwrap_err();
+        let err = execute_plan::<f64>(&p, &thep, &cfg, &bufs, &opts).unwrap_err();
         assert!(
             matches!(err.error, ExecError::Corrupt { component: 0, .. }),
             "got: {}",
@@ -2195,13 +2112,14 @@ mod tests {
 
         let empty: HashMap<String, DeviceBuffer<f64>> = HashMap::new();
         assert!(matches!(
-            execute_plan::<f64>(&p, &thep, &cfg, &empty),
+            execute_plan::<f64>(&p, &thep, &cfg, &empty, &ExecOptions::default()).map_err(|e| e.error),
             Err(ExecError::MissingBuffer(n)) if n == "x" || n == "o"
         ));
 
         let bad = bind(vec![("x", vec![0.0; 8]), ("o", vec![0.0; 3])]);
         assert!(matches!(
-            execute_plan::<f64>(&p, &thep, &cfg, &bad),
+            execute_plan::<f64>(&p, &thep, &cfg, &bad, &ExecOptions::default())
+                .map_err(|e| e.error),
             Err(ExecError::WrongLength { .. })
         ));
     }

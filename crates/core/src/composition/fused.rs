@@ -7,9 +7,9 @@
 //! [`FusionPlan`] admits regions is split into **execution units** —
 //! fused regions run as straight-line single-threaded loops over
 //! chunked slices (no channels, no locks, no thread spawns), and every
-//! other module keeps running on the threaded hlssim path via
-//! [`run_component`]. Units hand off through the operand
-//! [`DeviceBuffer`]s, which is exactly the boundary the threaded
+//! other module keeps running on the threaded hlssim path. Units hand
+//! off through the operand
+//! [`DeviceBuffer`](crate::host::DeviceBuffer)s, which is exactly the boundary the threaded
 //! executor already uses: every op output is teed to its buffer, and a
 //! consumer whose producer is absent from the simulation reads the
 //! buffer back. Splitting therefore changes *where* values travel, not
@@ -538,7 +538,7 @@ pub(super) fn run_component_fused<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::composition::{execute_plan_with_backend, plan, Op, Plan, PlannerConfig, Program};
+    use crate::composition::{execute_plan, plan, ExecOptions, Op, Plan, PlannerConfig, Program};
     use crate::host::buffer::DeviceBuffer;
 
     /// `b = 1.5·x; c = -0.75·b + y; d = c` — a three-relay chain, the
@@ -626,9 +626,13 @@ mod tests {
 
         let bufs_t = bind(n);
         let bufs_f = bind(n);
-        execute_plan_with_backend::<f32>(&p, &thep, &cfg, &bufs_t, None, Backend::Threaded)
-            .unwrap();
-        execute_plan_with_backend::<f32>(&p, &thep, &cfg, &bufs_f, None, Backend::Fused).unwrap();
+        for (bufs, backend) in [(&bufs_t, Backend::Threaded), (&bufs_f, Backend::Fused)] {
+            let opts = ExecOptions {
+                backend,
+                ..ExecOptions::default()
+            };
+            execute_plan::<f32>(&p, &thep, &cfg, bufs, &opts).unwrap();
+        }
         for name in ["b", "c", "d"] {
             let t = bufs_t[name].to_host();
             let f = bufs_f[name].to_host();

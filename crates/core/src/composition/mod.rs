@@ -22,11 +22,8 @@ pub mod planner;
 pub mod rates;
 
 pub use executor::{
-    execute_plan, execute_plan_audited, execute_plan_audited_with_backend, execute_plan_fused,
-    execute_plan_fused_audited, execute_plan_fused_traced, execute_plan_fused_with_recovery,
-    execute_plan_traced, execute_plan_with_backend, execute_plan_with_recovery,
-    execute_plan_with_recovery_backend, AttemptRecord, ExecError, ExecOutcome, RecoveryError,
-    RecoveryErrorKind, RecoveryReport, RetryPolicy,
+    execute_plan, execute_plan_with_recovery_backend, AttemptRecord, ExecError, ExecMode,
+    ExecOptions, ExecOutcome, RecoveryError, RecoveryErrorKind, RecoveryReport, RetryPolicy,
 };
 pub use fused::{fusion_plan_for_component, Backend};
 pub use fusion::{

@@ -2,7 +2,7 @@
 //!
 //! The paper's host API "provides a set of library calls that match the
 //! classical BLAS calls in terms of signature and behavior"
-//! (Sec. II-B). The generic functions in [`blas`](super::blas) take the
+//! (Sec. II-B). The generic functions in [`blas`] take the
 //! precision as a type parameter; this module completes the classical
 //! surface with the `s`/`d`-prefixed names, so host code ports from
 //! CBLAS with minimal edits.

@@ -3,7 +3,7 @@
 //! The layer a host program uses: allocate device buffers, transfer
 //! data, invoke BLAS routines on the (simulated) FPGA, and read results
 //! back. Calls come in synchronous form (return when the computation is
-//! done) and asynchronous form (return an [`Event`](event::Event)
+//! done) and asynchronous form (return an [`Event`]
 //! immediately), mirroring the OpenCL programming flow.
 
 pub mod blas;

@@ -7,7 +7,7 @@
 //! like the hardware (an under-dimensioned downstream module slows its
 //! producers, Sec. IV-B; an invalid composition stalls, Sec. V-B).
 //!
-//! Channels are registered with a [`SimContext`](crate::SimContext) so the
+//! Channels are registered with a [`SimContext`] so the
 //! simulation watchdog can observe global progress (a monotonically
 //! increasing *epoch*, bumped on every successful transfer) and the number
 //! of threads currently blocked. Blocking waits use short timed waits and
@@ -674,7 +674,7 @@ impl<T: Send + 'static> Receiver<T> {
     /// producer disconnects / the simulation is poisoned), then takes
     /// whatever is queued up to `max` — it never waits to fill the
     /// chunk, so a consumer using `pop_chunk` in a loop observes the
-    /// same element sequence and liveness as one calling [`pop`] per
+    /// same element sequence and liveness as one calling [`Self::pop`] per
     /// element. Stats, the progress epoch, and the trace advance by the
     /// number of elements taken.
     pub fn pop_chunk(&self, out: &mut Vec<T>, max: usize) -> Result<usize, SimError> {

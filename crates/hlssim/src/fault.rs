@@ -87,9 +87,9 @@ impl FaultAction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ModuleFault {
     /// The module panics before doing any work (a crashed kernel). The
-    /// runner converts the panic to [`SimError::Module`]
-    /// (crate::SimError::Module) and poisons peers with the module
-    /// named.
+    /// runner converts the panic to
+    /// [`SimError::Module`](crate::SimError::Module) and poisons peers
+    /// with the module named.
     Crash,
     /// The module stops making progress while holding its endpoints
     /// open (a hung kernel): peers block on its channels and only a

@@ -9,9 +9,9 @@
 //! composition that "stalls forever" (Sec. V-B) — is channel semantics, and
 //! is reproduced here exactly:
 //!
-//! * [`channel`] provides the bounded SPSC FIFO ([`Sender`] / [`Receiver`])
+//! * [`channel()`] provides the bounded SPSC FIFO ([`Sender`] / [`Receiver`])
 //!   with blocking `push`/`pop` and poisoning for orderly teardown.
-//! * [`Simulation`] runs a set of [`Module`]s concurrently (one OS thread per
+//! * [`Simulation`] runs a set of modules ([`ModuleSpec`]) concurrently (one OS thread per
 //!   module, mirroring the spatial concurrency of circuits) and watches a
 //!   global progress epoch: when every live module is blocked on a channel
 //!   operation and no progress has occurred for a grace period, the run is
@@ -26,7 +26,7 @@
 //!   modules — with per-channel integrity guards ([`GuardReport`])
 //!   catching every corruption the FIFO carried. Zero cost when
 //!   disarmed; the seeded plan implementation lives in `fblas-chaos`.
-//! * [`env`] centralizes every `FBLAS_*` environment knob with one-time
+//! * [`mod@env`] centralizes every `FBLAS_*` environment knob with one-time
 //!   warnings on invalid values.
 //! * [`postmortem`] captures a flight-recorder bundle (time series,
 //!   anomalies, stall forensics, knob values) when a run dies; arm it

@@ -12,10 +12,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use fblas_core::composition::{EdgeInfo, Mdag, RateGraph, RateOutcome, RateStep};
+use fblas_core::composition::{
+    apply_elementwise, EdgeInfo, FusedRegion, FusedRun, Mdag, ModuleSem, RateGraph, RateOutcome,
+    RateStep,
+};
 use fblas_hlssim::{try_channel, FaultHook, ModuleKind, Receiver, Sender, SimError, Simulation};
-
-use crate::fusion::{apply_elementwise, FusedRegion, FusedRun, ModuleSem};
 
 /// What the threaded simulator said about one execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,7 +174,7 @@ pub fn seeded_streams(keys: &[String], seed: u64, len: usize) -> BTreeMap<String
 /// its own thread on the real simulator, every channel a real bounded
 /// FIFO — and collect what its absorbed writes and its boundary output
 /// drain. This is the reference the fused straight-line evaluator
-/// ([`crate::fusion::FusedEvaluator`]) must match bit for bit.
+/// ([`fblas_core::composition::FusedEvaluator`]) must match bit for bit.
 ///
 /// `fault` optionally arms the simulation's fault-injection hook; the
 /// runner then *refuses to run*: a fused region has no recovery
@@ -424,7 +425,7 @@ pub fn verdict_pair(rg: &RateGraph) -> (RateOutcome, SimVerdict) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fusion::{analyze_fusion, build_evaluator, infer_sems};
+    use fblas_core::composition::{analyze_fusion, build_evaluator, infer_sems};
 
     fn fusable_chain() -> (Mdag, Vec<ModuleSem>) {
         let mut g = Mdag::new();

@@ -54,24 +54,12 @@
 // Tests may unwrap freely; library code must not (see clippy.toml).
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
-// Dataflow engine and fusion analysis grew up here but now live in
-// `fblas-core` (the fused execution backend consumes them); the module
-// paths below keep every `fblas_lint::{dataflow, fusion}::*` caller
-// working unchanged.
-pub use fblas_core::composition::dataflow;
-pub use fblas_core::composition::fusion;
-
 pub mod diag;
 pub mod harness;
 pub mod input;
 pub mod passes;
 
 pub use diag::{Diagnostic, LintCode, LintReport, Location, Severity, REPORT_VERSION};
-pub use fusion::{
-    analyze_fusion, apply_elementwise, build_evaluator, check_obligations, infer_sems,
-    sems_for_component, verify_witnesses, FusedEvaluator, FusedRegion, FusedRun, FusionPlan,
-    FusionRejection, FusionStats, ModuleSem, FUSION_PLAN_SCHEMA,
-};
 pub use harness::{
     differential_grace, run_on_simulator, run_region_threaded, seeded_stream, seeded_streams,
     SimVerdict,

@@ -28,7 +28,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fblas_bench::metrics::{BenchReport, Cell};
-use fblas_lint::{lint_json_full, FusionPlan, LintReport};
+use fblas_core::composition::FusionPlan;
+use fblas_lint::{lint_json_full, LintReport};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {

@@ -10,7 +10,7 @@
 //!    of [`fblas_core::composition::rates`] for a deadlock verdict and
 //!    exact minimum channel depths (generalizing the paper's multitree
 //!    heuristic, Sec. V).
-//! 2. **Dataflow passes** ([`crate::dataflow`]) — dead/pass-through
+//! 2. **Dataflow passes** ([`fblas_core::composition::dataflow`]) — dead/pass-through
 //!    module elimination (FL0023/FL0024/FL0026), channel depth
 //!    tightening under the chosen chunk size (FL0021/FL0022), and
 //!    fusion legality (FL0019/FL0020/FL0025) with its serializable
@@ -29,15 +29,15 @@ use fblas_arch::{
     Precision, Resources, RoutineClass,
 };
 use fblas_core::codegen::{generate, CodegenError, RoutineKind, SpecFile};
+use fblas_core::composition::dataflow::{solve, FlowGraph, LiveSinks};
 use fblas_core::composition::{
-    plan, ContractCause, Mdag, Op, Plan, PlanError, PlanNote, PlannedComponent, PlannerConfig,
-    Program, RateGraph, RateOutcome, Validity,
+    analyze_fusion, infer_sems, plan, sems_for_component, ContractCause, FusionPlan, Mdag,
+    ModuleSem, Op, Plan, PlanError, PlanNote, PlannedComponent, PlannerConfig, Program, RateGraph,
+    RateOutcome, Validity,
 };
 use fblas_hlssim::ModuleKind;
 
-use crate::dataflow::{solve, FlowGraph, LiveSinks};
 use crate::diag::{Diagnostic, LintCode, LintReport, Location, Severity};
-use crate::fusion::{analyze_fusion, infer_sems, sems_for_component, FusionPlan, ModuleSem};
 use crate::input::{Document, GraphDoc, ProgramDoc};
 
 /// A lint run's full result: the diagnostics plus the fusion-plan

@@ -2,7 +2,7 @@
 //! rule-based anomaly detector over it, and the postmortem bundle that
 //! is assembled when a run dies.
 //!
-//! The live registry ([`crate::registry`]) only answers "what are the
+//! The live registry ([`crate::registry()`]) only answers "what are the
 //! totals *now*" — by the time a stall, deadline, or exhausted retry
 //! budget surfaces, the trajectory that caused it (occupancy collapse,
 //! retry storm, throughput cliff) is gone. The flight recorder closes

@@ -2,7 +2,7 @@
 //!
 //! Everything the future serving layer scrapes mid-flight lives here:
 //!
-//! - **Sharded lock-free counters/gauges** ([`registry`]) — per-thread
+//! - **Sharded lock-free counters/gauges** ([`mod@registry`]) — per-thread
 //!   shards of relaxed atomics aggregated on read, registered by
 //!   name + labels. Threaded through hlssim channels, the composition
 //!   executor, and the chaos fault hooks.

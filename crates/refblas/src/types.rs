@@ -77,13 +77,13 @@ impl RotmFlag {
 pub struct RotmParam<T> {
     /// Which entries of H are explicit.
     pub flag: RotmFlag,
-    /// H[0][0].
+    /// `H[0][0]`.
     pub h11: T,
-    /// H[0][1].
+    /// `H[0][1]`.
     pub h12: T,
-    /// H[1][0].
+    /// `H[1][0]`.
     pub h21: T,
-    /// H[1][1].
+    /// `H[1][1]`.
     pub h22: T,
 }
 

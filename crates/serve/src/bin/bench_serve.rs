@@ -5,12 +5,14 @@
 //! - `bench_serve --smoke [--dump-responses PATH]` — drive a fixed
 //!   lockstep workload (one request outstanding at a time) against an
 //!   in-process server with refill-free quotas, printing every
-//!   response's [`Response::deterministic_line`]. Two runs of this mode
-//!   must produce byte-identical dumps — `ci.sh` compares them — because
-//!   lockstep serializes every admission decision and all wall-clock
-//!   material lives in the stripped `wall` field. Exercises the whole
-//!   robustness surface: success, lint rejection, quota shed, chaos
-//!   exhaustion, breaker open/fast-fail/reset, stats, graceful drain.
+//!   response's
+//!   [`Response::deterministic_line`](fblas_serve::Response::deterministic_line).
+//!   Two runs of this mode must produce byte-identical dumps — `ci.sh`
+//!   compares them — because lockstep serializes every admission
+//!   decision and all wall-clock material lives in the stripped `wall`
+//!   field. Exercises the whole robustness surface: success, lint
+//!   rejection, quota shed, chaos exhaustion, breaker
+//!   open/fast-fail/reset, stats, graceful drain.
 //!
 //! - `bench_serve` (default) — closed-loop latency/throughput sweep: at
 //!   1, 4, and 8 workers, four healthy tenants (and, in the `armed`

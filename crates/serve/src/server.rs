@@ -7,7 +7,7 @@
 //! queue to a fixed worker pool; each worker enters a per-request
 //! seeded [`RunScope`](fblas_metrics::RunScope) (thread-local, so
 //! concurrent requests get distinct run IDs and postmortem bundles),
-//! executes through `execute_plan_with_recovery` with the request's
+//! executes through `execute_plan` in recovery mode with the request's
 //! deadline spread across its retry budget, and writes the response
 //! back through the connection's shared write half (bounded by a write
 //! timeout, so a client that stops reading loses its connection rather
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fblas_core::composition::{
-    execute_plan_with_recovery_backend, plan, Backend, RecoveryErrorKind, RetryPolicy,
+    execute_plan, plan, ExecMode, ExecOptions, RecoveryErrorKind, RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 use fblas_hlssim::env;
@@ -854,17 +854,12 @@ fn execute_job(job: &Job, inner: &Arc<Inner>) -> Response {
         None => None,
     };
 
-    match execute_plan_with_recovery_backend::<f64>(
-        &program,
-        &planned,
-        &cfg,
-        &buffers,
-        &policy,
-        hook,
-        None,
-        Backend::resolve(),
-    ) {
-        Ok((outcome, report)) => {
+    let opts = ExecOptions {
+        mode: ExecMode::Recover { policy, hook },
+        ..ExecOptions::default()
+    };
+    match execute_plan::<f64>(&program, &planned, &cfg, &buffers, &opts) {
+        Ok(outcome) => {
             inner.breakers.record_success(tenant, job.shape);
             let mut resp = Response::skeleton(id, tenant, STATUS_OK, 200);
             resp.scalars = outcome.scalars.into_iter().collect();
@@ -873,7 +868,7 @@ fn execute_job(job: &Job, inner: &Arc<Inner>) -> Response {
                     resp.outputs.insert(name, buf.to_host());
                 }
             }
-            resp.recovery = serde_json::to_value(&report).ok();
+            resp.recovery = serde_json::to_value(&outcome.recovery).ok();
             resp.run_id = Some(run_id);
             resp
         }

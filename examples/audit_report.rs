@@ -16,7 +16,9 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use fblas_core::composition::{execute_plan_audited, plan, Op, PlannerConfig, Program};
+use fblas_core::composition::{
+    execute_plan, plan, ExecMode, ExecOptions, Op, PlannerConfig, Program,
+};
 use fblas_core::host::DeviceBuffer;
 use fblas_refblas as refblas;
 
@@ -77,8 +79,15 @@ fn main() -> ExitCode {
     .collect();
 
     println!("=== Audit self-check: AXPYDOT, N = {n}, tolerance {tolerance:.2} ===");
-    let (out, reports) = execute_plan_audited::<f64>(&p, &thep, &cfg, &buffers, 200.0e6, tolerance)
-        .expect("audited execution succeeds");
+    let opts = ExecOptions {
+        mode: ExecMode::Audit {
+            freq_hz: 200.0e6,
+            tolerance,
+        },
+        ..ExecOptions::default()
+    };
+    let out =
+        execute_plan::<f64>(&p, &thep, &cfg, &buffers, &opts).expect("audited execution succeeds");
 
     // The audited path must still compute the right answer.
     let (_, beta_ref) = refblas::apps::axpydot(&wv, &vv, &uv, 0.8);
@@ -91,7 +100,7 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    for (i, report) in reports.iter().enumerate() {
+    for (i, report) in out.audits.iter().enumerate() {
         println!("\n--- component {i} ---");
         println!("{}", report.render());
         if report.bottleneck.is_none() {

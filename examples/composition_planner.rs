@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use fblas_core::composition::{execute_plan, plan, Op, PlannerConfig, Program};
+use fblas_core::composition::{execute_plan, plan, ExecOptions, Op, PlannerConfig, Program};
 use fblas_core::host::DeviceBuffer;
 
 fn main() {
@@ -144,7 +144,7 @@ fn main() {
     bufs.insert("u".into(), DeviceBuffer::from_vec("u", vec![3.0; en], 2));
     bufs.insert("z".into(), DeviceBuffer::from_vec("z", vec![0.0; en], 3));
 
-    let out = execute_plan::<f32>(&prog, &the_plan, &cfg, &bufs).unwrap();
+    let out = execute_plan::<f32>(&prog, &the_plan, &cfg, &bufs, &ExecOptions::default()).unwrap();
     // z = 2 - 0.5*1 = 1.5 everywhere; beta = 1.5 * 3 * 512.
     println!("z[0] = {} (expected 1.5)", bufs["z"].get(0));
     println!(

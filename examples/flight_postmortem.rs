@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use fblas_chaos::{FaultAction, FaultPlan, FaultSite};
 use fblas_core::composition::{
-    execute_plan_with_recovery, plan, ExecError, Op, PlannerConfig, Program, RetryPolicy,
+    execute_plan, plan, ExecError, ExecMode, ExecOptions, Op, PlannerConfig, Program, RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 use fblas_metrics::flight::{self, AnomalyKind};
@@ -106,19 +106,18 @@ fn main() {
             FaultAction::Corrupt { bit: 7 },
         );
     }
-    let err = execute_plan_with_recovery::<f64>(
-        &program,
-        &planned,
-        &cfg,
-        &buffers,
-        &RetryPolicy {
-            max_attempts: MAX_ATTEMPTS,
-            ..RetryPolicy::default()
+    let opts = ExecOptions {
+        mode: ExecMode::Recover {
+            policy: RetryPolicy {
+                max_attempts: MAX_ATTEMPTS,
+                ..RetryPolicy::default()
+            },
+            hook: Some(Arc::new(hook)),
         },
-        Some(Arc::new(hook)),
-        None,
-    )
-    .expect_err("every attempt is corrupted; the budget must exhaust");
+        ..ExecOptions::default()
+    };
+    let err = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &opts)
+        .expect_err("every attempt is corrupted; the budget must exhaust");
     assert!(
         matches!(err.error, ExecError::Corrupt { .. }),
         "unexpected terminal error: {}",

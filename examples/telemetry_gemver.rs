@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use fblas_core::composition::{execute_plan_with_recovery, plan, RetryPolicy};
+use fblas_core::composition::{execute_plan, plan, ExecMode, ExecOptions, RetryPolicy};
 use fblas_core::host::DeviceBuffer;
 use fblas_lint::{classify, lint_json, Document};
 use fblas_metrics::expo;
@@ -91,16 +91,17 @@ fn main() {
     })
     .collect();
     let tracer = Tracer::new();
-    let (_, report) = execute_plan_with_recovery::<f64>(
-        &program,
-        &planned,
-        &cfg,
-        &buffers,
-        &RetryPolicy::default(),
-        None,
-        Some(&tracer),
-    )
-    .expect("GEMVER executes");
+    let opts = ExecOptions {
+        tracer: Some(&tracer),
+        mode: ExecMode::Recover {
+            policy: RetryPolicy::default(),
+            hook: None,
+        },
+        ..ExecOptions::default()
+    };
+    let report = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &opts)
+        .expect("GEMVER executes")
+        .recovery;
 
     // Surface 1: the recovery report.
     assert_eq!(

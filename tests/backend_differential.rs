@@ -30,8 +30,8 @@ use std::sync::Arc;
 
 use fblas_chaos::{FaultAction, FaultPlan, FaultSite};
 use fblas_core::composition::{
-    execute_plan_audited_with_backend, execute_plan_with_recovery_backend,
-    fusion_plan_for_component, plan, Backend, Op, Plan, PlannerConfig, Program, RetryPolicy,
+    execute_plan, fusion_plan_for_component, plan, Backend, ExecMode, ExecOptions, Op, Plan,
+    PlannerConfig, Program, RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 
@@ -196,13 +196,11 @@ fn run_backend(
     cfg: &PlannerConfig,
     shapes: &Shapes,
     seed: u64,
-    backend: Backend,
+    opts: &ExecOptions,
 ) -> Observed {
     let bufs = bind(shapes, seed);
-    let (out, audits) = execute_plan_audited_with_backend::<f32>(
-        program, planned, cfg, &bufs, 200.0e6, 0.25, backend,
-    )
-    .unwrap_or_else(|e| panic!("seed {seed} {}: {e}", backend.as_str()));
+    let out = execute_plan::<f32>(program, planned, cfg, &bufs, opts)
+        .unwrap_or_else(|e| panic!("seed {seed} {}: {e}", opts.backend.as_str()));
     let mut buffer_bits: Vec<(String, Vec<u32>)> = shapes
         .buffers
         .iter()
@@ -223,7 +221,7 @@ fn run_backend(
     Observed {
         buffer_bits,
         scalar_bits,
-        predicted_cycles: audits.iter().map(|a| a.predicted_cycles).collect(),
+        predicted_cycles: out.audits.iter().map(|a| a.predicted_cycles).collect(),
     }
 }
 
@@ -231,6 +229,27 @@ fn run_backend(
 /// plans admitted (legality side, recovery disarmed) for non-vacuity.
 fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64) {
     let cfg = PlannerConfig::default();
+    let audit = |backend| ExecOptions {
+        backend,
+        tracer: None,
+        mode: ExecMode::Audit {
+            freq_hz: 200.0e6,
+            tolerance: 0.25,
+        },
+    };
+    let fused_with = |mode| ExecOptions {
+        backend: Backend::Fused,
+        tracer: None,
+        mode,
+    };
+    let plain = fused_with(ExecMode::Plain);
+    let recover = fused_with(ExecMode::Recover {
+        policy: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        hook: None,
+    });
     let mut regions = 0u64;
     for seed in seeds {
         let (program, shapes, seed) = random_program(seed);
@@ -239,8 +258,22 @@ fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64) {
             let (_, fp) = fusion_plan_for_component(&program, c, false);
             regions += fp.regions.len() as u64;
         }
-        let threaded = run_backend(&program, &planned, &cfg, &shapes, seed, Backend::Threaded);
-        let fused = run_backend(&program, &planned, &cfg, &shapes, seed, Backend::Fused);
+        let threaded = run_backend(
+            &program,
+            &planned,
+            &cfg,
+            &shapes,
+            seed,
+            &audit(Backend::Threaded),
+        );
+        let fused = run_backend(
+            &program,
+            &planned,
+            &cfg,
+            &shapes,
+            seed,
+            &audit(Backend::Fused),
+        );
         for ((tn, tb), (fn_, fb)) in threaded.buffer_bits.iter().zip(&fused.buffer_bits) {
             assert_eq!(tn, fn_, "seed {seed}: buffer sets differ");
             assert_eq!(tb, fb, "seed {seed}: operand `{tn}` not bit-identical");
@@ -252,6 +285,15 @@ fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64) {
         assert_eq!(
             threaded.predicted_cycles, fused.predicted_cycles,
             "seed {seed}: analytic model diverged across backends"
+        );
+        // Staged write-back and commit must not move a bit: one clean
+        // recovery attempt matches the plain run exactly.
+        let plain = run_backend(&program, &planned, &cfg, &shapes, seed, &plain);
+        let recovered = run_backend(&program, &planned, &cfg, &shapes, seed, &recover);
+        assert_eq!(
+            (plain.buffer_bits, plain.scalar_bits),
+            (recovered.buffer_bits, recovered.scalar_bits),
+            "seed {seed}: recovery mode not bit-identical to plain"
         );
     }
     assert!(
@@ -329,20 +371,20 @@ fn recovery_run(backend: Backend, with_hook: bool) -> (String, Vec<(String, Vec<
             FaultAction::Corrupt { bit: 5 },
         )) as Arc<dyn fblas_hlssim::FaultHook>
     });
-    let (_, report) = execute_plan_with_recovery_backend::<f32>(
-        &program,
-        &planned,
-        &cfg,
-        &bufs,
-        &RetryPolicy {
-            max_attempts: 4,
-            ..RetryPolicy::default()
-        },
-        hook,
-        None,
+    let opts = ExecOptions {
         backend,
-    )
-    .expect("recovers within budget");
+        tracer: None,
+        mode: ExecMode::Recover {
+            policy: RetryPolicy {
+                max_attempts: 4,
+                ..RetryPolicy::default()
+            },
+            hook,
+        },
+    };
+    let report = execute_plan::<f32>(&program, &planned, &cfg, &bufs, &opts)
+        .expect("recovers within budget")
+        .recovery;
     let mut bits: Vec<(String, Vec<u32>)> = shapes
         .buffers
         .iter()

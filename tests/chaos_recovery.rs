@@ -15,16 +15,25 @@ use std::time::Duration;
 
 use fblas_chaos::{FaultAction, FaultPlan, FaultSite, ModuleFault};
 use fblas_core::composition::{
-    execute_plan_with_recovery, plan, ExecError, Op, PlannerConfig, Program, RecoveryErrorKind,
-    RetryPolicy,
+    execute_plan, plan, ExecError, ExecMode, ExecOptions, Op, PlannerConfig, Program,
+    RecoveryErrorKind, RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
-use fblas_hlssim::{channel, ChunkWriter, ModuleKind, SimError, Simulation};
+use fblas_hlssim::{channel, ChunkWriter, FaultHook, ModuleKind, SimError, Simulation};
 
 fn seq(n: usize, phase: f64) -> Vec<f64> {
     (0..n)
         .map(|i| ((i as f64 + phase) * 0.7311).cos())
         .collect()
+}
+
+/// Recovery-mode options arming `hook` under `policy`.
+fn recover(policy: RetryPolicy, hook: Option<Arc<FaultPlan>>) -> ExecOptions<'static> {
+    let hook = hook.map(|h| h as Arc<dyn FaultHook>);
+    ExecOptions {
+        mode: ExecMode::Recover { policy, hook },
+        ..ExecOptions::default()
+    }
 }
 
 fn bufs(entries: &[(&str, Vec<f64>)]) -> HashMap<String, DeviceBuffer<f64>> {
@@ -147,19 +156,19 @@ fn seeded_recovery_runs_are_byte_identical() {
                 .module_fault("gemv", ModuleFault::Crash),
         );
         let b = bufs(&bindings);
-        let (_, report) = execute_plan_with_recovery::<f64>(
+        let policy = RetryPolicy {
+            max_attempts: 4,
+            ..RetryPolicy::default()
+        };
+        let report = execute_plan::<f64>(
             &program,
             &planned,
             &cfg,
             &b,
-            &RetryPolicy {
-                max_attempts: 4,
-                ..RetryPolicy::default()
-            },
-            Some(hook.clone()),
-            None,
+            &recover(policy, Some(hook.clone())),
         )
-        .expect("recovers within budget");
+        .expect("recovers within budget")
+        .recovery;
         (
             serde_json::to_string(&hook.report()).unwrap(),
             serde_json::to_string(&report).unwrap(),
@@ -195,19 +204,12 @@ fn exhausted_retries_do_not_leak_corrupt_writes() {
         5,
         FaultAction::Corrupt { bit: 61 },
     ));
-    let err = execute_plan_with_recovery::<f64>(
-        &program,
-        &planned,
-        &cfg,
-        &b,
-        &RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        },
-        Some(hook),
-        None,
-    )
-    .expect_err("single attempt cannot absorb the fault");
+    let policy = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    let err = execute_plan::<f64>(&program, &planned, &cfg, &b, &recover(policy, Some(hook)))
+        .expect_err("single attempt cannot absorb the fault");
     assert!(
         matches!(err.error, ExecError::Corrupt { component: 0, .. }),
         "unexpected error: {}",
@@ -295,14 +297,12 @@ fn single_bit_flips_are_always_detected_across_routines() {
         let planned = plan(&program, &cfg).unwrap();
         // Fault-free reference.
         let clean = bufs(&bindings);
-        let (clean_out, _) = execute_plan_with_recovery::<f64>(
+        let clean_out = execute_plan::<f64>(
             &program,
             &planned,
             &cfg,
             &clean,
-            &RetryPolicy::default(),
-            None,
-            None,
+            &recover(RetryPolicy::default(), None),
         )
         .unwrap();
         for bit in [0u32, 1, 26, 51, 62, 63] {
@@ -314,19 +314,14 @@ fn single_bit_flips_are_always_detected_across_routines() {
                 FaultAction::Corrupt { bit },
             ));
             let b = bufs(&bindings);
-            let (out, rec) = execute_plan_with_recovery::<f64>(
-                &program,
-                &planned,
-                &cfg,
-                &b,
-                &RetryPolicy {
-                    max_attempts: 3,
-                    ..RetryPolicy::default()
-                },
-                Some(hook),
-                None,
-            )
-            .unwrap_or_else(|e| panic!("{name} bit {bit}: not recovered: {e}"));
+            let policy = RetryPolicy {
+                max_attempts: 3,
+                ..RetryPolicy::default()
+            };
+            let out =
+                execute_plan::<f64>(&program, &planned, &cfg, &b, &recover(policy, Some(hook)))
+                    .unwrap_or_else(|e| panic!("{name} bit {bit}: not recovered: {e}"));
+            let rec = &out.recovery;
             assert_eq!(
                 rec.attempts[0].error,
                 Some(RecoveryErrorKind::Corruption),

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use fblas_chaos::{FaultAction, FaultPlan, FaultSite};
 use fblas_core::composition::{
-    execute_plan_with_recovery, plan, ExecError, Op, PlannerConfig, Program, RetryPolicy,
+    execute_plan, plan, ExecError, ExecMode, ExecOptions, Op, PlannerConfig, Program, RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 use fblas_hlssim::{channel, ModuleKind, SimError, Simulation};
@@ -19,6 +19,20 @@ use serde::Value;
 /// The recorder, registry, and last-bundle slot are process-global;
 /// every test takes this lock.
 static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
+/// Recovery-mode options arming `hook` under a budget of `max_attempts`.
+fn recover(hook: FaultPlan, max_attempts: u32) -> ExecOptions<'static> {
+    ExecOptions {
+        mode: ExecMode::Recover {
+            policy: RetryPolicy {
+                max_attempts,
+                ..RetryPolicy::default()
+            },
+            hook: Some(Arc::new(hook)),
+        },
+        ..ExecOptions::default()
+    }
+}
 
 /// Arm metrics + a fast recorder and clear the last-bundle slot.
 fn arm(hz: u32) {
@@ -156,19 +170,8 @@ fn run_exhaustion() -> Arc<PostmortemBundle> {
     let _run = fblas_metrics::RunScope::seeded(0xF11A);
     let (program, cfg, buffers, hook) = gemv_exhaustion_case();
     let planned = plan(&program, &cfg).expect("gemv plans");
-    let err = execute_plan_with_recovery::<f64>(
-        &program,
-        &planned,
-        &cfg,
-        &buffers,
-        &RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        },
-        Some(Arc::new(hook)),
-        None,
-    )
-    .expect_err("every attempt is corrupted");
+    let err = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &recover(hook, 3))
+        .expect_err("every attempt is corrupted");
     assert!(matches!(err.error, ExecError::Corrupt { .. }));
     assert_eq!(err.report.retries, 2);
     flight::last_bundle().expect("exhaustion captured a bundle")
@@ -240,19 +243,8 @@ fn concurrent_failing_runs_write_distinct_postmortems() {
                 let (program, cfg, buffers, hook) = gemv_exhaustion_case();
                 let planned = plan(&program, &cfg).expect("gemv plans");
                 barrier.wait();
-                execute_plan_with_recovery::<f64>(
-                    &program,
-                    &planned,
-                    &cfg,
-                    &buffers,
-                    &RetryPolicy {
-                        max_attempts: 3,
-                        ..RetryPolicy::default()
-                    },
-                    Some(Arc::new(hook)),
-                    None,
-                )
-                .expect_err("every attempt is corrupted");
+                execute_plan::<f64>(&program, &planned, &cfg, &buffers, &recover(hook, 3))
+                    .expect_err("every attempt is corrupted");
                 run.id().to_string()
             })
         })

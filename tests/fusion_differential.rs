@@ -28,13 +28,12 @@
 
 use std::collections::BTreeMap;
 
-use fblas_core::composition::{plan, Mdag, Op, PlannerConfig, Program, RateGraph};
+use fblas_core::composition::{
+    analyze_fusion, build_evaluator, check_obligations, infer_sems, plan, sems_for_component,
+    verify_witnesses, FusionPlan, Mdag, ModuleSem, Op, PlannerConfig, Program, RateGraph,
+};
 use fblas_lint::harness::{
     differential_grace, run_on_simulator, run_region_threaded, seeded_streams, SimVerdict,
-};
-use fblas_lint::{
-    analyze_fusion, build_evaluator, check_obligations, infer_sems, sems_for_component,
-    verify_witnesses, FusionPlan, ModuleSem,
 };
 use proptest::prelude::*;
 

@@ -20,7 +20,9 @@
 
 use std::collections::HashMap;
 
-use fblas_core::composition::{execute_plan, plan, Mdag, RateGraph, RateOutcome, RateStep};
+use fblas_core::composition::{
+    execute_plan, plan, ExecOptions, Mdag, RateGraph, RateOutcome, RateStep,
+};
 use fblas_core::host::DeviceBuffer;
 use fblas_lint::harness::{differential_grace, run_on_simulator, SimVerdict};
 use fblas_lint::input::Document;
@@ -375,7 +377,7 @@ fn accepted_program_executes_on_the_simulator() {
     bufs.insert("u".into(), mk("u", 2.0));
     bufs.insert("z".into(), DeviceBuffer::from_vec("z", vec![0.0; n], 0));
 
-    let out = execute_plan::<f64>(&program, &the_plan, &cfg, &bufs)
+    let out = execute_plan::<f64>(&program, &the_plan, &cfg, &bufs, &ExecOptions::default())
         .expect("lint-accepted program must execute");
     assert!(out.scalars.contains_key("beta"));
 }

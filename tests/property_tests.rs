@@ -449,7 +449,9 @@ proptest! {
         allow_deep in proptest::bool::ANY,
     ) {
         use std::collections::HashMap;
-        use fblas_core::composition::{execute_plan, interpret, plan, Op, PlannerConfig, Program};
+        use fblas_core::composition::{
+            execute_plan, interpret, plan, ExecOptions, Op, PlannerConfig, Program,
+        };
         use fblas_core::host::DeviceBuffer;
 
         let mut p = Program::new();
@@ -571,7 +573,7 @@ proptest! {
 
         let cfg = PlannerConfig { tn, tm, allow_deep_channels: allow_deep, ..Default::default() };
         let the_plan = plan(&p, &cfg).unwrap();
-        let outcome = execute_plan::<f64>(&p, &the_plan, &cfg, &buffers).unwrap();
+        let outcome = execute_plan::<f64>(&p, &the_plan, &cfg, &buffers, &ExecOptions::default()).unwrap();
         let expected = interpret(&p, &inputs).unwrap();
 
         for (name, buf) in &buffers {

@@ -11,7 +11,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fblas_core::composition::{execute_plan_with_recovery, plan, Op, PlannerConfig, Program};
+use fblas_core::composition::{
+    execute_plan, plan, ExecMode, ExecOptions, Op, PlannerConfig, Program, RetryPolicy,
+};
 use fblas_core::host::DeviceBuffer;
 use fblas_hlssim::{channel, ChannelStats, ModuleKind, Simulation};
 use fblas_metrics::expo;
@@ -131,6 +133,91 @@ fn gemv_program() -> (Program, PlannerConfig, HashMap<String, DeviceBuffer<f64>>
     (p, cfg, buffers)
 }
 
+fn recover() -> ExecOptions<'static> {
+    ExecOptions {
+        mode: ExecMode::Recover {
+            policy: RetryPolicy::default(),
+            hook: None,
+        },
+        ..ExecOptions::default()
+    }
+}
+
+/// An audited run feeds the same executor metrics as a plain or
+/// recovering one: every component counts once in
+/// `fblas_exec_components_total` and `fblas_component_us`, and the plan
+/// once in `fblas_plan_us`.
+#[test]
+fn audited_run_records_executor_metrics_per_component() {
+    let _guard = telemetry_lock();
+    let reg = fblas_metrics::install(4);
+    const N: usize = 24;
+    const M: usize = 15;
+    // ATAX without deep channels: `t = A·x` and `y = Aᵀ·t` plan as two
+    // components.
+    let mut program = Program::new();
+    program
+        .matrix("A", N, M)
+        .vector("x", M)
+        .vector("t", N)
+        .vector("y", M);
+    for (transposed, x, out) in [(false, "x", "t"), (true, "t", "y")] {
+        program.op(Op::Gemv {
+            alpha: 1.0,
+            beta: 0.0,
+            a: "A".into(),
+            transposed,
+            x: x.into(),
+            y: None,
+            out: out.into(),
+        });
+    }
+    let cfg = PlannerConfig {
+        tn: 6,
+        tm: 5,
+        ..Default::default()
+    };
+    let planned = plan(&program, &cfg).unwrap();
+    let components = planned.components.len() as u64;
+    assert!(components >= 2, "ATAX must split into components");
+    let buffers: HashMap<String, DeviceBuffer<f64>> = [("A", N * M), ("x", M), ("t", N), ("y", M)]
+        .into_iter()
+        .map(|(name, len)| {
+            let data = (0..len).map(|i| (i as f64 * 0.37).sin()).collect();
+            (name.to_string(), DeviceBuffer::from_vec(name, data, 0))
+        })
+        .collect();
+
+    let components_before = reg.counter("fblas_exec_components_total", &[]).value();
+    let component_us_before = reg.histogram("fblas_component_us", &[]).snapshot().count;
+    let plan_us_before = reg.histogram("fblas_plan_us", &[]).snapshot().count;
+    let opts = ExecOptions {
+        mode: ExecMode::Audit {
+            freq_hz: 200.0e6,
+            tolerance: 1.0,
+        },
+        ..ExecOptions::default()
+    };
+    let out = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &opts).unwrap();
+    assert_eq!(out.audits.len() as u64, components);
+
+    assert_eq!(
+        reg.counter("fblas_exec_components_total", &[]).value() - components_before,
+        components,
+        "an audited run counts every component"
+    );
+    assert_eq!(
+        reg.histogram("fblas_component_us", &[]).snapshot().count - component_us_before,
+        components,
+        "an audited run times every component"
+    );
+    assert_eq!(
+        reg.histogram("fblas_plan_us", &[]).snapshot().count - plan_us_before,
+        1,
+        "an audited run times the plan"
+    );
+}
+
 /// One recovery run inside a seeded scope: the run ID must surface in
 /// the `RecoveryReport`, the Prometheus dump, and the JSON snapshot
 /// (which must round-trip byte-identically), and the executor counters
@@ -146,16 +233,9 @@ fn recovery_run_id_correlates_across_exposition_surfaces() {
     let planned = plan(&program, &cfg).unwrap();
     let scope = fblas_metrics::RunScope::seeded(2024);
     let run_id = scope.id().to_string();
-    let (_, report) = execute_plan_with_recovery::<f64>(
-        &program,
-        &planned,
-        &cfg,
-        &buffers,
-        &Default::default(),
-        None,
-        None,
-    )
-    .expect("clean gemv recovers trivially");
+    let report = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &recover())
+        .expect("clean gemv recovers trivially")
+        .recovery;
 
     assert_eq!(
         report.run_id.as_deref(),
@@ -199,16 +279,9 @@ fn without_a_scope_no_run_id_leaks_into_any_surface() {
 
     let (program, cfg, buffers) = gemv_program();
     let planned = plan(&program, &cfg).unwrap();
-    let (_, report) = execute_plan_with_recovery::<f64>(
-        &program,
-        &planned,
-        &cfg,
-        &buffers,
-        &Default::default(),
-        None,
-        None,
-    )
-    .unwrap();
+    let report = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &recover())
+        .unwrap()
+        .recovery;
     assert_eq!(report.run_id, None);
 
     let collected = reg.collect();
