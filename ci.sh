@@ -144,6 +144,17 @@ assert ratio >= 5.0, f"fused axpy_chain must be >= 5x threaded (got {ratio:.1f}x
 regions = rows[("axpy_chain", "fused", 1)]["fused_regions"]
 assert regions >= 1, "axpy_chain must actually fuse"
 print(f"axpy_chain fused vs threaded at chunk=1: {ratio:.1f}x elements/sec")
+# DOT and AXPYDOT fuse into regions closed by the block-replayed
+# reduction; at each chunk size the fused loop must keep at least a
+# 10x elements/sec advantage over the threaded modules.
+for routine in ("dot", "axpydot"):
+    for chunk in (1, 256):
+        fused = rows[(routine, "fused", chunk)]
+        assert fused["fused_regions"] >= 1, f"{routine} must actually fuse"
+        slow = rows[(routine, "threaded", chunk)]["cpu_elems_per_sec"]
+        ratio = fused["cpu_elems_per_sec"] / slow
+        assert ratio >= 10.0, f"fused {routine} must be >= 10x threaded at chunk={chunk} (got {ratio:.1f}x)"
+        print(f"{routine} fused vs threaded at chunk={chunk}: {ratio:.1f}x elements/sec")
 EOF
 
 step "telemetry overhead gate (armed vs disarmed)"
@@ -256,8 +267,20 @@ step "env knob table sync (fblas-env)"
 cargo run --release -q -p fblas-hlssim --bin fblas-env -- --list
 
 step "audit self-check (model vs traced simulation)"
-# Runs the AXPYDOT fixture through the audited executor and fails on
-# per-module drift beyond tolerance or a missing bottleneck verdict.
+# Runs the AXPYDOT fixture through the audited executor, pinned to the
+# threaded backend, and fails on per-module drift beyond tolerance or a
+# missing bottleneck verdict.
 cargo run --release -q -p fblas-bench --example audit_report
+
+step "end-to-end benchmark (unit tests + traced stream_closed smoke)"
+# benchmarks/e2e is a package of its own, outside the workspace, so the
+# steps above never compile it. Its unit tests fail on any change to the
+# public items it imports; the short traced run checks every served
+# answer against its f64 reference and exits nonzero unless the traced
+# replica reconciles with the served run.
+cargo test --release -q --offline --manifest-path benchmarks/e2e/Cargo.toml
+cargo run --release -q --offline --manifest-path benchmarks/e2e/Cargo.toml -- \
+    --workload stream_closed --seed 1 --seconds 3 --trace 1 --out "$tmpdir/e2e" >/dev/null
+echo "stream_closed traced smoke run reconciled"
 
 printf '\nci.sh: all checks passed\n'

@@ -57,8 +57,9 @@ fn seq(n: usize, seed: f64) -> Vec<f32> {
         .collect()
 }
 
-/// DOT reduction: unfusable (stateful), exercises the pure fallback
-/// path — the fused backend must route it to the threaded simulator.
+/// DOT reduction: one region holding only the reduction — the fused
+/// loop replays the threaded module's 16-lane blocks through the same
+/// accumulator.
 fn case_dot() -> Case {
     let n = DOT_N;
     let mut p = Program::new();
@@ -173,8 +174,8 @@ fn case_gemver() -> Case {
     }
 }
 
-/// AXPYDOT (paper Sec. V): `z = w - α·v`, `r = zᵀu` — a fusable relay
-/// feeding an unfusable reduction across the handoff buffer.
+/// AXPYDOT (paper Sec. V): `z = w - α·v`, `r = zᵀu` — one region: the
+/// relay, its `z` tee, and the DOT that closes it.
 fn case_axpydot() -> Case {
     let n = AXPYDOT_N;
     let mut p = Program::new();

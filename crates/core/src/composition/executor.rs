@@ -29,6 +29,7 @@ use serde::Serialize;
 
 use super::abft;
 use super::fused::{self, Backend};
+use super::fusion::EXEC_WIDTH;
 use super::planner::{
     ContractCause, Op, Plan, PlanError, PlannedComponent, PlannerConfig, Program,
 };
@@ -1188,13 +1189,13 @@ pub(super) fn run_component<T: Scalar>(
                 let rx = take_input(&mut sim, x, 1)?;
                 let ry = take_input(&mut sim, y, 1)?;
                 let (tr, rr) = channel(sim.ctx(), 1, format!("{out}_res"));
-                let d = Dot::new(n, 16);
+                let d = Dot::new(n, EXEC_WIDTH);
                 if let Some(preds) = predictions.as_deref_mut() {
                     preds.push(ModulePrediction::compute(
                         "dot",
                         d.cost::<T>(),
                         n as u64,
-                        16,
+                        EXEC_WIDTH as u64,
                     ));
                 }
                 d.attach(&mut sim, rx, ry, tr);
@@ -1872,12 +1873,15 @@ mod tests {
         ]);
         // A wide tolerance: this checks plumbing, not timing fidelity —
         // wall-clock shares on a loaded test host are not the subject.
+        // Pinned threaded: per-module lanes exist only there (the fused
+        // backend runs AXPYDOT as one `fused:` lane).
         let opts = ExecOptions {
+            backend: Backend::Threaded,
+            tracer: None,
             mode: ExecMode::Audit {
                 freq_hz: 200.0e6,
                 tolerance: 1.0,
             },
-            ..ExecOptions::default()
         };
         let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, &opts).unwrap();
         let reports = &out.audits;

@@ -1,19 +1,18 @@
-//! The fused compiled execution backend (ROADMAP item 1).
+//! The fused compiled execution backend.
 //!
-//! PR 4 measured that *transport*, not compute, dominates the threaded
-//! simulator's wall clock, and the fusion analysis ([`super::fusion`])
-//! proves which module chains of a planned component may legally
-//! collapse. This module closes the loop: a component whose
-//! [`FusionPlan`] admits regions is split into **execution units** —
-//! fused regions run as straight-line single-threaded loops over
-//! chunked slices (no channels, no locks, no thread spawns), and every
-//! other module keeps running on the threaded hlssim path. Units hand
-//! off through the operand
-//! [`DeviceBuffer`](crate::host::DeviceBuffer)s, which is exactly the boundary the threaded
-//! executor already uses: every op output is teed to its buffer, and a
-//! consumer whose producer is absent from the simulation reads the
-//! buffer back. Splitting therefore changes *where* values travel, not
-//! *what* they are.
+//! Transport, not compute, dominates the threaded simulator's wall
+//! clock, and the fusion analysis ([`super::fusion`]) proves which
+//! module chains of a planned component may legally collapse. This
+//! module closes the loop: a component whose [`FusionPlan`] admits
+//! regions is split into **execution units** — fused regions run as
+//! straight-line single-threaded loops over the operand buffers (no
+//! channels, no locks, no thread spawns), and every other module keeps
+//! running on the threaded hlssim path. Units hand off through the
+//! operand [`DeviceBuffer`](crate::host::DeviceBuffer)s, which is
+//! exactly the boundary the threaded executor already uses: every op
+//! output is teed to its buffer, and a consumer whose producer is
+//! absent from the simulation reads the buffer back. Splitting
+//! therefore changes *where* values travel, not *what* they are.
 //!
 //! Safety posture: the backend re-verifies every region's proof
 //! obligations with [`check_obligations`] at execution time and
@@ -22,32 +21,33 @@
 //! out. An armed fault hook rejects all regions (`recovery-guards`),
 //! so chaos/recovery runs under injection are *identical* to the
 //! threaded backend by construction. Value bit-identity of the fused
-//! loop itself is by shared semantics: the per-element function
-//! ([`super::fusion::apply_elementwise_t`]) performs exactly the
+//! loop itself is by shared semantics: the loop
+//! ([`FusedEvaluator::execute`]) applies the per-element function
+//! ([`super::fusion::apply_elementwise_t`]) that performs exactly the
 //! multiply / fused-multiply-add the production `scal` / `axpy`
-//! modules perform.
+//! modules perform, and a region closed by a DOT feeds its lanes to
+//! the same [`DotAccumulator`](crate::routines::DotAccumulator) the
+//! threaded `Dot` module reduces through — the same `W`-lane blocks,
+//! adder tree and running accumulator — and stores the scalar where
+//! the module would.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use fblas_audit::ModulePrediction;
-use fblas_hlssim::GuardReport;
+use fblas_hlssim::{GuardReport, SimError};
 use fblas_trace::{ModuleScope, Tracer};
 use parking_lot::Mutex;
 
 use super::executor::{run_component, BufRouter, ComponentOptions, ExecError};
 use super::fusion::{
-    analyze_fusion, apply_elementwise_t, build_evaluator, check_obligations, sems_for_component,
-    FusedEvaluator, FusionPlan, ModuleSem, Src,
+    analyze_fusion, build_evaluator, check_obligations, sems_for_component, FusedEvaluator,
+    FusionPlan, ModuleSem, EXEC_WIDTH,
 };
 use super::planner::{Op, PlannedComponent, PlannerConfig, Program};
 use crate::routines::gemv::Gemv;
-use crate::routines::{Axpy, Scal, VecCopy};
+use crate::routines::{Axpy, Dot, Scal, VecCopy};
 use crate::scalar::Scalar;
-
-/// Vectorization width the executor instantiates reductions at; keeps
-/// the fusion semantics aligned with `run_component`'s `Dot::new(n, 16)`.
-const EXEC_WIDTH: usize = 16;
 
 /// Which execution path a plan runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,6 +124,9 @@ struct CompiledRegion {
     input_operands: Vec<String>,
     /// Operand name each absorbed write sink drains into, in order.
     sink_operands: Vec<String>,
+    /// Scalar the closing DOT stores its result under, if the region
+    /// ends in one.
+    scalar: Option<String>,
     /// Program op indices fused into this region.
     ops: Vec<usize>,
     /// Program op indices the region's boundary inputs depend on.
@@ -208,6 +211,15 @@ fn compile_schedule(
             program.vec_len(&operand).ok()?;
             sink_operands.push(operand);
         }
+        // The closing reduction must be the program's DOT at the
+        // threaded module's width; its result is that op's scalar.
+        let scalar = match &eval.reduce {
+            None => None,
+            Some(r) => match program.ops().get(node_op_index(&r.module)?)? {
+                Op::Dot { out, .. } if r.width == EXEC_WIDTH => Some(out.clone()),
+                _ => return None,
+            },
+        };
         // A boundary output's values must survive through a sink tee
         // (the planner always tees op outputs to `write_*`); without
         // one the forwarded stream would be lost.
@@ -221,6 +233,7 @@ fn compile_schedule(
             eval,
             input_operands,
             sink_operands,
+            scalar,
             ops,
             deps,
         });
@@ -365,19 +378,31 @@ fn prediction_for_op<T: Scalar>(
                 16,
             ))
         }
-        _ => unreachable!("fused regions contain only relay ops"),
+        Op::Dot { x, .. } => {
+            let n = program.vec_len(x)?;
+            let d = Dot::new(n, EXEC_WIDTH);
+            Ok(ModulePrediction::compute(
+                "dot",
+                d.cost::<T>(),
+                n as u64,
+                EXEC_WIDTH as u64,
+            ))
+        }
+        _ => unreachable!("fused regions contain only relay ops and a closing DOT"),
     }
 }
 
-/// Execute one compiled region as a straight-line loop over chunked
-/// slices of the operand buffers: gather input streams, apply the
-/// per-element step program, write the absorbed sinks back. The
-/// boundary output (if any) needs no action — its values are the tail
-/// relay's, which the absorbed `write_*` tee already persists, and the
-/// downstream unit reads them from that buffer.
+/// Execute one compiled region as a straight-line loop over the
+/// operand buffers: gather input streams, run the evaluator's loop,
+/// write the absorbed sinks back and store a closing DOT's scalar
+/// under its op's output name. The boundary output (if any) needs
+/// no action — its values are the tail relay's, which the absorbed
+/// `write_*` tee already persists, and the downstream unit reads them
+/// from that buffer.
 fn run_region<T: Scalar>(
     region: &CompiledRegion,
     router: &BufRouter<'_, T>,
+    scalars: &Mutex<HashMap<String, T>>,
     tracer: Option<&Tracer>,
 ) -> Result<(), ExecError> {
     let _span = ModuleScope::enter(&format!("fused:{}", region.name), tracer);
@@ -397,44 +422,17 @@ fn run_region<T: Scalar>(
         }
         streams.push(data);
     }
+    let ins: Vec<&[T]> = streams.iter().map(Vec::as_slice).collect();
+    let values = region
+        .eval
+        .execute(&ins)
+        .map_err(|e| SimError::module(format!("fused:{}", region.name), e))?;
 
-    let mut sink_vals: Vec<Vec<T>> = region
-        .sink_operands
-        .iter()
-        .map(|_| Vec::with_capacity(elements))
-        .collect();
-    let mut slots = vec![T::ZERO; region.eval.steps.len()];
-    let chunk = fblas_hlssim::env::chunk().max(1);
-    let mut t = 0usize;
-    while t < elements {
-        let end = (t + chunk).min(elements);
-        for i in t..end {
-            for step in &region.eval.steps {
-                let mut vals = [T::ZERO; 2];
-                for (k, src) in step.srcs.iter().enumerate().take(2) {
-                    vals[k] = match *src {
-                        Src::Slot(j) => slots[j],
-                        Src::Input(j) => streams[j][i],
-                    };
-                }
-                slots[step.slot] = match apply_elementwise_t(&step.sem, &vals[..step.srcs.len()]) {
-                    Some(v) => v,
-                    None => unreachable!("fused steps carry relay semantics"),
-                };
-            }
-            for (si, sink) in region.eval.sinks.iter().enumerate() {
-                let v = match sink.src {
-                    Src::Slot(j) => slots[j],
-                    Src::Input(j) => streams[j][i],
-                };
-                sink_vals[si].push(v);
-            }
-        }
-        t = end;
+    for (vals, operand) in values.sinks.iter().zip(&region.sink_operands) {
+        router.output(operand)?.from_host(vals);
     }
-
-    for (si, operand) in region.sink_operands.iter().enumerate() {
-        router.output(operand)?.from_host(&sink_vals[si]);
+    if let (Some(name), Some(v)) = (&region.scalar, values.reduced) {
+        scalars.lock().insert(name.clone(), v);
     }
 
     if let (Some(reg), Some(t0)) = (reg, t0) {
@@ -513,7 +511,7 @@ pub(super) fn run_component_fused<T: Scalar>(
             }
             Unit::Fused(ri) => {
                 let region = &schedule.regions[*ri];
-                run_region(region, router, tracer)?;
+                run_region(region, router, scalars, tracer)?;
                 if predictions.is_some() {
                     for &oi in &region.ops {
                         tagged.push((oi, prediction_for_op::<T>(program, cfg, oi)?));
@@ -647,6 +645,82 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `z = -0.75·v + w; beta = z·u` — AXPYDOT.
+    fn axpydot_program(n: usize) -> Program {
+        let mut p = Program::new();
+        p.vector("w", n)
+            .vector("v", n)
+            .vector("u", n)
+            .vector("z", n)
+            .scalar("beta");
+        p.op(Op::Axpy {
+            alpha: -0.75,
+            x: "v".into(),
+            y: "w".into(),
+            out: "z".into(),
+        });
+        p.op(Op::Dot {
+            x: "z".into(),
+            y: "u".into(),
+            out: "beta".into(),
+        });
+        p
+    }
+
+    #[test]
+    fn axpydot_fuses_into_one_region_closed_by_the_dot() {
+        let p = axpydot_program(100);
+        let cfg = PlannerConfig::default();
+        let thep = planned(&p, &cfg);
+        assert_eq!(thep.components.len(), 1);
+        let comp = &thep.components[0];
+        let (sems, fplan) = fusion_plan_for_component(&p, comp, false);
+        assert_eq!(fplan.regions.len(), 1, "{:?}", fplan.rejections);
+        let schedule = compile_schedule(&p, &cfg, comp, &sems, &fplan).expect("schedulable");
+        assert_eq!(schedule.units.len(), 1);
+        let region = &schedule.regions[0];
+        assert_eq!(region.ops, vec![0, 1]);
+        assert_eq!(region.sink_operands, vec!["z"]);
+        assert_eq!(region.scalar.as_deref(), Some("beta"));
+    }
+
+    fn axpydot_bits<T: Scalar>(backend: Backend, n: usize) -> (Vec<T>, T) {
+        let p = axpydot_program(n);
+        let cfg = PlannerConfig::default();
+        let thep = planned(&p, &cfg);
+        let bufs: HashMap<String, DeviceBuffer<T>> = ["w", "v", "u", "z"]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let data: Vec<T> = (0..n)
+                    .map(|j| T::from_f64(((j as f64 + i as f64 * 13.0) * 0.173).sin()))
+                    .collect();
+                (name.to_string(), DeviceBuffer::from_vec(*name, data, i))
+            })
+            .collect();
+        let opts = ExecOptions {
+            backend,
+            ..ExecOptions::default()
+        };
+        let out = execute_plan::<T>(&p, &thep, &cfg, &bufs, &opts).unwrap();
+        (bufs["z"].to_host(), out.scalars["beta"])
+    }
+
+    #[test]
+    fn fused_dot_is_bit_identical_to_threaded_in_both_precisions() {
+        // 1000 = 62 full 16-lane blocks and a partial one; f64 rotates
+        // the interleaved accumulator's partials.
+        let n = 1000;
+        let (zt, bt) = axpydot_bits::<f32>(Backend::Threaded, n);
+        let (zf, bf) = axpydot_bits::<f32>(Backend::Fused, n);
+        assert_eq!(bt.to_bits(), bf.to_bits(), "f32 beta {bt} vs {bf}");
+        assert!(zt.iter().zip(&zf).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let (zt, bt) = axpydot_bits::<f64>(Backend::Threaded, n);
+        let (zf, bf) = axpydot_bits::<f64>(Backend::Fused, n);
+        assert_eq!(bt.to_bits(), bf.to_bits(), "f64 beta {bt} vs {bf}");
+        assert!(zt.iter().zip(&zf).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

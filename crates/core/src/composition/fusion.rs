@@ -1,15 +1,19 @@
 //! Fusion legality analysis and the `FusionPlan` artifact.
 //!
-//! ROADMAP item 1 (a fused compiled backend) needs a static answer to
-//! one question: *which module chains of a validated MDAG may be
-//! collapsed into a single loop without changing observable values?*
-//! This module computes that answer. A **fusable region** is a maximal
-//! set of stateless 1:1-rate relay modules (`copy`, `scal`, `axpy`)
-//! connected producer-to-single-consumer, plus the interface reads and
-//! writes it absorbs. Everything else — reductions (reassociation!),
-//! stateful tiles, rate changes, fanout, bursts, paths that leave and
-//! re-enter the region — is a **rejection** carrying a witness that
-//! names the blocking module or channel.
+//! The fused backend needs a static answer to one question: *which
+//! module chains of a validated MDAG may be collapsed into a single
+//! loop without changing observable values?* This module computes that
+//! answer. A **fusable region** is a maximal set of stateless 1:1-rate
+//! relay modules (`copy`, `scal`, `axpy`) connected
+//! producer-to-single-consumer, plus the interface reads and writes it
+//! absorbs. A region may end in one DOT reduction at the executor's
+//! adder-tree width [`EXEC_WIDTH`]: the fused loop then replays the
+//! threaded module's `W`-lane blocks in stream order through the same
+//! [`DotAccumulator`], so the scalar keeps its bits (the `block-replay`
+//! obligation). Everything else — reductions at any other width
+//! (reassociation), stateful tiles, rate changes, fanout, bursts, paths
+//! that leave and re-enter the region — is a **rejection** carrying a
+//! witness that names the blocking module or channel.
 //!
 //! The output is a serializable [`FusionPlan`] (schema
 //! `fblas-fusion-plan-v1`): regions with boundary channels and a
@@ -18,9 +22,9 @@
 //! re-verify a plan against the graph it claims to describe — the
 //! contract the differential keystone test enforces — and
 //! [`FusedEvaluator`] executes a region as the straight-line
-//! per-element loop the future backend would emit, sharing
-//! [`apply_elementwise`] with the threaded value harness so fused and
-//! unfused runs are bit-identical by construction.
+//! per-element loop, sharing [`apply_elementwise`] and
+//! [`DotAccumulator`] with the threaded modules so fused and unfused
+//! runs are bit-identical by construction.
 
 use std::collections::BTreeMap;
 
@@ -29,10 +33,17 @@ use serde::{Deserialize, Serialize};
 
 use super::dataflow::{solve, ExternalReach, FlowGraph};
 use super::{EdgeInfo, Mdag, Op};
+use crate::routines::DotAccumulator;
 use crate::scalar::Scalar;
 
 /// Version tag of the artifact schema.
 pub const FUSION_PLAN_SCHEMA: &str = "fblas-fusion-plan-v1";
+
+/// Vectorization width the executor instantiates its modules at (the
+/// threaded `Dot::new(n, EXEC_WIDTH)`). A reduction fuses only at this
+/// width: any other `W` groups the sum differently from the module the
+/// fused loop stands in for.
+pub const EXEC_WIDTH: usize = 16;
 
 // ---------------------------------------------------------------------
 // Module semantics.
@@ -65,7 +76,8 @@ pub enum ModuleSem {
     },
     /// Broadcast relay (the planner's `dup_*` nodes) — fanout.
     Dup,
-    /// W-way reduction (`dot`): `W > 1` reassociates the sum.
+    /// W-way DOT reduction (`dot`): may close a region at
+    /// `W =` [`EXEC_WIDTH`]; any other `W > 1` reassociates the sum.
     Reduce {
         /// Vectorization width of the adder tree.
         width: usize,
@@ -129,7 +141,11 @@ pub fn infer_sems(g: &Mdag, width: usize) -> Vec<ModuleSem> {
                         ModuleSem::Scal { alpha: None }
                     } else if base.starts_with("axpy") {
                         ModuleSem::Axpy { alpha: None }
-                    } else if base.starts_with("sdsdot") || base.starts_with("dot") {
+                    } else if base.starts_with("sdsdot") {
+                        // Mixed-precision accumulation: no fused replay
+                        // of it exists.
+                        ModuleSem::Opaque
+                    } else if base.starts_with("dot") {
                         ModuleSem::Reduce { width }
                     } else if base.starts_with("gemv") || base.starts_with("ger") {
                         ModuleSem::Stateful
@@ -378,6 +394,55 @@ fn relay_shape(
     })
 }
 
+/// Why the `width`-wide reduction `node` cannot close a region —
+/// `(reason, witness channel)` — or `None` when the fused loop can
+/// replay it: a DOT at [`EXEC_WIDTH`] over two same-rate streamed
+/// inputs whose scalar drains only into interface writes.
+fn reduce_blocker(
+    width: usize,
+    sems: &[ModuleSem],
+    edges: &[EdgeInfo],
+    in_edges: &[Vec<usize>],
+    out_edges: &[Vec<usize>],
+    node: usize,
+) -> Option<(&'static str, Option<usize>)> {
+    if width != EXEC_WIDTH {
+        // Another W groups the sum differently from the threaded Dot;
+        // at W = 1 nothing reassociates, but N elements still become 1.
+        let reason = if width > 1 {
+            "reassociation"
+        } else {
+            "rate-change"
+        };
+        return Some((reason, None));
+    }
+    if in_edges[node].len() != 2 {
+        return Some(("arity-mismatch", in_edges[node].first().copied()));
+    }
+    let rate = edges[in_edges[node][0]].produced;
+    for &ei in &in_edges[node] {
+        let e = &edges[ei];
+        if e.produced != e.consumed || e.produced != rate {
+            return Some(("rate-change", Some(ei)));
+        }
+        if e.burst_before_consume > 0 {
+            return Some(("burst", Some(ei)));
+        }
+        if !e.order_compatible {
+            return Some(("order-mismatch", Some(ei)));
+        }
+    }
+    // The scalar is one element: a computational consumer would
+    // change the rate across the region boundary.
+    for &ei in &out_edges[node] {
+        let t = edges[ei].to.0;
+        if sems[t] != ModuleSem::Write || in_edges[t].len() != 1 {
+            return Some(("rate-change", Some(ei)));
+        }
+    }
+    None
+}
+
 fn find(parent: &mut [usize], mut i: usize) -> usize {
     while parent[i] != i {
         parent[i] = parent[parent[i]];
@@ -386,16 +451,46 @@ fn find(parent: &mut [usize], mut i: usize) -> usize {
     i
 }
 
-fn region_obligations(elements: u64) -> Vec<Obligation> {
+/// The obligations a region is admitted under. `reduce` names the DOT
+/// that closes it, if any: its `block-replay` obligation then stands in
+/// for `no-reassociation`.
+fn region_obligations(elements: u64, reduce: Option<&str>) -> Vec<Obligation> {
     let mk = |kind: &str, detail: String| Obligation {
         kind: kind.to_string(),
         detail,
     };
-    vec![
-        mk(
-            "uniform-rate",
-            format!("every channel incident to the region carries exactly {elements} elements"),
+    let (elementwise, order) = match reduce {
+        None => (
+            "every fused compute module is a stateless 1:1 relay (copy/scal/axpy)".to_string(),
+            mk(
+                "no-reassociation",
+                "the region contains no W-way reduction; fused order equals streamed order"
+                    .to_string(),
+            ),
         ),
+        Some(dot) => (
+            format!(
+                "every fused compute module but `{dot}` is a stateless 1:1 relay (copy/scal/axpy)"
+            ),
+            mk(
+                "block-replay",
+                format!(
+                    "`{dot}` is the region's only reduction, follows every relay, reduces at \
+                     W = {EXEC_WIDTH} like the threaded Dot, and drains its scalar only into \
+                     absorbed writes; the fused loop replays its W-lane blocks in stream order"
+                ),
+            ),
+        ),
+    };
+    let rate = match reduce {
+        None => format!("every channel incident to the region carries exactly {elements} elements"),
+        Some(dot) => format!(
+            "every channel incident to the region but `{dot}`'s scalar carries exactly \
+             {elements} elements"
+        ),
+    };
+    vec![
+        mk("uniform-rate", rate),
         mk(
             "spsc",
             "each fused channel has exactly one producer and one computational consumer"
@@ -411,14 +506,8 @@ fn region_obligations(elements: u64) -> Vec<Obligation> {
             "no path leaves the region and re-enters it (fusing cannot deadlock a bypass)"
                 .to_string(),
         ),
-        mk(
-            "elementwise",
-            "every fused compute module is a stateless 1:1 relay (copy/scal/axpy)".to_string(),
-        ),
-        mk(
-            "no-reassociation",
-            "the region contains no W-way reduction; fused order equals streamed order".to_string(),
-        ),
+        mk("elementwise", elementwise),
+        order,
         mk(
             "no-recovery-hooks",
             "no fault hook or retry guard is armed over the region's channels".to_string(),
@@ -463,14 +552,26 @@ pub fn analyze_fusion(
         Some(RelayVerdict::Fusable(s)) => Some(s),
         _ => None,
     };
+    let reduce_blocked: Vec<Option<(&'static str, Option<usize>)>> = (0..n)
+        .map(|i| match sems[i] {
+            ModuleSem::Reduce { width } => {
+                reduce_blocker(width, sems, &edges, &in_edges, &out_edges, i)
+            }
+            _ => None,
+        })
+        .collect();
+    let replayable =
+        |i: usize| matches!(sems[i], ModuleSem::Reduce { .. }) && reduce_blocked[i].is_none();
 
-    // Union relay-ok nodes along forwarding edges into in-tree regions.
+    // Union relay-ok nodes along forwarding edges into in-trees; a
+    // replayable reduction can only be a tree's root (it forwards
+    // nothing), so every region holds at most one.
     let mut parent: Vec<usize> = (0..n).collect();
     for i in 0..n {
         if let Some(s) = shape(i) {
             if let Some(ei) = s.main_out {
                 let v = edges[ei].to.0;
-                if shape(v).is_some() {
+                if shape(v).is_some() || replayable(v) {
                     let (ri, rv) = (find(&mut parent, i), find(&mut parent, v));
                     parent[ri.max(rv)] = ri.min(rv);
                 }
@@ -479,7 +580,7 @@ pub fn analyze_fusion(
     }
     let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for i in 0..n {
-        if shape(i).is_some() {
+        if shape(i).is_some() || replayable(i) {
             groups.entry(find(&mut parent, i)).or_default().push(i);
         }
     }
@@ -495,7 +596,8 @@ pub fn analyze_fusion(
                 .map(|&i| g.node_name(super::NodeId(i)).to_string())
                 .collect()
         };
-        if members.len() < 2 {
+        let reduce = members.iter().copied().find(|&i| replayable(i));
+        if reduce.is_none() && members.len() < 2 {
             rejections.push(FusionRejection {
                 modules: names(members),
                 reason: "singleton".to_string(),
@@ -511,11 +613,14 @@ pub fn analyze_fusion(
             }
             v
         };
-        let rate = members
-            .first()
-            .and_then(|&i| shape(i))
-            .map(|s| s.rate)
-            .unwrap_or(0);
+        let rate = match reduce {
+            Some(d) => edges[in_edges[d][0]].produced,
+            None => members
+                .first()
+                .and_then(|&i| shape(i))
+                .map(|s| s.rate)
+                .unwrap_or(0),
+        };
 
         // Absorb interface reads whose every output feeds the region at
         // the region rate, and the write sinks the relays tee into.
@@ -535,6 +640,10 @@ pub fn analyze_fusion(
             if all_in {
                 in_region[r] = true;
             }
+        }
+        // The reduction's scalar drains into its writes.
+        for &ei in reduce.iter().flat_map(|&d| &out_edges[d]) {
+            in_region[edges[ei].to.0] = true;
         }
         let mut output = None;
         for &i in members {
@@ -644,7 +753,7 @@ pub fn analyze_fusion(
             inputs,
             output,
             elements: rate,
-            obligations: region_obligations(rate),
+            obligations: region_obligations(rate, reduce.map(|d| g.node_name(super::NodeId(d)))),
         });
     }
 
@@ -657,9 +766,12 @@ pub fn analyze_fusion(
         let name = g.node_name(super::NodeId(i)).to_string();
         let (reason, channel) = match (&sems[i], &verdicts[i]) {
             (_, Some(RelayVerdict::Blocked { reason, channel })) => (*reason, *channel),
-            (_, Some(RelayVerdict::Fusable(_))) => continue, // singleton, already recorded
-            (ModuleSem::Reduce { width }, _) if *width > 1 => ("reassociation", None),
-            (ModuleSem::Reduce { .. }, _) => ("rate-change", None),
+            // Singleton or rejected group, already recorded.
+            (_, Some(RelayVerdict::Fusable(_))) => continue,
+            (ModuleSem::Reduce { .. }, _) => match reduce_blocked[i] {
+                Some(blocked) => blocked,
+                None => continue, // its group was rejected, already recorded
+            },
             (ModuleSem::Stateful, _) => ("stateful", None),
             (ModuleSem::Dup, _) => ("fanout", None),
             (ModuleSem::Opaque, _) if g.node_kind(super::NodeId(i)) == ModuleKind::Compute => {
@@ -739,16 +851,24 @@ pub fn check_obligations(
             .copied()
             .filter(|&i| sems[i].is_relay())
             .collect();
+        let reduces: Vec<usize> = members
+            .iter()
+            .copied()
+            .filter(|&i| matches!(sems[i], ModuleSem::Reduce { .. }))
+            .collect();
+        let block_replay = region.obligations.iter().any(|o| o.kind == "block-replay");
+        // Channels the region streams: every edge of a relay, and the
+        // inputs (not the scalar) of a reduction.
+        let streamed = |e: &&EdgeInfo| {
+            relays.contains(&e.from.0) || relays.contains(&e.to.0) || reduces.contains(&e.to.0)
+        };
         for ob in &region.obligations {
             let fail = |errs: &mut Vec<String>, msg: String| {
                 errs.push(format!("{}: obligation `{}`: {msg}", region.name, ob.kind));
             };
             match ob.kind.as_str() {
                 "uniform-rate" => {
-                    for e in edges
-                        .iter()
-                        .filter(|e| relays.contains(&e.from.0) || relays.contains(&e.to.0))
-                    {
+                    for e in edges.iter().filter(streamed) {
                         if e.produced != e.consumed || e.produced != region.elements {
                             fail(
                                 &mut errs,
@@ -784,10 +904,7 @@ pub fn check_obligations(
                     }
                 }
                 "no-burst" => {
-                    for e in edges
-                        .iter()
-                        .filter(|e| relays.contains(&e.from.0) || relays.contains(&e.to.0))
-                    {
+                    for e in edges.iter().filter(streamed) {
                         if e.burst_before_consume > 0 {
                             fail(
                                 &mut errs,
@@ -819,7 +936,10 @@ pub fn check_obligations(
                 }
                 "elementwise" => {
                     for &i in &members {
+                        // A reduction is `block-replay`'s to vouch for.
+                        let replayed = block_replay && reduces.contains(&i);
                         if !sems[i].is_relay()
+                            && !replayed
                             && !matches!(sems[i], ModuleSem::Read | ModuleSem::Write)
                         {
                             fail(
@@ -839,6 +959,49 @@ pub fn check_obligations(
                                 &mut errs,
                                 format!("`{}` reduces", g.node_name(super::NodeId(i))),
                             );
+                        }
+                    }
+                }
+                "block-replay" => {
+                    if reduces.len() != 1 {
+                        fail(
+                            &mut errs,
+                            format!("holds {} reductions, block replay needs one", reduces.len()),
+                        );
+                    }
+                    for &d in &reduces {
+                        let name = g.node_name(super::NodeId(d));
+                        if let ModuleSem::Reduce { width } = sems[d] {
+                            if width != EXEC_WIDTH {
+                                fail(
+                                    &mut errs,
+                                    format!(
+                                        "`{name}` reduces at W = {width}, the threaded Dot at \
+                                         W = {EXEC_WIDTH}"
+                                    ),
+                                );
+                            }
+                        }
+                        let at = |i: usize| members.iter().position(|&m| m == i);
+                        if let Some(&r) = relays.iter().find(|&&r| at(r) > at(d)) {
+                            fail(
+                                &mut errs,
+                                format!(
+                                    "`{name}` is not the tail: relay `{}` follows it",
+                                    g.node_name(super::NodeId(r))
+                                ),
+                            );
+                        }
+                        for e in edges.iter().filter(|e| e.from.0 == d) {
+                            if !in_region[e.to.0] || sems[e.to.0] != ModuleSem::Write {
+                                fail(
+                                    &mut errs,
+                                    format!(
+                                        "`{name}`'s scalar leaves the region on `{}`",
+                                        channel_name(g, e)
+                                    ),
+                                );
+                            }
                         }
                     }
                 }
@@ -908,8 +1071,8 @@ pub fn verify_witnesses(plan: &FusionPlan, g: &Mdag) -> Vec<String> {
 /// The threaded value harness applies this per element per module; the
 /// fused evaluator applies it per element per step. One function, one
 /// operation order — bit-identity between the two is by construction,
-/// which is exactly why fusing a relay chain is legal and fusing a
-/// W-way reduction (whose order *does* change) is not.
+/// which is exactly why fusing a relay chain is legal. A region's
+/// closing DOT gets the same guarantee from [`DotAccumulator`].
 pub fn apply_elementwise(sem: &ModuleSem, ins: &[f32]) -> Option<f32> {
     apply_elementwise_t::<f32>(sem, ins)
 }
@@ -959,6 +1122,20 @@ pub struct FusedSink {
     pub src: Src,
 }
 
+/// The DOT closing a region: every element feeds one lane pair of a
+/// [`DotAccumulator`] after the relay steps ran.
+#[derive(Debug, Clone)]
+pub struct FusedReduce {
+    /// Reduction module name.
+    pub module: String,
+    /// Adder-tree width `W` of the replayed blocks.
+    pub width: usize,
+    /// The `x` and `y` lanes, in the module's input-channel order.
+    pub srcs: [Src; 2],
+    /// Absorbed writes draining the scalar.
+    pub sinks: Vec<String>,
+}
+
 /// The straight-line per-element program a fused region compiles to.
 #[derive(Debug, Clone)]
 pub struct FusedEvaluator {
@@ -967,10 +1144,12 @@ pub struct FusedEvaluator {
     pub inputs: Vec<String>,
     /// Relay applications in topological order.
     pub steps: Vec<FusedStep>,
-    /// Absorbed write sinks.
+    /// Absorbed write sinks of relay values.
     pub sinks: Vec<FusedSink>,
     /// Value forwarded on the region's output channel, if any.
     pub output: Option<Src>,
+    /// The reduction closing the region, if any.
+    pub reduce: Option<FusedReduce>,
     /// Elements to process.
     pub elements: u64,
 }
@@ -1012,10 +1191,13 @@ pub fn build_evaluator(
 
     let mut slot_of: Vec<Option<usize>> = vec![None; n];
     let mut steps = Vec::new();
+    let mut reduce: Option<FusedReduce> = None;
     for &i in &nodes {
-        if !sems[i].is_relay() {
-            continue;
-        }
+        let width = match sems[i] {
+            ModuleSem::Reduce { width } => Some(width),
+            _ if sems[i].is_relay() => None,
+            _ => continue,
+        };
         let mut srcs = Vec::new();
         for e in edges.iter().filter(|e| e.to.0 == i) {
             let f = e.from.0;
@@ -1038,12 +1220,27 @@ pub fn build_evaluator(
             };
             srcs.push(src);
         }
-        let slot = steps.len();
-        slot_of[i] = Some(slot);
-        steps.push(FusedStep {
-            slot,
-            sem: sems[i].clone(),
+        let Some(width) = width else {
+            let slot = steps.len();
+            slot_of[i] = Some(slot);
+            steps.push(FusedStep {
+                slot,
+                sem: sems[i].clone(),
+                srcs,
+            });
+            continue;
+        };
+        if reduce.is_some() {
+            return Err("region holds more than one reduction".to_string());
+        }
+        let srcs: [Src; 2] = srcs
+            .try_into()
+            .map_err(|_| "a reduction needs exactly two inputs".to_string())?;
+        reduce = Some(FusedReduce {
+            module: g.node_name(super::NodeId(i)).to_string(),
+            width,
             srcs,
+            sinks: Vec::new(),
         });
     }
 
@@ -1053,10 +1250,18 @@ pub fn build_evaluator(
             .iter()
             .find(|e| e.to.0 == w)
             .ok_or_else(|| "absorbed write has no feeder".to_string())?;
+        let module = g.node_name(super::NodeId(w)).to_string();
+        if let Some(r) = reduce
+            .as_mut()
+            .filter(|r| r.module == g.node_name(feeder.from))
+        {
+            r.sinks.push(module);
+            continue;
+        }
         let slot = slot_of[feeder.from.0]
             .ok_or_else(|| "absorbed write fed from outside the region".to_string())?;
         sinks.push(FusedSink {
-            module: g.node_name(super::NodeId(w)).to_string(),
+            module,
             src: Src::Slot(slot),
         });
     }
@@ -1077,11 +1282,79 @@ pub fn build_evaluator(
         steps,
         sinks,
         output,
+        reduce,
         elements: region.elements,
     })
 }
 
+/// What one pass of a region's loop produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FusedValues<T> {
+    /// Values of each relay sink, in [`FusedEvaluator::sinks`] order.
+    pub sinks: Vec<Vec<T>>,
+    /// Values forwarded on the region output channel.
+    pub output: Vec<T>,
+    /// The closing DOT's scalar, if the region has one.
+    pub reduced: Option<T>,
+}
+
 impl FusedEvaluator {
+    /// The straight-line loop itself, shared by [`FusedEvaluator::run`]
+    /// and the fused execution backend: per element, every relay step
+    /// through [`apply_elementwise_t`], the sinks and output read off
+    /// their slots, and the closing DOT's lane pair pushed into a
+    /// [`DotAccumulator`]. `ins` holds the input streams in
+    /// [`FusedEvaluator::inputs`] order, each at least `elements` long.
+    pub fn execute<T: Scalar>(&self, ins: &[&[T]]) -> Result<FusedValues<T>, String> {
+        let elements = self.elements as usize;
+        if let Some(short) = ins.iter().position(|s| s.len() < elements) {
+            return Err(format!(
+                "input #{short} has {} elements, region needs {elements}",
+                ins[short].len()
+            ));
+        }
+        let mut sinks: Vec<Vec<T>> = self
+            .sinks
+            .iter()
+            .map(|_| Vec::with_capacity(elements))
+            .collect();
+        let mut output = Vec::new();
+        let mut dot = self
+            .reduce
+            .as_ref()
+            .map(|r| DotAccumulator::<T>::new(r.width));
+        let mut slots = vec![T::ZERO; self.steps.len()];
+        for t in 0..elements {
+            let read = |slots: &[T], src: Src| match src {
+                Src::Slot(i) => slots[i],
+                Src::Input(i) => ins[i][t],
+            };
+            for step in &self.steps {
+                let mut vals = [T::ZERO; 2];
+                for (v, &src) in vals.iter_mut().zip(&step.srcs) {
+                    *v = read(&slots, src);
+                }
+                let arity = step.srcs.len().min(2);
+                slots[step.slot] = apply_elementwise_t(&step.sem, &vals[..arity])
+                    .ok_or_else(|| format!("slot {}: non-relay semantics", step.slot))?;
+            }
+            for (buf, sink) in sinks.iter_mut().zip(&self.sinks) {
+                buf.push(read(&slots, sink.src));
+            }
+            if let Some(src) = self.output {
+                output.push(read(&slots, src));
+            }
+            if let (Some(r), Some(acc)) = (&self.reduce, dot.as_mut()) {
+                acc.push(read(&slots, r.srcs[0]), read(&slots, r.srcs[1]));
+            }
+        }
+        Ok(FusedValues {
+            sinks,
+            output,
+            reduced: dot.map(DotAccumulator::finish),
+        })
+    }
+
     /// Execute the straight-line loop on named input streams.
     pub fn run(&self, streams: &BTreeMap<String, Vec<f32>>) -> Result<FusedRun, String> {
         let mut ins: Vec<&[f32]> = Vec::with_capacity(self.inputs.len());
@@ -1098,38 +1371,22 @@ impl FusedEvaluator {
             }
             ins.push(s);
         }
+        let values = self.execute(&ins)?;
         let mut sinks: BTreeMap<String, Vec<f32>> = self
             .sinks
             .iter()
-            .map(|s| (s.module.clone(), Vec::with_capacity(self.elements as usize)))
+            .map(|s| s.module.clone())
+            .zip(values.sinks)
             .collect();
-        let mut output = Vec::new();
-        let mut slots = vec![0.0f32; self.steps.len()];
-        // `t` indexes every input stream at once, not one iterable.
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..self.elements as usize {
-            let read = |slots: &[f32], src: Src| -> f32 {
-                match src {
-                    Src::Slot(i) => slots[i],
-                    Src::Input(i) => ins[i][t],
-                }
-            };
-            for step in &self.steps {
-                let vals: Vec<f32> = step.srcs.iter().map(|&s| read(&slots, s)).collect();
-                slots[step.slot] = apply_elementwise(&step.sem, &vals)
-                    .ok_or_else(|| format!("slot {}: non-relay semantics", step.slot))?;
-            }
-            for sink in &self.sinks {
-                let v = read(&slots, sink.src);
-                if let Some(buf) = sinks.get_mut(&sink.module) {
-                    buf.push(v);
-                }
-            }
-            if let Some(src) = self.output {
-                output.push(read(&slots, src));
+        if let (Some(r), Some(v)) = (&self.reduce, values.reduced) {
+            for module in &r.sinks {
+                sinks.insert(module.clone(), vec![v]);
             }
         }
-        Ok(FusedRun { sinks, output })
+        Ok(FusedRun {
+            sinks,
+            output: values.output,
+        })
     }
 }
 
@@ -1213,8 +1470,8 @@ mod tests {
         assert!(verify_witnesses(&plan, &g).is_empty());
     }
 
-    #[test]
-    fn wide_reduction_is_rejected_for_reassociation() {
+    /// read_x → dot#0 ← read_y, dot#0 → write_d: a bare DOT.
+    fn dot_graph() -> Mdag {
         let mut g = Mdag::new();
         let rx = g.add_interface("read_x");
         let ry = g.add_interface("read_y");
@@ -1223,14 +1480,156 @@ mod tests {
         g.add_edge(rx, dot, 64, 64, 16);
         g.add_edge(ry, dot, 64, 64, 16);
         g.add_edge(dot, w, 1, 1, 1);
-        let sems = infer_sems(&g, 16);
+        g
+    }
+
+    #[test]
+    fn wide_reduction_is_rejected_for_reassociation() {
+        let g = dot_graph();
+        // At the executor's width the DOT replays block by block.
+        let sems = infer_sems(&g, EXEC_WIDTH);
         let plan = analyze_fusion(&g, &sems, "dot", false);
-        assert!(plan.rejections.iter().any(|r| r.reason == "reassociation"));
+        assert_eq!(plan.stats.fused, 1, "{}", plan.to_json());
+        assert!(plan.rejections.is_empty());
+        // Any other W > 1 groups the sum differently: still rejected,
+        // with the reducer as witness.
+        let sems8 = infer_sems(&g, 8);
+        let plan8 = analyze_fusion(&g, &sems8, "dot", false);
+        assert_eq!(plan8.stats.fused, 0);
+        assert!(plan8
+            .rejections
+            .iter()
+            .any(|r| r.reason == "reassociation" && r.witness_module.as_deref() == Some("dot#0")));
         // At W = 1 the reduction no longer reassociates but still
         // changes the rate (N in, 1 out).
         let sems1 = infer_sems(&g, 1);
         let plan1 = analyze_fusion(&g, &sems1, "dot", false);
         assert!(plan1.rejections.iter().any(|r| r.reason == "rate-change"));
+        // SDSDOT accumulates in f64, which no fused loop replays.
+        let mut s = Mdag::new();
+        s.add_compute("sdsdot#0");
+        assert_eq!(infer_sems(&s, EXEC_WIDTH), vec![ModuleSem::Opaque]);
+    }
+
+    /// read_x → scal#0 → dot#1 ← read_y, with a `write_t` tee on the
+    /// scal and the scalar drained into `write_d`.
+    fn scal_dot_graph() -> (Mdag, Vec<ModuleSem>) {
+        let mut g = Mdag::new();
+        let rx = g.add_interface("read_x");
+        let ry = g.add_interface("read_y");
+        let scal = g.add_compute("scal#0");
+        let dot = g.add_compute("dot#1");
+        let wt = g.add_interface("write_t");
+        let wd = g.add_interface("write_d");
+        g.add_edge(rx, scal, 37, 37, 16);
+        g.add_edge(scal, dot, 37, 37, 16);
+        g.add_edge(ry, dot, 37, 37, 16);
+        g.add_edge(scal, wt, 37, 37, 16);
+        g.add_edge(dot, wd, 1, 1, 1);
+        let mut sems = infer_sems(&g, EXEC_WIDTH);
+        sems[scal.0] = ModuleSem::Scal { alpha: Some(0.75) };
+        (g, sems)
+    }
+
+    #[test]
+    fn relay_chain_closes_with_a_block_replayed_dot() {
+        let (g, sems) = scal_dot_graph();
+        let plan = analyze_fusion(&g, &sems, "scal-dot", false);
+        assert_eq!(plan.stats.fused, 1, "{}", plan.to_json());
+        let region = &plan.regions[0];
+        assert_eq!(region.elements, 37);
+        assert!(region.output.is_none(), "the scalar drains into write_d");
+        let kinds: Vec<&str> = region.obligations.iter().map(|o| o.kind.as_str()).collect();
+        assert!(kinds.contains(&"block-replay"));
+        assert!(!kinds.contains(&"no-reassociation"));
+        assert!(check_obligations(&plan, &g, &sems, false).is_empty());
+        // The dot follows the relay; only writes come after it.
+        let at = |m: &str| region.modules.iter().position(|x| x == m).unwrap();
+        assert!(at("dot#1") > at("scal#0"));
+
+        let eval = build_evaluator(&g, &sems, region).unwrap();
+        let x: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37).sin()).collect();
+        let y: Vec<f32> = (0..37).map(|i| (i as f32 * 0.11).cos()).collect();
+        let mut streams = BTreeMap::new();
+        streams.insert("read_x".to_string(), x.clone());
+        streams.insert("read_y".to_string(), y.clone());
+        let run = eval.run(&streams).unwrap();
+        let mut acc = DotAccumulator::<f32>::new(EXEC_WIDTH);
+        for (a, b) in x.iter().zip(&y) {
+            acc.push(0.75 * a, *b);
+        }
+        assert_eq!(run.sinks["write_d"], vec![acc.finish()]);
+        assert_eq!(run.sinks["write_t"][5], 0.75 * x[5]);
+    }
+
+    #[test]
+    fn recovery_guards_reject_a_replayable_dot() {
+        let g = dot_graph();
+        let sems = infer_sems(&g, EXEC_WIDTH);
+        let plan = analyze_fusion(&g, &sems, "dot", true);
+        assert_eq!(plan.stats.fused, 0);
+        assert_eq!(plan.rejections.len(), 1, "{}", plan.to_json());
+        assert_eq!(plan.rejections[0].reason, "recovery-guards");
+    }
+
+    #[test]
+    fn block_replay_refuses_a_foreign_width() {
+        let (g, sems) = scal_dot_graph();
+        let plan = analyze_fusion(&g, &sems, "scal-dot", false);
+        let mut narrow = sems.clone();
+        for s in &mut narrow {
+            if let ModuleSem::Reduce { width } = s {
+                *width = EXEC_WIDTH / 2;
+            }
+        }
+        let errs = check_obligations(&plan, &g, &narrow, false);
+        assert!(errs.iter().any(|e| e.contains("block-replay")), "{errs:?}");
+    }
+
+    #[test]
+    fn block_replay_refuses_a_reduce_that_is_not_the_tail() {
+        let (g, sems) = scal_dot_graph();
+        let mut plan = analyze_fusion(&g, &sems, "scal-dot", false);
+        let modules = &mut plan.regions[0].modules;
+        let (d, r) = (
+            modules.iter().position(|m| m == "dot#1").unwrap(),
+            modules.iter().position(|m| m == "scal#0").unwrap(),
+        );
+        modules.swap(d, r);
+        let errs = check_obligations(&plan, &g, &sems, false);
+        assert!(
+            errs.iter()
+                .any(|e| e.contains("block-replay") && e.contains("tail")),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn block_replay_refuses_two_reduces() {
+        // Two bare DOTs side by side fuse into two regions; a plan
+        // claiming one region over both must not verify.
+        let mut g = Mdag::new();
+        for k in 0..2 {
+            let rx = g.add_interface(format!("read_x{k}"));
+            let ry = g.add_interface(format!("read_y{k}"));
+            let dot = g.add_compute(format!("dot#{k}"));
+            let w = g.add_interface(format!("write_d{k}"));
+            g.add_edge(rx, dot, 64, 64, 16);
+            g.add_edge(ry, dot, 64, 64, 16);
+            g.add_edge(dot, w, 1, 1, 1);
+        }
+        let sems = infer_sems(&g, EXEC_WIDTH);
+        let mut plan = analyze_fusion(&g, &sems, "two-dots", false);
+        assert_eq!(plan.stats.fused, 2, "{}", plan.to_json());
+        assert!(check_obligations(&plan, &g, &sems, false).is_empty());
+        let second = plan.regions.remove(1);
+        plan.regions[0].modules.extend(second.modules);
+        let errs = check_obligations(&plan, &g, &sems, false);
+        assert!(
+            errs.iter()
+                .any(|e| e.contains("block-replay") && e.contains("2 reductions")),
+            "{errs:?}"
+        );
     }
 
     #[test]

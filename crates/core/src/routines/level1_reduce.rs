@@ -63,25 +63,13 @@ impl Dot {
     ) {
         let Dot { n, w } = *self;
         sim.add_module("dot", ModuleKind::Compute, move || {
-            // Native f32 accumulation is a single partial; f64 uses the
-            // two-stage interleaved accumulator of Sec. III-A1.
-            let mut res = InterleavedAccumulator::<T>::for_precision();
+            let mut res = DotAccumulator::<T>::new(w);
             let mut xs = ChunkReader::new(&ch_x);
             let mut ys = ChunkReader::new(&ch_y);
-            let mut products = Vec::with_capacity(w);
-            let mut remaining = n;
-            while remaining > 0 {
-                let take = remaining.min(w);
-                products.clear();
-                for _ in 0..take {
-                    let x = xs.next()?;
-                    let y = ys.next()?;
-                    products.push(x * y);
-                }
-                // One outer iteration: the unrolled adder tree followed
-                // by the running accumulation (`res += acc`, Fig. 5).
-                res.add(tree_sum(&products));
-                remaining -= take;
+            for _ in 0..n {
+                let x = xs.next()?;
+                let y = ys.next()?;
+                res.push(x, y);
             }
             ch_res.push(res.finish())?;
             Ok(())
@@ -99,6 +87,69 @@ impl Dot {
             self.estimate::<T>().latency,
             outer_iterations(self.n, self.w),
         )
+    }
+}
+
+/// DOT's numerics, lane by lane: products gather into `W`-lane blocks;
+/// each full block (and the final partial one) is one outer iteration
+/// of Fig. 5 — the unrolled adder tree ([`tree_sum`]) followed by the
+/// running accumulation `res += acc` into an
+/// [`InterleavedAccumulator`]. The threaded [`Dot`] module and the
+/// fused backend's region loop both reduce through this type, so a
+/// fused DOT is bit-identical to the threaded one because both run one
+/// definition of the block order and its arithmetic.
+///
+/// ```
+/// use fblas_core::routines::DotAccumulator;
+///
+/// let mut acc = DotAccumulator::<f32>::new(2);
+/// for (x, y) in [(1.0, 4.0), (2.0, 5.0), (3.0, 6.0)] {
+///     acc.push(x, y);
+/// }
+/// assert_eq!(acc.finish(), 32.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct DotAccumulator<T: Scalar> {
+    w: usize,
+    products: Vec<T>,
+    res: InterleavedAccumulator<T>,
+}
+
+impl<T: Scalar> DotAccumulator<T> {
+    /// Empty accumulator for a `W`-wide adder tree. Native f32
+    /// accumulation is a single partial; f64 uses the two-stage
+    /// interleaved accumulator of Sec. III-A1.
+    pub fn new(w: usize) -> Self {
+        validate_width(w);
+        DotAccumulator {
+            w,
+            products: Vec::with_capacity(w),
+            res: InterleavedAccumulator::for_precision(),
+        }
+    }
+
+    /// Feed one lane pair; a block completes every `W` lanes.
+    pub fn push(&mut self, x: T, y: T) {
+        self.products.push(x * y);
+        if self.products.len() == self.w {
+            self.block();
+        }
+    }
+
+    /// One outer iteration: the adder tree over the block's products,
+    /// then the running accumulation.
+    fn block(&mut self) {
+        self.res.add(tree_sum(&self.products));
+        self.products.clear();
+    }
+
+    /// `xᵀy` over every lane pushed: the partial last block, then the
+    /// accumulator's final reduction.
+    pub fn finish(mut self) -> T {
+        if !self.products.is_empty() {
+            self.block();
+        }
+        self.res.finish()
     }
 }
 

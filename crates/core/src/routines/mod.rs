@@ -29,7 +29,7 @@ pub use gemm::{Gemm, SystolicShape};
 pub use gemv::{Gemv, GemvVariant};
 pub use ger::{Ger, Syr, Syr2};
 pub use level1_map::{Axpy, Rot, Rotm, Scal, Swap, VecCopy};
-pub use level1_reduce::{Asum, Dot, Iamax, Nrm2, Sdsdot};
+pub use level1_reduce::{Asum, Dot, DotAccumulator, Iamax, Nrm2, Sdsdot};
 pub use level1_scalar::{Rotg, Rotmg};
 pub use level3::{Side, Syr2k, Syrk, Trsm};
 pub use trsv::Trsv;

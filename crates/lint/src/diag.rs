@@ -61,9 +61,10 @@ pub enum LintCode {
     /// component would consume the partially updated value instead of
     /// the original input.
     FL0018,
-    /// Fusable module chain: a maximal run of stateless 1:1-rate relays
-    /// that may legally collapse into a single loop (see the
-    /// `FusionPlan` artifact for the proof obligations).
+    /// Fusable module chain: a maximal run of stateless 1:1-rate relays,
+    /// possibly closed by a DOT at the executor's width, that may
+    /// legally collapse into a single loop (see the `FusionPlan`
+    /// artifact for the proof obligations).
     FL0019,
     /// Fusion blocked: a relay chain cannot be fused; the diagnostic
     /// names the witness (the blocking edge or module).
@@ -80,9 +81,11 @@ pub enum LintCode {
     /// Pass-through copy: a `copy` whose output feeds exactly one
     /// consumer can be spliced out of the pipeline.
     FL0024,
-    /// Fusion stops at a W-way reassociating reduction: fusing across
-    /// it would change the floating-point reduction order, so the fused
-    /// result would not stay bit-identical.
+    /// Fusion stops at a W-way reduction whose width differs from the
+    /// executor's (`EXEC_WIDTH` = 16): the fused loop replays only the
+    /// threaded DOT's own block order, and any other `W` would change
+    /// the floating-point reduction order, so the fused result would
+    /// not stay bit-identical.
     FL0025,
     /// Dead module: a compute module whose results never reach an
     /// interface write — the values are computed and discarded.

@@ -16,6 +16,7 @@ use fblas_core::composition::{
     apply_elementwise, EdgeInfo, FusedRegion, FusedRun, Mdag, ModuleSem, RateGraph, RateOutcome,
     RateStep,
 };
+use fblas_core::routines::Dot;
 use fblas_hlssim::{try_channel, FaultHook, ModuleKind, Receiver, Sender, SimError, Simulation};
 
 /// What the threaded simulator said about one execution.
@@ -385,6 +386,44 @@ pub fn run_region_threaded(
                         for tx in &outs {
                             tx.push(v)?;
                         }
+                    }
+                    Ok(())
+                });
+            }
+            ModuleSem::Reduce { width } => {
+                // The production DOT module on the region's two input
+                // channels (edge order, as `build_evaluator` records
+                // its lanes), its scalar fanned out to every out-edge.
+                let ins: Vec<Receiver<f32>> = edges
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.to.0 == i)
+                    .map(|(ei, _)| {
+                        receivers
+                            .remove(&ei)
+                            .ok_or_else(|| format!("reduce `{name}` input channel already taken"))
+                    })
+                    .collect::<Result<_, _>>()?;
+                let Ok([rx, ry]) = <[Receiver<f32>; 2]>::try_from(ins) else {
+                    return Err(format!("reduce `{name}` needs exactly two inputs"));
+                };
+                let outs: Vec<Sender<f32>> = edges
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.from.0 == i)
+                    .map(|(ei, _)| {
+                        senders
+                            .remove(&ei)
+                            .ok_or_else(|| format!("reduce `{name}` output channel already taken"))
+                    })
+                    .collect::<Result<_, _>>()?;
+                let (tres, rres) = try_channel::<f32>(sim.ctx(), 1, format!("{name}_res"))
+                    .map_err(|e| e.to_string())?;
+                Dot::new(region.elements as usize, *width).attach(&mut sim, rx, ry, tres);
+                sim.add_module(format!("fan:{name}"), ModuleKind::Interface, move || {
+                    let v = rres.pop()?;
+                    for tx in &outs {
+                        tx.push(v)?;
                     }
                     Ok(())
                 });

@@ -33,7 +33,7 @@ use fblas_core::composition::dataflow::{solve, FlowGraph, LiveSinks};
 use fblas_core::composition::{
     analyze_fusion, infer_sems, plan, sems_for_component, ContractCause, FusionPlan, Mdag,
     ModuleSem, Op, Plan, PlanError, PlanNote, PlannedComponent, PlannerConfig, Program, RateGraph,
-    RateOutcome, Validity,
+    RateOutcome, Validity, EXEC_WIDTH,
 };
 use fblas_hlssim::ModuleKind;
 
@@ -486,8 +486,9 @@ fn pass_fusion(ctx: &AnalysisCtx, r: &mut LintReport) -> FusionPlan {
         };
         let msg = if rej.reason == "reassociation" {
             format!(
-                "`{}` reduces with a W-way adder tree: fusing across it would change \
-                 the floating-point association{witness}",
+                "`{}` reduces with a W-way adder tree at a width other than the executor's \
+                 W = {EXEC_WIDTH}: fusing across it would change the floating-point \
+                 association{witness}",
                 rej.modules.join(", ")
             )
         } else {
@@ -1171,8 +1172,34 @@ mod tests {
         assert!(r.accepted(), "{}", r.render_table());
         // The W-way reduction note fires for the DOT.
         assert!(r.diagnostics.iter().any(|d| d.code == LintCode::FL0014));
-        // And the fusion pass rejects fusing across it (FL0025).
-        assert!(r.diagnostics.iter().any(|d| d.code == LintCode::FL0025));
+        // At the executor's W = 16 the fusion pass closes the axpy
+        // region with the block-replayed DOT (FL0019), so nothing
+        // reports reassociation.
+        assert!(r
+            .diagnostics
+            .iter()
+            .any(|d| d.code == LintCode::FL0019 && d.message.contains("dot#1")));
+        assert!(!r.diagnostics.iter().any(|d| d.code == LintCode::FL0025));
+        // Declared at another width, the DOT would reassociate: fusion
+        // still stops at it (FL0025).
+        let r8 = lint_str(
+            r#"{"program": {
+                "operands": [
+                    {"name":"w","kind":"vector","len":64},
+                    {"name":"v","kind":"vector","len":64},
+                    {"name":"u","kind":"vector","len":64},
+                    {"name":"z","kind":"vector","len":64},
+                    {"name":"beta","kind":"scalar"}
+                ],
+                "ops": [
+                    {"op":"axpy","alpha":-1.0,"x":"v","y":"w","out":"z"},
+                    {"op":"dot","x":"z","y":"u","out":"beta"}
+                ],
+                "config": {"tn":16,"tm":16,"width":8}
+            }}"#,
+        );
+        assert!(r8.accepted(), "{}", r8.render_table());
+        assert!(r8.diagnostics.iter().any(|d| d.code == LintCode::FL0025));
     }
 
     #[test]

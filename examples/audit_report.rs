@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use fblas_core::composition::{
-    execute_plan, plan, ExecMode, ExecOptions, Op, PlannerConfig, Program,
+    execute_plan, plan, Backend, ExecMode, ExecOptions, Op, PlannerConfig, Program,
 };
 use fblas_core::host::DeviceBuffer;
 use fblas_refblas as refblas;
@@ -79,12 +79,16 @@ fn main() -> ExitCode {
     .collect();
 
     println!("=== Audit self-check: AXPYDOT, N = {n}, tolerance {tolerance:.2} ===");
+    // A module audit: pinned to the threaded backend, the only one with
+    // a lane per module (the fused backend runs AXPYDOT as one `fused:`
+    // lane, which no per-module prediction can be joined with).
     let opts = ExecOptions {
+        backend: Backend::Threaded,
+        tracer: None,
         mode: ExecMode::Audit {
             freq_hz: 200.0e6,
             tolerance,
         },
-        ..ExecOptions::default()
     };
     let out =
         execute_plan::<f64>(&p, &thep, &cfg, &buffers, &opts).expect("audited execution succeeds");

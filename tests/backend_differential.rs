@@ -70,9 +70,10 @@ struct Shapes {
 
 /// A random planner program: 3–7 ops over equal-length vectors. Relays
 /// (scal/copy/axpy) chain over the growing operand pool — consecutive
-/// relays are what the fusion analysis collapses — with reductions and
-/// square GEMVs mixed in (unfusable: they exercise the fused↔threaded
-/// handoff at boundary buffers and the planner's component splits).
+/// relays are what the fusion analysis collapses — with reductions
+/// (which close a region at the executor's width) and square GEMVs
+/// mixed in (unfusable: they exercise the fused↔threaded handoff at
+/// boundary buffers and the planner's component splits).
 fn random_program(seed: u64) -> (Program, Shapes, u64) {
     let mut rng = Rng::new(seed);
     let n = rng.range(33, 72) as usize;
@@ -225,9 +226,11 @@ fn run_backend(
     }
 }
 
-/// Run one seed block; returns how many fused regions the population's
-/// plans admitted (legality side, recovery disarmed) for non-vacuity.
-fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64) {
+/// Run one seed block, asserting non-vacuity floors on how many fused
+/// regions the population's plans admitted (legality side, recovery
+/// disarmed) and how many of those a DOT closes — the regions whose
+/// scalars `scalar_bits` compares.
+fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64, floor_reductions: u64) {
     let cfg = PlannerConfig::default();
     let audit = |backend| ExecOptions {
         backend,
@@ -250,13 +253,18 @@ fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64) {
         },
         hook: None,
     });
-    let mut regions = 0u64;
+    let (mut regions, mut reductions) = (0u64, 0u64);
     for seed in seeds {
         let (program, shapes, seed) = random_program(seed);
         let planned = plan(&program, &cfg).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
         for c in &planned.components {
             let (_, fp) = fusion_plan_for_component(&program, c, false);
             regions += fp.regions.len() as u64;
+            reductions += fp
+                .regions
+                .iter()
+                .filter(|r| r.obligations.iter().any(|o| o.kind == "block-replay"))
+                .count() as u64;
         }
         let threaded = run_backend(
             &program,
@@ -300,25 +308,31 @@ fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64) {
         regions >= floor_regions,
         "population too thin: {regions} fused regions (< {floor_regions})"
     );
+    assert!(
+        reductions >= floor_reductions,
+        "population too thin: {reductions} fused regions closed by a DOT \
+         (< {floor_reductions})"
+    );
 }
 
 // 4 × 55 = 220 seeded programs, split across test threads. Each block
-// must admit at least 8 fused regions (≥ 32 total).
+// must admit at least 8 fused regions (≥ 32 total), at least 15 of
+// them closed by a DOT (≥ 60 total; the population yields 26–31 a block).
 #[test]
 fn backends_are_bit_identical_block0() {
-    run_seed_block(0..55, 8);
+    run_seed_block(0..55, 8, 15);
 }
 #[test]
 fn backends_are_bit_identical_block1() {
-    run_seed_block(55..110, 8);
+    run_seed_block(55..110, 8, 15);
 }
 #[test]
 fn backends_are_bit_identical_block2() {
-    run_seed_block(110..165, 8);
+    run_seed_block(110..165, 8, 15);
 }
 #[test]
 fn backends_are_bit_identical_block3() {
-    run_seed_block(165..220, 8);
+    run_seed_block(165..220, 8, 15);
 }
 
 // ------------------------------------------------------------------

@@ -15,9 +15,10 @@
 //!   through into the next chain, and fanout injected at random);
 //! * the paper compositions — AXPYDOT, BiCG, GEMVER — routed through
 //!   the real planner, with op-derived semantics;
-//! * a scaled-AXPYDOT variant whose scal→axpy prefix actually fuses,
-//!   so the planner path exercises a fused region with a boundary
-//!   output, not only rejections.
+//! * a scaled-AXPYDOT variant whose scal→axpy→dot chain fuses into one
+//!   region closed by the block-replayed DOT, so the planner path
+//!   exercises a relay chain ending in a reduction, not only a bare
+//!   one.
 //!
 //! Every fusion plan is additionally re-verified (obligations,
 //! witnesses) and round-tripped byte-stably through JSON.
@@ -31,6 +32,7 @@ use std::collections::BTreeMap;
 use fblas_core::composition::{
     analyze_fusion, build_evaluator, check_obligations, infer_sems, plan, sems_for_component,
     verify_witnesses, FusionPlan, Mdag, ModuleSem, Op, PlannerConfig, Program, RateGraph,
+    EXEC_WIDTH,
 };
 use fblas_lint::harness::{
     differential_grace, run_on_simulator, run_region_threaded, seeded_streams, SimVerdict,
@@ -75,7 +77,8 @@ const ELEMS: u64 = 64;
 /// axpy stages pull a fresh read for their second operand; relays tee
 /// to writes at random; stateful stages sometimes stream through into
 /// the next chain (a boundary *input* for the region that follows);
-/// chains sometimes end in a reduction (a boundary *output*); and an
+/// chains sometimes end in a reduction (closing the region under block
+/// replay); relays feeding a stateful stage keep a boundary *output*; and an
 /// extra consumer is sometimes attached to a middle relay (fanout — a
 /// rejection the analyzer must witness).
 fn random_fusion_graph(seed: u64) -> (Mdag, Vec<ModuleSem>) {
@@ -144,7 +147,7 @@ fn random_fusion_graph(seed: u64) -> (Mdag, Vec<ModuleSem>) {
         }
     }
     if live_is_relay && rng.chance(40) {
-        // End in a reduction: the chain's tail keeps a boundary output.
+        // End in a reduction: the DOT closes the chain's region.
         let dot = g.add_compute("dot#end");
         overrides.push((dot.0, ModuleSem::Reduce { width: 16 }));
         g.add_edge(live, dot, ELEMS, ELEMS, 16);
@@ -302,8 +305,8 @@ fn axpydot_program(n: usize) -> Program {
 }
 
 /// AXPYDOT with a scaled prefix: t = 2w, z = v − t, beta = z·u. The
-/// scal→axpy prefix is a genuine fusable chain through the planner,
-/// with its boundary output feeding the (unfusable) reduction.
+/// scal→axpy prefix and the DOT it feeds fuse into one region through
+/// the planner.
 fn scaled_axpydot_program(n: usize) -> Program {
     let mut p = Program::new();
     p.vector("w", n)
@@ -436,14 +439,27 @@ fn reassociation_rejections_carry_the_reducing_witness() {
     let program = axpydot_program(64);
     let planned = plan(&program, &PlannerConfig::default()).unwrap();
     let c = &planned.components[0];
-    let sems = sems_for_component(&c.mdag, program.ops(), 16);
+    // At the executor's width the DOT closes the axpy's region: the
+    // fused loop replays the threaded module's W-lane blocks, so no
+    // reduction is rejected.
+    let sems = sems_for_component(&c.mdag, program.ops(), EXEC_WIDTH);
     let fp = analyze_fusion(&c.mdag, &sems, "axpydot", false);
-    let reassoc: Vec<_> = fp
+    assert_eq!(fp.regions.len(), 1, "{}", fp.to_json());
+    let region = &fp.regions[0];
+    assert!(region.modules.iter().any(|m| m.starts_with("dot#")));
+    assert!(region.obligations.iter().any(|o| o.kind == "block-replay"));
+    assert!(fp.rejections.is_empty(), "{}", fp.to_json());
+    // At any other W > 1 the adder tree groups the sum differently from
+    // the threaded DOT: the rejection stays, naming the reducer.
+    let sems8 = sems_for_component(&c.mdag, program.ops(), EXEC_WIDTH / 2);
+    let fp8 = analyze_fusion(&c.mdag, &sems8, "axpydot-w8", false);
+    assert!(fp8.regions.is_empty(), "{}", fp8.to_json());
+    let reassoc: Vec<_> = fp8
         .rejections
         .iter()
         .filter(|r| r.reason == "reassociation")
         .collect();
-    assert!(!reassoc.is_empty(), "{}", fp.to_json());
+    assert!(!reassoc.is_empty(), "{}", fp8.to_json());
     for r in &reassoc {
         let w = r.witness_module.as_deref().expect("witness module");
         assert!(w.starts_with("dot#"), "witness should be the reducer: {w}");
