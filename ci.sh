@@ -102,7 +102,7 @@ step "bench-diff against committed baselines"
 # benchmarks/baselines/. Model columns are deterministic, so any drift
 # is a model change: intentional ones are refreshed with
 # `bench-diff --bless` (see README).
-for bin in table3 table4 table5 table6 fig10 fig11 hbm_scaling bench_throughput bench_chaos bench_observe bench_flight bench_fused; do
+for bin in table3 table4 table5 table6 fig10 fig11 hbm_scaling bench_throughput bench_chaos bench_overhead bench_fused; do
     FBLAS_BENCH_DIR="$tmpdir" cargo run --release -q -p fblas-bench --bin "$bin" >/dev/null
 done
 # bench_serve lives in fblas-serve (the server crate), not fblas-bench:
@@ -158,7 +158,7 @@ for routine in ("dot", "axpydot"):
 EOF
 
 step "telemetry overhead gate (armed vs disarmed)"
-# bench_observe (regenerated above) interleaves armed and disarmed runs
+# bench_overhead (regenerated above) interleaves armed and disarmed runs
 # and aborts in-bin past the 3% budget; this re-checks the committed
 # report so the gate also fires on a stale artifact.
 python3 - "$tmpdir/BENCH_observe.json" <<'EOF'
@@ -176,7 +176,7 @@ else:
 EOF
 
 step "flight-recorder overhead gate (recorder armed vs off)"
-# bench_flight (regenerated above) interleaves recorder-armed and
+# bench_overhead (regenerated above) interleaves recorder-armed and
 # recorder-off runs on the armed metrics runtime and aborts in-bin past
 # the 3% budget; this re-checks the committed report so the gate also
 # fires on a stale artifact.

@@ -145,12 +145,13 @@ pub struct AuditReport {
     pub modules: Vec<ModuleAudit>,
     /// The pace-setting module, when anything was measured.
     pub bottleneck: Option<Bottleneck>,
-    /// Faults injected into the audited run (the `fault.injected`
-    /// counter): nonzero means measured/predicted drift is partly
-    /// attributable to deliberate fault injection, not the model.
+    /// Faults injected into the audited run (samples on the tracer's
+    /// `fault:*` series): nonzero means measured/predicted drift is
+    /// partly attributable to deliberate fault injection, not the model.
     pub fault_events: u64,
-    /// Component retries the recovery layer performed during the run
-    /// (the `recovery.retries` counter); retried components execute
+    /// Failed component attempts the recovery layer recorded during the
+    /// run (samples on the tracer's `recovery:component:*` series) — for
+    /// a run that completed, its retry count. Retried components execute
     /// their modules more than once, inflating busy shares.
     pub recovery_retries: u64,
 }
@@ -512,9 +513,16 @@ pub fn audit_tracer(spec: &AuditSpec, tracer: &Tracer) -> AuditReport {
     let mut report = audit(spec, &lanes);
     // Attribute chaos to drift: a run that absorbed injected faults or
     // re-executed components is expected to diverge from the model.
-    let counters = tracer.metrics().snapshot().counters;
-    report.fault_events = counters.get("fault.injected").copied().unwrap_or(0);
-    report.recovery_retries = counters.get("recovery.retries").copied().unwrap_or(0);
+    let series = tracer.series();
+    let samples = |prefix: &str| {
+        series
+            .iter()
+            .filter(|(name, _)| name.starts_with(prefix))
+            .map(|(_, s)| s.len() as u64)
+            .sum()
+    };
+    report.fault_events = samples("fault:");
+    report.recovery_retries = samples("recovery:component:");
     report.record_counters(tracer, &lanes);
     report
 }
@@ -733,6 +741,102 @@ mod tests {
         assert!(table.contains("module"));
         assert!(table.contains("producer"));
         assert!(table.contains("bottleneck"));
+    }
+
+    /// One corruption injected into a traced simulation audits as
+    /// exactly one fault event, from the `fault:*` series alone.
+    #[test]
+    fn injected_corruption_audits_as_one_fault_event() {
+        use fblas_chaos::{FaultAction, FaultPlan, FaultSite};
+
+        let tracer = Tracer::new();
+        let mut sim = Simulation::new();
+        sim.set_tracer(tracer.clone());
+        sim.ctx()
+            .arm_faults(std::sync::Arc::new(FaultPlan::new(Some(11)).channel_fault(
+                FaultSite::Push,
+                "pipe",
+                3,
+                FaultAction::Corrupt { bit: 0 },
+            )));
+        let (tx, rx) = channel::<f64>(sim.ctx(), 8, "pipe");
+        sim.add_module("producer", ModuleKind::Compute, move || {
+            tx.push_iter((0..64).map(f64::from))
+        });
+        sim.add_module("consumer", ModuleKind::Compute, move || {
+            rx.pop_n(64).map(|_| ())
+        });
+        sim.run().unwrap();
+
+        let report = audit_tracer(&AuditSpec::new(1e8), &tracer);
+        assert_eq!(report.fault_events, 1);
+        assert_eq!(report.recovery_retries, 0);
+    }
+
+    /// A recovering execution that absorbs one seeded corruption audits
+    /// to exactly the retries its `RecoveryReport` counts.
+    #[test]
+    fn recovered_run_audits_its_retry_count() {
+        use fblas_chaos::{FaultAction, FaultPlan, FaultSite};
+        use fblas_core::composition::{
+            execute_plan, plan, Backend, ExecMode, ExecOptions, Op, PlannerConfig, Program,
+            RetryPolicy,
+        };
+        use fblas_core::host::DeviceBuffer;
+        use std::collections::HashMap;
+
+        const N: usize = 16;
+        let mut program = Program::new();
+        program.matrix("A", N, N).vector("x", N).vector("o", N);
+        program.op(Op::Gemv {
+            alpha: 1.5,
+            beta: 0.0,
+            a: "A".into(),
+            transposed: false,
+            x: "x".into(),
+            y: None,
+            out: "o".into(),
+        });
+        let cfg = PlannerConfig {
+            tn: N,
+            tm: N,
+            ..Default::default()
+        };
+        let planned = plan(&program, &cfg).unwrap();
+        let buffers: HashMap<String, DeviceBuffer<f64>> = [
+            ("A", (0..N * N).map(|i| i as f64 * 0.25).collect::<Vec<_>>()),
+            ("x", (0..N).map(|i| 1.0 - i as f64).collect()),
+            ("o", vec![0.0; N]),
+        ]
+        .into_iter()
+        .map(|(name, data)| (name.to_string(), DeviceBuffer::from_vec(name, data, 0)))
+        .collect();
+        let hook = std::sync::Arc::new(FaultPlan::new(Some(5)).channel_fault(
+            FaultSite::Push,
+            "write_o",
+            4,
+            FaultAction::Corrupt { bit: 61 },
+        ));
+        let tracer = Tracer::new();
+        let opts = ExecOptions {
+            backend: Backend::Threaded,
+            tracer: Some(&tracer),
+            mode: ExecMode::Recover {
+                policy: RetryPolicy {
+                    max_attempts: 3,
+                    ..RetryPolicy::default()
+                },
+                hook: Some(hook),
+            },
+        };
+        let recovery = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &opts)
+            .expect("one corruption recovers within budget")
+            .recovery;
+        assert_eq!(recovery.retries, 1);
+
+        let report = audit_tracer(&AuditSpec::new(1e8), &tracer);
+        assert_eq!(report.recovery_retries, recovery.retries);
+        assert_eq!(report.fault_events, 1);
     }
 
     #[test]

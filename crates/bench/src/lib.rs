@@ -12,7 +12,9 @@
 //! problems; [`cpu`] times the `fblas-refblas` comparator, extrapolating
 //! linearly in flops where the paper's sizes exceed what a test machine
 //! can hold or compute in reasonable time (each such extrapolation is
-//! printed alongside the measurement basis).
+//! printed alongside the measurement basis). [`runners`] holds the
+//! simulator workloads the CPU-timed throughput and overhead binaries
+//! share.
 
 #![warn(missing_docs)]
 
@@ -20,6 +22,7 @@ pub mod audit;
 pub mod cpu;
 pub mod metrics;
 pub mod model;
+pub mod runners;
 
 /// Pretty-print seconds in the paper's table units (microseconds, or
 /// seconds for the long GEMM rows).

@@ -251,9 +251,6 @@ pub fn execute_plan<T: Scalar>(
         // One span lane per component on this thread; module lanes are
         // created inside the simulation's worker threads.
         let _component_span = ModuleScope::enter(&format!("component:{ix}"), opts.tracer);
-        if let Some(t) = opts.tracer {
-            t.metrics().counter_add("exec.components", 1);
-        }
         let comp_t0 = run.metrics.as_ref().map(|_| Instant::now());
         let scalars = match &opts.mode {
             ExecMode::Plain => run
@@ -841,16 +838,12 @@ impl<T: Scalar> Run<'_, T> {
                     t.now_us(),
                     attempt as f64,
                 );
-                t.metrics().counter_add("recovery.failures", 1);
             }
             if attempt == max {
                 capture_exhaustion_postmortem(&err, report, attempt_guards.take());
                 return Err(err);
             }
             report.retries += 1;
-            if let Some(t) = tracer {
-                t.metrics().counter_add("recovery.retries", 1);
-            }
             if let Some(m) = &self.metrics {
                 m.reg.counter("fblas_exec_retries_total", &[]).inc();
             }

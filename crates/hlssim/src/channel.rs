@@ -154,10 +154,13 @@ impl Drop for BlockGuard<'_> {
     }
 }
 
-/// Count one injected fault in the global registry, labeled by action.
-/// Cold: only reachable while a fault hook is armed.
+/// Record one injected fault against `target` (a channel or module
+/// name): a `fault:<target>` sample on the attached tracer, if any, and
+/// a `fblas_fault_injected_total` count labeled by action in the global
+/// registry, if armed. Cold: only reachable while a fault hook is armed.
 #[cold]
-pub(crate) fn record_fault_metric(action: &str) {
+pub(crate) fn record_fault(target: &str, action: &str) {
+    fblas_trace::record_fault(target);
     if let Some(reg) = fblas_metrics::registry() {
         reg.counter("fblas_fault_injected_total", &[("action", action)])
             .inc();
@@ -347,8 +350,7 @@ impl<T: Send + 'static> Sender<T> {
         core.state.lock().guard.record_push(&value);
         let seq = core.push_seq.fetch_add(1, Ordering::Relaxed);
         if let Some(action) = core.ctx.fault_for(FaultSite::Push, &core.name, seq) {
-            fblas_trace::record_fault(&core.name, action.label());
-            record_fault_metric(action.label());
+            record_fault(&core.name, action.label());
             match action {
                 FaultAction::Corrupt { bit } => {
                     flip_bit(&mut value, bit);
@@ -646,8 +648,7 @@ impl<T: Send + 'static> Receiver<T> {
             let mut value = self.pop_raw()?;
             let seq = core.pop_seq.fetch_add(1, Ordering::Relaxed);
             if let Some(action) = core.ctx.fault_for(FaultSite::Pop, &core.name, seq) {
-                fblas_trace::record_fault(&core.name, action.label());
-                record_fault_metric(action.label());
+                record_fault(&core.name, action.label());
                 match action {
                     FaultAction::Corrupt { bit } => {
                         flip_bit(&mut value, bit);

@@ -590,8 +590,7 @@ impl Simulation {
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         match injected {
                             Some(ModuleFault::Crash) => {
-                                fblas_trace::record_fault(&name, "crash");
-                                crate::channel::record_fault_metric("crash");
+                                crate::channel::record_fault(&name, "crash");
                                 // Poison *before* unwinding drops the
                                 // module's endpoints, so peers observe
                                 // `Poisoned { by }` rather than racing
@@ -602,8 +601,7 @@ impl Simulation {
                                 std::panic::resume_unwind(Box::new("injected crash fault"));
                             }
                             Some(ModuleFault::Hang) => {
-                                fblas_trace::record_fault(&name, "hang");
-                                crate::channel::record_fault_metric("hang");
+                                crate::channel::record_fault(&name, "hang");
                                 // Stop making progress while *holding the
                                 // body alive*: its channel endpoints stay
                                 // open, so peers block on the FIFOs (the
@@ -785,10 +783,6 @@ impl Simulation {
         }
         .channel_stats();
         let transfers = shared.epoch.load(Ordering::Acquire);
-        // Run-summary scalars live in fblas-metrics only; the tracer-scoped
-        // `trace::MetricsRegistry` kept just the counters the audit pipeline
-        // reads (`fault.injected`, `recovery.retries`) plus the Perfetto
-        // occupancy counter tracks sampled above.
         if let Some(reg) = fblas_metrics::registry() {
             reg.counter("fblas_sim_runs_total", &[]).inc();
             reg.counter("fblas_sim_transfers_total", &[]).add(transfers);
@@ -870,13 +864,8 @@ mod tests {
         let samples = &series["occ:idle"];
         assert!(!samples.is_empty(), "sampler ticked at least once");
         assert!(samples.iter().all(|(_, occ)| *occ == 0.0));
-        // No lanes were flushed and no stall was declared.
+        // No lanes were flushed.
         assert!(tracer.lanes().is_empty());
-        assert!(!tracer
-            .metrics()
-            .snapshot()
-            .counters
-            .contains_key("sim.stalls"));
     }
 
     #[test]
@@ -1067,12 +1056,8 @@ mod tests {
         let src = lanes.iter().find(|l| &*l.module == "src").unwrap();
         assert_eq!(src.pushes, 5000);
         // 5000 elements through a depth-2 FIFO outlives several 5 ms
-        // watchdog polls, so the occupancy series exists. Run-summary
-        // scalars moved to fblas-metrics; the tracer registry keeps only
-        // the series-shaped data the Perfetto export needs.
+        // watchdog polls, so the occupancy series exists.
         assert!(tracer.series().contains_key("occ:traced"));
-        let metrics = tracer.metrics().snapshot();
-        assert!(!metrics.counters.contains_key("sim.transfers"));
     }
 
     #[test]

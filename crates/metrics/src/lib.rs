@@ -19,13 +19,16 @@
 //!   counter/gauge frames, a rule-based anomaly detector, and the
 //!   postmortem bundle captured when a run dies.
 //!
+//! This is the workspace's one metrics registry: the simulator tracer
+//! (`fblas-trace`) records events and sampled series only.
+//!
 //! # Arming
 //!
 //! The runtime is **disarmed by default**: every instrumentation site
 //! first checks [`armed`], a single relaxed atomic load, so the
 //! disarmed cost is one predictable branch. [`install`] arms the global
 //! registry explicitly; [`arm_from_env`] arms it when `FBLAS_METRICS=1`
-//! (shard count from `FBLAS_METRICS_SHARDS`). `bench_observe` measures
+//! (shard count from `FBLAS_METRICS_SHARDS`). `bench_overhead` measures
 //! the armed-vs-disarmed gap and holds it under 3%.
 
 pub mod expo;
@@ -68,7 +71,7 @@ pub fn install(shards: usize) -> Arc<Registry> {
 
 /// Disarm the global registry: instrumentation sites go back to the
 /// one-branch no-op. The registry and its accumulated values survive,
-/// so `bench_observe` can flip arming per rep without re-registering.
+/// so `bench_overhead` can flip arming per rep without re-registering.
 pub fn disarm() {
     ARMED.store(false, Ordering::Release);
 }

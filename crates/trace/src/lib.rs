@@ -14,11 +14,13 @@
 //! * **exporters** — Chrome/Perfetto `trace_event` JSON
 //!   ([`perfetto`]) with one lane per module and stall spans colored,
 //!   plus a plain-text run summary ([`summary`]);
-//! * a **metrics registry** ([`MetricsRegistry`]) of counters, gauges,
-//!   and histograms — superseded by the `fblas-metrics` crate for
-//!   run-level telemetry, retained for tracer-scoped counters the audit
-//!   pipeline reads and for the channel-occupancy time series behind
-//!   the Perfetto counter tracks.
+//! * **sampled series** ([`Tracer::record_sample`]) — channel occupancy,
+//!   injected faults (`fault:<target>`), and recovery attempts
+//!   (`recovery:component:<ix>`), rendered as Perfetto counter tracks
+//!   and counted by the audit layer.
+//!
+//! Counters, gauges, and histograms live in the `fblas-metrics` crate;
+//! this crate records events and series only.
 //!
 //! Stall forensics (the wait-for snapshot carried by
 //! `SimError::Stall`) live in the simulator crate, which owns the
@@ -27,11 +29,8 @@
 
 #![warn(missing_docs)]
 
-pub mod metrics;
 pub mod perfetto;
 pub mod summary;
-
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -140,7 +139,6 @@ struct TracerInner {
     lanes: Mutex<Vec<Lane>>,
     /// Sampled time series, e.g. channel occupancy: name → (t_us, value).
     series: Mutex<BTreeMap<String, Vec<(u64, f64)>>>,
-    metrics: MetricsRegistry,
     /// Correlation key of the logical request this trace belongs to
     /// (16-hex-digit run ID); exported as Perfetto metadata.
     run_id: Mutex<Option<String>>,
@@ -149,8 +147,8 @@ struct TracerInner {
     backend: Mutex<Option<String>>,
 }
 
-/// Collects lanes, series, and metrics for one (or several) simulation
-/// runs. Cheap to clone; all clones share the same store and clock.
+/// Collects lanes and series for one (or several) simulation runs.
+/// Cheap to clone; all clones share the same store and clock.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -170,7 +168,6 @@ impl Tracer {
                 lane_capacity: capacity.max(16),
                 lanes: Mutex::new(Vec::new()),
                 series: Mutex::new(BTreeMap::new()),
-                metrics: MetricsRegistry::new(),
                 run_id: Mutex::new(None),
                 backend: Mutex::new(None),
             }),
@@ -197,11 +194,6 @@ impl Tracer {
     /// Snapshot of all sampled time series.
     pub fn series(&self) -> BTreeMap<String, Vec<(u64, f64)>> {
         self.inner.series.lock().clone()
-    }
-
-    /// The metrics registry shared by all clones of this tracer.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.inner.metrics
     }
 
     /// Tag this trace with the run ID of the logical request it belongs
@@ -476,14 +468,13 @@ pub fn record_channel_chunk(
     });
 }
 
-/// Record an injected fault against `target` (a channel or module name)
-/// with a short action `label` ("corrupt", "drop", "crash", ...). Emits
-/// a sample on the `fault:<target>` counter series (rendered by the
-/// Perfetto exporter as a counter track) and bumps the `fault.injected`
-/// and `fault.<label>` metrics. No-op when the current thread is not
-/// recording — fault injection works with tracing disabled; only the
-/// evidence trail needs a tracer.
-pub fn record_fault(target: &str, label: &str) {
+/// Record an injected fault against `target` (a channel or module
+/// name): one sample on the `fault:<target>` series, rendered by the
+/// Perfetto exporter as a counter track and counted by the audit layer
+/// as one fault event. No-op when the current thread is not recording —
+/// fault injection works with tracing disabled; only the evidence trail
+/// needs a tracer.
+pub fn record_fault(target: &str) {
     SCOPE.with(|s| {
         let slot = s.borrow();
         let Some(rec) = slot.as_ref().and_then(|d| d.rec.as_ref()) else {
@@ -491,10 +482,6 @@ pub fn record_fault(target: &str, label: &str) {
         };
         let t = rec.tracer.now_us();
         rec.tracer.record_sample(&format!("fault:{target}"), t, 1.0);
-        rec.tracer.metrics().counter_add("fault.injected", 1);
-        rec.tracer
-            .metrics()
-            .counter_add(&format!("fault.{label}"), 1);
     });
 }
 

@@ -4,7 +4,7 @@
 use crate::Tracer;
 
 /// Render a fixed-width table of per-module activity plus sampled
-/// series extremes and registry metrics.
+/// series extremes.
 pub fn run_summary(tracer: &Tracer) -> String {
     let mut out = String::new();
     let lanes = tracer.lanes();
@@ -52,27 +52,6 @@ pub fn run_summary(tracer: &Tracer) -> String {
             ));
         }
     }
-
-    let metrics = tracer.metrics().snapshot();
-    if !metrics.counters.is_empty() || !metrics.gauges.is_empty() || !metrics.histograms.is_empty()
-    {
-        out.push_str("\n== metrics ==\n");
-        for (name, v) in &metrics.counters {
-            out.push_str(&format!("counter {name} = {v}\n"));
-        }
-        for (name, v) in &metrics.gauges {
-            out.push_str(&format!("gauge   {name} = {v}\n"));
-        }
-        for (name, h) in &metrics.histograms {
-            out.push_str(&format!(
-                "hist    {name}: n={} mean={:.2} min={:.2} max={:.2}\n",
-                h.count,
-                h.mean(),
-                h.min,
-                h.max
-            ));
-        }
-    }
     out
 }
 
@@ -88,13 +67,9 @@ mod tests {
             let _scope = ModuleScope::enter("reader", Some(&tracer));
         }
         tracer.record_sample("occ:x", 10, 4.0);
-        tracer.metrics().counter_add("runs", 1);
-        tracer.metrics().histogram_observe("stall_us", 12.0);
 
         let text = run_summary(&tracer);
         assert!(text.contains("reader"));
         assert!(text.contains("occ:x"));
-        assert!(text.contains("counter runs = 1"));
-        assert!(text.contains("hist    stall_us"));
     }
 }
