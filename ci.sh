@@ -13,6 +13,12 @@ cargo build --release
 step "cargo test -q"
 cargo test -q
 
+step "chunked transport under FBLAS_CHUNK=1"
+# The chunk-invariance tests again with every bulk helper degraded to
+# element-wise push/pop, so both transfer paths through the channel's
+# shared wait helper run under the same assertions.
+FBLAS_CHUNK=1 cargo test -q -p fblas-bench --test chunked_transport
+
 step "cargo clippy -- -D warnings"
 # crates/lint/clippy.toml and crates/core/clippy.toml additionally
 # disallow unwrap/expect in those crates' library code (analyzer
@@ -272,7 +278,7 @@ step "audit self-check (model vs traced simulation)"
 # missing bottleneck verdict.
 cargo run --release -q -p fblas-bench --example audit_report
 
-step "end-to-end benchmark (unit tests + traced stream_closed smoke)"
+step "end-to-end benchmark (unit tests + traced stream_closed and small_closed smoke)"
 # benchmarks/e2e is a package of its own, outside the workspace, so the
 # steps above never compile it. Its unit tests fail on any change to the
 # public items it imports; the short traced run checks every served
@@ -282,5 +288,11 @@ cargo test --release -q --offline --manifest-path benchmarks/e2e/Cargo.toml
 cargo run --release -q --offline --manifest-path benchmarks/e2e/Cargo.toml -- \
     --workload stream_closed --seed 1 --seconds 3 --trace 1 --out "$tmpdir/e2e" >/dev/null
 echo "stream_closed traced smoke run reconciled"
+# small_closed is the one workload whose replica check
+# (replica_worker_vs_served_pct) is gated: a change that moves the
+# per-request floor fails here before it fails in the benchmark run.
+cargo run --release -q --offline --manifest-path benchmarks/e2e/Cargo.toml -- \
+    --workload small_closed --seed 1 --seconds 3 --trace 1 --out "$tmpdir/e2e" >/dev/null
+echo "small_closed traced smoke run reconciled"
 
 printf '\nci.sh: all checks passed\n'

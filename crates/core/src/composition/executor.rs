@@ -1127,7 +1127,7 @@ pub(super) fn run_component<T: Scalar>(
                 )?;
                 match op {
                     Op::Scal { alpha, .. } => {
-                        let w = cfg.tm.clamp(1, 16);
+                        let w = cfg.tm.clamp(1, EXEC_WIDTH);
                         let s = Scal::new(n, w);
                         if let Some(preds) = predictions.as_deref_mut() {
                             preds.push(ModulePrediction::compute(
@@ -1140,13 +1140,13 @@ pub(super) fn run_component<T: Scalar>(
                         s.attach(&mut sim, T::from_f64(*alpha), rx, tx);
                     }
                     _ => {
-                        let c = VecCopy::new(n, 16);
+                        let c = VecCopy::new(n, EXEC_WIDTH);
                         if let Some(preds) = predictions.as_deref_mut() {
                             preds.push(ModulePrediction::compute(
                                 "copy",
                                 c.cost::<T>(),
                                 n as u64,
-                                16,
+                                EXEC_WIDTH as u64,
                             ));
                         }
                         c.attach(&mut sim, rx, tx);
@@ -1166,13 +1166,13 @@ pub(super) fn run_component<T: Scalar>(
                     &out_name,
                     &out_consumers,
                 )?;
-                let a = Axpy::new(n, 16);
+                let a = Axpy::new(n, EXEC_WIDTH);
                 if let Some(preds) = predictions.as_deref_mut() {
                     preds.push(ModulePrediction::compute(
                         "axpy",
                         a.cost::<T>(),
                         n as u64,
-                        16,
+                        EXEC_WIDTH as u64,
                     ));
                 }
                 a.attach(&mut sim, T::from_f64(*alpha), rx, ry, tx);
@@ -1216,7 +1216,7 @@ pub(super) fn run_component<T: Scalar>(
                     m,
                     cfg.tn.min(n.max(1)),
                     cfg.tm.min(m.max(1)),
-                    16,
+                    EXEC_WIDTH,
                 );
                 if let Some(preds) = predictions.as_deref_mut() {
                     let name = if variant.transposed() {
@@ -1228,7 +1228,7 @@ pub(super) fn run_component<T: Scalar>(
                         name,
                         g.cost::<T>(),
                         (n * m) as u64,
-                        16,
+                        EXEC_WIDTH as u64,
                     ));
                 }
                 let ra = take_input(&mut sim, a, 1)?;
@@ -1301,13 +1301,13 @@ pub(super) fn run_component<T: Scalar>(
             }
             Op::Ger { alpha, a, x, y, .. } => {
                 let (n, m) = program.mat_dims(a)?;
-                let g = Ger::new(n, m, cfg.tn.min(n.max(1)), cfg.tm.min(m.max(1)), 16);
+                let g = Ger::new(n, m, cfg.tn.min(n.max(1)), cfg.tm.min(m.max(1)), EXEC_WIDTH);
                 if let Some(preds) = predictions.as_deref_mut() {
                     preds.push(ModulePrediction::compute(
                         "ger",
                         g.cost::<T>(),
                         (n * m) as u64,
-                        16,
+                        EXEC_WIDTH as u64,
                     ));
                 }
                 let ra = take_input(&mut sim, a, 1)?;
@@ -1376,7 +1376,7 @@ fn consumer_tiling(
                 m,
                 cfg.tn.min(n.max(1)),
                 cfg.tm.min(m.max(1)),
-                16,
+                EXEC_WIDTH,
             )
             .a_tiling()
         }

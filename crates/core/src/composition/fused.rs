@@ -349,7 +349,7 @@ fn prediction_for_op<T: Scalar>(
     match &program.ops()[oi] {
         Op::Scal { x, .. } => {
             let n = program.vec_len(x)?;
-            let w = cfg.tm.clamp(1, 16);
+            let w = cfg.tm.clamp(1, EXEC_WIDTH);
             let s = Scal::new(n, w);
             Ok(ModulePrediction::compute(
                 "scal",
@@ -365,7 +365,7 @@ fn prediction_for_op<T: Scalar>(
                 "copy",
                 c.cost::<T>(),
                 n as u64,
-                16,
+                EXEC_WIDTH as u64,
             ))
         }
         Op::Axpy { x, .. } => {
@@ -375,7 +375,7 @@ fn prediction_for_op<T: Scalar>(
                 "axpy",
                 a.cost::<T>(),
                 n as u64,
-                16,
+                EXEC_WIDTH as u64,
             ))
         }
         Op::Dot { x, .. } => {

@@ -10,9 +10,17 @@
 //! Channels are registered with a [`SimContext`] so the
 //! simulation watchdog can observe global progress (a monotonically
 //! increasing *epoch*, bumped on every successful transfer) and the number
-//! of threads currently blocked. Blocking waits use short timed waits and
-//! re-check the context poison flag, so stall detection never needs to
-//! enumerate channels to wake sleepers.
+//! of threads currently blocked.
+//!
+//! Every push and pop waits through one helper. A side that finds the
+//! FIFO full or empty first runs a bounded backoff — a fixed number of
+//! `yield_now` rounds, re-checking after each — because a streaming peer
+//! usually frees a slot within microseconds, and a futex sleep plus wake
+//! per FIFO depth of elements costs far more. Only when the backoff runs
+//! out does the waiter register in the wait-for table and park on the
+//! condvar, in short timed slices that re-check the context poison flag,
+//! so stall detection never needs to enumerate channels to wake sleepers.
+//! A transfer notifies the condvar only when the other side is parked.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +50,13 @@ pub struct ChannelStats {
     pub empty_stalls: u64,
 }
 
+/// Rounds of the bounded backoff a waiter runs before it parks: each
+/// yields the CPU once, then re-checks the FIFO under the lock. Busy
+/// spinning between re-checks measured slower on a 2-vCPU host, where
+/// module threads outnumber cores and a spinning waiter holds the core
+/// its peer needs (sweep in EXPERIMENTS.md, "Spin-then-park FIFOs").
+const BACKOFF_ROUNDS: u32 = 32;
+
 struct ChanState<T> {
     queue: VecDeque<T>,
     sender_alive: bool,
@@ -49,6 +64,20 @@ struct ChanState<T> {
     stats: ChannelStats,
     /// Integrity guard; only updated while a fault hook is armed.
     guard: GuardState,
+    /// Pushers parked on `not_full` and poppers parked on `not_empty`: a
+    /// transfer skips the condvar notify when the other side is not
+    /// parked (a thread still in its backoff re-checks on its own).
+    parked_full: usize,
+    parked_empty: usize,
+}
+
+impl<T> ChanState<T> {
+    fn parked(&mut self, dir: WaitDirection) -> &mut usize {
+        match dir {
+            WaitDirection::Full => &mut self.parked_full,
+            WaitDirection::Empty => &mut self.parked_empty,
+        }
+    }
 }
 
 /// Lock-free telemetry handles for one channel, resolved once at channel
@@ -119,9 +148,11 @@ struct ChannelCore<T> {
 
 /// RAII registration of "this thread is blocked on a channel operation".
 ///
-/// A thread counts as blocked from its first unfulfilled wait until the
-/// operation completes or errors — *not* per wait slice — so the watchdog
-/// sees a stable `blocked == live` condition during a genuine deadlock.
+/// A thread counts as blocked from its first park (after its bounded
+/// backoff ran out) until the operation completes or errors — *not* per
+/// wait slice — so the watchdog sees a stable `blocked == live` condition
+/// during a genuine deadlock, where every thread parks within
+/// microseconds.
 /// Alongside the counter, the guard files a [`Waiter`] record (module,
 /// channel, direction) in the context's wait-for table so stall detection
 /// can report *who* is stuck on *what* rather than just *that* the graph
@@ -182,6 +213,135 @@ impl<T> ChannelCore<T> {
 
     fn fault_armed(&self) -> bool {
         self.ctx.fault_armed.load(Ordering::Relaxed)
+    }
+
+    fn disconnected(&self) -> SimError {
+        SimError::Disconnected {
+            channel: self.name.to_string(),
+        }
+    }
+
+    /// Account `k` elements just moved through the FIFO by the side that
+    /// waits on `dir` (`Full` for a push, `Empty` for a pop): advance the
+    /// progress epoch and element counters, and wake the other side if it
+    /// is parked.
+    fn moved(&self, st: &mut ChanState<T>, dir: WaitDirection, k: usize) {
+        self.ctx.epoch.fetch_add(k as u64, Ordering::Release);
+        match dir {
+            WaitDirection::Full => {
+                st.stats.transferred += k as u64;
+                st.stats.max_occupancy = st.stats.max_occupancy.max(st.queue.len());
+                if st.parked_empty > 0 {
+                    self.not_empty.notify_one();
+                }
+                if let Some(m) = &self.metrics {
+                    m.push_elements.add(k as u64);
+                }
+            }
+            WaitDirection::Empty => {
+                if st.parked_full > 0 {
+                    self.not_full.notify_one();
+                }
+                if let Some(m) = &self.metrics {
+                    m.pop_elements.add(k as u64);
+                }
+            }
+        }
+    }
+
+    /// Count one wait on `dir` in the channel stats and telemetry.
+    fn count_wait(&self, st: &mut ChanState<T>, dir: WaitDirection) {
+        match dir {
+            WaitDirection::Full => {
+                st.stats.full_stalls += 1;
+                if let Some(m) = &self.metrics {
+                    m.full_waits.inc();
+                }
+            }
+            WaitDirection::Empty => {
+                st.stats.empty_stalls += 1;
+                if let Some(m) = &self.metrics {
+                    m.empty_waits.inc();
+                }
+            }
+        }
+    }
+
+    /// The blocking wait every push and pop shares.
+    ///
+    /// Runs `attempt` under the state lock until it returns `Some`; it
+    /// moves what it can and errors on a disconnect. Elements it moves are
+    /// accounted here (see [`moved`](Self::moved)), so a chunk split at
+    /// capacity advances stats and wakes its peer per transfer section.
+    /// Returns the result and whether the operation waited.
+    ///
+    /// A miss starts a wait episode: one stall count, then the bounded
+    /// backoff ([`BACKOFF_ROUNDS`] `yield_now` rounds with the lock
+    /// dropped, re-checking after each). When the backoff runs out the
+    /// thread registers a [`BlockGuard`] (on its first park only, kept
+    /// until the operation ends) and parks for one wait slice at a time,
+    /// counting one stall per slice. A transfer made meanwhile (a split
+    /// chunk) ends the episode, so the next miss backs off anew.
+    fn transfer<R>(
+        &self,
+        dir: WaitDirection,
+        mut attempt: impl FnMut(&mut ChanState<T>) -> Result<Option<R>, SimError>,
+    ) -> Result<(R, bool), SimError> {
+        let mut waited = false;
+        let mut wait_from: Option<Instant> = None;
+        let mut blocked: Option<BlockGuard<'_>> = None;
+        // Backoff rounds spent in the current wait episode, if one is open.
+        let mut episode: Option<u32> = None;
+        let mut st = self.state.lock();
+        loop {
+            if self.poisoned() {
+                return Err(self.poison_err());
+            }
+            let before = st.queue.len();
+            let done = attempt(&mut st)?;
+            let k = st.queue.len().abs_diff(before);
+            if k > 0 {
+                self.moved(&mut st, dir, k);
+                episode = None;
+            }
+            if let Some(r) = done {
+                drop(st);
+                drop(blocked);
+                if let Some(m) = &self.metrics {
+                    m.record_wait(wait_from);
+                }
+                return Ok((r, waited));
+            }
+            let round = match episode {
+                Some(round) => round,
+                None => {
+                    waited = true;
+                    self.count_wait(&mut st, dir);
+                    if self.metrics.is_some() && wait_from.is_none() {
+                        wait_from = Some(Instant::now());
+                    }
+                    0
+                }
+            };
+            if round < BACKOFF_ROUNDS {
+                drop(st);
+                std::thread::yield_now();
+                episode = Some(round + 1);
+                st = self.state.lock();
+                continue;
+            }
+            if blocked.is_none() {
+                blocked = Some(BlockGuard::new(&self.ctx, &self.name, dir));
+            }
+            self.count_wait(&mut st, dir);
+            let cond = match dir {
+                WaitDirection::Full => &self.not_full,
+                WaitDirection::Empty => &self.not_empty,
+            };
+            *st.parked(dir) += 1;
+            cond.wait_for(&mut st, wait_slice());
+            *st.parked(dir) -= 1;
+        }
     }
 }
 
@@ -262,6 +422,8 @@ pub fn try_channel<T: Send + 'static>(
             receiver_alive: true,
             stats: ChannelStats::default(),
             guard: GuardState::default(),
+            parked_full: 0,
+            parked_empty: 0,
         }),
         not_full: Condvar::new(),
         not_empty: Condvar::new(),
@@ -287,57 +449,26 @@ impl<T: Send + 'static> Sender<T> {
         self.push_raw(value)
     }
 
-    /// The unarmed push path: byte-identical to the pre-fault-layer
-    /// implementation (the only addition upstream is one relaxed atomic
-    /// load in [`push`](Self::push)).
+    /// The unarmed push path: the fault layer costs it only one relaxed
+    /// atomic load in [`push`](Self::push).
     fn push_raw(&self, value: T) -> Result<(), SimError> {
         let core = &self.core;
         let trace_from = fblas_trace::op_start();
-        let mut waited = false;
-        let mut wait_from: Option<Instant> = None;
-        let mut blocked: Option<BlockGuard<'_>> = None;
-        let mut st = core.state.lock();
-        loop {
-            if core.poisoned() {
-                return Err(core.poison_err());
-            }
+        let mut value = Some(value);
+        let ((), waited) = core.transfer(WaitDirection::Full, |st| {
             if !st.receiver_alive {
-                return Err(SimError::Disconnected {
-                    channel: core.name.to_string(),
-                });
+                return Err(core.disconnected());
             }
             if st.queue.len() < core.capacity {
-                st.queue.push_back(value);
-                st.stats.transferred += 1;
-                let occ = st.queue.len();
-                if occ > st.stats.max_occupancy {
-                    st.stats.max_occupancy = occ;
-                }
-                core.ctx.epoch.fetch_add(1, Ordering::Release);
-                core.not_empty.notify_one();
-                drop(st);
-                if let Some(m) = &core.metrics {
-                    m.push_elements.add(1);
-                    m.record_wait(wait_from);
-                }
-                if let Some(from) = trace_from {
-                    fblas_trace::record_channel_op(EventKind::Push, &core.name, from, waited);
-                }
-                return Ok(());
+                st.queue.extend(value.take());
+                return Ok(Some(()));
             }
-            st.stats.full_stalls += 1;
-            waited = true;
-            if blocked.is_none() {
-                blocked = Some(BlockGuard::new(&core.ctx, &core.name, WaitDirection::Full));
-                if core.metrics.is_some() {
-                    wait_from = Some(Instant::now());
-                }
-            }
-            if let Some(m) = &core.metrics {
-                m.full_waits.inc();
-            }
-            core.not_full.wait_for(&mut st, wait_slice());
+            Ok(None)
+        })?;
+        if let Some(from) = trace_from {
+            fblas_trace::record_channel_op(EventKind::Push, &core.name, from, waited);
         }
+        Ok(())
     }
 
     /// Push with the fault hook consulted: records the integrity guard
@@ -377,7 +508,7 @@ impl<T: Send + 'static> Sender<T> {
     ///
     /// Backpressure semantics are identical to pushing the elements one
     /// by one: a chunk larger than the free capacity transfers what
-    /// fits, then blocks (counting `full_stalls` per wait slice and
+    /// fits, then waits (counting `full_stalls` and, once parked,
     /// registering in the wait-for table) until the consumer makes
     /// room, and resumes with the remainder. Stats, the progress epoch,
     /// and the trace advance by the number of elements moved — once per
@@ -399,71 +530,23 @@ impl<T: Send + 'static> Sender<T> {
         }
         let trace_from = fblas_trace::op_start();
         let total = buf.len() as u64;
-        let mut waited = false;
-        let mut wait_from: Option<Instant> = None;
-        let mut blocked: Option<BlockGuard<'_>> = None;
-        let mut st = core.state.lock();
-        loop {
-            if core.poisoned() {
-                return Err(core.poison_err());
-            }
+        // A chunk larger than the free capacity moves what fits, then
+        // waits exactly like a sequential push finding the FIFO full.
+        let ((), waited) = core.transfer(WaitDirection::Full, |st| {
             if !st.receiver_alive {
-                return Err(SimError::Disconnected {
-                    channel: core.name.to_string(),
-                });
+                return Err(core.disconnected());
             }
-            let free = core.capacity - st.queue.len();
-            if free > 0 {
-                let k = free.min(buf.len());
-                st.queue.extend(buf.drain(..k));
-                st.stats.transferred += k as u64;
-                let occ = st.queue.len();
-                if occ > st.stats.max_occupancy {
-                    st.stats.max_occupancy = occ;
-                }
-                core.ctx.epoch.fetch_add(k as u64, Ordering::Release);
-                core.not_empty.notify_one();
-                // Element counters advance per transfer section (exactly
-                // like `stats.transferred`), so a chunk that errors out
-                // mid-way still accounts its delivered prefix.
-                if let Some(m) = &core.metrics {
-                    m.push_elements.add(k as u64);
-                }
-                if buf.is_empty() {
-                    drop(st);
-                    drop(blocked);
-                    if let Some(m) = &core.metrics {
-                        m.chunk_push_ops.inc();
-                        m.record_wait(wait_from);
-                    }
-                    if let Some(from) = trace_from {
-                        fblas_trace::record_channel_chunk(
-                            EventKind::Push,
-                            &core.name,
-                            from,
-                            waited,
-                            total,
-                        );
-                    }
-                    return Ok(());
-                }
-                // The chunk split at capacity: fall through to the same
-                // stall accounting a sequential push performs when it
-                // finds the FIFO full.
-            }
-            st.stats.full_stalls += 1;
-            waited = true;
-            if blocked.is_none() {
-                blocked = Some(BlockGuard::new(&core.ctx, &core.name, WaitDirection::Full));
-                if core.metrics.is_some() {
-                    wait_from = Some(Instant::now());
-                }
-            }
-            if let Some(m) = &core.metrics {
-                m.full_waits.inc();
-            }
-            core.not_full.wait_for(&mut st, wait_slice());
+            let k = (core.capacity - st.queue.len()).min(buf.len());
+            st.queue.extend(buf.drain(..k));
+            Ok(buf.is_empty().then_some(()))
+        })?;
+        if let Some(m) = &core.metrics {
+            m.chunk_push_ops.inc();
         }
+        if let Some(from) = trace_from {
+            fblas_trace::record_channel_chunk(EventKind::Push, &core.name, from, waited, total);
+        }
+        Ok(())
     }
 
     /// Chunked push with the fault hook consulted: degrades to
@@ -500,24 +583,12 @@ impl<T: Send + 'static> Sender<T> {
             return Err(core.poison_err());
         }
         if !st.receiver_alive {
-            return Err(SimError::Disconnected {
-                channel: core.name.to_string(),
-            });
+            return Err(core.disconnected());
         }
-        let free = core.capacity - st.queue.len();
-        let k = free.min(buf.len());
+        let k = (core.capacity - st.queue.len()).min(buf.len());
         if k > 0 {
             st.queue.extend(buf.drain(..k));
-            st.stats.transferred += k as u64;
-            let occ = st.queue.len();
-            if occ > st.stats.max_occupancy {
-                st.stats.max_occupancy = occ;
-            }
-            core.ctx.epoch.fetch_add(k as u64, Ordering::Release);
-            core.not_empty.notify_one();
-            if let Some(m) = &core.metrics {
-                m.push_elements.add(k as u64);
-            }
+            core.moved(&mut st, WaitDirection::Full, k);
         }
         Ok(())
     }
@@ -596,45 +667,15 @@ impl<T: Send + 'static> Receiver<T> {
     fn pop_raw(&self) -> Result<T, SimError> {
         let core = &self.core;
         let trace_from = fblas_trace::op_start();
-        let mut waited = false;
-        let mut wait_from: Option<Instant> = None;
-        let mut blocked: Option<BlockGuard<'_>> = None;
-        let mut st = core.state.lock();
-        loop {
-            if core.poisoned() {
-                return Err(core.poison_err());
-            }
-            if let Some(v) = st.queue.pop_front() {
-                core.ctx.epoch.fetch_add(1, Ordering::Release);
-                core.not_full.notify_one();
-                drop(st);
-                if let Some(m) = &core.metrics {
-                    m.pop_elements.add(1);
-                    m.record_wait(wait_from);
-                }
-                if let Some(from) = trace_from {
-                    fblas_trace::record_channel_op(EventKind::Pop, &core.name, from, waited);
-                }
-                return Ok(v);
-            }
-            if !st.sender_alive {
-                return Err(SimError::Disconnected {
-                    channel: core.name.to_string(),
-                });
-            }
-            st.stats.empty_stalls += 1;
-            waited = true;
-            if blocked.is_none() {
-                blocked = Some(BlockGuard::new(&core.ctx, &core.name, WaitDirection::Empty));
-                if core.metrics.is_some() {
-                    wait_from = Some(Instant::now());
-                }
-            }
-            if let Some(m) = &core.metrics {
-                m.empty_waits.inc();
-            }
-            core.not_empty.wait_for(&mut st, wait_slice());
+        let (v, waited) = core.transfer(WaitDirection::Empty, |st| match st.queue.pop_front() {
+            Some(v) => Ok(Some(v)),
+            None if st.sender_alive => Ok(None),
+            None => Err(core.disconnected()),
+        })?;
+        if let Some(from) = trace_from {
+            fblas_trace::record_channel_op(EventKind::Pop, &core.name, from, waited);
         }
+        Ok(v)
     }
 
     /// Pop with the fault hook consulted: applies any fault targeted at
@@ -696,56 +737,25 @@ impl<T: Send + 'static> Receiver<T> {
     fn pop_chunk_raw(&self, out: &mut Vec<T>, max: usize) -> Result<usize, SimError> {
         let core = &self.core;
         let trace_from = fblas_trace::op_start();
-        let mut waited = false;
-        let mut wait_from: Option<Instant> = None;
-        let mut blocked: Option<BlockGuard<'_>> = None;
-        let mut st = core.state.lock();
-        loop {
-            if core.poisoned() {
-                return Err(core.poison_err());
+        let (k, waited) = core.transfer(WaitDirection::Empty, |st| {
+            if st.queue.is_empty() {
+                return if st.sender_alive {
+                    Ok(None)
+                } else {
+                    Err(core.disconnected())
+                };
             }
-            if !st.queue.is_empty() {
-                let k = st.queue.len().min(max);
-                out.reserve(k);
-                out.extend(st.queue.drain(..k));
-                core.ctx.epoch.fetch_add(k as u64, Ordering::Release);
-                core.not_full.notify_one();
-                drop(st);
-                drop(blocked);
-                if let Some(m) = &core.metrics {
-                    m.pop_elements.add(k as u64);
-                    m.chunk_pop_ops.inc();
-                    m.record_wait(wait_from);
-                }
-                if let Some(from) = trace_from {
-                    fblas_trace::record_channel_chunk(
-                        EventKind::Pop,
-                        &core.name,
-                        from,
-                        waited,
-                        k as u64,
-                    );
-                }
-                return Ok(k);
-            }
-            if !st.sender_alive {
-                return Err(SimError::Disconnected {
-                    channel: core.name.to_string(),
-                });
-            }
-            st.stats.empty_stalls += 1;
-            waited = true;
-            if blocked.is_none() {
-                blocked = Some(BlockGuard::new(&core.ctx, &core.name, WaitDirection::Empty));
-                if core.metrics.is_some() {
-                    wait_from = Some(Instant::now());
-                }
-            }
-            if let Some(m) = &core.metrics {
-                m.empty_waits.inc();
-            }
-            core.not_empty.wait_for(&mut st, wait_slice());
+            let k = st.queue.len().min(max);
+            out.extend(st.queue.drain(..k));
+            Ok(Some(k))
+        })?;
+        if let Some(m) = &core.metrics {
+            m.chunk_pop_ops.inc();
         }
+        if let Some(from) = trace_from {
+            fblas_trace::record_channel_chunk(EventKind::Pop, &core.name, from, waited, k as u64);
+        }
+        Ok(k)
     }
 
     /// Pop exactly `n` elements into a fresh `Vec`, batching transfers
@@ -812,7 +822,7 @@ impl<T> Drop for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimContext;
+    use crate::{ModuleKind, SimContext, Simulation};
     use std::thread;
     use std::time::Duration;
 
@@ -1122,6 +1132,103 @@ mod tests {
         let mut buf = Vec::new();
         tx.push_chunk(&mut buf).unwrap();
         assert_eq!(tx.stats().transferred, 0);
+    }
+
+    #[test]
+    fn handoff_satisfied_in_the_backoff_is_one_wait_with_a_waited_span() {
+        // The producer watches for the consumer's miss and, holding the
+        // state lock from that moment, hands the element over while the
+        // consumer is still in its backoff: the consumer cannot park
+        // without the lock. A consumer descheduled long enough to park
+        // before the producer looked does not exercise the backoff; that
+        // trial is retried.
+        for _ in 0..1000 {
+            let ctx = SimContext::new();
+            let (tx, rx) = channel::<u32>(&ctx, 1, "hand");
+            let tracer = fblas_trace::Tracer::new();
+            let parked = thread::scope(|s| {
+                let consumer = s.spawn(|| {
+                    let _scope = fblas_trace::ModuleScope::enter("sink", Some(&tracer));
+                    rx.pop()
+                });
+                let core = &tx.core;
+                let parked = loop {
+                    let mut st = core.state.lock();
+                    if st.stats.empty_stalls == 0 {
+                        drop(st);
+                        thread::yield_now();
+                        continue;
+                    }
+                    if st.parked_empty > 0 {
+                        break true;
+                    }
+                    assert_eq!(
+                        ctx.shared().blocked.load(Ordering::Acquire),
+                        0,
+                        "a thread in its backoff is not registered as blocked"
+                    );
+                    st.queue.push_back(7);
+                    core.moved(&mut st, WaitDirection::Full, 1);
+                    break false;
+                };
+                if parked {
+                    tx.push(7).unwrap();
+                }
+                assert_eq!(consumer.join().unwrap(), Ok(7));
+                parked
+            });
+            if parked {
+                continue;
+            }
+            assert_eq!(rx.stats().empty_stalls, 1, "one wait episode, no park");
+            let lane = &tracer.lanes()[0];
+            assert_eq!(lane.empty_stall_by_channel.len(), 1);
+            assert_eq!(lane.empty_stall_by_channel[0].0.as_ref(), "hand");
+            assert!(
+                lane.events.iter().any(|e| e.kind == EventKind::EmptyStall),
+                "the pop is traced as a waited operation"
+            );
+            return;
+        }
+        panic!("the consumer parked in every trial");
+    }
+
+    #[test]
+    fn parked_pair_still_yields_a_stall_report_naming_the_channels() {
+        // Each module fills its depth-1 output and pushes again before
+        // reading: both back off, park, and register in the wait-for
+        // table, so the watchdog sees `blocked == live`.
+        let mut sim = Simulation::new();
+        sim.set_grace(Duration::from_millis(20));
+        let ctx = sim.ctx().clone();
+        let (tx_ab, rx_ab) = channel::<u8>(sim.ctx(), 1, "full_ab");
+        let (tx_ba, rx_ba) = channel::<u8>(sim.ctx(), 1, "full_ba");
+        sim.add_module("a", ModuleKind::Compute, move || {
+            tx_ab.push(1)?;
+            tx_ab.push(2)?;
+            rx_ba.pop().map(drop)
+        });
+        sim.add_module("b", ModuleKind::Compute, move || {
+            tx_ba.push(1)?;
+            tx_ba.push(2)?;
+            rx_ab.pop().map(drop)
+        });
+        match sim.run() {
+            Err(SimError::Stall { report }) => {
+                assert_eq!(report.blocked.len(), 2);
+                for (module, chan) in [("a", "full_ab"), ("b", "full_ba")] {
+                    let w = report.blocked_on(module).expect("module in wait-for graph");
+                    assert_eq!(w.channel, chan);
+                    assert_eq!(w.direction, WaitDirection::Full);
+                    assert_eq!((w.occupancy, w.capacity), (1, 1));
+                }
+            }
+            other => panic!("expected stall, got {other:?}"),
+        }
+        for (name, st) in ctx.channel_stats() {
+            // One count for the wait episode plus one per park slice.
+            assert!(st.full_stalls >= 2, "{name}: {st:?}");
+        }
     }
 
     #[test]

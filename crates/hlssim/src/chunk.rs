@@ -1,9 +1,10 @@
 //! Chunked (batched) stream access on top of the channel primitives.
 //!
 //! The hardware model moves one element per cycle, but the software
-//! simulation pays a `Mutex`+`Condvar` round trip and a trace event per
-//! transfer — so simulated wall-clock scales with lock traffic, not with
-//! modeled cycles. [`ChunkReader`] and [`ChunkWriter`] amortize that cost
+//! simulation pays a lock acquisition and a trace event per transfer,
+//! plus a backoff (and, if that runs out, a condvar park) whenever the
+//! FIFO is full or empty — so simulated wall-clock scales with lock
+//! traffic, not with modeled cycles. [`ChunkReader`] and [`ChunkWriter`] amortize that cost
 //! by moving [`default_chunk`] elements per lock acquisition while
 //! presenting the same element-at-a-time interface to routine bodies,
 //! which keeps arithmetic order (and therefore results) byte-identical.

@@ -37,7 +37,9 @@ pub enum SimError {
         report: StallReport,
     },
     /// A `pop` found the channel empty with the producer gone, or a `push`
-    /// found the consumer gone. For BLAS modules all element counts are
+    /// found the consumer gone; under an armed fault hook, also a run
+    /// that ended with an element left in the channel that its integrity
+    /// guard does not flag. For BLAS modules all element counts are
     /// statically known, so a disconnect mid-stream indicates a protocol
     /// mismatch between producer and consumer (e.g. incompatible tiling
     /// schemes — an *invalid edge* in the paper's MDAG terminology).

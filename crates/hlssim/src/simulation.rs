@@ -778,6 +778,25 @@ impl Simulation {
             return Err(SimError::Poisoned { by });
         }
 
+        // Under an armed fault hook, a run whose modules all finished must
+        // also have drained every FIFO. A leftover element means producer
+        // and consumer disagreed on the count, as with an injected
+        // duplicate of a one-element result read once. Unless the channel's
+        // integrity guard already flags it, report the disagreement as the
+        // disconnect the producer meets when the consumer exits first, so
+        // the verdict does not depend on which thread ran first.
+        if shared.fault_armed.load(Ordering::Relaxed) {
+            let leftover = shared
+                .probes
+                .lock()
+                .iter()
+                .find(|p| p.probe_occupancy() > 0 && p.probe_guard().is_none_or(|g| g.clean()))
+                .map(|p| p.probe_name());
+            if let Some(channel) = leftover {
+                return Err(SimError::Disconnected { channel });
+            }
+        }
+
         let channel_stats = SimContext {
             shared: shared.clone(),
         }
@@ -1110,6 +1129,64 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert_eq!(ctx.poison_cause(), Some("src".to_string()));
+    }
+
+    /// Duplicates element 0 pushed into `target`.
+    struct DuplicateFirst {
+        target: &'static str,
+    }
+
+    impl FaultHook for DuplicateFirst {
+        fn on_channel(&self, site: FaultSite, channel: &str, index: u64) -> Option<FaultAction> {
+            (site == FaultSite::Push && channel == self.target && index == 0)
+                .then_some(FaultAction::Duplicate)
+        }
+        fn on_module_start(&self, _: &str) -> Option<ModuleFault> {
+            None
+        }
+    }
+
+    type SimResult = Result<(), SimError>;
+
+    /// One producer pushing `pushed` elements into a depth-2 FIFO, one
+    /// consumer popping a single element and exiting.
+    fn one_pop_run(hook: Option<Arc<dyn FaultHook>>, pushed: u32) -> (SimContext, SimResult) {
+        let mut sim = Simulation::new();
+        let ctx = sim.ctx().clone();
+        if let Some(hook) = hook {
+            ctx.arm_faults(hook);
+        }
+        let (tx, rx) = channel::<u32>(sim.ctx(), 2, "ch_left");
+        sim.add_module("src", ModuleKind::Interface, move || {
+            (0..pushed).try_for_each(|v| tx.push(v))
+        });
+        sim.add_module("sink", ModuleKind::Compute, move || rx.pop().map(drop));
+        let result = sim.run().map(drop);
+        (ctx, result)
+    }
+
+    #[test]
+    fn armed_run_that_leaves_an_unflagged_element_reports_a_disconnect() {
+        // The duplicate and the original both fit in the FIFO, so neither
+        // push waits; the sink reads one and exits. Counts and digests
+        // agree (one meant, one read), so only the leftover shows it.
+        let (ctx, result) = one_pop_run(Some(Arc::new(DuplicateFirst { target: "ch_left" })), 1);
+        assert_eq!(
+            result,
+            Err(SimError::Disconnected {
+                channel: "ch_left".to_string()
+            })
+        );
+        assert!(ctx.guard_reports()[0].clean());
+
+        // A leftover the guard already flags is left to the guard verdict.
+        let (ctx, result) = one_pop_run(Some(Arc::new(DuplicateFirst { target: "none" })), 2);
+        assert_eq!(result, Ok(()));
+        assert!(!ctx.guard_reports()[0].clean());
+
+        // Disarmed runs keep their semantics: no leftover check.
+        let (_, result) = one_pop_run(None, 2);
+        assert_eq!(result, Ok(()));
     }
 
     #[test]
