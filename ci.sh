@@ -227,7 +227,9 @@ echo "fblas-top renders the snapshot"
 
 step "serve smoke (lockstep determinism + daemon drain)"
 # The fixed lockstep smoke workload — success, lint rejection, quota
-# shed, chaos exhaustion, breaker open/fast-fail/reset, stats, drain —
+# shed, chaos exhaustion, breaker open/fast-fail/reset, the admission
+# rejections of bad data, a bad chaos plan and an undeclared name,
+# stats, drain —
 # must produce byte-identical response transcripts across two runs:
 # lockstep serializes every admission decision and wall-clock material
 # lives only in the stripped `wall` field.
@@ -237,7 +239,8 @@ cargo run --release -q -p fblas-serve --bin bench_serve -- \
     --smoke --dump-responses "$tmpdir/serve_smoke_b.txt"
 cmp "$tmpdir/serve_smoke_a.txt" "$tmpdir/serve_smoke_b.txt"
 echo "serve smoke transcripts are byte-identical across runs"
-# The daemon must exit 0 on a clean client-driven drain.
+# The daemon must exit 0 on a clean client-driven drain, and a request
+# with mis-sized data must be rejected at admission, never queued.
 cargo run --release -q -p fblas-serve --bin fblas-serve -- \
     --addr 127.0.0.1:0 --workers 2 --tenant-qps 0 2>"$tmpdir/serve_daemon.log" &
 serve_pid=$!
@@ -258,11 +261,17 @@ req = {"id": 1, "tenant": "ci", "fill_seed": 3, "program": {
 f.write(json.dumps(req) + "\n"); f.flush()
 resp = json.loads(f.readline())
 assert resp["status"] == "ok", resp
+bad = dict(req, id=2, tenant="ci-bad", data={"x": [1.0, 2.0]})
+f.write(json.dumps(bad) + "\n"); f.flush()
+resp = json.loads(f.readline())
+assert (resp["status"], resp["code"], resp["kind"]) == ("rejected", 400, "data"), resp
 f.write('{"control":"drain"}\n'); f.flush()
 drain = json.loads(f.readline())
 assert drain["status"] == "ok", drain
+assert drain["stats"]["rejected"] == 1, drain
 assert drain["stats"]["admitted"] == drain["stats"]["ok"] == 1, drain
-print("daemon served and drained:", drain["stats"]["ok"], "request")
+print("daemon served and drained:", drain["stats"]["ok"], "request,",
+      drain["stats"]["rejected"], "rejected at admission")
 EOF
 wait "$serve_pid"
 echo "fblas-serve exited 0 after graceful drain"

@@ -67,21 +67,17 @@ pub use harness::{
 pub use input::{classify, Document};
 pub use passes::{lint_document, lint_document_full, lint_mdag, LintOutput};
 
-/// Lint a raw JSON document: classify the dialect, run the passes.
-///
-/// When the global metrics runtime is armed, each call counts into
-/// `fblas_lint_runs_total` and its wall latency into `fblas_lint_us`,
-/// so a serving layer can watch lint throughput next to execution.
+/// Lint a raw JSON document: classify the dialect, run the passes
+/// ([`lint_document_full`], which also records the lint metrics).
 pub fn lint_json(json: &str, file: &str) -> LintReport {
     lint_json_full(json, file).report
 }
 
 /// Like [`lint_json`], but also returns the fusion-plan artifacts the
 /// analysis derived (one per analyzable graph, one per planned program
-/// component).
+/// component) and a program document's plan.
 pub fn lint_json_full(json: &str, file: &str) -> LintOutput {
-    let t0 = fblas_metrics::armed().then(std::time::Instant::now);
-    let out = match classify(json) {
+    match classify(json) {
         Ok(doc) => lint_document_full(&doc, file),
         Err(e) => {
             let mut r = LintReport::new();
@@ -94,18 +90,9 @@ pub fn lint_json_full(json: &str, file: &str) -> LintOutput {
                 },
                 e,
             ));
-            LintOutput {
-                report: r,
-                fusion: Vec::new(),
-            }
+            LintOutput::report_only(r)
         }
-    };
-    if let (Some(t0), Some(reg)) = (t0, fblas_metrics::registry()) {
-        reg.counter("fblas_lint_runs_total", &[]).inc();
-        reg.histogram("fblas_lint_us", &[])
-            .record(fblas_metrics::elapsed_us(t0));
     }
-    out
 }
 
 #[cfg(test)]

@@ -42,13 +42,26 @@ use crate::input::{Document, GraphDoc, ProgramDoc};
 
 /// A lint run's full result: the diagnostics plus the fusion-plan
 /// artifacts the analysis derived (one per analyzable graph document,
-/// one per planned program component).
+/// one per planned program component) and a program's plan.
 #[derive(Debug)]
 pub struct LintOutput {
     /// The diagnostics.
     pub report: LintReport,
     /// Fusion plans, in analysis order.
     pub fusion: Vec<FusionPlan>,
+    /// The program and its plan; present whenever a program document's report is accepted.
+    pub planned: Option<(Program, Plan)>,
+}
+
+impl LintOutput {
+    /// Diagnostics only: nothing was analysed or planned.
+    pub(crate) fn report_only(report: LintReport) -> LintOutput {
+        LintOutput {
+            report,
+            fusion: Vec::new(),
+            planned: None,
+        }
+    }
 }
 
 /// Lint one classified document; `file` is used for locations.
@@ -56,16 +69,24 @@ pub fn lint_document(doc: &Document, file: &str) -> LintReport {
     lint_document_full(doc, file).report
 }
 
-/// Lint one classified document and keep the fusion artifacts.
+/// Lint one classified document and keep the fusion and plan artifacts.
+///
+/// When the global metrics runtime is armed, each call counts into
+/// `fblas_lint_runs_total` and its wall latency into `fblas_lint_us`,
+/// so a serving layer can watch lint throughput next to execution.
 pub fn lint_document_full(doc: &Document, file: &str) -> LintOutput {
-    match doc {
-        Document::Spec(json) => LintOutput {
-            report: lint_spec(json, file),
-            fusion: Vec::new(),
-        },
+    let t0 = fblas_metrics::armed().then(std::time::Instant::now);
+    let out = match doc {
+        Document::Spec(json) => LintOutput::report_only(lint_spec(json, file)),
         Document::Program(p) => lint_program_doc(p, file),
         Document::Graph(g) => lint_graph_doc(g, file),
+    };
+    if let (Some(t0), Some(reg)) = (t0, fblas_metrics::registry()) {
+        reg.counter("fblas_lint_runs_total", &[]).inc();
+        reg.histogram("fblas_lint_us", &[])
+            .record(fblas_metrics::elapsed_us(t0));
     }
+    out
 }
 
 fn at(file: &str, mut loc: Location) -> Location {
@@ -523,10 +544,7 @@ fn lint_graph_doc(doc: &GraphDoc, file: &str) -> LintOutput {
                 at(file, Location::default()),
                 e,
             ));
-            return LintOutput {
-                report: r,
-                fusion: Vec::new(),
-            };
+            return LintOutput::report_only(r);
         }
     };
     let width = doc.config.width.unwrap_or(16);
@@ -543,6 +561,7 @@ fn lint_graph_doc(doc: &GraphDoc, file: &str) -> LintOutput {
     LintOutput {
         report: r,
         fusion: fusion.into_iter().collect(),
+        planned: None,
     }
 }
 
@@ -563,7 +582,7 @@ fn lint_program_doc(doc: &ProgramDoc, file: &str) -> LintOutput {
                 at(file, Location::default()),
                 e,
             ));
-            return LintOutput { report: r, fusion };
+            return LintOutput::report_only(r);
         }
     };
     let cfg = doc.config.planner_config();
@@ -679,7 +698,7 @@ fn lint_program_doc(doc: &ProgramDoc, file: &str) -> LintOutput {
         Ok(plan) => plan,
         Err(e) => {
             r.push(plan_error_diag(&e, file));
-            return LintOutput { report: r, fusion };
+            return LintOutput::report_only(r);
         }
     };
 
@@ -755,7 +774,11 @@ fn lint_program_doc(doc: &ProgramDoc, file: &str) -> LintOutput {
 
     lint_plan_resources(&program, &plan, doc, file, &mut r);
     lint_program_numerics(&program, doc, file, &mut r);
-    LintOutput { report: r, fusion }
+    LintOutput {
+        report: r,
+        fusion,
+        planned: Some((program, plan)),
+    }
 }
 
 fn plan_error_diag(e: &PlanError, file: &str) -> Diagnostic {

@@ -12,7 +12,9 @@
 //!   decision and all wall-clock material lives in the stripped `wall`
 //!   field. Exercises the whole robustness surface: success, lint
 //!   rejection, quota shed, chaos exhaustion, breaker
-//!   open/fast-fail/reset, stats, graceful drain.
+//!   open/fast-fail/reset, the admission rejections of bad operand
+//!   data, a malformed chaos plan and an undeclared name, stats,
+//!   graceful drain.
 //!
 //! - `bench_serve` (default) — closed-loop latency/throughput sweep: at
 //!   1, 4, and 8 workers, four healthy tenants (and, in the `armed`
@@ -111,6 +113,24 @@ fn run_smoke() -> Vec<String> {
     // Operators can close breakers; the shape then executes again.
     roundtrip(r#"{"control":"reset_breakers"}"#, &mut dump);
     roundtrip(&gemv_request(14, "chaos", 24, 2, None), &mut dump);
+    // Admission refuses bad bindings and chaos plans before the queue:
+    // three 400s counted as `rejected`, none admitted.
+    let with = |id: u64, field: &str| {
+        gemv_request(id, "sloppy", 16, 3, None).replacen(
+            "\"tenant\"",
+            &format!("{field},\"tenant\""),
+            1,
+        )
+    };
+    roundtrip(&with(15, r#""data":{"x":[1.0,2.0]}"#), &mut dump);
+    roundtrip(
+        &with(
+            16,
+            r#""chaos":{"faults":[{"site":"sideways","channel":"write_o"}]}"#,
+        ),
+        &mut dump,
+    );
+    roundtrip(&with(17, r#""want":["ghost"]"#), &mut dump);
     roundtrip(r#"{"control":"stats"}"#, &mut dump);
     roundtrip(r#"{"control":"drain"}"#, &mut dump);
     let outcome = server.wait();

@@ -56,10 +56,11 @@ pub fn shape_hash(doc: &ProgramDoc) -> u64 {
         mix(&format!("t{}", op.transposed.unwrap_or(false)));
     }
     mix(&format!(
-        "cfg{}:{}:{}",
+        "cfg{}:{}:{}:{}",
         doc.config.tn.unwrap_or(0),
         doc.config.tm.unwrap_or(0),
-        doc.config.default_depth.unwrap_or(0)
+        doc.config.default_depth.unwrap_or(0),
+        doc.config.allow_deep_channels.unwrap_or(false)
     ));
     h
 }
@@ -196,6 +197,10 @@ mod tests {
         alpha_differs.ops[0].alpha = Some(99.0);
         // α is data, not shape: the planner builds the same MDAG.
         assert_eq!(shape_hash(&doc(8)), shape_hash(&alpha_differs));
+        // Deep channels change the plan, so they change the shape.
+        let mut deep = doc(8);
+        deep.config.allow_deep_channels = Some(true);
+        assert_ne!(shape_hash(&doc(8)), shape_hash(&deep));
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! (`ok` / `shed` / `rejected` / `failed`), an HTTP-flavored `code`,
 //! and a machine-readable `kind` drawn from a stable vocabulary:
 //! admission kinds (`quota`, `queue_full`, `draining`, `breaker_open`,
-//! `parse`, `lint`, `data`) plus the executor's
+//! `parse`, `lint`, `data`, `chaos`) plus the executor's
 //! [`RecoveryErrorKind`] names and `panic` for a poisoned worker.
+//! Every `400` (`rejected`: `parse`, `lint`, `data`, `chaos`) comes
+//! from admission, before the request takes a queue slot; a worker
+//! answers only `ok` or `failed`.
 //!
 //! Field order is declaration order and map keys are sorted, so a
 //! seeded request always serializes to byte-identical response bodies —
@@ -46,10 +49,14 @@ pub struct Request {
     /// Seed for deterministic operand fill when `data` omits an operand.
     #[serde(default)]
     pub fill_seed: Option<u64>,
-    /// Explicit operand data by name (row-major for matrices).
+    /// Explicit operand data by name (row-major for matrices). Each
+    /// key must name a declared vector or matrix and hold exactly its
+    /// element count.
     #[serde(default)]
     pub data: Option<HashMap<String, Vec<f64>>>,
     /// Operand buffers to return (default: every op's `out` operand).
+    /// Each name must be a declared operand; a scalar's value comes
+    /// back in `scalars` either way.
     #[serde(default)]
     pub want: Option<Vec<String>>,
     /// Deterministic fault arming for this request (chaos tenants).
@@ -174,7 +181,8 @@ impl FaultDoc {
 pub const STATUS_OK: &str = "ok";
 /// Over-quota or over-capacity: retry later; nothing executed.
 pub const STATUS_SHED: &str = "shed";
-/// Malformed or lint-rejected: retrying is pointless.
+/// Malformed, lint-rejected, or bound to undeclared or mis-sized
+/// operands: retrying is pointless. Only admission sends it.
 pub const STATUS_REJECTED: &str = "rejected";
 /// Admitted and executed, but execution failed terminally.
 pub const STATUS_FAILED: &str = "failed";

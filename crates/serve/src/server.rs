@@ -1,19 +1,24 @@
 //! The server: listener, admission, bounded worker pool, drain.
 //!
 //! One OS thread per connection reads JSON lines and runs *admission*
-//! inline: drain gate → circuit breaker → tenant quota → fblas-lint →
-//! bounded queue. Every rejection is an explicit structured response —
-//! nothing is ever silently dropped. Admitted jobs cross a bounded
-//! queue to a fixed worker pool; each worker enters a per-request
-//! seeded [`RunScope`](fblas_metrics::RunScope) (thread-local, so
-//! concurrent requests get distinct run IDs and postmortem bundles),
-//! executes through `execute_plan` in recovery mode with the request's
-//! deadline spread across its retry budget, and writes the response
-//! back through the connection's shared write half (bounded by a write
-//! timeout, so a client that stops reading loses its connection rather
-//! than wedging a worker). Worker panics are caught and converted to
-//! structured `panic` responses; the listener never dies with a
-//! request.
+//! inline: drain gate → circuit breaker → tenant quota → fblas-lint
+//! (which builds and plans the program) → operand bindings → chaos
+//! plan → bounded queue. Admission is the only place a request is
+//! validated: every rejection is an explicit structured response
+//! written before the queue — nothing is ever silently dropped — and
+//! an admitted job carries the linted program, its plan and the built
+//! fault hook. Admitted jobs cross a bounded queue to a fixed worker
+//! pool; each worker enters a per-request seeded
+//! [`RunScope`](fblas_metrics::RunScope) (thread-local, so concurrent
+//! requests get distinct run IDs and postmortem bundles), binds the
+//! operands, executes the carried plan through `execute_plan` in
+//! recovery mode with the request's deadline spread across its retry
+//! budget, and writes the response back through the connection's
+//! shared write half (bounded by a write timeout, so a client that
+//! stops reading loses its connection rather than wedging a worker).
+//! A worker never rejects: it answers `ok` or `failed`. Worker panics
+//! are caught and converted to structured `panic` responses; the
+//! listener never dies with a request.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -24,11 +29,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fblas_core::composition::{
-    execute_plan, plan, ExecMode, ExecOptions, RecoveryErrorKind, RetryPolicy,
+    execute_plan, ExecMode, ExecOptions, Plan, Program, RecoveryErrorKind, RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 use fblas_hlssim::env;
 use fblas_hlssim::FaultHook;
+use fblas_lint::input::OperandDoc;
 use fblas_lint::{lint_document_full, Document};
 use parking_lot::{Condvar, Mutex};
 use serde::{Serialize, Value};
@@ -91,7 +97,7 @@ pub struct ServerStats {
     pub ok: u64,
     /// Executed and failed terminally (retry budget, deadline, panic).
     pub failed: u64,
-    /// Rejected at admission: parse, lint, bad data.
+    /// Rejected at admission: parse, lint, bad data, bad chaos plan.
     pub rejected: u64,
     /// Shed over-quota.
     pub shed_quota: u64,
@@ -189,6 +195,9 @@ impl Conn {
 
 struct Job {
     req: Request,
+    program: Program,
+    plan: Plan,
+    hook: Option<Arc<dyn FaultHook>>,
     shape: u64,
     admitted_at: Instant,
     deadline_at: Option<Instant>,
@@ -324,6 +333,14 @@ impl Inner {
             )
             .inc();
         }
+    }
+
+    /// Answer a request without queueing it: bump `stat`, count the
+    /// `outcome`, write `resp`. Every shed and every 400 leaves here.
+    fn refuse(&self, out: &Out, stat: &AtomicU64, outcome: &str, resp: &Response) {
+        stat.fetch_add(1, Ordering::Relaxed);
+        self.count(&resp.tenant, outcome);
+        out.write_line(&resp.to_line());
     }
 
     fn observe_latency(&self, tenant: &str, us: u64) {
@@ -500,10 +517,6 @@ fn accept_loop(listener: TcpListener, inner: &Arc<Inner>) {
     }
 }
 
-fn write_line(out: &Out, line: &str) {
-    out.write_line(line);
-}
-
 fn connection_loop(stream: TcpStream, inner: &Arc<Inner>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(150)));
     let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
@@ -560,27 +573,25 @@ fn handle_line(line: &str, out: &Out, inner: &Arc<Inner>) {
                     )
                 })
                 .unwrap_or((0, "anonymous".to_string()));
-            inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            inner.count(&tenant, "rejected");
             let resp = Response::skeleton(id, &tenant, STATUS_REJECTED, 400)
                 .with_kind("parse")
                 .with_detail(e);
-            write_line(out, &resp.to_line());
+            inner.refuse(out, &inner.stats.rejected, "rejected", &resp);
         }
     }
 }
 
 fn handle_control(verb: &str, out: &Out, inner: &Arc<Inner>) {
     match verb {
-        "ping" => write_line(out, r#"{"control":"ping","status":"ok"}"#),
+        "ping" => out.write_line(r#"{"control":"ping","status":"ok"}"#),
         "stats" => {
             let stats = inner.stats.snapshot();
             let body = control_body("stats", "ok", &stats, None);
-            write_line(out, &body);
+            out.write_line(&body);
         }
         "reset_breakers" => {
             inner.breakers.reset();
-            write_line(out, r#"{"control":"reset_breakers","status":"ok"}"#);
+            out.write_line(r#"{"control":"reset_breakers","status":"ok"}"#);
         }
         "drain" => {
             let (clean, lost) = initiate_drain(inner);
@@ -591,13 +602,10 @@ fn handle_control(verb: &str, out: &Out, inner: &Arc<Inner>) {
                 &stats,
                 Some(lost),
             );
-            write_line(out, &body);
+            out.write_line(&body);
         }
         other => {
-            write_line(
-                out,
-                &format!(r#"{{"control":{:?},"status":"unknown"}}"#, other),
-            );
+            out.write_line(&format!(r#"{{"control":{:?},"status":"unknown"}}"#, other));
         }
     }
 }
@@ -617,24 +625,19 @@ fn control_body(verb: &str, status: &str, stats: &ServerStats, lost: Option<usiz
     serde_json::to_string(&Value::Object(fields)).expect("control body always serializes")
 }
 
-/// Admission: drain gate → breaker → quota → lint → queue. Every exit
-/// is a structured response.
+/// Admission: drain gate → breaker → quota → lint → bindings → chaos
+/// plan → queue. Every exit is a structured response.
 fn admit(req: Request, out: &Out, inner: &Arc<Inner>) {
     let tenant = req.tenant.clone();
     if inner.draining() {
-        inner.stats.shed_draining.fetch_add(1, Ordering::Relaxed);
-        inner.count(&tenant, "shed_draining");
         let resp = Response::skeleton(req.id, &tenant, STATUS_SHED, 503)
             .with_kind("draining")
             .with_detail("server is draining; not admitting new work");
-        write_line(out, &resp.to_line());
-        return;
+        return inner.refuse(out, &inner.stats.shed_draining, "shed_draining", &resp);
     }
 
     let shape = shape_hash(&req.program);
     if let Err(open) = inner.breakers.check(&tenant, shape) {
-        inner.stats.breaker_fastfail.fetch_add(1, Ordering::Relaxed);
-        inner.count(&tenant, "breaker_open");
         let mut resp = Response::skeleton(req.id, &tenant, STATUS_SHED, 503)
             .with_kind("breaker_open")
             .with_detail(format!(
@@ -642,41 +645,50 @@ fn admit(req: Request, out: &Out, inner: &Arc<Inner>) {
                 open.failures
             ));
         resp.postmortem = open.last_postmortem;
-        write_line(out, &resp.to_line());
-        return;
+        return inner.refuse(out, &inner.stats.breaker_fastfail, "breaker_open", &resp);
     }
 
     if let Err(over) = inner.quotas.admit(&tenant) {
-        inner.stats.shed_quota.fetch_add(1, Ordering::Relaxed);
-        inner.count(&tenant, "shed_quota");
         let mut resp = Response::skeleton(req.id, &tenant, STATUS_SHED, 429)
             .with_kind("quota")
             .with_detail("tenant token bucket empty");
         resp.retry_after_ms = over.retry_after_ms;
-        write_line(out, &resp.to_line());
-        return;
+        return inner.refuse(out, &inner.stats.shed_quota, "shed_quota", &resp);
     }
 
-    let lint = lint_document_full(&Document::Program(req.program.clone()), "<request>");
-    if !lint.report.accepted() {
-        inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        inner.count(&tenant, "rejected");
+    let reject = |kind: &str, detail: String, diagnostics: Option<Value>| {
         let mut resp = Response::skeleton(req.id, &tenant, STATUS_REJECTED, 400)
-            .with_kind("lint")
-            .with_detail(format!(
-                "rejected by fblas-lint with {} error(s)",
-                lint.report.errors()
-            ));
-        resp.diagnostics = serde_json::to_value(&lint.report.diagnostics).ok();
-        write_line(out, &resp.to_line());
-        return;
+            .with_kind(kind)
+            .with_detail(detail);
+        resp.diagnostics = diagnostics;
+        inner.refuse(out, &inner.stats.rejected, "rejected", &resp);
+    };
+    let lint = lint_document_full(&Document::Program(req.program.clone()), "<request>");
+    let Some((program, plan)) = lint.planned.filter(|_| lint.report.accepted()) else {
+        let errors = lint.report.errors();
+        let diagnostics = serde_json::to_value(&lint.report.diagnostics).ok();
+        let detail = format!("rejected by fblas-lint with {errors} error(s)");
+        return reject("lint", detail, diagnostics);
+    };
+    if let Err(e) = check_bindings(&req) {
+        return reject("data", e, None);
     }
+    let hook: Option<Arc<dyn FaultHook>> = match &req.chaos {
+        Some(doc) => match doc.to_fault_plan() {
+            Ok(plan) => Some(Arc::new(plan)),
+            Err(e) => return reject("chaos", e, None),
+        },
+        None => None,
+    };
 
     let admitted_at = Instant::now();
     let deadline_at = req
         .deadline_ms
         .map(|ms| admitted_at + Duration::from_millis(ms));
     let job = Box::new(Job {
+        program,
+        plan,
+        hook,
         shape,
         admitted_at,
         deadline_at,
@@ -688,21 +700,53 @@ fn admit(req: Request, out: &Out, inner: &Arc<Inner>) {
             inner.stats.admitted.fetch_add(1, Ordering::Relaxed);
         }
         Err((job, PushError::Full)) => {
-            inner.stats.shed_queue.fetch_add(1, Ordering::Relaxed);
-            inner.count(&tenant, "shed_queue");
             let resp = Response::skeleton(job.req.id, &tenant, STATUS_SHED, 429)
                 .with_kind("queue_full")
                 .with_detail(format!("admission queue at capacity {}", inner.cfg.queue));
-            write_line(&job.out, &resp.to_line());
+            inner.refuse(&job.out, &inner.stats.shed_queue, "shed_queue", &resp);
         }
         Err((job, PushError::Draining)) => {
-            inner.stats.shed_draining.fetch_add(1, Ordering::Relaxed);
-            inner.count(&tenant, "shed_draining");
             let resp = Response::skeleton(job.req.id, &tenant, STATUS_SHED, 503)
                 .with_kind("draining")
                 .with_detail("server is draining; not admitting new work");
-            write_line(&job.out, &resp.to_line());
+            inner.refuse(&job.out, &inner.stats.shed_draining, "shed_draining", &resp);
         }
+    }
+}
+
+/// Every `data` entry names a declared vector or matrix and holds
+/// exactly its element count, and every `want` names a declared
+/// operand. A request's names are never silently ignored.
+fn check_bindings(req: &Request) -> Result<(), String> {
+    let declared = |name: &str| req.program.operands.iter().find(|od| od.name == name);
+    let mut data: Vec<_> = req.data.iter().flatten().collect();
+    data.sort_by(|a, b| a.0.cmp(b.0));
+    for (name, values) in data {
+        let od = declared(name).ok_or_else(|| format!("data names undeclared operand `{name}`"))?;
+        let len = elements(od)
+            .ok_or_else(|| format!("operand `{name}` is a scalar; it takes no data"))?;
+        if values.len() != len {
+            return Err(format!(
+                "operand `{name}`: got {} elements, expected {len}",
+                values.len()
+            ));
+        }
+    }
+    for name in req.want.iter().flatten() {
+        if declared(name).is_none() {
+            return Err(format!("want names undeclared operand `{name}`"));
+        }
+    }
+    Ok(())
+}
+
+/// The element count of a vector or matrix operand; `None` for a
+/// scalar.
+fn elements(od: &OperandDoc) -> Option<usize> {
+    match od.kind.as_str() {
+        "vector" => Some(od.len.unwrap_or(0)),
+        "matrix" => Some(od.rows.unwrap_or(0) * od.cols.unwrap_or(0)),
+        _ => None,
     }
 }
 
@@ -743,7 +787,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             }
         }
         inner.observe_latency(&tenant, latency_us);
-        write_line(&out, &resp.to_line());
+        out.write_line(&resp.to_line());
         inner.queue.done();
     }
 }
@@ -784,46 +828,16 @@ fn execute_job(job: &Job, inner: &Arc<Inner>) -> Response {
 
     let run = fblas_metrics::RunScope::seeded(run_seed(req));
     let run_id = run.id().to_string();
-
-    let program = match req.program.to_program() {
-        Ok(p) => p,
-        Err(e) => {
-            return Response::skeleton(id, tenant, STATUS_REJECTED, 400)
-                .with_kind("plan")
-                .with_detail(e)
-        }
-    };
     let cfg = req.program.config.planner_config();
-    let planned = match plan(&program, &cfg) {
-        Ok(p) => p,
-        Err(e) => {
-            return Response::skeleton(id, tenant, STATUS_REJECTED, 400)
-                .with_kind("plan")
-                .with_detail(e.to_string())
-        }
-    };
 
     // Bind every non-scalar operand: explicit data, or deterministic
     // fill from `fill_seed`.
     let fill_seed = req.fill_seed.unwrap_or(0);
     let mut buffers: HashMap<String, DeviceBuffer<f64>> = HashMap::new();
     for od in &req.program.operands {
-        let len = match od.kind.as_str() {
-            "vector" => od.len.unwrap_or(0),
-            "matrix" => od.rows.unwrap_or(0) * od.cols.unwrap_or(0),
-            _ => continue,
-        };
+        let Some(len) = elements(od) else { continue };
         let data = match req.data.as_ref().and_then(|d| d.get(&od.name)) {
-            Some(v) if v.len() == len => v.clone(),
-            Some(v) => {
-                return Response::skeleton(id, tenant, STATUS_REJECTED, 400)
-                    .with_kind("data")
-                    .with_detail(format!(
-                        "operand `{}`: got {} elements, expected {len}",
-                        od.name,
-                        v.len()
-                    ))
-            }
+            Some(v) => v.clone(),
             None => (0..len)
                 .map(|i| fill_value(fill_seed, &od.name, i))
                 .collect(),
@@ -842,23 +856,12 @@ fn execute_job(job: &Job, inner: &Arc<Inner>) -> Response {
         abft: true,
     };
 
-    let hook: Option<Arc<dyn FaultHook>> = match &req.chaos {
-        Some(doc) => match doc.to_fault_plan() {
-            Ok(plan) => Some(Arc::new(plan)),
-            Err(e) => {
-                return Response::skeleton(id, tenant, STATUS_REJECTED, 400)
-                    .with_kind("chaos")
-                    .with_detail(e)
-            }
-        },
-        None => None,
-    };
-
+    let hook = job.hook.clone();
     let opts = ExecOptions {
         mode: ExecMode::Recover { policy, hook },
         ..ExecOptions::default()
     };
-    match execute_plan::<f64>(&program, &planned, &cfg, &buffers, &opts) {
+    match execute_plan::<f64>(&job.program, &job.plan, &cfg, &buffers, &opts) {
         Ok(outcome) => {
             inner.breakers.record_success(tenant, job.shape);
             let mut resp = Response::skeleton(id, tenant, STATUS_OK, 200);
@@ -905,4 +908,38 @@ fn postmortem_path(run_id: &str) -> Option<String> {
     std::fs::metadata(&path)
         .is_ok()
         .then(|| path.display().to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// A served request is linted once, by the same entry point that
+    /// records the lint metrics, so it adds exactly one lint run. No
+    /// other test in this binary lints, so the global count is ours.
+    #[test]
+    fn served_request_counts_one_lint_run() {
+        let reg = fblas_metrics::install(1);
+        let runs = || reg.counter("fblas_lint_runs_total", &[]).value();
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue: 4,
+            tenant_qps: 0,
+            tenant_burst: 4,
+            breaker: 4,
+            drain: Duration::from_secs(10),
+            write_timeout: Duration::from_secs(5),
+        })
+        .expect("server starts");
+        let mut c = Client::connect(server.addr()).expect("client connects");
+        let before = runs();
+        let line = r#"{"id":1,"tenant":"t","fill_seed":3,"program":{"operands":[{"name":"x","kind":"vector","len":8},{"name":"o","kind":"vector","len":8}],"ops":[{"op":"scal","alpha":2.0,"x":"x","out":"o"}]}}"#;
+        let resp = crate::parse_response(&c.roundtrip_line(line).expect("roundtrip"))
+            .expect("response parses");
+        assert_eq!(resp.status, STATUS_OK, "{:?}", resp.detail);
+        assert_eq!(runs() - before, 1);
+        assert!(server.drain().clean);
+    }
 }

@@ -10,9 +10,13 @@
 //! perturb a neighbor's *bits*, a worker panic kills one request and
 //! nothing else, and drain finishes what it admitted.
 
+use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
-use fblas_serve::{parse_response, Client, Response, ServeConfig, Server};
+use fblas_core::composition::{execute_plan, plan, ExecOptions};
+use fblas_core::host::DeviceBuffer;
+use fblas_serve::protocol::fill_value;
+use fblas_serve::{parse_line, parse_response, Client, Inbound, Response, ServeConfig, Server};
 
 fn cfg(workers: usize, burst: u32, breaker: u32) -> ServeConfig {
     ServeConfig {
@@ -292,4 +296,196 @@ fn graceful_drain_loses_nothing_and_sheds_latecomers() {
         "every admitted request must have executed (zero loss)"
     );
     assert_eq!(outcome.stats.failed, 0);
+}
+
+/// Requests that would bind data to an undeclared operand, to a
+/// scalar or at the wrong length, return an undeclared operand, or arm
+/// a malformed chaos plan are refused at admission: a 400 with its
+/// kind, counted as `rejected`, and never queued — `admitted` and
+/// `failed` do not move.
+#[test]
+fn admission_rejects_bad_bindings_and_chaos_before_the_queue() {
+    let server = Server::start(cfg(1, 1_000, 1_000)).expect("server starts");
+    let mut c = Client::connect(server.addr()).expect("client connects");
+    let dot = |id: u64, field: &str| {
+        format!(
+            r#"{{"id":{id},{field},"tenant":"t","fill_seed":3,"program":{{"operands":[{{"name":"x","kind":"vector","len":16}},{{"name":"y","kind":"vector","len":16}},{{"name":"d","kind":"scalar"}}],"ops":[{{"op":"dot","x":"x","y":"y","out":"d"}}]}}}}"#
+        )
+    };
+    let cases = [
+        (
+            dot(1, r#""data":{"x":[1.0,2.0]}"#),
+            "data",
+            "got 2 elements, expected 16",
+        ),
+        (
+            dot(
+                2,
+                r#""chaos":{"faults":[{"site":"sideways","channel":"write_x"}]}"#,
+            ),
+            "chaos",
+            "site `sideways`",
+        ),
+        (
+            dot(3, r#""data":{"ghost":[1.0]}"#),
+            "data",
+            "undeclared operand `ghost`",
+        ),
+        (dot(4, r#""data":{"d":[1.0]}"#), "data", "`d` is a scalar"),
+        (
+            dot(5, r#""want":["d","ghost"]"#),
+            "data",
+            "undeclared operand `ghost`",
+        ),
+    ];
+    for (i, (line, kind, detail)) in cases.iter().enumerate() {
+        let r = exec(&mut c, line);
+        assert_eq!(
+            (r.status.as_str(), r.code, r.kind.as_deref()),
+            ("rejected", 400, Some(*kind)),
+            "case {i}: {:?}",
+            r.detail
+        );
+        let got = r.detail.as_deref().unwrap_or_default();
+        assert!(got.contains(detail), "case {i}: detail {got:?}");
+        let stats = server.stats();
+        assert_eq!(stats.rejected, i as u64 + 1, "case {i}");
+        assert_eq!((stats.admitted, stats.failed), (0, 0), "case {i}");
+    }
+
+    // A `want` naming a declared scalar is not an error: the value
+    // comes back in `scalars`, as every DOT result does.
+    let r = exec(&mut c, &dot(6, r#""want":["d"]"#));
+    assert_eq!(r.status, "ok", "{:?}", r.detail);
+    assert!(r.outputs.is_empty() && r.scalars.contains_key("d"));
+    let outcome = server.drain();
+    assert!(outcome.clean);
+    assert_eq!(
+        (
+            outcome.stats.admitted,
+            outcome.stats.ok,
+            outcome.stats.rejected
+        ),
+        (1, 1, 5)
+    );
+    assert_eq!(outcome.stats.failed, 0);
+}
+
+/// The five `stream_closed` kernels of the repository benchmark. Each
+/// is served once and run cold on the same fill (`to_program` → `plan`
+/// → `execute_plan`): the served outputs and scalars must match bit
+/// for bit, so executing the plan admission built changes nothing.
+#[test]
+fn served_kernels_match_the_cold_path_bit_for_bit() {
+    let vec = |name: &str, n: usize| format!(r#"{{"name":"{name}","kind":"vector","len":{n}}}"#);
+    let mat = |name: &str| format!(r#"{{"name":"{name}","kind":"matrix","rows":16,"cols":16}}"#);
+    let scalar = |name: &str| format!(r#"{{"name":"{name}","kind":"scalar"}}"#);
+    let kernels: [(&str, Vec<String>, &str); 5] = [
+        (
+            "dot",
+            vec![vec("x", 64), vec("y", 64), scalar("d")],
+            r#"{"op":"dot","x":"x","y":"y","out":"d"}"#,
+        ),
+        (
+            "axpydot",
+            vec![
+                vec("w", 64),
+                vec("v", 64),
+                vec("u", 64),
+                vec("z", 64),
+                scalar("beta"),
+            ],
+            r#"{"op":"axpy","alpha":-0.75,"x":"v","y":"w","out":"z"},{"op":"dot","x":"z","y":"u","out":"beta"}"#,
+        ),
+        (
+            "gemv",
+            vec![mat("A"), vec("x", 16), vec("y", 16), vec("o", 16)],
+            r#"{"op":"gemv","alpha":1.5,"beta":-0.25,"a":"A","x":"x","y":"y","out":"o"}"#,
+        ),
+        (
+            "bicg",
+            vec![
+                mat("A"),
+                vec("p", 16),
+                vec("r", 16),
+                vec("q", 16),
+                vec("s", 16),
+            ],
+            r#"{"op":"gemv","alpha":1.0,"a":"A","x":"p","out":"q"},{"op":"gemv","alpha":1.0,"a":"A","transposed":true,"x":"r","out":"s"}"#,
+        ),
+        (
+            "gemver",
+            vec![
+                mat("A"),
+                mat("B1"),
+                mat("B"),
+                vec("u1", 16),
+                vec("v1", 16),
+                vec("u2", 16),
+                vec("v2", 16),
+                vec("y", 16),
+                vec("z", 16),
+                vec("x", 16),
+                vec("w", 16),
+            ],
+            r#"{"op":"ger","alpha":1.0,"a":"A","x":"u1","y":"v1","out":"B1"},{"op":"ger","alpha":1.0,"a":"B1","x":"u2","y":"v2","out":"B"},{"op":"gemv","alpha":0.5,"beta":1.0,"a":"B","transposed":true,"x":"y","y":"z","out":"x"},{"op":"gemv","alpha":1.25,"a":"B","x":"x","out":"w"}"#,
+        ),
+    ];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let fill_seed = 11;
+    let server = Server::start(cfg(1, 1_000, 1_000)).expect("server starts");
+    let mut c = Client::connect(server.addr()).expect("client connects");
+    for (id, (name, operands, ops)) in kernels.iter().enumerate() {
+        let line = format!(
+            r#"{{"id":{id},"tenant":"t","fill_seed":{fill_seed},"program":{{"operands":[{}],"ops":[{ops}],"config":{{"tn":16,"tm":16}}}}}}"#,
+            operands.join(",")
+        );
+        let served = exec(&mut c, &line);
+        assert_eq!(served.status, "ok", "{name}: {:?}", served.detail);
+
+        let Ok(Inbound::Exec(req)) = parse_line(&line) else {
+            panic!("{name}: request parses")
+        };
+        let program = req.program.to_program().expect("program converts");
+        let cfg = req.program.config.planner_config();
+        let planned = plan(&program, &cfg).expect("program plans");
+        let buffers: HashMap<String, DeviceBuffer<f64>> = req
+            .program
+            .operands
+            .iter()
+            .filter_map(|od| {
+                let len = match od.kind.as_str() {
+                    "vector" => od.len?,
+                    "matrix" => od.rows? * od.cols?,
+                    _ => return None,
+                };
+                let data = (0..len)
+                    .map(|i| fill_value(fill_seed, &od.name, i))
+                    .collect();
+                Some((od.name.clone(), DeviceBuffer::from_vec(&od.name, data, 0)))
+            })
+            .collect();
+        let cold = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &ExecOptions::default())
+            .expect("cold run succeeds");
+
+        assert!(!served.outputs.is_empty() || !served.scalars.is_empty());
+        for (out, values) in &served.outputs {
+            let cold_values = buffers[out].to_host();
+            assert_eq!(bits(values), bits(&cold_values), "{name}: output `{out}`");
+        }
+        let cold_scalars: BTreeMap<String, f64> = cold.scalars.into_iter().collect();
+        assert_eq!(
+            served.scalars.keys().collect::<Vec<_>>(),
+            cold_scalars.keys().collect::<Vec<_>>(),
+            "{name}: scalar names"
+        );
+        for (s, v) in &served.scalars {
+            assert_eq!(
+                v.to_bits(),
+                cold_scalars[s].to_bits(),
+                "{name}: scalar `{s}`"
+            );
+        }
+    }
+    assert!(server.drain().clean);
 }
