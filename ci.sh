@@ -161,6 +161,17 @@ for routine in ("dot", "axpydot"):
         ratio = fused["cpu_elems_per_sec"] / slow
         assert ratio >= 10.0, f"fused {routine} must be >= 10x threaded at chunk={chunk} (got {ratio:.1f}x)"
         print(f"{routine} fused vs threaded at chunk={chunk}: {ratio:.1f}x elements/sec")
+# BICG and GEMVER's GER->GER->GEMV^T component replay tile by tile.
+# BICG replays whole (>= 10x); GEMVER keeps its trailing one-GEMV
+# component threaded, watchdog tick included (>= 2x).
+for routine, floor in (("bicg", 10.0), ("gemver", 2.0)):
+    for chunk in (1, 256):
+        fused = rows[(routine, "fused", chunk)]
+        assert fused["fused_regions"] >= 1, f"{routine} must replay a tile region"
+        slow = rows[(routine, "threaded", chunk)]["cpu_elems_per_sec"]
+        ratio = fused["cpu_elems_per_sec"] / slow
+        assert ratio >= floor, f"fused {routine} must be >= {floor:.0f}x threaded at chunk={chunk} (got {ratio:.1f}x)"
+        print(f"{routine} fused vs threaded at chunk={chunk}: {ratio:.1f}x elements/sec")
 EOF
 
 step "telemetry overhead gate (armed vs disarmed)"

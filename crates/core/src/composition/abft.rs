@@ -38,8 +38,11 @@ fn eps<T: Scalar>() -> f64 {
 }
 
 /// Sum and absolute-value sum of a buffer, in `f64`.
-fn sums(v: &[f64]) -> (f64, f64) {
-    v.iter().fold((0.0, 0.0), |(s, a), &x| (s + x, a + x.abs()))
+fn sums<T: Scalar>(v: &[T]) -> (f64, f64) {
+    v.iter().fold((0.0, 0.0), |(s, a), &x| {
+        let x = x.to_f64();
+        (s + x, a + x.abs())
+    })
 }
 
 /// Tolerance for an identity over `work` flops at magnitude `scale`.
@@ -53,9 +56,9 @@ fn tol<T: Scalar>(work: usize, scale: f64) -> f64 {
 /// component wrote is read from the staged scratch buffer (the value
 /// the downstream ops actually consumed and the commit would publish),
 /// anything else from the caller's buffers, which still hold the
-/// pre-component state because writes are staged. `scalars` holds the
-/// attempt's DOT results. Returns the first violated identity as a
-/// human-readable detail string.
+/// pre-component state because writes are staged. Buffers are read in
+/// place. `scalars` holds the attempt's DOT results. Returns the first
+/// violated identity as a human-readable detail string.
 pub(crate) fn verify_component<T: Scalar>(
     program: &Program,
     ops: &[usize],
@@ -63,12 +66,7 @@ pub(crate) fn verify_component<T: Scalar>(
     buffers: &HashMap<String, DeviceBuffer<T>>,
     scalars: &HashMap<String, T>,
 ) -> Result<(), String> {
-    let resolve = |name: &str| -> Option<Vec<f64>> {
-        staged
-            .get(name)
-            .or_else(|| buffers.get(name))
-            .map(|b| b.to_host().iter().map(|v| v.to_f64()).collect())
-    };
+    let resolve = |name: &str| staged.get(name).or_else(|| buffers.get(name));
     for &oi in ops {
         let op = &program.ops()[oi];
         check_op::<T>(program, oi, op, &resolve, scalars)?;
@@ -76,15 +74,22 @@ pub(crate) fn verify_component<T: Scalar>(
     Ok(())
 }
 
-fn check_op<T: Scalar>(
+fn check_op<'b, T: Scalar>(
     program: &Program,
     oi: usize,
     op: &Op,
-    resolve: &dyn Fn(&str) -> Option<Vec<f64>>,
+    resolve: &dyn Fn(&str) -> Option<&'b DeviceBuffer<T>>,
     scalars: &HashMap<String, T>,
 ) -> Result<(), String> {
-    let need = |name: &str| -> Result<Vec<f64>, String> {
+    let need = |name: &str| -> Result<&'b DeviceBuffer<T>, String> {
         resolve(name).ok_or_else(|| format!("abft: op {oi}: operand `{name}` has no buffer"))
+    };
+    // (sum, absolute sum, length) of one operand.
+    let sums_of = |name: &str| -> Result<(f64, f64, usize), String> {
+        Ok(need(name)?.with_read(|v| {
+            let (s, a) = sums(v);
+            (s, a, v.len())
+        }))
     };
     let verdict = |routine: &str, out: &str, got: f64, want: f64, work: usize, scale: f64| {
         let t = tol::<T>(work, scale);
@@ -100,41 +105,43 @@ fn check_op<T: Scalar>(
     };
     match op {
         Op::Copy { x, out } => {
-            let (sx, ax) = sums(&need(x)?);
-            let (so, _) = sums(&need(out)?);
-            verdict("copy", out, so, sx, need(x)?.len(), ax)
+            let (sx, ax, len) = sums_of(x)?;
+            let (so, _, _) = sums_of(out)?;
+            verdict("copy", out, so, sx, len, ax)
         }
         Op::Scal { alpha, x, out } => {
-            let xs = need(x)?;
-            let (sx, ax) = sums(&xs);
-            let (so, _) = sums(&need(out)?);
-            verdict("scal", out, so, alpha * sx, xs.len(), alpha.abs() * ax)
+            let (sx, ax, len) = sums_of(x)?;
+            let (so, _, _) = sums_of(out)?;
+            verdict("scal", out, so, alpha * sx, len, alpha.abs() * ax)
         }
         Op::Axpy { alpha, x, y, out } => {
-            let xs = need(x)?;
-            let (sx, ax) = sums(&xs);
-            let (sy, ay) = sums(&need(y)?);
-            let (so, _) = sums(&need(out)?);
-            verdict(
-                "axpy",
-                out,
-                so,
-                alpha * sx + sy,
-                xs.len(),
-                alpha.abs() * ax + ay,
-            )
+            let (sx, ax, len) = sums_of(x)?;
+            let (sy, ay, _) = sums_of(y)?;
+            let (so, _, _) = sums_of(out)?;
+            verdict("axpy", out, so, alpha * sx + sy, len, alpha.abs() * ax + ay)
         }
         Op::Dot { x, y, out } => {
-            let xs = need(x)?;
-            let ys = need(y)?;
             let got = scalars
                 .get(out)
                 .map(|v| v.to_f64())
                 .ok_or_else(|| format!("abft: op {oi} (dot): no result stored for `{out}`"))?;
-            let (want, scale) = xs.iter().zip(&ys).fold((0.0, 0.0), |(s, a), (&xi, &yi)| {
-                (xi.mul_add(yi, s), a + (xi * yi).abs())
+            let dot = |xs: &[T], ys: &[T]| {
+                xs.iter().zip(ys).fold((0.0, 0.0), |(s, a), (&xi, &yi)| {
+                    let (xi, yi) = (xi.to_f64(), yi.to_f64());
+                    (xi.mul_add(yi, s), a + (xi * yi).abs())
+                })
+            };
+            // One read guard per distinct buffer.
+            let (xb, yb) = (need(x)?, need(y)?);
+            let (want, scale, len) = xb.with_read(|xs| {
+                let (want, scale) = if x == y {
+                    dot(xs, xs)
+                } else {
+                    yb.with_read(|ys| dot(xs, ys))
+                };
+                (want, scale, xs.len())
             });
-            verdict("dot", out, got, want, xs.len(), scale)
+            verdict("dot", out, got, want, len, scale)
         }
         Op::Gemv {
             alpha,
@@ -148,38 +155,47 @@ fn check_op<T: Scalar>(
             let (n, m) = program
                 .mat_dims(a)
                 .map_err(|e| format!("abft: op {oi} (gemv): {e}"))?;
-            let av = need(a)?;
-            let xs = need(x)?;
+            let xb = need(x)?;
             // Checksum along the dimension the products collapse over:
             // column sums of A pair with x for the plain product, row
-            // sums for the transposed one.
-            let (mut want, mut scale) = (0.0f64, 0.0f64);
-            if *transposed {
-                for i in 0..n {
-                    let (rs, ra) = sums(&av[i * m..(i + 1) * m]);
-                    want += rs * xs[i];
-                    scale += ra * xs[i].abs();
-                }
-            } else {
-                for j in 0..m {
-                    let (mut cs, mut ca) = (0.0, 0.0);
-                    for i in 0..n {
-                        cs += av[i * m + j];
-                        ca += av[i * m + j].abs();
+            // sums for the transposed one. Column sums accumulate in
+            // one pass over the rows, one accumulator per column, each
+            // summing its column top to bottom.
+            let (mut want, mut scale) = need(a)?.with_read(|av| {
+                xb.with_read(|xs| {
+                    let (mut want, mut scale) = (0.0f64, 0.0f64);
+                    if *transposed {
+                        for (row, xi) in av.chunks(m.max(1)).take(n).zip(xs) {
+                            let (rs, ra) = sums(row);
+                            want += rs * xi.to_f64();
+                            scale += ra * xi.to_f64().abs();
+                        }
+                    } else {
+                        let (mut cs, mut ca) = (vec![0.0f64; m], vec![0.0f64; m]);
+                        for row in av.chunks(m.max(1)).take(n) {
+                            for ((c, a), v) in cs.iter_mut().zip(ca.iter_mut()).zip(row) {
+                                let v = v.to_f64();
+                                *c += v;
+                                *a += v.abs();
+                            }
+                        }
+                        for ((c, a), xj) in cs.iter().zip(&ca).zip(xs) {
+                            want += c * xj.to_f64();
+                            scale += a * xj.to_f64().abs();
+                        }
                     }
-                    want += cs * xs[j];
-                    scale += ca * xs[j].abs();
-                }
-            }
+                    (want, scale)
+                })
+            });
             want *= alpha;
             scale *= alpha.abs();
             // The executor zeroes the accumulator when no y is bound.
             if let Some(yn) = y {
-                let (sy, ay) = sums(&need(yn)?);
+                let (sy, ay, _) = sums_of(yn)?;
                 want += beta * sy;
                 scale += beta.abs() * ay;
             }
-            let (so, _) = sums(&need(out)?);
+            let (so, _, _) = sums_of(out)?;
             verdict("gemv", out, so, want, n * m, scale)
         }
         Op::Ger {
@@ -189,10 +205,10 @@ fn check_op<T: Scalar>(
             y,
             out,
         } => {
-            let (sa, aa) = sums(&need(a)?);
-            let (sx, ax) = sums(&need(x)?);
-            let (sy, ay) = sums(&need(y)?);
-            let (so, _) = sums(&need(out)?);
+            let (sa, aa, _) = sums_of(a)?;
+            let (sx, ax, _) = sums_of(x)?;
+            let (sy, ay, _) = sums_of(y)?;
+            let (so, _, _) = sums_of(out)?;
             let (n, m) = program
                 .mat_dims(a)
                 .map_err(|e| format!("abft: op {oi} (ger): {e}"))?;

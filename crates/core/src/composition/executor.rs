@@ -1089,6 +1089,9 @@ pub(super) fn run_component<T: Scalar>(
     //    output fan-out as we go.
     for &oi in ops {
         let op = &program.ops()[oi];
+        if let Some(preds) = predictions.as_deref_mut() {
+            preds.push(op_prediction::<T>(program, cfg, oi, variants)?);
+        }
 
         // --- inputs ---
         let mut take_input =
@@ -1127,30 +1130,9 @@ pub(super) fn run_component<T: Scalar>(
                 )?;
                 match op {
                     Op::Scal { alpha, .. } => {
-                        let w = cfg.tm.clamp(1, EXEC_WIDTH);
-                        let s = Scal::new(n, w);
-                        if let Some(preds) = predictions.as_deref_mut() {
-                            preds.push(ModulePrediction::compute(
-                                "scal",
-                                s.cost::<T>(),
-                                n as u64,
-                                w as u64,
-                            ));
-                        }
-                        s.attach(&mut sim, T::from_f64(*alpha), rx, tx);
+                        Scal::new(n, scal_width(cfg)).attach(&mut sim, T::from_f64(*alpha), rx, tx);
                     }
-                    _ => {
-                        let c = VecCopy::new(n, EXEC_WIDTH);
-                        if let Some(preds) = predictions.as_deref_mut() {
-                            preds.push(ModulePrediction::compute(
-                                "copy",
-                                c.cost::<T>(),
-                                n as u64,
-                                EXEC_WIDTH as u64,
-                            ));
-                        }
-                        c.attach(&mut sim, rx, tx);
-                    }
+                    _ => VecCopy::new(n, EXEC_WIDTH).attach(&mut sim, rx, tx),
                 }
             }
             Op::Axpy { alpha, x, y, .. } => {
@@ -1166,32 +1148,14 @@ pub(super) fn run_component<T: Scalar>(
                     &out_name,
                     &out_consumers,
                 )?;
-                let a = Axpy::new(n, EXEC_WIDTH);
-                if let Some(preds) = predictions.as_deref_mut() {
-                    preds.push(ModulePrediction::compute(
-                        "axpy",
-                        a.cost::<T>(),
-                        n as u64,
-                        EXEC_WIDTH as u64,
-                    ));
-                }
-                a.attach(&mut sim, T::from_f64(*alpha), rx, ry, tx);
+                Axpy::new(n, EXEC_WIDTH).attach(&mut sim, T::from_f64(*alpha), rx, ry, tx);
             }
             Op::Dot { x, y, out } => {
                 let n = program.vec_len(x)?;
                 let rx = take_input(&mut sim, x, 1)?;
                 let ry = take_input(&mut sim, y, 1)?;
                 let (tr, rr) = channel(sim.ctx(), 1, format!("{out}_res"));
-                let d = Dot::new(n, EXEC_WIDTH);
-                if let Some(preds) = predictions.as_deref_mut() {
-                    preds.push(ModulePrediction::compute(
-                        "dot",
-                        d.cost::<T>(),
-                        n as u64,
-                        EXEC_WIDTH as u64,
-                    ));
-                }
-                d.attach(&mut sim, rx, ry, tr);
+                Dot::new(n, EXEC_WIDTH).attach(&mut sim, rx, ry, tr);
                 let out = out.clone();
                 let scalars = scalars.clone();
                 sim.add_module(format!("store_{out}"), ModuleKind::Interface, move || {
@@ -1208,29 +1172,7 @@ pub(super) fn run_component<T: Scalar>(
                 y,
                 ..
             } => {
-                let (n, m) = program.mat_dims(a)?;
-                let variant = variants[&oi];
-                let g = Gemv::new(
-                    variant,
-                    n,
-                    m,
-                    cfg.tn.min(n.max(1)),
-                    cfg.tm.min(m.max(1)),
-                    EXEC_WIDTH,
-                );
-                if let Some(preds) = predictions.as_deref_mut() {
-                    let name = if variant.transposed() {
-                        "gemv_t"
-                    } else {
-                        "gemv"
-                    };
-                    preds.push(ModulePrediction::compute(
-                        name,
-                        g.cost::<T>(),
-                        (n * m) as u64,
-                        EXEC_WIDTH as u64,
-                    ));
-                }
+                let g = exec_gemv(program, cfg, a, variants[&oi])?;
                 let ra = take_input(&mut sim, a, 1)?;
                 let rxv = take_input(&mut sim, x, x_reps(oi))?;
                 // Effective beta: 0 when no y operand is given.
@@ -1300,16 +1242,8 @@ pub(super) fn run_component<T: Scalar>(
                 }
             }
             Op::Ger { alpha, a, x, y, .. } => {
-                let (n, m) = program.mat_dims(a)?;
-                let g = Ger::new(n, m, cfg.tn.min(n.max(1)), cfg.tm.min(m.max(1)), EXEC_WIDTH);
-                if let Some(preds) = predictions.as_deref_mut() {
-                    preds.push(ModulePrediction::compute(
-                        "ger",
-                        g.cost::<T>(),
-                        (n * m) as u64,
-                        EXEC_WIDTH as u64,
-                    ));
-                }
+                let g = exec_ger(program, cfg, a)?;
+                let (n, m) = (g.n, g.m);
                 let ra = take_input(&mut sim, a, 1)?;
                 let rxv = take_input(&mut sim, x, 1)?;
                 let ryv = take_input(&mut sim, y, g.y_repetitions())?;
@@ -1358,6 +1292,92 @@ fn gemv_dims(program: &Program, oi: usize) -> (usize, usize) {
     }
 }
 
+/// The GEMV module the executor instantiates over matrix `a`: the
+/// planner's variant, the configured tiles clamped to the matrix, and
+/// the executor's width.
+pub(super) fn exec_gemv(
+    program: &Program,
+    cfg: &PlannerConfig,
+    a: &str,
+    variant: GemvVariant,
+) -> Result<Gemv, ExecError> {
+    let (n, m) = program.mat_dims(a)?;
+    Ok(Gemv::new(
+        variant,
+        n,
+        m,
+        cfg.tn.min(n.max(1)),
+        cfg.tm.min(m.max(1)),
+        EXEC_WIDTH,
+    ))
+}
+
+/// The GER module the executor instantiates over matrix `a`.
+pub(super) fn exec_ger(program: &Program, cfg: &PlannerConfig, a: &str) -> Result<Ger, ExecError> {
+    let (n, m) = program.mat_dims(a)?;
+    Ok(Ger::new(
+        n,
+        m,
+        cfg.tn.min(n.max(1)),
+        cfg.tm.min(m.max(1)),
+        EXEC_WIDTH,
+    ))
+}
+
+/// The vectorization width the executor instantiates `scal` at.
+fn scal_width(cfg: &PlannerConfig) -> usize {
+    cfg.tm.clamp(1, EXEC_WIDTH)
+}
+
+/// The cycle-model prediction for op `oi`, as its module is
+/// instantiated. Both backends record it per op, because the analytic
+/// `C = L + I·M` model is a property of the *plan*, not of the backend
+/// that runs it.
+pub(super) fn op_prediction<T: Scalar>(
+    program: &Program,
+    cfg: &PlannerConfig,
+    oi: usize,
+    variants: &HashMap<usize, GemvVariant>,
+) -> Result<ModulePrediction, ExecError> {
+    let wide = EXEC_WIDTH as u64;
+    Ok(match &program.ops()[oi] {
+        Op::Scal { x, .. } => {
+            let (n, w) = (program.vec_len(x)?, scal_width(cfg));
+            ModulePrediction::compute("scal", Scal::new(n, w).cost::<T>(), n as u64, w as u64)
+        }
+        Op::Copy { x, .. } => {
+            let n = program.vec_len(x)?;
+            ModulePrediction::compute(
+                "copy",
+                VecCopy::new(n, EXEC_WIDTH).cost::<T>(),
+                n as u64,
+                wide,
+            )
+        }
+        Op::Axpy { x, .. } => {
+            let n = program.vec_len(x)?;
+            ModulePrediction::compute("axpy", Axpy::new(n, EXEC_WIDTH).cost::<T>(), n as u64, wide)
+        }
+        Op::Dot { x, .. } => {
+            let n = program.vec_len(x)?;
+            ModulePrediction::compute("dot", Dot::new(n, EXEC_WIDTH).cost::<T>(), n as u64, wide)
+        }
+        Op::Gemv { a, .. } => {
+            let g = exec_gemv(program, cfg, a, variants[&oi])?;
+            let name = if g.variant.transposed() {
+                "gemv_t"
+            } else {
+                "gemv"
+            };
+            ModulePrediction::compute(name, g.cost::<T>(), (g.n * g.m) as u64, wide)
+        }
+        Op::Ger { a, .. } => {
+            let g = exec_ger(program, cfg, a)?;
+            ModulePrediction::compute("ger", g.cost::<T>(), (g.n * g.m) as u64, wide)
+        }
+    })
+}
+
 /// Tile order the matrix reader must use for consumer `oi`.
 // Invariant: matrix shapes were checked by plan().
 #[allow(clippy::disallowed_methods)]
@@ -1368,28 +1388,11 @@ fn consumer_tiling(
     variants: &HashMap<usize, GemvVariant>,
 ) -> crate::tiling::Tiling {
     match &program.ops()[oi] {
-        Op::Gemv { a, .. } => {
-            let (n, m) = program.mat_dims(a).expect("checked during planning");
-            Gemv::new(
-                variants[&oi],
-                n,
-                m,
-                cfg.tn.min(n.max(1)),
-                cfg.tm.min(m.max(1)),
-                EXEC_WIDTH,
-            )
-            .a_tiling()
-        }
-        Op::Ger { a, .. } => {
-            let (n, m) = program.mat_dims(a).expect("checked during planning");
-            crate::tiling::Tiling::new(
-                cfg.tn.min(n.max(1)),
-                cfg.tm.min(m.max(1)),
-                crate::tiling::TileOrder::RowTilesRowMajor,
-            )
-        }
+        Op::Gemv { a, .. } => exec_gemv(program, cfg, a, variants[&oi]).map(|g| g.a_tiling()),
+        Op::Ger { a, .. } => exec_ger(program, cfg, a).map(|g| g.a_tiling()),
         _ => unreachable!("only matrix consumers query tiling"),
     }
+    .expect("checked during planning")
 }
 
 /// FIFO depth for a matrix edge into `oi`: deep when the consumer also

@@ -7,7 +7,11 @@
 //! regions is split into **execution units** — fused regions run as
 //! straight-line single-threaded loops over the operand buffers (no
 //! channels, no locks, no thread spawns), and every other module keeps
-//! running on the threaded hlssim path. Units hand off through the
+//! running on the threaded hlssim path. A `tile-replay` region covers
+//! its whole component of GEMV/GER tiles: the ops run in component
+//! order, each through its routine's `replay` — the threaded module's
+//! own kernel, fed from the buffers in the module's stream order, with
+//! every `x` replay and `y` round in place. Units hand off through the
 //! operand [`DeviceBuffer`](crate::host::DeviceBuffer)s, which is
 //! exactly the boundary the threaded executor already uses: every op
 //! output is teed to its buffer, and a consumer whose producer is
@@ -29,24 +33,26 @@
 //! the same [`DotAccumulator`](crate::routines::DotAccumulator) the
 //! threaded `Dot` module reduces through — the same `W`-lane blocks,
 //! adder tree and running accumulator — and stores the scalar where
-//! the module would.
+//! the module would. Region inputs are read in place, under one read
+//! guard per buffer.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use fblas_audit::ModulePrediction;
 use fblas_hlssim::{GuardReport, SimError};
 use fblas_trace::{ModuleScope, Tracer};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLockReadGuard};
 
-use super::executor::{run_component, BufRouter, ComponentOptions, ExecError};
+use super::executor::{
+    exec_gemv, exec_ger, op_prediction, run_component, BufRouter, ComponentOptions, ExecError,
+};
 use super::fusion::{
     analyze_fusion, build_evaluator, check_obligations, sems_for_component, FusedEvaluator,
-    FusionPlan, ModuleSem, EXEC_WIDTH,
+    FusedRegion, FusionPlan, ModuleSem, TileSem, EXEC_WIDTH,
 };
 use super::planner::{Op, PlannedComponent, PlannerConfig, Program};
-use crate::routines::gemv::Gemv;
-use crate::routines::{Axpy, Dot, Scal, VecCopy};
 use crate::scalar::Scalar;
 
 /// Which execution path a plan runs on.
@@ -95,13 +101,45 @@ impl Backend {
 /// `recovery_armed` must be true when a fault hook is armed over the
 /// run — every region is then rejected with a `recovery-guards`
 /// witness and execution stays fully threaded.
+///
+/// GEMV and GER nodes carry their [`TileSem`]: the modules the executor
+/// instantiates at the component's planned tiling.
 pub fn fusion_plan_for_component(
     program: &Program,
     component: &PlannedComponent,
     recovery_armed: bool,
 ) -> (Vec<ModuleSem>, FusionPlan) {
-    let sems = sems_for_component(&component.mdag, program.ops(), EXEC_WIDTH);
-    let plan = analyze_fusion(&component.mdag, &sems, "exec", recovery_armed);
+    fusion_plan_at(program, &component.config, component, recovery_armed)
+}
+
+/// [`fusion_plan_for_component`] with the tiles instantiated under
+/// `cfg` — what the executor runs.
+fn fusion_plan_at(
+    program: &Program,
+    cfg: &PlannerConfig,
+    component: &PlannedComponent,
+    recovery_armed: bool,
+) -> (Vec<ModuleSem>, FusionPlan) {
+    let g = &component.mdag;
+    let mut sems = sems_for_component(g, program.ops(), EXEC_WIDTH);
+    for id in g.node_ids() {
+        let Some(oi) = node_op_index(g.node_name(id)) else {
+            continue;
+        };
+        let tile = match program.ops().get(oi) {
+            Some(Op::Gemv { a, .. }) => component
+                .gemv_variants
+                .get(&oi)
+                .and_then(|v| exec_gemv(program, cfg, a, *v).ok())
+                .map(TileSem::Gemv),
+            Some(Op::Ger { a, .. }) => exec_ger(program, cfg, a).ok().map(TileSem::Ger),
+            _ => None,
+        };
+        if let Some(tile) = tile {
+            sems[id.0] = ModuleSem::Tile(tile);
+        }
+    }
+    let plan = analyze_fusion(g, &sems, "exec", recovery_armed);
     (sems, plan)
 }
 
@@ -245,17 +283,8 @@ fn compile_schedule(
     // pulling the producer into a fused region, so bail out.
     for &oi in &component.ops {
         if let Op::Gemv { a, y: Some(yn), .. } = &program.ops()[oi] {
-            if let (Ok((n, m)), Some(variant)) =
-                (program.mat_dims(a), component.gemv_variants.get(&oi))
-            {
-                let g = Gemv::new(
-                    *variant,
-                    n,
-                    m,
-                    cfg.tn.min(n.max(1)),
-                    cfg.tm.min(m.max(1)),
-                    EXEC_WIDTH,
-                );
+            if let Some(variant) = component.gemv_variants.get(&oi) {
+                let g = exec_gemv(program, cfg, a, *variant).ok()?;
                 if g.y_rounds() > 1 {
                     if let Some(p) = producer.get(yn.as_str()) {
                         if region_of_op.contains_key(p) {
@@ -337,59 +366,137 @@ fn compile_schedule(
     Some(Schedule { units, regions })
 }
 
-/// The cycle-model prediction the threaded executor would emit for a
-/// relay op — fused execution must predict identically, because the
-/// analytic `C = L + I·M` model is a property of the *plan*, not of
-/// the backend that runs it.
-fn prediction_for_op<T: Scalar>(
+/// Read guards over operand buffers, held in place of copies: one per
+/// distinct operand, since a second guard on the same lock may block
+/// behind a queued writer. Drop them before writing any buffer.
+struct Reads<'r, T> {
+    guards: Vec<(&'r str, RwLockReadGuard<'r, Vec<T>>)>,
+}
+
+impl<'r, T: Scalar> Reads<'r, T> {
+    fn new(
+        router: &'r BufRouter<'_, T>,
+        operands: impl IntoIterator<Item = &'r str>,
+    ) -> Result<Self, ExecError> {
+        let mut guards: Vec<(&str, RwLockReadGuard<'r, Vec<T>>)> = Vec::new();
+        for name in operands {
+            if !guards.iter().any(|(n, _)| *n == name) {
+                guards.push((name, router.input(name)?.read()));
+            }
+        }
+        Ok(Reads { guards })
+    }
+
+    /// The contents of `operand` (empty if it was not read).
+    fn get(&self, operand: &str) -> &[T] {
+        self.guards
+            .iter()
+            .find(|(n, _)| *n == operand)
+            .map_or(&[], |(_, g)| g.as_slice())
+    }
+}
+
+/// Times one executed region into the fused-backend metric series
+/// (a no-op unless metrics are armed).
+struct RegionTimer(Option<(Arc<fblas_metrics::Registry>, Instant)>);
+
+impl RegionTimer {
+    fn start() -> Self {
+        RegionTimer(fblas_metrics::registry().map(|reg| (reg, Instant::now())))
+    }
+
+    fn done(self, elements: u64) {
+        if let Some((reg, t0)) = self.0 {
+            reg.counter("fblas_fused_regions_total", &[]).inc();
+            reg.counter("fblas_fused_elems_total", &[]).add(elements);
+            reg.histogram("fblas_fused_region_us", &[])
+                .record(fblas_metrics::elapsed_us(t0));
+        }
+    }
+}
+
+/// Execute a `tile-replay` region: every op of the component, in
+/// component order, on the calling thread through
+/// [`Gemv::replay`](crate::routines::Gemv::replay) and
+/// [`Ger::replay`](crate::routines::Ger::replay) — the threaded
+/// modules' own kernels fed from the operand buffers. An op reads its
+/// producers' results from the buffers they were written to (the
+/// staged overlay under recovery), exactly as fused units hand off.
+fn replay_tiles<T: Scalar>(
     program: &Program,
     cfg: &PlannerConfig,
-    oi: usize,
-) -> Result<ModulePrediction, ExecError> {
-    match &program.ops()[oi] {
-        Op::Scal { x, .. } => {
-            let n = program.vec_len(x)?;
-            let w = cfg.tm.clamp(1, EXEC_WIDTH);
-            let s = Scal::new(n, w);
-            Ok(ModulePrediction::compute(
-                "scal",
-                s.cost::<T>(),
-                n as u64,
-                w as u64,
-            ))
+    component: &PlannedComponent,
+    region: &FusedRegion,
+    router: &BufRouter<'_, T>,
+    tracer: Option<&Tracer>,
+) -> Result<(), ExecError> {
+    let lane = format!("fused:{}", region.name);
+    let _span = ModuleScope::enter(&lane, tracer);
+    let timer = RegionTimer::start();
+    let replayed = |e: SimError| ExecError::from(SimError::module(&lane, e.to_string()));
+    for &oi in &component.ops {
+        match &program.ops()[oi] {
+            Op::Gemv {
+                alpha,
+                beta,
+                a,
+                x,
+                y,
+                out,
+                ..
+            } => {
+                let variant = component.gemv_variants[&oi];
+                let g = exec_gemv(program, cfg, a, variant)?;
+                // Effective beta: 0 when no y operand is given, as in
+                // the threaded executor.
+                let (mut yv, beta) = match y {
+                    Some(yn) => (router.input(yn)?.to_host(), T::from_f64(*beta)),
+                    None => (vec![T::ZERO; g.y_len()], T::ZERO),
+                };
+                {
+                    let reads = Reads::new(router, [a.as_str(), x.as_str()])?;
+                    g.replay(
+                        T::from_f64(*alpha),
+                        beta,
+                        reads.get(a),
+                        reads.get(x),
+                        &mut yv,
+                    )
+                    .map_err(replayed)?;
+                }
+                router.output(out)?.from_host(&yv);
+            }
+            Op::Ger {
+                alpha,
+                a,
+                x,
+                y,
+                out,
+                ..
+            } => {
+                let g = exec_ger(program, cfg, a)?;
+                let mut updated = vec![T::ZERO; g.n * g.m];
+                {
+                    let reads = Reads::new(router, [a.as_str(), x.as_str(), y.as_str()])?;
+                    g.replay(
+                        T::from_f64(*alpha),
+                        reads.get(a),
+                        reads.get(x),
+                        reads.get(y),
+                        &mut updated,
+                    )
+                    .map_err(replayed)?;
+                }
+                router.output(out)?.from_host(&updated);
+            }
+            other => {
+                let detail = format!("`{}` is not a tile", other.output());
+                return Err(SimError::module(&lane, detail).into());
+            }
         }
-        Op::Copy { x, .. } => {
-            let n = program.vec_len(x)?;
-            let c = VecCopy::new(n, EXEC_WIDTH);
-            Ok(ModulePrediction::compute(
-                "copy",
-                c.cost::<T>(),
-                n as u64,
-                EXEC_WIDTH as u64,
-            ))
-        }
-        Op::Axpy { x, .. } => {
-            let n = program.vec_len(x)?;
-            let a = Axpy::new(n, EXEC_WIDTH);
-            Ok(ModulePrediction::compute(
-                "axpy",
-                a.cost::<T>(),
-                n as u64,
-                EXEC_WIDTH as u64,
-            ))
-        }
-        Op::Dot { x, .. } => {
-            let n = program.vec_len(x)?;
-            let d = Dot::new(n, EXEC_WIDTH);
-            Ok(ModulePrediction::compute(
-                "dot",
-                d.cost::<T>(),
-                n as u64,
-                EXEC_WIDTH as u64,
-            ))
-        }
-        _ => unreachable!("fused regions contain only relay ops and a closing DOT"),
     }
+    timer.done(region.elements);
+    Ok(())
 }
 
 /// Execute one compiled region as a straight-line loop over the
@@ -406,27 +513,28 @@ fn run_region<T: Scalar>(
     tracer: Option<&Tracer>,
 ) -> Result<(), ExecError> {
     let _span = ModuleScope::enter(&format!("fused:{}", region.name), tracer);
-    let reg = fblas_metrics::registry();
-    let t0 = reg.as_ref().map(|_| std::time::Instant::now());
+    let timer = RegionTimer::start();
 
     let elements = region.eval.elements as usize;
-    let mut streams: Vec<Vec<T>> = Vec::with_capacity(region.input_operands.len());
-    for operand in &region.input_operands {
-        let data = router.input(operand)?.to_host();
-        if data.len() < elements {
-            return Err(ExecError::WrongLength {
-                operand: operand.clone(),
-                expected: elements,
-                got: data.len(),
-            });
+    let values = {
+        let reads = Reads::new(router, region.input_operands.iter().map(String::as_str))?;
+        let mut ins: Vec<&[T]> = Vec::with_capacity(region.input_operands.len());
+        for operand in &region.input_operands {
+            let data = reads.get(operand);
+            if data.len() < elements {
+                return Err(ExecError::WrongLength {
+                    operand: operand.clone(),
+                    expected: elements,
+                    got: data.len(),
+                });
+            }
+            ins.push(data);
         }
-        streams.push(data);
-    }
-    let ins: Vec<&[T]> = streams.iter().map(Vec::as_slice).collect();
-    let values = region
-        .eval
-        .execute(&ins)
-        .map_err(|e| SimError::module(format!("fused:{}", region.name), e))?;
+        region
+            .eval
+            .execute(&ins)
+            .map_err(|e| SimError::module(format!("fused:{}", region.name), e))?
+    };
 
     for (vals, operand) in values.sinks.iter().zip(&region.sink_operands) {
         router.output(operand)?.from_host(vals);
@@ -435,13 +543,7 @@ fn run_region<T: Scalar>(
         scalars.lock().insert(name.clone(), v);
     }
 
-    if let (Some(reg), Some(t0)) = (reg, t0) {
-        reg.counter("fblas_fused_regions_total", &[]).inc();
-        reg.counter("fblas_fused_elems_total", &[])
-            .add(elements as u64);
-        reg.histogram("fblas_fused_region_us", &[])
-            .record(fblas_metrics::elapsed_us(t0));
-    }
+    timer.done(elements as u64);
     Ok(())
 }
 
@@ -463,13 +565,31 @@ pub(super) fn run_component_fused<T: Scalar>(
     opts: &ComponentOptions,
 ) -> Result<Vec<GuardReport>, ExecError> {
     let recovery_armed = opts.hook.is_some();
-    let (sems, plan) = fusion_plan_for_component(program, component, recovery_armed);
-    let schedule = if plan.regions.is_empty()
-        || !check_obligations(&plan, &component.mdag, &sems, recovery_armed).is_empty()
-    {
-        None
-    } else {
+    let (sems, plan) = fusion_plan_at(program, cfg, component, recovery_armed);
+    let verified = !plan.regions.is_empty()
+        && check_obligations(&plan, &component.mdag, &sems, recovery_armed).is_empty();
+    let tiles = plan
+        .regions
+        .iter()
+        .find(|r| r.obligations.iter().any(|o| o.kind == "tile-replay"));
+    if let (true, Some(region)) = (verified, tiles) {
+        replay_tiles(program, cfg, component, region, router, tracer)?;
+        if let Some(out) = predictions {
+            for &oi in &component.ops {
+                out.push(op_prediction::<T>(
+                    program,
+                    cfg,
+                    oi,
+                    &component.gemv_variants,
+                )?);
+            }
+        }
+        return Ok(Vec::new());
+    }
+    let schedule = if verified {
         compile_schedule(program, cfg, component, &sems, &plan)
+    } else {
+        None
     };
     let Some(schedule) = schedule else {
         return run_component(
@@ -514,7 +634,8 @@ pub(super) fn run_component_fused<T: Scalar>(
                 run_region(region, router, scalars, tracer)?;
                 if predictions.is_some() {
                     for &oi in &region.ops {
-                        tagged.push((oi, prediction_for_op::<T>(program, cfg, oi)?));
+                        let p = op_prediction::<T>(program, cfg, oi, &component.gemv_variants)?;
+                        tagged.push((oi, p));
                     }
                 }
             }
@@ -538,6 +659,7 @@ mod tests {
     use super::*;
     use crate::composition::{execute_plan, plan, ExecOptions, Op, Plan, PlannerConfig, Program};
     use crate::host::buffer::DeviceBuffer;
+    use crate::routines::GemvVariant;
 
     /// `b = 1.5·x; c = -0.75·b + y; d = c` — a three-relay chain, the
     /// canonical fusable shape.
@@ -721,6 +843,163 @@ mod tests {
         let (zf, bf) = axpydot_bits::<f64>(Backend::Fused, n);
         assert_eq!(bt.to_bits(), bf.to_bits(), "f64 beta {bt} vs {bf}");
         assert!(zt.iter().zip(&zf).all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// `q = A·p`, `s = Bᵀ·r + 0.5·y` over a 40×24 `A` and a 24×40 `B`
+    /// in 16×16 tiles: ragged tiles, and two `y` rounds for the
+    /// transposed GEMV. With
+    /// `y_from_q` the transposed GEMV's `y` is `q` instead — an
+    /// in-component producer feeding a multi-round `y`.
+    fn two_gemv_program(y_from_q: bool) -> (Program, PlannerConfig) {
+        let (n, m) = (40, 24);
+        let mut p = Program::new();
+        p.matrix("A", n, m).matrix("B", m, n);
+        for (v, len) in [("p", m), ("r", m), ("q", n), ("s", n), ("y", n)] {
+            p.vector(v, len);
+        }
+        p.op(Op::Gemv {
+            alpha: 1.0,
+            beta: 0.0,
+            a: "A".into(),
+            transposed: false,
+            x: "p".into(),
+            y: None,
+            out: "q".into(),
+        });
+        p.op(Op::Gemv {
+            alpha: 1.0,
+            beta: 0.5,
+            a: "B".into(),
+            transposed: true,
+            x: "r".into(),
+            y: Some(if y_from_q { "q" } else { "y" }.into()),
+            out: "s".into(),
+        });
+        let cfg = PlannerConfig {
+            tn: 16,
+            tm: 16,
+            ..PlannerConfig::default()
+        };
+        (p, cfg)
+    }
+
+    fn tile_replay_errors(errs: &[String]) -> Vec<&String> {
+        errs.iter()
+            .filter(|e| e.contains("obligation `tile-replay`"))
+            .collect()
+    }
+
+    #[test]
+    fn tile_replay_region_admits_a_multi_round_y_from_dram() {
+        let (p, cfg) = two_gemv_program(false);
+        let planned = planned(&p, &cfg);
+        assert_eq!(planned.components.len(), 1);
+        let comp = &planned.components[0];
+        let (sems, fplan) = fusion_plan_for_component(&p, comp, false);
+        assert_eq!(fplan.regions.len(), 1, "{}", fplan.to_json());
+        let kinds: Vec<&str> = fplan.regions[0]
+            .obligations
+            .iter()
+            .map(|o| o.kind.as_str())
+            .collect();
+        assert_eq!(kinds, ["tile-replay", "no-recovery-hooks"]);
+        assert!(check_obligations(&fplan, &comp.mdag, &sems, false).is_empty());
+        assert!(sems
+            .iter()
+            .any(|s| matches!(s, ModuleSem::Tile(TileSem::Gemv(g)) if g.y_rounds() == 2)));
+        // An armed hook rejects it.
+        let (_, armed) = fusion_plan_for_component(&p, comp, true);
+        assert!(armed.regions.is_empty());
+        assert_eq!(armed.rejections[0].reason, "recovery-guards");
+    }
+
+    #[test]
+    fn check_obligations_rejects_a_tile_of_the_wrong_variant() {
+        let (p, cfg) = two_gemv_program(false);
+        let planned = planned(&p, &cfg);
+        let comp = &planned.components[0];
+        let (mut sems, fplan) = fusion_plan_for_component(&p, comp, false);
+        for s in &mut sems {
+            if let ModuleSem::Tile(TileSem::Gemv(g)) = s {
+                if g.variant == GemvVariant::RowStreamed {
+                    g.variant = GemvVariant::ColStreamed;
+                }
+            }
+        }
+        let errs = check_obligations(&fplan, &comp.mdag, &sems, false);
+        let tile = tile_replay_errors(&errs);
+        assert!(
+            tile.iter()
+                .any(|e| e.contains("ColStreamed") && e.contains("RowStreamed")),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn check_obligations_rejects_a_tile_of_the_wrong_width() {
+        let (p, cfg) = two_gemv_program(false);
+        let planned = planned(&p, &cfg);
+        let comp = &planned.components[0];
+        let (mut sems, fplan) = fusion_plan_for_component(&p, comp, false);
+        for s in &mut sems {
+            if let ModuleSem::Tile(TileSem::Gemv(g)) = s {
+                g.w = EXEC_WIDTH / 2;
+            }
+        }
+        let errs = check_obligations(&fplan, &comp.mdag, &sems, false);
+        assert!(
+            tile_replay_errors(&errs)
+                .iter()
+                .any(|e| e.contains(&format!("W = {}", EXEC_WIDTH / 2))),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn check_obligations_rejects_a_multi_round_y_fed_in_component() {
+        // The analysis itself refuses the component, with the producer
+        // channel as witness...
+        let (p, cfg) = two_gemv_program(true);
+        let thep = planned(&p, &cfg);
+        assert_eq!(thep.components.len(), 1);
+        let comp = &thep.components[0];
+        let (sems, fplan) = fusion_plan_for_component(&p, comp, false);
+        assert!(fplan.regions.is_empty(), "{}", fplan.to_json());
+        let rej = &fplan.rejections[0];
+        assert_eq!(rej.reason, "replay-contract");
+        assert_eq!(rej.witness_channel.as_deref(), Some("gemv#0->gemv_t#1"));
+        // ...a region claimed over it does not re-verify...
+        let (dram_p, _) = two_gemv_program(false);
+        let dram = planned(&dram_p, &cfg);
+        let (_, claimed) = fusion_plan_for_component(&dram_p, &dram.components[0], false);
+        let errs = check_obligations(&claimed, &comp.mdag, &sems, false);
+        assert!(
+            tile_replay_errors(&errs)
+                .iter()
+                .any(|e| e.contains("computational producer")),
+            "{errs:?}"
+        );
+        // ...and the fused backend raises the threaded path's contract
+        // error, as before tile replay existed.
+        let bufs: HashMap<String, DeviceBuffer<f32>> = [("A", 40 * 24), ("B", 24 * 40)]
+            .into_iter()
+            .chain([("p", 24), ("r", 24), ("q", 40), ("s", 40), ("y", 40)])
+            .map(|(name, len)| {
+                (
+                    name.to_string(),
+                    DeviceBuffer::from_vec(name, vec![0.5; len], 0),
+                )
+            })
+            .collect();
+        let opts = ExecOptions {
+            backend: Backend::Fused,
+            ..ExecOptions::default()
+        };
+        let err = execute_plan::<f32>(&p, &thep, &cfg, &bufs, &opts).unwrap_err();
+        assert!(
+            err.to_string().contains("replay"),
+            "expected the replay contract error, got {err}"
+        );
     }
 
     #[test]

@@ -10,9 +10,16 @@
 //! adder-tree width [`EXEC_WIDTH`]: the fused loop then replays the
 //! threaded module's `W`-lane blocks in stream order through the same
 //! [`DotAccumulator`], so the scalar keeps its bits (the `block-replay`
-//! obligation). Everything else — reductions at any other width
-//! (reassociation), stateful tiles, rate changes, fanout, bursts, paths
-//! that leave and re-enter the region — is a **rejection** carrying a
+//! obligation). A planned component whose compute modules are all
+//! Level-2 tiles ([`ModuleSem::Tile`]: GEMV or GER, plus the planner's
+//! `dup_*` of a shared DRAM matrix) is a region of its own kind: with
+//! at least two tiles, each instantiated as the planner laid it out,
+//! the whole component is replayed op by op on one thread through the
+//! threaded modules' own kernels (the `tile-replay` obligation); a lone
+//! tile stays threaded (`singleton`, the rule lone relays follow).
+//! Everything else — reductions at any other width (reassociation),
+//! tiles mixed with relays, rate changes, fanout, bursts, paths that
+//! leave and re-enter the region — is a **rejection** carrying a
 //! witness that names the blocking module or channel.
 //!
 //! The output is a serializable [`FusionPlan`] (schema
@@ -21,8 +28,8 @@
 //! and summary stats. [`check_obligations`] and [`verify_witnesses`]
 //! re-verify a plan against the graph it claims to describe — the
 //! contract the differential keystone test enforces — and
-//! [`FusedEvaluator`] executes a region as the straight-line
-//! per-element loop, sharing [`apply_elementwise`] and
+//! [`FusedEvaluator`] executes a relay region as a straight-line loop
+//! over `W`-lane blocks, sharing [`apply_elementwise`] and
 //! [`DotAccumulator`] with the threaded modules so fused and unfused
 //! runs are bit-identical by construction.
 
@@ -32,9 +39,11 @@ use fblas_hlssim::ModuleKind;
 use serde::{Deserialize, Serialize};
 
 use super::dataflow::{solve, ExternalReach, FlowGraph};
+use super::rates::RateGraph;
 use super::{EdgeInfo, Mdag, Op};
-use crate::routines::DotAccumulator;
+use crate::routines::{DotAccumulator, Gemv, GemvVariant, Ger};
 use crate::scalar::Scalar;
+use crate::tiling::{TileOrder, Tiling};
 
 /// Version tag of the artifact schema.
 pub const FUSION_PLAN_SCHEMA: &str = "fblas-fusion-plan-v1";
@@ -82,10 +91,86 @@ pub enum ModuleSem {
         /// Vectorization width of the adder tree.
         width: usize,
     },
-    /// Keeps state across elements (`gemv`, `ger` tiles).
+    /// Keeps state across elements (`gemv`, `ger` tiles) — what a
+    /// graph document's name alone says about a Level-2 module.
     Stateful,
+    /// A Level-2 tile exactly as the executor instantiates it: known
+    /// only for planned components, where the planner's GEMV variant and
+    /// tiling are on record. A component of tiles may be replayed tile
+    /// by tile on one thread (the `tile-replay` obligation).
+    Tile(TileSem),
     /// Unknown semantics — never fused.
     Opaque,
+}
+
+/// The configuration of a [`ModuleSem::Tile`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TileSem {
+    /// `y = αAx + βy` or its transpose, in the planner's variant.
+    Gemv(Gemv),
+    /// `A' = αxyᵀ + A`.
+    Ger(Ger),
+}
+
+impl TileSem {
+    fn width(&self) -> usize {
+        match self {
+            TileSem::Gemv(g) => g.w,
+            TileSem::Ger(g) => g.w,
+        }
+    }
+
+    fn a_tiling(&self) -> Tiling {
+        match self {
+            TileSem::Gemv(g) => g.a_tiling(),
+            TileSem::Ger(g) => g.a_tiling(),
+        }
+    }
+
+    /// Matrix elements the tile streams.
+    fn elements(&self) -> u64 {
+        match self {
+            TileSem::Gemv(g) => (g.n * g.m) as u64,
+            TileSem::Ger(g) => (g.n * g.m) as u64,
+        }
+    }
+
+    /// Elements each input channel carries, in operand order (`A`, `x`,
+    /// then `y` if bound), with the replay each interface reader
+    /// performs; and whether that operand is replayed (sent more than
+    /// once, or — for a multi-round GEMV `y` — re-read from memory).
+    fn inputs(&self, with_y: bool) -> Vec<(u64, bool)> {
+        match self {
+            TileSem::Gemv(g) => {
+                let reps = g.x_repetitions();
+                let mut v = vec![
+                    ((g.n * g.m) as u64, false),
+                    ((g.x_len() * reps) as u64, reps > 1),
+                ];
+                if with_y {
+                    v.push((g.y_len() as u64, g.y_rounds() > 1));
+                }
+                v
+            }
+            TileSem::Ger(g) => {
+                let reps = g.y_repetitions();
+                vec![
+                    ((g.n * g.m) as u64, false),
+                    (g.n as u64, false),
+                    ((g.m * reps) as u64, reps > 1),
+                ]
+            }
+        }
+    }
+
+    /// Elements the tile sends its write sink: a multi-round GEMV
+    /// writes every round's partials.
+    fn written(&self) -> u64 {
+        match self {
+            TileSem::Gemv(g) => (g.y_len() * (2 * g.y_rounds() - 1)) as u64,
+            TileSem::Ger(g) => (g.n * g.m) as u64,
+        }
+    }
 }
 
 impl ModuleSem {
@@ -239,7 +324,7 @@ pub struct FusionRejection {
     pub modules: Vec<String>,
     /// Stable reason tag (`stateful`, `reassociation`, `fanout`,
     /// `rate-change`, `burst`, `order-mismatch`, `arity-mismatch`,
-    /// `feedback`, `recovery-guards`, `singleton`,
+    /// `feedback`, `recovery-guards`, `singleton`, `replay-contract`,
     /// `unknown-semantics`).
     pub reason: String,
     /// The blocking module, when one exists in the graph.
@@ -451,6 +536,13 @@ fn find(parent: &mut [usize], mut i: usize) -> usize {
     i
 }
 
+fn no_recovery_hooks() -> Obligation {
+    Obligation {
+        kind: "no-recovery-hooks".to_string(),
+        detail: "no fault hook or retry guard is armed over the region's channels".to_string(),
+    }
+}
+
 /// The obligations a region is admitted under. `reduce` names the DOT
 /// that closes it, if any: its `block-replay` obligation then stands in
 /// for `no-reassociation`.
@@ -508,15 +600,300 @@ fn region_obligations(elements: u64, reduce: Option<&str>) -> Vec<Obligation> {
         ),
         mk("elementwise", elementwise),
         order,
-        mk(
-            "no-recovery-hooks",
-            "no fault hook or retry guard is armed over the region's channels".to_string(),
-        ),
+        no_recovery_hooks(),
         mk(
             "boundary-depths-preserved",
             "channels crossing the region boundary keep their instantiated depths".to_string(),
         ),
     ]
+}
+
+// ---------------------------------------------------------------------
+// Tile replay: a component of Level-2 tiles run op by op.
+// ---------------------------------------------------------------------
+
+/// One broken `tile-replay` condition: the rejection tag, the message
+/// `check_obligations` reports, and the witnesses.
+struct TileViolation {
+    reason: &'static str,
+    detail: String,
+    module: usize,
+    channel: Option<usize>,
+}
+
+/// The tiles of `g` when every compute module is a [`ModuleSem::Tile`]
+/// or a duplicator of a DRAM-read matrix — the only components tile
+/// replay may run — and `None` otherwise.
+fn tile_members(g: &Mdag, sems: &[ModuleSem], edges: &[EdgeInfo]) -> Option<Vec<usize>> {
+    let mut tiles = Vec::new();
+    for id in g.node_ids() {
+        let i = id.0;
+        match &sems[i] {
+            ModuleSem::Tile(_) => tiles.push(i),
+            ModuleSem::Dup => {
+                let mut ins = edges.iter().filter(|e| e.to.0 == i);
+                let from_read = ins
+                    .next()
+                    .is_some_and(|e| sems[e.from.0] == ModuleSem::Read);
+                if !from_read || ins.next().is_some() {
+                    return None;
+                }
+            }
+            _ if g.node_kind(id) == ModuleKind::Compute => return None,
+            _ => {}
+        }
+    }
+    (!tiles.is_empty()).then_some(tiles)
+}
+
+/// Every way the tiles of `g` break the `tile-replay` obligation, in
+/// node order. Each tile must be instantiated the way the planner laid
+/// out the graph — the variant its rule picks, `W =` [`EXEC_WIDTH`],
+/// the channel counts its replays imply, a tile order its matrix
+/// producer emits — every operand it replays must come from DRAM, and
+/// the whole graph must complete at its instantiated depths, so replay
+/// can never turn a threaded stall into a success.
+fn tile_violations(
+    g: &Mdag,
+    sems: &[ModuleSem],
+    edges: &[EdgeInfo],
+    tiles: &[usize],
+) -> Vec<TileViolation> {
+    let mut out = Vec::new();
+    let name = |i: usize| g.node_name(super::NodeId(i));
+    for &i in tiles {
+        let ModuleSem::Tile(tile) = &sems[i] else {
+            continue;
+        };
+        let mut fail = |reason, detail: String, channel| {
+            out.push(TileViolation {
+                reason,
+                detail: format!("`{}` {detail}", name(i)),
+                module: i,
+                channel,
+            })
+        };
+        if tile.width() != EXEC_WIDTH {
+            fail(
+                "reassociation",
+                format!(
+                    "is instantiated at W = {}, the executor's tiles at W = {EXEC_WIDTH}",
+                    tile.width()
+                ),
+                None,
+            );
+        }
+        let ins: Vec<usize> = (0..edges.len()).filter(|&k| edges[k].to.0 == i).collect();
+        let from_tile = |k: usize| matches!(sems[edges[k].from.0], ModuleSem::Tile(_));
+        if let TileSem::Gemv(gemv) = tile {
+            let base = name(i).split('#').next().unwrap_or("");
+            let want = if base == "gemv_t" {
+                GemvVariant::TransRowStreamed
+            } else if ins.get(1).is_some_and(|&k| from_tile(k)) {
+                GemvVariant::ColStreamed
+            } else {
+                GemvVariant::RowStreamed
+            };
+            if gemv.variant != want {
+                fail(
+                    "order-mismatch",
+                    format!(
+                        "is instantiated {:?}, the planner lays it out {want:?}",
+                        gemv.variant
+                    ),
+                    None,
+                );
+            }
+        }
+        let want_ins = tile.inputs(ins.len() > 2);
+        if ins.len() != want_ins.len() {
+            fail(
+                "arity-mismatch",
+                format!("has {} inputs, expected {}", ins.len(), want_ins.len()),
+                ins.first().copied(),
+            );
+            continue;
+        }
+        for (&k, &(elements, replayed)) in ins.iter().zip(&want_ins) {
+            let e = &edges[k];
+            if e.produced != elements || e.consumed != elements {
+                fail(
+                    "rate-change",
+                    format!(
+                        "expects {elements} elements on `{}`, which carries {}/{}",
+                        channel_name(g, e),
+                        e.produced,
+                        e.consumed
+                    ),
+                    Some(k),
+                );
+            }
+            if replayed && sems[e.from.0] != ModuleSem::Read {
+                fail(
+                    "replay-contract",
+                    format!(
+                        "replays `{}` through memory, but `{}` is a computational producer",
+                        channel_name(g, e),
+                        name(e.from.0)
+                    ),
+                    Some(k),
+                );
+            }
+        }
+        // The matrix stream arrives in tiles by rows from a duplicator
+        // or a GER; only a DRAM reader adopts the consumer's order.
+        let a = &edges[ins[0]];
+        let producer_tiling = match &sems[a.from.0] {
+            ModuleSem::Read => None,
+            ModuleSem::Tile(TileSem::Ger(p)) => Some(p.a_tiling()),
+            _ => Some(Tiling::new(
+                tile.a_tiling().tn,
+                tile.a_tiling().tm,
+                TileOrder::RowTilesRowMajor,
+            )),
+        };
+        if producer_tiling.is_some_and(|t| t != tile.a_tiling()) || !a.order_compatible {
+            fail(
+                "order-mismatch",
+                format!(
+                    "consumes `{}` as {:?}, which its producer does not emit",
+                    channel_name(g, a),
+                    tile.a_tiling()
+                ),
+                Some(ins[0]),
+            );
+        }
+        for (k, e) in edges.iter().enumerate() {
+            if e.from.0 == i && sems[e.to.0] == ModuleSem::Write && e.produced != tile.written() {
+                fail(
+                    "rate-change",
+                    format!(
+                        "writes {} elements, but `{}` carries {}",
+                        tile.written(),
+                        channel_name(g, e),
+                        e.produced
+                    ),
+                    Some(k),
+                );
+            }
+        }
+    }
+    if !RateGraph::from_mdag(g).analyze().is_completed() {
+        let burst = edges.iter().position(|e| e.burst_before_consume > 0);
+        out.push(TileViolation {
+            reason: if burst.is_some() {
+                "burst"
+            } else {
+                "rate-change"
+            },
+            detail: "the graph does not complete at its instantiated channel depths".to_string(),
+            module: tiles[0],
+            channel: burst,
+        });
+    }
+    out
+}
+
+fn tile_replay_obligation(tiles: usize) -> Obligation {
+    Obligation {
+        kind: "tile-replay".to_string(),
+        detail: format!(
+            "every compute module is one of {tiles} GEMV/GER tiles or a duplicator of a \
+             DRAM-read matrix; each tile is instantiated as the planner laid it out (its \
+             variant, tile order, replay counts and W = {EXEC_WIDTH}); every replayed operand \
+             comes from DRAM; the graph completes at its instantiated depths; the tiles run op \
+             by op through the threaded modules' kernels"
+        ),
+    }
+}
+
+/// Topological order of the nodes marked in `in_region` (ties broken
+/// by node index).
+fn region_topo(
+    n: usize,
+    edges: &[EdgeInfo],
+    out_edges: &[Vec<usize>],
+    in_region: &[bool],
+) -> Vec<usize> {
+    let mut indeg = vec![0usize; n];
+    for e in edges {
+        if in_region[e.from.0] && in_region[e.to.0] {
+            indeg[e.to.0] += 1;
+        }
+    }
+    let mut queue: Vec<usize> = (0..n).filter(|&i| in_region[i] && indeg[i] == 0).collect();
+    queue.sort_unstable();
+    queue.reverse();
+    let mut topo = Vec::new();
+    while let Some(u) = queue.pop() {
+        topo.push(u);
+        for &ei in &out_edges[u] {
+            let v = edges[ei].to.0;
+            if in_region[v] {
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    queue.push(v);
+                    queue.sort_unstable();
+                    queue.reverse();
+                }
+            }
+        }
+    }
+    topo
+}
+
+/// The fusion verdict of a component whose compute modules are all
+/// tiles (and matrix duplicators): one `tile-replay` region holding the
+/// whole graph, or one rejection — `singleton` for a lone tile (a
+/// thread-free run of one GEMV is left to the threaded path, like a
+/// lone relay), the first broken condition, or `recovery-guards`.
+fn analyze_tiles(
+    g: &Mdag,
+    sems: &[ModuleSem],
+    edges: &[EdgeInfo],
+    out_edges: &[Vec<usize>],
+    tiles: &[usize],
+    recovery_armed: bool,
+) -> (Option<FusedRegion>, Option<FusionRejection>) {
+    let n = g.node_count();
+    let name = |i: usize| g.node_name(super::NodeId(i)).to_string();
+    let compute: Vec<String> = g
+        .node_ids()
+        .filter(|&id| g.node_kind(id) == ModuleKind::Compute)
+        .map(|id| name(id.0))
+        .collect();
+    let reject = |reason: &str, module: usize, channel: Option<usize>| FusionRejection {
+        modules: compute.clone(),
+        reason: reason.to_string(),
+        witness_module: Some(name(module)),
+        witness_channel: channel.map(|k| channel_name(g, &edges[k])),
+    };
+    if tiles.len() < 2 {
+        return (None, Some(reject("singleton", tiles[0], None)));
+    }
+    if let Some(v) = tile_violations(g, sems, edges, tiles).into_iter().next() {
+        return (None, Some(reject(v.reason, v.module, v.channel)));
+    }
+    if recovery_armed {
+        return (None, Some(reject("recovery-guards", tiles[0], None)));
+    }
+    let topo = region_topo(n, edges, out_edges, &vec![true; n]);
+    let elements = tiles
+        .iter()
+        .filter_map(|&i| match &sems[i] {
+            ModuleSem::Tile(t) => Some(t.elements()),
+            _ => None,
+        })
+        .sum();
+    let region = FusedRegion {
+        name: "fuse0".to_string(),
+        modules: topo.into_iter().map(name).collect(),
+        inputs: Vec::new(),
+        output: None,
+        elements,
+        obligations: vec![tile_replay_obligation(tiles.len()), no_recovery_hooks()],
+    };
+    (Some(region), None)
 }
 
 /// Run the fusion legality analysis over one MDAG.
@@ -539,6 +916,16 @@ pub fn analyze_fusion(
     for (ei, e) in edges.iter().enumerate() {
         out_edges[e.from.0].push(ei);
         in_edges[e.to.0].push(ei);
+    }
+
+    if let Some(tiles) = tile_members(g, sems, &edges) {
+        let (region, rejection) =
+            analyze_tiles(g, sems, &edges, &out_edges, &tiles, recovery_armed);
+        return finish_plan(
+            file,
+            region.into_iter().collect(),
+            rejection.into_iter().collect(),
+        );
     }
 
     let verdicts: Vec<Option<RelayVerdict>> = (0..n)
@@ -705,31 +1092,7 @@ pub fn analyze_fusion(
             continue;
         }
 
-        // Topological order over the region-induced subgraph.
-        let mut indeg = vec![0usize; n];
-        for e in &edges {
-            if in_region[e.from.0] && in_region[e.to.0] {
-                indeg[e.to.0] += 1;
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| in_region[i] && indeg[i] == 0).collect();
-        queue.sort_unstable();
-        queue.reverse();
-        let mut topo = Vec::new();
-        while let Some(u) = queue.pop() {
-            topo.push(u);
-            for &ei in &out_edges[u] {
-                let v = edges[ei].to.0;
-                if in_region[v] {
-                    indeg[v] -= 1;
-                    if indeg[v] == 0 {
-                        queue.push(v);
-                        queue.sort_unstable();
-                        queue.reverse();
-                    }
-                }
-            }
-        }
+        let topo = region_topo(n, &edges, &out_edges, &in_region);
 
         let mut inputs = Vec::new();
         for &i in members {
@@ -772,7 +1135,7 @@ pub fn analyze_fusion(
                 Some(blocked) => blocked,
                 None => continue, // its group was rejected, already recorded
             },
-            (ModuleSem::Stateful, _) => ("stateful", None),
+            (ModuleSem::Stateful | ModuleSem::Tile(_), _) => ("stateful", None),
             (ModuleSem::Dup, _) => ("fanout", None),
             (ModuleSem::Opaque, _) if g.node_kind(super::NodeId(i)) == ModuleKind::Compute => {
                 ("unknown-semantics", None)
@@ -787,6 +1150,14 @@ pub fn analyze_fusion(
         });
     }
 
+    finish_plan(file, regions, rejections)
+}
+
+fn finish_plan(
+    file: &str,
+    regions: Vec<FusedRegion>,
+    rejections: Vec<FusionRejection>,
+) -> FusionPlan {
     let mut rejected: BTreeMap<String, u64> = BTreeMap::new();
     for r in &rejections {
         *rejected.entry(r.reason.clone()).or_insert(0) += 1;
@@ -1005,6 +1376,33 @@ pub fn check_obligations(
                         }
                     }
                 }
+                "tile-replay" => {
+                    if let Some(missing) = g.node_ids().find(|id| !in_region[id.0]) {
+                        fail(
+                            &mut errs,
+                            format!("`{}` is outside the region", g.node_name(missing)),
+                        );
+                    }
+                    match tile_members(g, sems, &edges) {
+                        None => fail(
+                            &mut errs,
+                            "a compute module is neither a tile nor a matrix duplicator"
+                                .to_string(),
+                        ),
+                        Some(tiles) if tiles.len() < 2 => fail(
+                            &mut errs,
+                            format!(
+                                "`{}` is the only tile; a singleton stays threaded",
+                                g.node_name(super::NodeId(tiles[0]))
+                            ),
+                        ),
+                        Some(tiles) => {
+                            for v in tile_violations(g, sems, &edges, &tiles) {
+                                fail(&mut errs, v.detail);
+                            }
+                        }
+                    }
+                }
                 "no-recovery-hooks" => {
                     if recovery_armed {
                         fail(&mut errs, "a recovery guard is armed".to_string());
@@ -1083,14 +1481,44 @@ pub fn apply_elementwise(sem: &ModuleSem, ins: &[f32]) -> Option<f32> {
 /// `copy` forwards. Both the fused backend and the threaded harness
 /// route through this one function.
 pub fn apply_elementwise_t<T: Scalar>(sem: &ModuleSem, ins: &[T]) -> Option<T> {
-    match (sem, ins) {
-        (ModuleSem::Copy, [x, ..]) => Some(*x),
-        (ModuleSem::Scal { alpha }, [x, ..]) => Some(T::from_f64(alpha.unwrap_or(1.0)) * *x),
-        (ModuleSem::Axpy { alpha }, [x, y, ..]) => {
-            Some(T::from_f64(alpha.unwrap_or(1.0)).mul_add(*x, *y))
+    let x = ins.first()?;
+    let mut out = [T::ZERO];
+    apply_lanes(
+        sem,
+        std::slice::from_ref(x),
+        ins.get(1).map(std::slice::from_ref),
+        &mut out,
+    )?;
+    Some(out[0])
+}
+
+/// [`apply_elementwise_t`] over a run of lanes: `out[k]` is the relay
+/// applied to `x[k]` (and `y[k]`), with the semantics matched once per
+/// run instead of once per element. `None` for a non-relay, or an
+/// `axpy` without `y`.
+pub fn apply_lanes<T: Scalar>(
+    sem: &ModuleSem,
+    x: &[T],
+    y: Option<&[T]>,
+    out: &mut [T],
+) -> Option<()> {
+    match (sem, y) {
+        (ModuleSem::Copy, _) => out.copy_from_slice(x),
+        (ModuleSem::Scal { alpha }, _) => {
+            let alpha = T::from_f64(alpha.unwrap_or(1.0));
+            for (o, x) in out.iter_mut().zip(x) {
+                *o = alpha * *x;
+            }
         }
-        _ => None,
+        (ModuleSem::Axpy { alpha }, Some(y)) => {
+            let alpha = T::from_f64(alpha.unwrap_or(1.0));
+            for ((o, x), y) in out.iter_mut().zip(x).zip(y) {
+                *o = alpha.mul_add(*x, *y);
+            }
+        }
+        _ => return None,
     }
+    Some(())
 }
 
 /// Where a step reads a value from.
@@ -1298,13 +1726,36 @@ pub struct FusedValues<T> {
     pub reduced: Option<T>,
 }
 
+/// The lanes `block` of a source: a slot holds the current block from
+/// its start, an input stream the whole stream.
+fn lanes<'a, T>(
+    slots: &'a [Vec<T>],
+    ins: &[&'a [T]],
+    src: Src,
+    block: &std::ops::Range<usize>,
+) -> Result<&'a [T], String> {
+    match src {
+        Src::Slot(i) => slots
+            .get(i)
+            .map(|s| &s[..block.len()])
+            .ok_or_else(|| format!("slot {i} read before it is computed")),
+        Src::Input(i) => ins
+            .get(i)
+            .map(|s| &s[block.clone()])
+            .ok_or_else(|| format!("no input #{i}")),
+    }
+}
+
 impl FusedEvaluator {
     /// The straight-line loop itself, shared by [`FusedEvaluator::run`]
-    /// and the fused execution backend: per element, every relay step
-    /// through [`apply_elementwise_t`], the sinks and output read off
-    /// their slots, and the closing DOT's lane pair pushed into a
-    /// [`DotAccumulator`]. `ins` holds the input streams in
-    /// [`FusedEvaluator::inputs`] order, each at least `elements` long.
+    /// and the fused execution backend. It walks the elements in
+    /// `W`-lane blocks aligned to the start of the stream — the closing
+    /// DOT's width, [`EXEC_WIDTH`] otherwise — and per block runs every
+    /// relay step through [`apply_lanes`], reads the sinks and output
+    /// off their slots, and hands the closing DOT's lane pairs to a
+    /// [`DotAccumulator`], whose blocks they are. `ins` holds the input
+    /// streams in [`FusedEvaluator::inputs`] order, each at least
+    /// `elements` long.
     pub fn execute<T: Scalar>(&self, ins: &[&[T]]) -> Result<FusedValues<T>, String> {
         let elements = self.elements as usize;
         if let Some(short) = ins.iter().position(|s| s.len() < elements) {
@@ -1313,6 +1764,7 @@ impl FusedEvaluator {
                 ins[short].len()
             ));
         }
+        let width = self.reduce.as_ref().map_or(EXEC_WIDTH, |r| r.width).max(1);
         let mut sinks: Vec<Vec<T>> = self
             .sinks
             .iter()
@@ -1323,30 +1775,40 @@ impl FusedEvaluator {
             .reduce
             .as_ref()
             .map(|r| DotAccumulator::<T>::new(r.width));
-        let mut slots = vec![T::ZERO; self.steps.len()];
-        for t in 0..elements {
-            let read = |slots: &[T], src: Src| match src {
-                Src::Slot(i) => slots[i],
-                Src::Input(i) => ins[i][t],
-            };
+        let mut slots = vec![vec![T::ZERO; width]; self.steps.len()];
+        let mut t0 = 0;
+        while t0 < elements {
+            let len = width.min(elements - t0);
+            let block = t0..t0 + len;
             for step in &self.steps {
-                let mut vals = [T::ZERO; 2];
-                for (v, &src) in vals.iter_mut().zip(&step.srcs) {
-                    *v = read(&slots, src);
-                }
-                let arity = step.srcs.len().min(2);
-                slots[step.slot] = apply_elementwise_t(&step.sem, &vals[..arity])
+                // Topological order: a step reads only earlier slots.
+                let (done, rest) = slots.split_at_mut(step.slot.min(self.steps.len()));
+                let out = rest
+                    .first_mut()
+                    .ok_or_else(|| format!("slot {} out of range", step.slot))?;
+                let first = *step.srcs.first().ok_or("a relay needs an input")?;
+                let x = lanes(done, ins, first, &block)?;
+                let y = step
+                    .srcs
+                    .get(1)
+                    .map(|&s| lanes(done, ins, s, &block))
+                    .transpose()?;
+                apply_lanes(&step.sem, x, y, &mut out[..len])
                     .ok_or_else(|| format!("slot {}: non-relay semantics", step.slot))?;
             }
             for (buf, sink) in sinks.iter_mut().zip(&self.sinks) {
-                buf.push(read(&slots, sink.src));
+                buf.extend_from_slice(lanes(&slots, ins, sink.src, &block)?);
             }
             if let Some(src) = self.output {
-                output.push(read(&slots, src));
+                output.extend_from_slice(lanes(&slots, ins, src, &block)?);
             }
             if let (Some(r), Some(acc)) = (&self.reduce, dot.as_mut()) {
-                acc.push(read(&slots, r.srcs[0]), read(&slots, r.srcs[1]));
+                acc.push_lanes(
+                    lanes(&slots, ins, r.srcs[0], &block)?,
+                    lanes(&slots, ins, r.srcs[1], &block)?,
+                );
             }
+            t0 += len;
         }
         Ok(FusedValues {
             sinks,

@@ -30,7 +30,7 @@ pub use fusion::{
     analyze_fusion, apply_elementwise, apply_elementwise_t, build_evaluator, check_obligations,
     infer_sems, sems_for_component, verify_witnesses, BoundaryChannel, FusedEvaluator, FusedReduce,
     FusedRegion, FusedRun, FusedValues, FusionPlan, FusionRejection, FusionStats, ModuleSem,
-    Obligation, EXEC_WIDTH, FUSION_PLAN_SCHEMA,
+    Obligation, TileSem, EXEC_WIDTH, FUSION_PLAN_SCHEMA,
 };
 pub use mdag::{EdgeId, EdgeInfo, Mdag, NodeId, Validity};
 pub use planner::{

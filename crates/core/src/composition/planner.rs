@@ -643,6 +643,9 @@ pub struct PlannedComponent {
     /// Channel depths above the default that validity required
     /// (operand name → depth).
     pub deep_channels: Vec<(String, u64)>,
+    /// The configuration the component was planned under: the tiling
+    /// its Level-2 modules are laid out for.
+    pub config: PlannerConfig,
 }
 
 /// A structured planning decision worth surfacing to the user — the
@@ -1143,6 +1146,7 @@ fn build_component(
         io_elements: io,
         materialized: Vec::new(),
         deep_channels,
+        config: *cfg,
     })
 }
 

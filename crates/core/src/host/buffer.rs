@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 
 /// A buffer resident in simulated device memory.
 ///
@@ -79,6 +79,13 @@ impl<T: Clone + Send + Sync + 'static> DeviceBuffer<T> {
     /// Panics if out of bounds.
     pub fn get(&self, idx: usize) -> T {
         self.data.read()[idx].clone()
+    }
+
+    /// Read access to the underlying storage until the guard drops.
+    /// Take at most one guard per buffer at a time: a second read on
+    /// the same thread may block behind a queued writer.
+    pub fn read(&self) -> RwLockReadGuard<'_, Vec<T>> {
+        self.data.read()
     }
 
     /// Run a closure with read access to the underlying storage.

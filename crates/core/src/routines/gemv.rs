@@ -26,6 +26,7 @@
 use fblas_arch::{estimate_circuit, CircuitClass, ResourceEstimate};
 use fblas_hlssim::{ChunkReader, ModuleKind, PipelineCost, Receiver, Sender, SimError, Simulation};
 
+use super::replay::{Cycle, TiledReader};
 use super::validate_width;
 use crate::scalar::{tree_sum, Scalar};
 use crate::tiling::{gemv_io_tiles_by_cols, gemv_io_tiles_by_rows, TileOrder, Tiling};
@@ -183,42 +184,87 @@ impl Gemv {
         } else {
             "gemv"
         };
-        sim.add_module(name, ModuleKind::Compute, move || match cfg.variant {
-            GemvVariant::RowStreamed => {
-                cfg.run_row_streamed(alpha, beta, &ch_a, &ch_x, &ch_y_in, &ch_y_out)
-            }
-            GemvVariant::ColStreamed => {
-                cfg.run_col_streamed(alpha, beta, &ch_a, &ch_x, &ch_y_in, &ch_y_out)
-            }
-            GemvVariant::TransRowStreamed => {
-                cfg.run_trans_row_streamed(alpha, beta, &ch_a, &ch_x, &ch_y_in, &ch_y_out)
-            }
-            GemvVariant::TransColStreamed => {
-                cfg.run_trans_col_streamed(alpha, beta, &ch_a, &ch_x, &ch_y_in, &ch_y_out)
-            }
+        sim.add_module(name, ModuleKind::Compute, move || {
+            let mut ports = ChannelPorts {
+                a: ChunkReader::new(&ch_a),
+                x: &ch_x,
+                y_in: &ch_y_in,
+                y_out: &ch_y_out,
+            };
+            cfg.run(alpha, beta, &mut ports)
         });
     }
 
+    /// Tile replay: the module's arithmetic on the calling thread, over
+    /// operand slices instead of channels. `a` is the row-major `n × m`
+    /// matrix, `x` holds [`x_len`](Self::x_len) elements, and `y` holds
+    /// [`y_len`](Self::y_len) elements: the initial `y` on entry, the
+    /// result on return. The kernel is the threaded module's, fed the
+    /// same elements in the same order — the tile order of `A`, every
+    /// `x` replay, and each `y` round, whose partials stay in `y`
+    /// instead of making a trip through DRAM — so the result is
+    /// bit-identical to [`attach`](Self::attach)'s.
+    pub fn replay<T: Scalar>(
+        &self,
+        alpha: T,
+        beta: T,
+        a: &[T],
+        x: &[T],
+        y: &mut [T],
+    ) -> Result<(), SimError> {
+        let sizes = [
+            ("A", a.len(), self.n * self.m),
+            ("x", x.len(), self.x_len()),
+            ("y", y.len(), self.y_len()),
+        ];
+        for (operand, got, want) in sizes {
+            if got != want {
+                return Err(SimError::module(
+                    "tile-replay",
+                    format!("gemv operand `{operand}` holds {got} elements, expected {want}"),
+                ));
+            }
+        }
+        let mut ports = SlicePorts {
+            a: TiledReader::new(a, self.n, self.m, self.a_tiling()),
+            x: Cycle::new(x),
+            y,
+            y_in: 0,
+            y_out: 0,
+        };
+        self.run(alpha, beta, &mut ports)
+    }
+
+    fn run<T: Scalar>(
+        &self,
+        alpha: T,
+        beta: T,
+        ports: &mut impl GemvPorts<T>,
+    ) -> Result<(), SimError> {
+        match self.variant {
+            GemvVariant::RowStreamed => self.run_row_streamed(alpha, beta, ports),
+            GemvVariant::ColStreamed => self.run_col_streamed(alpha, beta, ports),
+            GemvVariant::TransRowStreamed => self.run_trans_row_streamed(alpha, beta, ports),
+            GemvVariant::TransColStreamed => self.run_trans_col_streamed(alpha, beta, ports),
+        }
+    }
+
     /// Dot of one within-tile matrix row segment against an `x` block,
-    /// W-chunked with the hardware's tree-reduction order. The matrix
-    /// stream arrives through a chunked reader — the arithmetic order is
-    /// identical to popping element-wise.
+    /// W-chunked with the hardware's tree-reduction order. `products`
+    /// is scratch space for one chunk's lanes.
     fn row_dot<T: Scalar>(
         &self,
-        a_rd: &mut ChunkReader<'_, T>,
+        ports: &mut impl GemvPorts<T>,
         xblock: &[T],
+        products: &mut Vec<T>,
     ) -> Result<T, SimError> {
         let mut acc = T::ZERO;
-        let mut products = Vec::with_capacity(self.w);
-        let mut j = 0;
-        while j < xblock.len() {
-            let take = (xblock.len() - j).min(self.w);
+        for xs in xblock.chunks(self.w) {
             products.clear();
-            for x in &xblock[j..j + take] {
-                products.push(a_rd.next()? * *x);
+            for x in xs {
+                products.push(ports.a()? * *x);
             }
-            acc += tree_sum(&products);
-            j += take;
+            acc += tree_sum(products);
         }
         Ok(acc)
     }
@@ -227,30 +273,28 @@ impl Gemv {
         &self,
         alpha: T,
         beta: T,
-        ch_a: &Receiver<T>,
-        ch_x: &Receiver<T>,
-        ch_y_in: &Receiver<T>,
-        ch_y_out: &Sender<T>,
+        ports: &mut impl GemvPorts<T>,
     ) -> Result<(), SimError> {
-        let mut a_rd = ChunkReader::new(ch_a);
-        let mut ybuf: Vec<T> = Vec::with_capacity(self.tn);
+        let mut products = Vec::with_capacity(self.w);
         for bi in 0..self.tile_rows() {
             let rows = tile_extent(bi, self.tn, self.n);
-            let y0 = ch_y_in.pop_n(rows)?;
+            let y0 = ports.y_in(rows)?;
             let mut acc = vec![T::ZERO; rows];
             for bj in 0..self.tile_cols() {
                 let cols = tile_extent(bj, self.tm, self.m);
-                let xblock = ch_x.pop_n(cols)?;
-                for a in acc.iter_mut().take(rows) {
-                    *a += self.row_dot(&mut a_rd, &xblock)?;
+                let xblock = ports.x(cols)?;
+                for a in acc.iter_mut() {
+                    *a += self.row_dot(ports, &xblock, &mut products)?;
                 }
             }
             // The whole y block is pushed before the next blocking read
             // (chunked relay; see fblas_hlssim::chunk docs).
-            for i in 0..rows {
-                ybuf.push(alpha.mul_add(acc[i], beta * y0[i]));
-            }
-            ch_y_out.push_chunk(&mut ybuf)?;
+            let y: Vec<T> = acc
+                .iter()
+                .zip(&y0)
+                .map(|(acc, y0)| alpha.mul_add(*acc, beta * *y0))
+                .collect();
+            ports.y_out(&y)?;
         }
         Ok(())
     }
@@ -259,28 +303,25 @@ impl Gemv {
         &self,
         alpha: T,
         beta: T,
-        ch_a: &Receiver<T>,
-        ch_x: &Receiver<T>,
-        ch_y_in: &Receiver<T>,
-        ch_y_out: &Sender<T>,
+        ports: &mut impl GemvPorts<T>,
     ) -> Result<(), SimError> {
-        let mut a_rd = ChunkReader::new(ch_a);
+        let mut products = Vec::with_capacity(self.w);
         for bj in 0..self.tile_cols() {
             let cols = tile_extent(bj, self.tm, self.m);
-            let xblock = ch_x.pop_n(cols)?;
+            let xblock = ports.x(cols)?;
             for bi in 0..self.tile_rows() {
                 let rows = tile_extent(bi, self.tn, self.n);
-                let mut yp = ch_y_in.pop_n(rows)?;
+                let mut yp = ports.y_in(rows)?;
                 if bj == 0 {
                     for v in yp.iter_mut() {
                         *v *= beta;
                     }
                 }
-                for ypi in yp.iter_mut().take(rows) {
-                    let acc = self.row_dot(&mut a_rd, &xblock)?;
+                for ypi in yp.iter_mut() {
+                    let acc = self.row_dot(ports, &xblock, &mut products)?;
                     *ypi = alpha.mul_add(acc, *ypi);
                 }
-                ch_y_out.push_slice(&yp)?;
+                ports.y_out(&yp)?;
             }
         }
         Ok(())
@@ -290,18 +331,14 @@ impl Gemv {
         &self,
         alpha: T,
         beta: T,
-        ch_a: &Receiver<T>,
-        ch_x: &Receiver<T>,
-        ch_y_in: &Receiver<T>,
-        ch_y_out: &Sender<T>,
+        ports: &mut impl GemvPorts<T>,
     ) -> Result<(), SimError> {
-        let mut a_rd = ChunkReader::new(ch_a);
         for bi in 0..self.tile_rows() {
             let rows = tile_extent(bi, self.tn, self.n);
-            let xblock = ch_x.pop_n(rows)?;
+            let xblock = ports.x(rows)?;
             for bj in 0..self.tile_cols() {
                 let cols = tile_extent(bj, self.tm, self.m);
-                let mut yp = ch_y_in.pop_n(cols)?;
+                let mut yp = ports.y_in(cols)?;
                 if bi == 0 {
                     for v in yp.iter_mut() {
                         *v *= beta;
@@ -309,16 +346,16 @@ impl Gemv {
                 }
                 // Tile-local accumulation: tacc[j] = Σ_i a_ij·x_i.
                 let mut tacc = vec![T::ZERO; cols];
-                for xi in xblock.iter().take(rows) {
-                    for t in tacc.iter_mut().take(cols) {
-                        let a = a_rd.next()?;
+                for xi in &xblock {
+                    for t in tacc.iter_mut() {
+                        let a = ports.a()?;
                         *t = a.mul_add(*xi, *t);
                     }
                 }
-                for j in 0..cols {
-                    yp[j] = alpha.mul_add(tacc[j], yp[j]);
+                for (y, t) in yp.iter_mut().zip(&tacc) {
+                    *y = alpha.mul_add(*t, *y);
                 }
-                ch_y_out.push_slice(&yp)?;
+                ports.y_out(&yp)?;
             }
         }
         Ok(())
@@ -328,31 +365,28 @@ impl Gemv {
         &self,
         alpha: T,
         beta: T,
-        ch_a: &Receiver<T>,
-        ch_x: &Receiver<T>,
-        ch_y_in: &Receiver<T>,
-        ch_y_out: &Sender<T>,
+        ports: &mut impl GemvPorts<T>,
     ) -> Result<(), SimError> {
-        let mut a_rd = ChunkReader::new(ch_a);
-        let mut ybuf: Vec<T> = Vec::with_capacity(self.tm);
         for bj in 0..self.tile_cols() {
             let cols = tile_extent(bj, self.tm, self.m);
             let mut acc = vec![T::ZERO; cols];
             for bi in 0..self.tile_rows() {
                 let rows = tile_extent(bi, self.tn, self.n);
-                let xblock = ch_x.pop_n(rows)?;
-                for xi in xblock.iter().take(rows) {
-                    for a_j in acc.iter_mut().take(cols) {
-                        let a = a_rd.next()?;
+                let xblock = ports.x(rows)?;
+                for xi in &xblock {
+                    for a_j in acc.iter_mut() {
+                        let a = ports.a()?;
                         *a_j = a.mul_add(*xi, *a_j);
                     }
                 }
             }
-            let y0 = ch_y_in.pop_n(cols)?;
-            for j in 0..cols {
-                ybuf.push(alpha.mul_add(acc[j], beta * y0[j]));
-            }
-            ch_y_out.push_chunk(&mut ybuf)?;
+            let y0 = ports.y_in(cols)?;
+            let y: Vec<T> = acc
+                .iter()
+                .zip(&y0)
+                .map(|(acc, y0)| alpha.mul_add(*acc, beta * *y0))
+                .collect();
+            ports.y_out(&y)?;
         }
         Ok(())
     }
@@ -378,6 +412,79 @@ impl Gemv {
 fn tile_extent(b: usize, t: usize, total: usize) -> usize {
     let start = b * t;
     t.min(total - start)
+}
+
+/// The streams a GEMV kernel consumes and produces. The threaded module
+/// binds them to its channels ([`ChannelPorts`]), tile replay to operand
+/// slices ([`SlicePorts`]); both hand the kernel the same elements in
+/// the same order, so the arithmetic — and every result bit — is the
+/// kernel's alone.
+trait GemvPorts<T> {
+    /// Next element of `A`, in the variant's tile order.
+    fn a(&mut self) -> Result<T, SimError>;
+    /// Next `len` elements of the (replayed) `x` stream.
+    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError>;
+    /// Next `len` elements of incoming `y`: the initial values on the
+    /// first round, the previous round's partials after that.
+    fn y_in(&mut self, len: usize) -> Result<Vec<T>, SimError>;
+    /// One finished `y` block.
+    fn y_out(&mut self, block: &[T]) -> Result<(), SimError>;
+}
+
+/// The threaded module's ports: the matrix through a chunked reader,
+/// vector blocks popped and pushed whole.
+struct ChannelPorts<'a, T: Send + 'static> {
+    a: ChunkReader<'a, T>,
+    x: &'a Receiver<T>,
+    y_in: &'a Receiver<T>,
+    y_out: &'a Sender<T>,
+}
+
+impl<T: Scalar> GemvPorts<T> for ChannelPorts<'_, T> {
+    #[inline]
+    fn a(&mut self) -> Result<T, SimError> {
+        self.a.next()
+    }
+    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError> {
+        self.x.pop_n(len)
+    }
+    fn y_in(&mut self, len: usize) -> Result<Vec<T>, SimError> {
+        self.y_in.pop_n(len)
+    }
+    fn y_out(&mut self, block: &[T]) -> Result<(), SimError> {
+        self.y_out.push_slice(block)
+    }
+}
+
+/// Tile replay's ports: `y` is updated in place, its read and write
+/// cursors wrapping once per round — the DRAM round trip of the
+/// threaded `y` replay without the trip.
+struct SlicePorts<'a, T> {
+    a: TiledReader<'a, T>,
+    x: Cycle<'a, T>,
+    y: &'a mut [T],
+    y_in: usize,
+    y_out: usize,
+}
+
+impl<T: Scalar> GemvPorts<T> for SlicePorts<'_, T> {
+    #[inline]
+    fn a(&mut self) -> Result<T, SimError> {
+        self.a.next()
+    }
+    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError> {
+        self.x.block(len)
+    }
+    fn y_in(&mut self, len: usize) -> Result<Vec<T>, SimError> {
+        let block = self.y[self.y_in..self.y_in + len].to_vec();
+        self.y_in = (self.y_in + len) % self.y.len();
+        Ok(block)
+    }
+    fn y_out(&mut self, block: &[T]) -> Result<(), SimError> {
+        self.y[self.y_out..self.y_out + block.len()].copy_from_slice(block);
+        self.y_out = (self.y_out + block.len()) % self.y.len();
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -421,12 +528,12 @@ mod tests {
     }
 
     /// Run a full reader→gemv→writer pipeline and return y.
-    fn run_gemv(cfg: Gemv, alpha: f64, beta: f64, a: &[f64], x: &[f64], y: &[f64]) -> Vec<f64> {
+    fn run_gemv<T: Scalar>(cfg: Gemv, alpha: T, beta: T, a: &[T], x: &[T], y: &[T]) -> Vec<T> {
         let mut sim = Simulation::new();
         let a_buf = DeviceBuffer::from_vec("a", a.to_vec(), 0);
         let x_buf = DeviceBuffer::from_vec("x", x.to_vec(), 0);
         let y_buf = DeviceBuffer::from_vec("y", y.to_vec(), 0);
-        let out_buf = DeviceBuffer::<f64>::zeroed("y_out", cfg.y_len(), 0);
+        let out_buf = DeviceBuffer::from_vec("y_out", vec![T::ZERO; cfg.y_len()], 0);
 
         let (ta, ra) = channel(sim.ctx(), 64, "a");
         let (txv, rxv) = channel(sim.ctx(), 64, "x");
@@ -498,6 +605,64 @@ mod tests {
     fn trans_col_streamed() {
         check_variant(GemvVariant::TransColStreamed, 8, 12, 4, 6, 4);
         check_variant(GemvVariant::TransColStreamed, 5, 9, 2, 4, 2);
+    }
+
+    /// Replay and the threaded module must agree bit for bit.
+    fn check_replay<T: Scalar>(variant: GemvVariant, n: usize, m: usize, tn: usize, tm: usize) {
+        let cfg = Gemv::new(variant, n, m, tn, tm, 16);
+        let cast = |v: Vec<f64>| v.into_iter().map(T::from_f64).collect::<Vec<T>>();
+        let a = cast(seq(n * m, 1.0));
+        let x = cast(seq(cfg.x_len(), 2.0));
+        let y = cast(seq(cfg.y_len(), 3.0));
+        let (alpha, beta) = (T::from_f64(1.3), T::from_f64(-0.7));
+        let threaded = run_gemv(cfg, alpha, beta, &a, &x, &y);
+        let mut replayed = y.clone();
+        cfg.replay(alpha, beta, &a, &x, &mut replayed).unwrap();
+        let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&threaded),
+            bits(&replayed),
+            "{variant:?} n={n} m={m} tn={tn} tm={tm} ({} y rounds)",
+            cfg.y_rounds()
+        );
+    }
+
+    #[test]
+    fn replay_is_bit_identical_to_the_threaded_module() {
+        // Exact and ragged tiles, one tile and many; for ColStreamed
+        // and TransRowStreamed the multi-tile shapes run several y
+        // rounds.
+        let shapes = [
+            (37, 53, 64, 64),
+            (32, 48, 16, 16),
+            (37, 53, 8, 20),
+            (5, 40, 2, 17),
+        ];
+        for variant in [
+            GemvVariant::RowStreamed,
+            GemvVariant::ColStreamed,
+            GemvVariant::TransRowStreamed,
+            GemvVariant::TransColStreamed,
+        ] {
+            for (n, m, tn, tm) in shapes {
+                check_replay::<f32>(variant, n, m, tn, tm);
+                check_replay::<f64>(variant, n, m, tn, tm);
+            }
+        }
+        let multi = Gemv::new(GemvVariant::ColStreamed, 37, 53, 8, 20, 16);
+        assert!(multi.y_rounds() > 1);
+        let multi = Gemv::new(GemvVariant::TransRowStreamed, 37, 53, 8, 20, 16);
+        assert!(multi.y_rounds() > 1);
+    }
+
+    #[test]
+    fn replay_rejects_missized_operands() {
+        let cfg = Gemv::new(GemvVariant::RowStreamed, 4, 6, 2, 3, 16);
+        let mut y = vec![0.0f64; 4];
+        let err = cfg
+            .replay(1.0, 0.0, &[0.0; 23], &[0.0; 6], &mut y)
+            .unwrap_err();
+        assert!(err.to_string().contains("`A`"), "{err}");
     }
 
     #[test]

@@ -8,9 +8,10 @@
 
 use fblas_arch::{estimate_circuit, CircuitClass, ResourceEstimate};
 use fblas_hlssim::{
-    ChunkReader, ChunkWriter, ModuleKind, PipelineCost, Receiver, Sender, Simulation,
+    ChunkReader, ChunkWriter, ModuleKind, PipelineCost, Receiver, Sender, SimError, Simulation,
 };
 
+use super::replay::{Cycle, TiledReader, TiledWriter};
 use super::{validate_width, Uplo};
 use crate::scalar::Scalar;
 use crate::tiling::{TileOrder, Tiling};
@@ -19,6 +20,76 @@ use crate::tiling::{TileOrder, Tiling};
 fn tile_extent(b: usize, t: usize, total: usize) -> usize {
     let start = b * t;
     t.min(total - start)
+}
+
+/// The streams a GER kernel consumes and produces: bound to channels
+/// by the threaded module ([`ChannelPorts`]), to operand slices by tile
+/// replay ([`SlicePorts`]), with the same elements in the same order.
+trait GerPorts<T> {
+    /// Next element of `A`, in tile order.
+    fn a(&mut self) -> Result<T, SimError>;
+    /// Next `len` elements of `x`.
+    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError>;
+    /// Next `len` elements of the replayed `y`.
+    fn y(&mut self, len: usize) -> Result<Vec<T>, SimError>;
+    /// Next element of the updated matrix, in tile order.
+    fn out(&mut self, v: T) -> Result<(), SimError>;
+    /// A tile is complete.
+    fn end_tile(&mut self) -> Result<(), SimError>;
+}
+
+struct ChannelPorts<'a, T: Send + 'static> {
+    a: ChunkReader<'a, T>,
+    x: &'a Receiver<T>,
+    y: &'a Receiver<T>,
+    out: ChunkWriter<'a, T>,
+}
+
+impl<T: Scalar> GerPorts<T> for ChannelPorts<'_, T> {
+    #[inline]
+    fn a(&mut self) -> Result<T, SimError> {
+        self.a.next()
+    }
+    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError> {
+        self.x.pop_n(len)
+    }
+    fn y(&mut self, len: usize) -> Result<Vec<T>, SimError> {
+        self.y.pop_n(len)
+    }
+    #[inline]
+    fn out(&mut self, v: T) -> Result<(), SimError> {
+        self.out.push(v)
+    }
+    fn end_tile(&mut self) -> Result<(), SimError> {
+        self.out.flush()
+    }
+}
+
+struct SlicePorts<'a, T> {
+    a: TiledReader<'a, T>,
+    x: Cycle<'a, T>,
+    y: Cycle<'a, T>,
+    out: TiledWriter<'a, T>,
+}
+
+impl<T: Scalar> GerPorts<T> for SlicePorts<'_, T> {
+    #[inline]
+    fn a(&mut self) -> Result<T, SimError> {
+        self.a.next()
+    }
+    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError> {
+        self.x.block(len)
+    }
+    fn y(&mut self, len: usize) -> Result<Vec<T>, SimError> {
+        self.y.block(len)
+    }
+    #[inline]
+    fn out(&mut self, v: T) -> Result<(), SimError> {
+        self.out.push(v)
+    }
+    fn end_tile(&mut self) -> Result<(), SimError> {
+        Ok(())
+    }
 }
 
 /// GER: `A ← α·x·yᵀ + A` over an `n × m` matrix streamed in tiles by
@@ -72,26 +143,72 @@ impl Ger {
             // The matrix stream is relayed in chunks; the writer is
             // flushed at every tile boundary so no output is buffered
             // across the blocking vector-block reads.
-            let mut a_rd = ChunkReader::new(&ch_a);
-            let mut out_wr = ChunkWriter::new(&ch_out);
-            for bi in 0..cfg.n.div_ceil(cfg.tn) {
-                let rows = tile_extent(bi, cfg.tn, cfg.n);
-                let xblock = ch_x.pop_n(rows)?;
-                for bj in 0..cfg.m.div_ceil(cfg.tm) {
-                    let cols = tile_extent(bj, cfg.tm, cfg.m);
-                    let yblock = ch_y.pop_n(cols)?;
-                    for xi in xblock.iter().take(rows) {
-                        let ax = alpha * *xi;
-                        for yj in yblock.iter().take(cols) {
-                            let a = a_rd.next()?;
-                            out_wr.push(ax.mul_add(*yj, a))?;
-                        }
-                    }
-                    out_wr.flush()?;
-                }
-            }
-            Ok(())
+            let mut ports = ChannelPorts {
+                a: ChunkReader::new(&ch_a),
+                x: &ch_x,
+                y: &ch_y,
+                out: ChunkWriter::new(&ch_out),
+            };
+            cfg.run(alpha, &mut ports)
         });
+    }
+
+    /// Tile replay: the module's arithmetic on the calling thread, over
+    /// row-major operand slices instead of channels — `a` and `out` are
+    /// `n × m`, `x` holds `n` elements and `y` holds `m`. The kernel is
+    /// the threaded module's, visiting `A` in tile order with `y`
+    /// replayed per row of tiles, so `out` is bit-identical to what
+    /// [`attach`](Self::attach)'s module streams to its writer.
+    pub fn replay<T: Scalar>(
+        &self,
+        alpha: T,
+        a: &[T],
+        x: &[T],
+        y: &[T],
+        out: &mut [T],
+    ) -> Result<(), SimError> {
+        let sizes = [
+            ("A", a.len(), self.n * self.m),
+            ("x", x.len(), self.n),
+            ("y", y.len(), self.m),
+            ("out", out.len(), self.n * self.m),
+        ];
+        for (operand, got, want) in sizes {
+            if got != want {
+                return Err(SimError::module(
+                    "tile-replay",
+                    format!("ger operand `{operand}` holds {got} elements, expected {want}"),
+                ));
+            }
+        }
+        let tiling = self.a_tiling();
+        let mut ports = SlicePorts {
+            a: TiledReader::new(a, self.n, self.m, tiling),
+            x: Cycle::new(x),
+            y: Cycle::new(y),
+            out: TiledWriter::new(out, self.n, self.m, tiling),
+        };
+        self.run(alpha, &mut ports)
+    }
+
+    fn run<T: Scalar>(&self, alpha: T, ports: &mut impl GerPorts<T>) -> Result<(), SimError> {
+        for bi in 0..self.n.div_ceil(self.tn) {
+            let rows = tile_extent(bi, self.tn, self.n);
+            let xblock = ports.x(rows)?;
+            for bj in 0..self.m.div_ceil(self.tm) {
+                let cols = tile_extent(bj, self.tm, self.m);
+                let yblock = ports.y(cols)?;
+                for xi in &xblock {
+                    let ax = alpha * *xi;
+                    for yj in &yblock {
+                        let a = ports.a()?;
+                        ports.out(ax.mul_add(*yj, a))?;
+                    }
+                }
+                ports.end_tile()?;
+            }
+        }
+        Ok(())
     }
 
     /// Circuit resource estimate: `W` MAC lanes plus vector tile buffers.
@@ -332,12 +449,12 @@ mod tests {
         (0..n).map(|i| ((i as f64 + seed) * 0.531).sin()).collect()
     }
 
-    fn run_ger(cfg: Ger, alpha: f64, a: &[f64], x: &[f64], y: &[f64]) -> Vec<f64> {
+    fn run_ger<T: Scalar>(cfg: Ger, alpha: T, a: &[T], x: &[T], y: &[T]) -> Vec<T> {
         let mut sim = Simulation::new();
         let a_buf = DeviceBuffer::from_vec("a", a.to_vec(), 0);
         let x_buf = DeviceBuffer::from_vec("x", x.to_vec(), 0);
         let y_buf = DeviceBuffer::from_vec("y", y.to_vec(), 0);
-        let out = DeviceBuffer::<f64>::zeroed("a_out", cfg.n * cfg.m, 0);
+        let out = DeviceBuffer::from_vec("a_out", vec![T::ZERO; cfg.n * cfg.m], 0);
         let (ta, ra) = channel(sim.ctx(), 64, "a");
         let (tx, rx) = channel(sim.ctx(), 64, "x");
         let (ty, ry) = channel(sim.ctx(), 64, "y");
@@ -368,6 +485,30 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    fn check_replay<T: Scalar>(n: usize, m: usize, tn: usize, tm: usize) {
+        let cfg = Ger::new(n, m, tn, tm, 16);
+        let cast = |v: Vec<f64>| v.into_iter().map(T::from_f64).collect::<Vec<T>>();
+        let (a, x, y) = (cast(seq(n * m, 0.0)), cast(seq(n, 1.0)), cast(seq(m, 2.0)));
+        let alpha = T::from_f64(-1.7);
+        let threaded = run_ger(cfg, alpha, &a, &x, &y);
+        let mut replayed = vec![T::ZERO; n * m];
+        cfg.replay(alpha, &a, &x, &y, &mut replayed).unwrap();
+        let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&threaded),
+            bits(&replayed),
+            "n={n} m={m} tn={tn} tm={tm}"
+        );
+    }
+
+    #[test]
+    fn replay_is_bit_identical_to_the_threaded_module() {
+        for (n, m, tn, tm) in [(37, 53, 64, 64), (32, 48, 16, 16), (37, 53, 8, 20)] {
+            check_replay::<f32>(n, m, tn, tm);
+            check_replay::<f64>(n, m, tn, tm);
         }
     }
 

@@ -136,6 +136,22 @@ impl<T: Scalar> DotAccumulator<T> {
         }
     }
 
+    /// Feed a run of lane pairs, in order. A run that fills a whole
+    /// block from its start goes through the adder tree in one step;
+    /// the blocks and their sums are exactly those of pushing the pairs
+    /// one by one.
+    pub fn push_lanes(&mut self, xs: &[T], ys: &[T]) {
+        if self.products.is_empty() && xs.len() == self.w && ys.len() == self.w {
+            self.products
+                .extend(xs.iter().zip(ys).map(|(x, y)| *x * *y));
+            self.block();
+        } else {
+            for (x, y) in xs.iter().zip(ys) {
+                self.push(*x, *y);
+            }
+        }
+    }
+
     /// One outer iteration: the adder tree over the block's products,
     /// then the running accumulation.
     fn block(&mut self) {

@@ -23,6 +23,7 @@ pub mod level1_map;
 pub mod level1_reduce;
 pub mod level1_scalar;
 pub mod level3;
+mod replay;
 pub mod trsv;
 
 pub use gemm::{Gemm, SystolicShape};

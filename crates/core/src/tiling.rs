@@ -133,6 +133,35 @@ impl Tiling {
         }
         out
     }
+
+    /// The stream of an `n × m` row-major matrix as contiguous row
+    /// segments: one `r·m + c0 .. r·m + c1` range per row of each tile,
+    /// in streaming order. Concatenated, the ranges visit exactly
+    /// [`stream_indices`](Self::stream_indices).
+    ///
+    /// # Panics
+    /// Panics if elements within a tile are streamed column-major.
+    pub(crate) fn row_segments(&self, n: usize, m: usize) -> Vec<std::ops::Range<usize>> {
+        assert!(
+            self.order.elements_row_major(),
+            "row segments need elements row-major within a tile"
+        );
+        let (trows, tcols) = (self.tile_rows(n), self.tile_cols(m));
+        let tile = |bi: usize, bj: usize| {
+            let (r0, c0) = (bi * self.tn, bj * self.tm);
+            let c1 = (c0 + self.tm).min(m);
+            (r0..(r0 + self.tn).min(n)).map(move |r| r * m + c0..r * m + c1)
+        };
+        if self.order.tiles_by_rows() {
+            (0..trows)
+                .flat_map(|bi| (0..tcols).flat_map(move |bj| tile(bi, bj)))
+                .collect()
+        } else {
+            (0..tcols)
+                .flat_map(|bj| (0..trows).flat_map(move |bi| tile(bi, bj)))
+                .collect()
+        }
+    }
 }
 
 /// I/O operations of GEMV with `A` received in tiles by rows
@@ -167,6 +196,23 @@ mod tests {
             assert_eq!(idx.len(), 35, "{order:?}");
             let set: HashSet<_> = idx.iter().copied().collect();
             assert_eq!(set.len(), 35, "{order:?}: duplicates");
+        }
+    }
+
+    #[test]
+    fn row_segments_concatenate_to_the_stream_order() {
+        for order in [TileOrder::RowTilesRowMajor, TileOrder::ColTilesRowMajor] {
+            for (tn, tm) in [(3, 2), (7, 5), (2, 9)] {
+                let t = Tiling::new(tn, tm, order);
+                let (n, m) = (7, 5);
+                let flat: Vec<usize> = t.row_segments(n, m).into_iter().flatten().collect();
+                let want: Vec<usize> = t
+                    .stream_indices(n, m)
+                    .into_iter()
+                    .map(|(r, c)| r * m + c)
+                    .collect();
+                assert_eq!(flat, want, "{order:?} {tn}x{tm}");
+            }
         }
     }
 

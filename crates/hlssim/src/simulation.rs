@@ -1149,7 +1149,10 @@ mod tests {
     type SimResult = Result<(), SimError>;
 
     /// One producer pushing `pushed` elements into a depth-2 FIFO, one
-    /// consumer popping a single element and exiting.
+    /// consumer popping a single element and exiting. The consumer
+    /// holds its endpoint until the producer signals, on a side channel
+    /// outside the simulation, that its last push returned: a sink that
+    /// exited first would turn that push into a disconnect.
     fn one_pop_run(hook: Option<Arc<dyn FaultHook>>, pushed: u32) -> (SimContext, SimResult) {
         let mut sim = Simulation::new();
         let ctx = sim.ctx().clone();
@@ -1157,10 +1160,18 @@ mod tests {
             ctx.arm_faults(hook);
         }
         let (tx, rx) = channel::<u32>(sim.ctx(), 2, "ch_left");
+        let (pushed_all, all_pushed) = std::sync::mpsc::channel::<()>();
         sim.add_module("src", ModuleKind::Interface, move || {
-            (0..pushed).try_for_each(|v| tx.push(v))
+            let result = (0..pushed).try_for_each(|v| tx.push(v));
+            // A dropped sender also wakes the sink, so ignore the send.
+            let _ = pushed_all.send(());
+            result
         });
-        sim.add_module("sink", ModuleKind::Compute, move || rx.pop().map(drop));
+        sim.add_module("sink", ModuleKind::Compute, move || {
+            let popped = rx.pop().map(drop);
+            let _ = all_pushed.recv();
+            popped
+        });
         let result = sim.run().map(drop);
         (ctx, result)
     }

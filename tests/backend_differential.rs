@@ -20,7 +20,9 @@
 //! 220 seeded random programs (relay chains, reductions, GEMVs over
 //! shared operands) run in four blocks, with a non-vacuity floor on how
 //! many actually fused — a differential that never fuses proves
-//! nothing.
+//! nothing. Two more blocks run seeded Level-2 compositions (BICG-,
+//! ATAX- and GEMVER-shaped, over ragged multi-tile matrices) with a
+//! floor on components replayed tile by tile.
 
 // Test code may unwrap; the clippy.toml discipline targets library code.
 #![allow(clippy::disallowed_methods)]
@@ -30,8 +32,8 @@ use std::sync::Arc;
 
 use fblas_chaos::{FaultAction, FaultPlan, FaultSite};
 use fblas_core::composition::{
-    execute_plan, fusion_plan_for_component, plan, Backend, ExecMode, ExecOptions, Op, Plan,
-    PlannerConfig, Program, RetryPolicy,
+    execute_plan, fusion_plan_for_component, plan, Backend, ExecMode, ExecOptions, ModuleSem, Op,
+    Plan, PlannerConfig, Program, RetryPolicy, TileSem,
 };
 use fblas_core::host::DeviceBuffer;
 
@@ -189,6 +191,8 @@ struct Observed {
     buffer_bits: Vec<(String, Vec<u32>)>,
     scalar_bits: Vec<(String, u32)>,
     predicted_cycles: Vec<u64>,
+    /// Module rows of each component's audit (measured lanes included).
+    audit_modules: Vec<Vec<String>>,
 }
 
 fn run_backend(
@@ -223,6 +227,11 @@ fn run_backend(
         buffer_bits,
         scalar_bits,
         predicted_cycles: out.audits.iter().map(|a| a.predicted_cycles).collect(),
+        audit_modules: out
+            .audits
+            .iter()
+            .map(|a| a.modules.iter().map(|m| m.module.clone()).collect())
+            .collect(),
     }
 }
 
@@ -435,4 +444,230 @@ fn hook_free_recovery_is_bit_identical_across_backends() {
     let (rep_f, out_f) = recovery_run(Backend::Fused, false);
     assert_eq!(rep_t, rep_f, "recovery reports diverged across backends");
     assert_eq!(out_t, out_f, "committed outputs diverged across backends");
+}
+
+// ------------------------------------------------------------------
+// Level-2 compositions: tile replay.
+// ------------------------------------------------------------------
+
+/// A seeded Level-2 composition in one of the paper's three shapes, on
+/// tiles small enough that most matrices stream as ragged multi-tile
+/// grids — so the transposed GEMVs run several `y` rounds:
+///
+/// * BICG: `q = A·p (+ β·q0)`, `s = Aᵀ·r (+ β·s0)` over one shared `A`;
+/// * ATAX: `t = A·x`, `y = Aᵀ·t` — split by the planner into two
+///   one-GEMV components, or kept whole behind a deep channel;
+/// * GEMVER: `B1 = A + u1·v1ᵀ`, `B = B1 + u2·v2ᵀ`, `xo = β·Bᵀ·yv + z`,
+///   `w = α·B·xo` — a GER→GER→GEMVᵀ component and a lone GEMV.
+fn level2_program(seed: u64) -> (Program, Shapes, PlannerConfig) {
+    let mut rng = Rng::new(seed ^ 0x1e7e1);
+    let (n, m) = (rng.range(9, 40) as usize, rng.range(9, 40) as usize);
+    let cfg = PlannerConfig {
+        tn: rng.range(4, 24) as usize,
+        tm: rng.range(4, 24) as usize,
+        allow_deep_channels: rng.chance(50),
+        ..PlannerConfig::default()
+    };
+    let mut p = Program::new();
+    let mut buffers: Vec<(String, usize)> = Vec::new();
+    let mut declare = |p: &mut Program, name: &str, rows: usize, cols: Option<usize>| {
+        match cols {
+            Some(c) => p.matrix(name, rows, c),
+            None => p.vector(name, rows),
+        };
+        buffers.push((name.to_string(), rows * cols.unwrap_or(1)));
+    };
+    let coef = |rng: &mut Rng| (rng.range(1, 9) as f64) / 4.0;
+    let gemv =
+        |rng: &mut Rng, a: &str, transposed: bool, x: &str, y: Option<&str>, out: &str| Op::Gemv {
+            alpha: coef(rng),
+            beta: coef(rng),
+            a: a.into(),
+            transposed,
+            x: x.into(),
+            y: y.map(Into::into),
+            out: out.into(),
+        };
+    match seed % 3 {
+        0 => {
+            declare(&mut p, "A", n, Some(m));
+            for (name, len) in [("p", m), ("r", n), ("q", n), ("s", m), ("q0", n), ("s0", m)] {
+                declare(&mut p, name, len, None);
+            }
+            let q0 = rng.chance(50).then_some("q0");
+            let s0 = rng.chance(50).then_some("s0");
+            let op = gemv(&mut rng, "A", false, "p", q0, "q");
+            p.op(op);
+            let op = gemv(&mut rng, "A", true, "r", s0, "s");
+            p.op(op);
+        }
+        1 => {
+            declare(&mut p, "A", n, Some(m));
+            for (name, len) in [("x", m), ("t", n), ("y", m)] {
+                declare(&mut p, name, len, None);
+            }
+            let op = gemv(&mut rng, "A", false, "x", None, "t");
+            p.op(op);
+            let op = gemv(&mut rng, "A", true, "t", None, "y");
+            p.op(op);
+        }
+        _ => {
+            for name in ["A", "B1", "B"] {
+                declare(&mut p, name, n, Some(m));
+            }
+            for (name, len) in [
+                ("u1", n),
+                ("v1", m),
+                ("u2", n),
+                ("v2", m),
+                ("yv", n),
+                ("z", m),
+                ("xo", m),
+                ("w", n),
+            ] {
+                declare(&mut p, name, len, None);
+            }
+            for (a, u, v, out) in [("A", "u1", "v1", "B1"), ("B1", "u2", "v2", "B")] {
+                p.op(Op::Ger {
+                    alpha: coef(&mut rng),
+                    a: a.into(),
+                    x: u.into(),
+                    y: v.into(),
+                    out: out.into(),
+                });
+            }
+            let op = gemv(&mut rng, "B", true, "yv", Some("z"), "xo");
+            p.op(op);
+            let op = gemv(&mut rng, "B", false, "xo", None, "w");
+            p.op(op);
+        }
+    }
+    (p, Shapes { buffers }, cfg)
+}
+
+/// Run one Level-2 seed block: bit-identity across backends in audit
+/// mode, identical predicted cycles, plain vs hook-free recovery on the
+/// fused backend, and per component the backend's lane shape — a
+/// replayed component shows one `fused:` lane, a one-tile component
+/// keeps its `singleton` witness and its threaded interface lanes.
+fn run_level2_block(seeds: std::ops::Range<u64>, floor_replays: u64, floor_singletons: u64) {
+    let audit = |backend| ExecOptions {
+        backend,
+        tracer: None,
+        mode: ExecMode::Audit {
+            freq_hz: 200.0e6,
+            tolerance: 0.25,
+        },
+    };
+    let fused_with = |mode| ExecOptions {
+        backend: Backend::Fused,
+        tracer: None,
+        mode,
+    };
+    let plain = fused_with(ExecMode::Plain);
+    let recover = fused_with(ExecMode::Recover {
+        policy: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        hook: None,
+    });
+    let (mut replays, mut multi_round, mut singletons) = (0u64, 0u64, 0u64);
+    for seed in seeds {
+        let (program, shapes, cfg) = level2_program(seed);
+        let planned = plan(&program, &cfg).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        let threaded = run_backend(
+            &program,
+            &planned,
+            &cfg,
+            &shapes,
+            seed,
+            &audit(Backend::Threaded),
+        );
+        let fused = run_backend(
+            &program,
+            &planned,
+            &cfg,
+            &shapes,
+            seed,
+            &audit(Backend::Fused),
+        );
+        assert_eq!(
+            threaded.buffer_bits, fused.buffer_bits,
+            "seed {seed}: operands not bit-identical"
+        );
+        assert_eq!(
+            threaded.predicted_cycles, fused.predicted_cycles,
+            "seed {seed}: analytic model diverged across backends"
+        );
+        for (ci, c) in planned.components.iter().enumerate() {
+            let (sems, fp) = fusion_plan_for_component(&program, c, false);
+            let lanes = &fused.audit_modules[ci];
+            let fused_lane = lanes.iter().any(|m| m.starts_with("fused:"));
+            let replayed = fp
+                .regions
+                .iter()
+                .any(|r| r.obligations.iter().any(|o| o.kind == "tile-replay"));
+            if replayed {
+                replays += 1;
+                multi_round += sems
+                    .iter()
+                    .any(|s| matches!(s, ModuleSem::Tile(TileSem::Gemv(g)) if g.y_rounds() > 1))
+                    as u64;
+                assert!(
+                    fused_lane,
+                    "seed {seed} c{ci}: replayed without a fused lane"
+                );
+            }
+            if let Some(rej) = fp.rejections.iter().find(|r| r.reason == "singleton") {
+                singletons += 1;
+                let witness = rej.witness_module.as_deref().unwrap_or("");
+                assert!(
+                    witness.starts_with("gemv"),
+                    "seed {seed} c{ci}: singleton witness `{witness}`"
+                );
+                assert!(
+                    !fused_lane && lanes.iter().any(|m| m.starts_with("read_")),
+                    "seed {seed} c{ci}: a one-GEMV component must run threaded: {lanes:?}"
+                );
+            }
+        }
+        let plain = run_backend(&program, &planned, &cfg, &shapes, seed, &plain);
+        let recovered = run_backend(&program, &planned, &cfg, &shapes, seed, &recover);
+        assert_eq!(
+            plain.buffer_bits, recovered.buffer_bits,
+            "seed {seed}: recovery mode not bit-identical to plain"
+        );
+        assert_eq!(
+            plain.buffer_bits, threaded.buffer_bits,
+            "seed {seed}: plain fused run diverged from the threaded audit"
+        );
+    }
+    assert!(
+        replays >= floor_replays,
+        "population too thin: {replays} tile-replay components (< {floor_replays})"
+    );
+    assert!(
+        multi_round >= floor_replays / 2,
+        "population too thin: {multi_round} replayed components with a multi-round y \
+         (< {})",
+        floor_replays / 2
+    );
+    assert!(
+        singletons >= floor_singletons,
+        "population too thin: {singletons} one-GEMV components (< {floor_singletons})"
+    );
+}
+
+// 2 × 30 seeded Level-2 programs. Each block must replay at least 12
+// components tile by tile (the population yields 20 a block), 6 of them
+// holding a GEMV with a multi-round y, and keep at least 8 one-GEMV
+// components threaded (16–22 a block).
+#[test]
+fn level2_compositions_are_bit_identical_block0() {
+    run_level2_block(0..30, 12, 8);
+}
+#[test]
+fn level2_compositions_are_bit_identical_block1() {
+    run_level2_block(30..60, 12, 8);
 }

@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
-use fblas_core::composition::{execute_plan, plan, ExecOptions};
+use fblas_core::composition::{execute_plan, plan, Backend, ExecOptions};
 use fblas_core::host::DeviceBuffer;
 use fblas_serve::protocol::fill_value;
 use fblas_serve::{parse_line, parse_response, Client, Inbound, Response, ServeConfig, Server};
@@ -373,8 +373,10 @@ fn admission_rejects_bad_bindings_and_chaos_before_the_queue() {
 
 /// The five `stream_closed` kernels of the repository benchmark. Each
 /// is served once and run cold on the same fill (`to_program` → `plan`
-/// → `execute_plan`): the served outputs and scalars must match bit
-/// for bit, so executing the plan admission built changes nothing.
+/// → `execute_plan`) on the threaded backend, the oracle: the served
+/// outputs and scalars — fused, replayed tile by tile, or threaded —
+/// must match bit for bit, so neither the plan admission built nor the
+/// backend that ran it changes anything.
 #[test]
 fn served_kernels_match_the_cold_path_bit_for_bit() {
     let vec = |name: &str, n: usize| format!(r#"{{"name":"{name}","kind":"vector","len":{n}}}"#);
@@ -465,7 +467,11 @@ fn served_kernels_match_the_cold_path_bit_for_bit() {
                 Some((od.name.clone(), DeviceBuffer::from_vec(&od.name, data, 0)))
             })
             .collect();
-        let cold = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &ExecOptions::default())
+        let threaded = ExecOptions {
+            backend: Backend::Threaded,
+            ..ExecOptions::default()
+        };
+        let cold = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &threaded)
             .expect("cold run succeeds");
 
         assert!(!served.outputs.is_empty() || !served.scalars.is_empty());
