@@ -19,6 +19,13 @@ step "chunked transport under FBLAS_CHUNK=1"
 # shared wait helper run under the same assertions.
 FBLAS_CHUNK=1 cargo test -q -p fblas-bench --test chunked_transport
 
+step "scheduler fuzzer, full sweep"
+# tier-1 runs one 60-seed block of the lint corpus jittered and
+# oversubscribed; this is the 240-seed sweep under seeded channel-op
+# delays, 4 concurrent simulations, and both at once. Every stall
+# verdict and blocked set must match lint and the unperturbed run.
+cargo test --release -q -p fblas-lint --test schedule_fuzz -- --ignored
+
 step "cargo clippy -- -D warnings"
 # crates/lint/clippy.toml and crates/core/clippy.toml additionally
 # disallow unwrap/expect in those crates' library code (analyzer

@@ -180,9 +180,8 @@ fn render_attachments(doc: &Value) {
             .map(Vec::as_slice)
             .unwrap_or(&[]);
         println!(
-            "\nwait-for graph: {} module(s) blocked after {} ms grace (epoch {}):",
+            "\nwait-for graph: {} module(s) blocked at epoch {}:",
             blocked.len(),
-            u64_of(stall, "grace_ms").unwrap_or(0),
             u64_of(stall, "epoch").unwrap_or(0),
         );
         for b in blocked {

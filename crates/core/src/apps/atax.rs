@@ -107,7 +107,6 @@ pub fn atax_streaming<T: Scalar>(
     tuning: &GemvTuning,
 ) -> Result<AppReport, SimError> {
     let _obs = super::RoutineObservation::start("atax_streaming");
-    let _obs = super::RoutineObservation::start("atax_streaming");
     let tu = tuning.clamped(n, m);
     // Burst (one row of tiles) plus slack for in-flight elements.
     let depth = tu.tn * m + 64;
@@ -162,7 +161,6 @@ pub fn atax_invalid_streaming<T: Scalar>(
     tuning: &GemvTuning,
 ) -> Result<AppReport, SimError> {
     let _obs = super::RoutineObservation::start("atax_invalid_streaming");
-    let _obs = super::RoutineObservation::start("atax_invalid_streaming");
     let (sim, _g1, _g2, modules) = build_atax(fpga, n, m, a, x, y_out, tuning, 16);
     sim.run()?;
     // Unreachable for any problem larger than the FIFO; kept for
@@ -191,7 +189,6 @@ pub fn atax_streaming_independent_reads<T: Scalar>(
     y_out: &DeviceBuffer<T>,
     tuning: &GemvTuning,
 ) -> Result<AppReport, SimError> {
-    let _obs = super::RoutineObservation::start("atax_streaming_independent_reads");
     let _obs = super::RoutineObservation::start("atax_streaming_independent_reads");
     let tu = tuning.clamped(n, m);
     let g1 = Gemv::new(GemvVariant::RowStreamed, n, m, tu.tn, tu.tm, tu.w);
@@ -266,7 +263,6 @@ pub fn atax_host_layer<T: Scalar>(
     y_out: &DeviceBuffer<T>,
     tuning: &GemvTuning,
 ) -> Result<AppReport, SimError> {
-    let _obs = super::RoutineObservation::start("atax_host_layer");
     let _obs = super::RoutineObservation::start("atax_host_layer");
     let t_buf = fpga.alloc::<T>("t", n);
     let t1 = blas::gemv(fpga, Trans::No, n, m, T::ONE, a, x, T::ZERO, &t_buf, tuning)?;

@@ -59,7 +59,6 @@ pub fn bicg_streaming<T: Scalar>(
     tuning: &GemvTuning,
 ) -> Result<AppReport, SimError> {
     let _obs = super::RoutineObservation::start("bicg_streaming");
-    let _obs = super::RoutineObservation::start("bicg_streaming");
     let tu = tuning.clamped(n, m);
     let g1 = Gemv::new(GemvVariant::RowStreamed, n, m, tu.tn, tu.tm, tu.w);
     let g2 = Gemv::new(GemvVariant::TransRowStreamed, n, m, tu.tn, tu.tm, tu.w);
@@ -145,7 +144,6 @@ pub fn bicg_host_layer<T: Scalar>(
     s_out: &DeviceBuffer<T>,
     tuning: &GemvTuning,
 ) -> Result<AppReport, SimError> {
-    let _obs = super::RoutineObservation::start("bicg_host_layer");
     let _obs = super::RoutineObservation::start("bicg_host_layer");
     q_out.from_host(&vec![T::ZERO; n]);
     s_out.from_host(&vec![T::ZERO; m]);

@@ -78,7 +78,6 @@ pub fn gemver_streaming<T: Scalar>(
     tuning: &GemvTuning,
 ) -> Result<AppReport, SimError> {
     let _obs = super::RoutineObservation::start("gemver_streaming");
-    let _obs = super::RoutineObservation::start("gemver_streaming");
     let tu = tuning.clamped(n, n);
     assert_eq!(a.len(), n * n, "gemver: A must be n*n");
     for (name, buf) in [
@@ -227,7 +226,6 @@ pub fn gemver_host_layer<T: Scalar>(
     w_out: &DeviceBuffer<T>,
     tuning: &GemvTuning,
 ) -> Result<AppReport, SimError> {
-    let _obs = super::RoutineObservation::start("gemver_host_layer");
     let _obs = super::RoutineObservation::start("gemver_host_layer");
     let t_copy_b = blas::copy(fpga, a, b_out, tuning.w)?;
     let t_ger1 = blas::ger(fpga, n, n, T::ONE, u1, v1, b_out, tuning)?;

@@ -556,7 +556,7 @@ fn capture_exhaustion_postmortem(
     };
     let stall = match err {
         ExecError::Sim(SimError::Stall { report })
-        | ExecError::Sim(SimError::Deadline { report }) => serde_json::to_value(report).ok(),
+        | ExecError::Sim(SimError::Deadline { report, .. }) => serde_json::to_value(report).ok(),
         _ => None,
     };
     fblas_hlssim::postmortem::capture(

@@ -61,22 +61,19 @@ pub enum Backend {
     /// Every module on the threaded hlssim simulator (the PR-1 path).
     Threaded,
     /// Fuse legally fusable regions into single-loop kernels; fall back
-    /// to threaded for everything else. Identical to [`Backend::Auto`]
-    /// in behavior — the distinct variant records the caller's intent.
+    /// to threaded for everything else. The default: bit-identical to
+    /// `Threaded` by the differential keystone, so there is no reason
+    /// not to.
     Fused,
-    /// Fuse when legal (the default): bit-identical to `Threaded` by
-    /// the differential keystone, so there is no reason not to.
-    Auto,
 }
 
 impl Backend {
     /// Resolve the backend from the `FBLAS_BACKEND` environment knob
-    /// (re-read every call; `auto` when unset or invalid).
+    /// (re-read every call; `fused` when unset or invalid).
     pub fn resolve() -> Backend {
         match fblas_hlssim::env::backend() {
             "threaded" => Backend::Threaded,
-            "fused" => Backend::Fused,
-            _ => Backend::Auto,
+            _ => Backend::Fused,
         }
     }
 
@@ -85,7 +82,6 @@ impl Backend {
         match self {
             Backend::Threaded => "threaded",
             Backend::Fused => "fused",
-            Backend::Auto => "auto",
         }
     }
 
@@ -1007,13 +1003,18 @@ mod tests {
         // Resolution reads the environment on every call; don't leave
         // state behind for other tests.
         std::env::remove_var("FBLAS_BACKEND");
-        assert_eq!(Backend::resolve(), Backend::Auto);
+        assert_eq!(Backend::resolve(), Backend::Fused);
         std::env::set_var("FBLAS_BACKEND", "threaded");
         assert_eq!(Backend::resolve(), Backend::Threaded);
         std::env::set_var("FBLAS_BACKEND", "fused");
         assert_eq!(Backend::resolve(), Backend::Fused);
+        std::env::set_var("FBLAS_BACKEND", "auto");
+        assert_eq!(
+            Backend::resolve(),
+            Backend::Fused,
+            "auto is no longer a value"
+        );
         std::env::remove_var("FBLAS_BACKEND");
-        assert!(Backend::Auto.fused_allowed());
         assert!(Backend::Fused.fused_allowed());
         assert!(!Backend::Threaded.fused_allowed());
     }

@@ -7,20 +7,26 @@
 //! like the hardware (an under-dimensioned downstream module slows its
 //! producers, Sec. IV-B; an invalid composition stalls, Sec. V-B).
 //!
-//! Channels are registered with a [`SimContext`] so the
-//! simulation watchdog can observe global progress (a monotonically
-//! increasing *epoch*, bumped on every successful transfer) and the number
-//! of threads currently blocked.
+//! Channels are registered with a [`SimContext`], which counts global
+//! progress (a monotonically increasing *epoch*, bumped on every
+//! successful transfer) and the module threads currently blocked.
 //!
 //! Every push and pop waits through one helper. A side that finds the
 //! FIFO full or empty first runs a bounded backoff — a fixed number of
 //! `yield_now` rounds, re-checking after each — because a streaming peer
 //! usually frees a slot within microseconds, and a futex sleep plus wake
 //! per FIFO depth of elements costs far more. Only when the backoff runs
-//! out does the waiter register in the wait-for table and park on the
-//! condvar, in short timed slices that re-check the context poison flag,
-//! so stall detection never needs to enumerate channels to wake sleepers.
-//! A transfer notifies the condvar only when the other side is parked.
+//! out does the waiter mark itself blocked and park on the condvar, in
+//! short timed slices that re-check the context poison flag, so a
+//! poisoned context never needs to enumerate channels to wake sleepers.
+//!
+//! The blocked mark is channel state: a channel is SPSC, so each side
+//! has at most one parked waiter. The operation that makes that
+//! waiter's condition true — a transfer by its peer or the peer's
+//! endpoint drop — clears the mark under the channel lock, before the
+//! waiter's thread runs, so the context's blocked count is exact. A
+//! transfer touches the condvar and the mark only when the other side
+//! is parked.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,8 +40,8 @@ use serde::Serialize;
 use crate::chunk::default_chunk;
 use crate::error::SimError;
 use crate::fault::{duplicate_value, flip_bit, FaultAction, FaultSite, GuardReport, GuardState};
-use crate::simulation::{wait_slice, ChannelProbe, CtxShared, SimContext, Waiter};
-use crate::stall::WaitDirection;
+use crate::simulation::{wait_slice, ChannelProbe, CtxShared, SimContext};
+use crate::stall::{BlockedModule, WaitDirection};
 
 /// Occupancy and stall statistics for one channel, taken as a snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -64,18 +70,30 @@ struct ChanState<T> {
     stats: ChannelStats,
     /// Integrity guard; only updated while a fault hook is armed.
     guard: GuardState,
-    /// Pushers parked on `not_full` and poppers parked on `not_empty`: a
-    /// transfer skips the condvar notify when the other side is not
-    /// parked (a thread still in its backoff re-checks on its own).
-    parked_full: usize,
-    parked_empty: usize,
+    /// The pusher waiting on `not_full` and the popper waiting on
+    /// `not_empty`.
+    full: Side,
+    empty: Side,
+}
+
+/// The waiter on one side of a channel.
+#[derive(Default)]
+struct Side {
+    /// Threads parked on this side's condvar: a transfer skips the
+    /// notify when none is (a thread still in its backoff re-checks on
+    /// its own).
+    parked: usize,
+    /// The module of the parked waiter the context counts as blocked.
+    /// Set by the waiter when it first parks, cleared by whichever
+    /// operation makes its condition true.
+    blocked: Option<Arc<str>>,
 }
 
 impl<T> ChanState<T> {
-    fn parked(&mut self, dir: WaitDirection) -> &mut usize {
+    fn side(&mut self, dir: WaitDirection) -> &mut Side {
         match dir {
-            WaitDirection::Full => &mut self.parked_full,
-            WaitDirection::Empty => &mut self.parked_empty,
+            WaitDirection::Full => &mut self.full,
+            WaitDirection::Empty => &mut self.empty,
         }
     }
 }
@@ -146,45 +164,6 @@ struct ChannelCore<T> {
     metrics: Option<ChanMetrics>,
 }
 
-/// RAII registration of "this thread is blocked on a channel operation".
-///
-/// A thread counts as blocked from its first park (after its bounded
-/// backoff ran out) until the operation completes or errors — *not* per
-/// wait slice — so the watchdog sees a stable `blocked == live` condition
-/// during a genuine deadlock, where every thread parks within
-/// microseconds.
-/// Alongside the counter, the guard files a [`Waiter`] record (module,
-/// channel, direction) in the context's wait-for table so stall detection
-/// can report *who* is stuck on *what* rather than just *that* the graph
-/// froze.
-struct BlockGuard<'a> {
-    ctx: &'a CtxShared,
-    id: u64,
-}
-
-impl<'a> BlockGuard<'a> {
-    fn new(ctx: &'a CtxShared, channel: &Arc<str>, direction: WaitDirection) -> Self {
-        ctx.blocked.fetch_add(1, Ordering::AcqRel);
-        let id = ctx.waiter_seq.fetch_add(1, Ordering::Relaxed);
-        ctx.waiters.lock().insert(
-            id,
-            Waiter {
-                module: fblas_trace::current_module(),
-                channel: channel.clone(),
-                direction,
-            },
-        );
-        BlockGuard { ctx, id }
-    }
-}
-
-impl Drop for BlockGuard<'_> {
-    fn drop(&mut self) {
-        self.ctx.waiters.lock().remove(&self.id);
-        self.ctx.blocked.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// Record one injected fault against `target` (a channel or module
 /// name): a `fault:<target>` sample on the attached tracer, if any, and
 /// a `fblas_fault_injected_total` count labeled by action in the global
@@ -221,6 +200,25 @@ impl<T> ChannelCore<T> {
         }
     }
 
+    fn cond(&self, dir: WaitDirection) -> &Condvar {
+        match dir {
+            WaitDirection::Full => &self.not_full,
+            WaitDirection::Empty => &self.not_empty,
+        }
+    }
+
+    /// The waiter on `dir` can proceed: wake it if it is parked, and stop
+    /// counting it as blocked now rather than when its thread runs.
+    fn wake(&self, st: &mut ChanState<T>, dir: WaitDirection) {
+        let side = st.side(dir);
+        if side.parked > 0 {
+            self.cond(dir).notify_one();
+            if side.blocked.take().is_some() {
+                self.ctx.unblock();
+            }
+        }
+    }
+
     /// Account `k` elements just moved through the FIFO by the side that
     /// waits on `dir` (`Full` for a push, `Empty` for a pop): advance the
     /// progress epoch and element counters, and wake the other side if it
@@ -231,17 +229,13 @@ impl<T> ChannelCore<T> {
             WaitDirection::Full => {
                 st.stats.transferred += k as u64;
                 st.stats.max_occupancy = st.stats.max_occupancy.max(st.queue.len());
-                if st.parked_empty > 0 {
-                    self.not_empty.notify_one();
-                }
+                self.wake(st, WaitDirection::Empty);
                 if let Some(m) = &self.metrics {
                     m.push_elements.add(k as u64);
                 }
             }
             WaitDirection::Empty => {
-                if st.parked_full > 0 {
-                    self.not_full.notify_one();
-                }
+                self.wake(st, WaitDirection::Full);
                 if let Some(m) = &self.metrics {
                     m.pop_elements.add(k as u64);
                 }
@@ -278,10 +272,11 @@ impl<T> ChannelCore<T> {
     /// A miss starts a wait episode: one stall count, then the bounded
     /// backoff ([`BACKOFF_ROUNDS`] `yield_now` rounds with the lock
     /// dropped, re-checking after each). When the backoff runs out the
-    /// thread registers a [`BlockGuard`] (on its first park only, kept
-    /// until the operation ends) and parks for one wait slice at a time,
-    /// counting one stall per slice. A transfer made meanwhile (a split
-    /// chunk) ends the episode, so the next miss backs off anew.
+    /// thread parks for one wait slice at a time, counting one stall per
+    /// slice. Its first park marks it blocked; the mark stays across
+    /// slices until the peer clears it, so a split chunk that resumes and
+    /// must park again marks itself anew. The mark that makes every live
+    /// module blocked declares the deadlock.
     fn transfer<R>(
         &self,
         dir: WaitDirection,
@@ -289,12 +284,15 @@ impl<T> ChannelCore<T> {
     ) -> Result<(R, bool), SimError> {
         let mut waited = false;
         let mut wait_from: Option<Instant> = None;
-        let mut blocked: Option<BlockGuard<'_>> = None;
         // Backoff rounds spent in the current wait episode, if one is open.
         let mut episode: Option<u32> = None;
         let mut st = self.state.lock();
         loop {
             if self.poisoned() {
+                // The one way out that leaves this waiter's mark set.
+                if st.side(dir).blocked.take().is_some() {
+                    self.ctx.unblock();
+                }
                 return Err(self.poison_err());
             }
             let before = st.queue.len();
@@ -306,7 +304,6 @@ impl<T> ChannelCore<T> {
             }
             if let Some(r) = done {
                 drop(st);
-                drop(blocked);
                 if let Some(m) = &self.metrics {
                     m.record_wait(wait_from);
                 }
@@ -330,17 +327,23 @@ impl<T> ChannelCore<T> {
                 st = self.state.lock();
                 continue;
             }
-            if blocked.is_none() {
-                blocked = Some(BlockGuard::new(&self.ctx, &self.name, dir));
-            }
             self.count_wait(&mut st, dir);
-            let cond = match dir {
-                WaitDirection::Full => &self.not_full,
-                WaitDirection::Empty => &self.not_empty,
-            };
-            *st.parked(dir) += 1;
-            cond.wait_for(&mut st, wait_slice());
-            *st.parked(dir) -= 1;
+            if st.side(dir).blocked.is_none() {
+                let module = fblas_trace::current_module().unwrap_or_else(|| Arc::from("?"));
+                st.side(dir).blocked = Some(module);
+                if self.ctx.block() {
+                    // This park would leave every live module blocked:
+                    // the deadlock exists now. The snapshot reads every
+                    // channel, this one included, so release it first.
+                    drop(st);
+                    self.ctx.declare_stall();
+                    st = self.state.lock();
+                    continue;
+                }
+            }
+            st.side(dir).parked += 1;
+            self.cond(dir).wait_for(&mut st, wait_slice());
+            st.side(dir).parked -= 1;
         }
     }
 }
@@ -358,12 +361,26 @@ impl<T: Send + 'static> ChannelProbe for ChannelCore<T> {
         self.state.lock().queue.len()
     }
 
-    fn probe_capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn probe_guard(&self) -> Option<GuardReport> {
         self.state.lock().guard.report(&self.name)
+    }
+
+    fn probe_blocked(&self, out: &mut Vec<BlockedModule>) {
+        let st = self.state.lock();
+        for (side, direction) in [
+            (&st.full, WaitDirection::Full),
+            (&st.empty, WaitDirection::Empty),
+        ] {
+            if let Some(module) = &side.blocked {
+                out.push(BlockedModule {
+                    module: module.to_string(),
+                    channel: self.name.to_string(),
+                    direction,
+                    occupancy: st.queue.len(),
+                    capacity: self.capacity,
+                });
+            }
+        }
     }
 }
 
@@ -422,8 +439,8 @@ pub fn try_channel<T: Send + 'static>(
             receiver_alive: true,
             stats: ChannelStats::default(),
             guard: GuardState::default(),
-            parked_full: 0,
-            parked_empty: 0,
+            full: Side::default(),
+            empty: Side::default(),
         }),
         not_full: Condvar::new(),
         not_empty: Condvar::new(),
@@ -807,7 +824,7 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let mut st = self.core.state.lock();
         st.sender_alive = false;
-        self.core.not_empty.notify_one();
+        self.core.wake(&mut st, WaitDirection::Empty);
     }
 }
 
@@ -815,7 +832,7 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         let mut st = self.core.state.lock();
         st.receiver_alive = false;
-        self.core.not_full.notify_one();
+        self.core.wake(&mut st, WaitDirection::Full);
     }
 }
 
@@ -1159,13 +1176,13 @@ mod tests {
                         thread::yield_now();
                         continue;
                     }
-                    if st.parked_empty > 0 {
+                    if st.empty.parked > 0 {
                         break true;
                     }
                     assert_eq!(
-                        ctx.shared().blocked.load(Ordering::Acquire),
+                        ctx.shared().liveness.lock().blocked,
                         0,
-                        "a thread in its backoff is not registered as blocked"
+                        "a thread in its backoff is not counted as blocked"
                     );
                     st.queue.push_back(7);
                     core.moved(&mut st, WaitDirection::Full, 1);
@@ -1194,12 +1211,84 @@ mod tests {
     }
 
     #[test]
+    fn satisfied_waiter_stops_counting_as_blocked_before_it_runs() {
+        // The producer waits until the consumer has parked, then, holding
+        // the state lock the consumer needs to wake, hands it an element.
+        // The consumer cannot have run, yet it must already be off the
+        // blocked count: the notifier does the accounting.
+        let ctx = SimContext::new();
+        let (tx, rx) = channel::<u32>(&ctx, 1, "exact");
+        thread::scope(|s| {
+            let consumer = s.spawn(|| rx.pop());
+            let core = &tx.core;
+            loop {
+                let mut st = core.state.lock();
+                if st.empty.parked == 0 {
+                    drop(st);
+                    thread::yield_now();
+                    continue;
+                }
+                assert_eq!(ctx.shared().liveness.lock().blocked, 1, "parked waiter");
+                assert!(st.empty.blocked.is_some());
+                st.queue.push_back(7);
+                core.moved(&mut st, WaitDirection::Full, 1);
+                assert_eq!(
+                    ctx.shared().liveness.lock().blocked,
+                    0,
+                    "a satisfied waiter is runnable, not blocked"
+                );
+                assert!(st.empty.blocked.is_none());
+                assert_eq!(st.empty.parked, 1, "the consumer has not run yet");
+                break;
+            }
+            assert_eq!(consumer.join().unwrap(), Ok(7));
+        });
+        assert_eq!(ctx.shared().liveness.lock().blocked, 0);
+    }
+
+    #[test]
+    fn split_chunk_marks_itself_again_when_it_parks_again() {
+        // The producer parks mid-chunk; the consumer's pop unblocks it,
+        // it moves what fits and must park again, now blocked anew. Only
+        // then does the consumer park on a channel nobody feeds, which
+        // makes both blocked: the stall names the producer mid-chunk.
+        let mut sim = Simulation::new();
+        let ctx = sim.ctx().clone();
+        let (tx, rx) = channel::<u32>(sim.ctx(), 4, "narrow");
+        let (never_tx, never_rx) = channel::<u8>(sim.ctx(), 1, "never");
+        sim.set_deadline(Duration::from_secs(10));
+        sim.add_module("bulk", ModuleKind::Compute, move || {
+            let mut buf: Vec<u32> = (0..64).collect();
+            tx.push_chunk(&mut buf)?;
+            never_tx.push(1)
+        });
+        sim.add_module("sink", ModuleKind::Compute, move || {
+            ctx.shared().await_blocked();
+            let mut out = Vec::new();
+            rx.pop_chunk(&mut out, 2)?;
+            ctx.shared().await_blocked();
+            never_rx.pop().map(drop)
+        });
+        match sim.run() {
+            Err(SimError::Stall { report }) => {
+                assert_eq!(report.blocked.len(), 2);
+                let b = report.blocked_on("bulk").expect("producer blocked");
+                assert_eq!(b.channel, "narrow");
+                assert_eq!(b.direction, WaitDirection::Full);
+                assert_eq!((b.occupancy, b.capacity), (4, 4));
+                let c = report.blocked_on("sink").expect("consumer blocked");
+                assert_eq!(c.channel, "never");
+            }
+            other => panic!("expected stall, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn parked_pair_still_yields_a_stall_report_naming_the_channels() {
         // Each module fills its depth-1 output and pushes again before
-        // reading: both back off, park, and register in the wait-for
-        // table, so the watchdog sees `blocked == live`.
+        // reading: both back off and park, and the second to park makes
+        // every live module blocked.
         let mut sim = Simulation::new();
-        sim.set_grace(Duration::from_millis(20));
         let ctx = sim.ctx().clone();
         let (tx_ab, rx_ab) = channel::<u8>(sim.ctx(), 1, "full_ab");
         let (tx_ba, rx_ba) = channel::<u8>(sim.ctx(), 1, "full_ba");

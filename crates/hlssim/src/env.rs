@@ -4,8 +4,8 @@
 //! so the set of recognized variables lives in one place and an invalid
 //! value produces a **one-time warning** on stderr instead of a silent
 //! fallback to the default (the failure mode that cost the most
-//! debugging time: `FBLAS_STALL_GRACE_MS=0.5` quietly behaving like the
-//! default 250 ms):
+//! debugging time: a fractional millisecond knob quietly behaving like
+//! its default):
 //!
 //! The authoritative knob list is [`KNOBS`]; `fblas-env --list` renders
 //! it (with current values) and a test asserts the table stays in sync
@@ -13,10 +13,9 @@
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
-//! | `FBLAS_STALL_GRACE_MS` | watchdog stall grace, ms | 250 |
 //! | `FBLAS_WAIT_SLICE_US` | blocked-wait poison re-check slice, µs | 2000 |
 //! | `FBLAS_CHUNK` | elements per batched channel transfer | 256 |
-//! | `FBLAS_BACKEND` | execution backend: threaded, fused, or auto | auto |
+//! | `FBLAS_BACKEND` | execution backend: threaded or fused | fused |
 //! | `FBLAS_CHAOS_SEED` | seed for chaos fault plans | unset |
 //! | `FBLAS_RETRY_MAX` | recovery attempts per component | 3 |
 //! | `FBLAS_METRICS` | arm the global telemetry registry | 0 |
@@ -33,8 +32,8 @@
 //! | `FBLAS_SERVE_DRAIN_MS` | graceful-drain timeout, ms | 5000 |
 //! | `FBLAS_SERVE_WRITE_MS` | response write timeout before dropping a non-reading client, ms | 2000 |
 //!
-//! Caching follows each knob's use: grace and wait-slice are read once
-//! per process (they configure long-lived machinery), while the chunk
+//! Caching follows each knob's use: the wait slice is read once per
+//! process (it configures long-lived machinery), while the chunk
 //! size is re-read on every call so benchmarks can sweep it in-process
 //! — only its *warning* is deduplicated. The parse functions themselves
 //! stay pure and are exercised directly by tests.
@@ -44,7 +43,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 use crate::chunk::parse_chunk;
-use crate::simulation::{parse_stall_grace_ms, parse_wait_slice_us};
+use crate::simulation::parse_wait_slice_us;
 
 /// Default number of recovery attempts per component when
 /// `FBLAS_RETRY_MAX` is unset.
@@ -69,12 +68,6 @@ pub struct KnobSpec {
 /// reading every knob must touch exactly these variable names.
 pub const KNOBS: &[KnobSpec] = &[
     KnobSpec {
-        name: "FBLAS_STALL_GRACE_MS",
-        meaning: "watchdog stall grace before declaring deadlock, ms",
-        default: "250",
-        cadence: "process",
-    },
-    KnobSpec {
         name: "FBLAS_WAIT_SLICE_US",
         meaning: "blocked-wait poison re-check slice, us",
         default: "2000",
@@ -88,8 +81,8 @@ pub const KNOBS: &[KnobSpec] = &[
     },
     KnobSpec {
         name: "FBLAS_BACKEND",
-        meaning: "execution backend: threaded, fused, or auto (fuse when legal)",
-        default: "auto",
+        meaning: "execution backend: threaded, or fused (fuse when legal)",
+        default: "fused",
         cadence: "call",
     },
     KnobSpec {
@@ -245,20 +238,6 @@ fn parses_positive_u64(raw: &str) -> bool {
     raw.trim().parse::<u64>().map(|v| v > 0).unwrap_or(false)
 }
 
-/// The watchdog stall grace: `FBLAS_STALL_GRACE_MS` if valid, else
-/// [`crate::DEFAULT_GRACE`]. Read once per process and cached.
-pub fn stall_grace() -> Duration {
-    static GRACE: OnceLock<Duration> = OnceLock::new();
-    *GRACE.get_or_init(|| {
-        read_knob(
-            "FBLAS_STALL_GRACE_MS",
-            "250 ms",
-            parse_stall_grace_ms,
-            parses_positive_u64,
-        )
-    })
-}
-
 /// The blocked-wait poison re-check slice: `FBLAS_WAIT_SLICE_US` if
 /// valid, else [`crate::DEFAULT_WAIT_SLICE`]. Read once per process and cached.
 pub fn wait_slice() -> Duration {
@@ -283,22 +262,20 @@ pub fn chunk() -> usize {
     })
 }
 
-/// The execution backend selector: `FBLAS_BACKEND` as one of
-/// `"threaded"`, `"fused"`, or `"auto"` (the default — fuse legally
-/// fusable regions, keep everything else threaded). Re-read on every
-/// call so benchmarks can sweep backends in-process. The simulator
-/// itself only reports this knob; `fblas-core`'s plan executor
-/// interprets it.
+/// The execution backend selector: `FBLAS_BACKEND` as `"threaded"` or
+/// `"fused"` (the default — fuse legally fusable regions, keep
+/// everything else threaded). Re-read on every call so benchmarks can
+/// sweep backends in-process. The simulator itself only reports this
+/// knob; `fblas-core`'s plan executor interprets it.
 pub fn backend() -> &'static str {
     read_knob(
         "FBLAS_BACKEND",
-        "auto",
+        "fused",
         |raw| match raw.map(str::trim) {
             Some("threaded") => "threaded",
-            Some("fused") => "fused",
-            _ => "auto",
+            _ => "fused",
         },
-        |raw| matches!(raw.trim(), "threaded" | "fused" | "auto" | ""),
+        |raw| matches!(raw.trim(), "threaded" | "fused" | ""),
     )
 }
 
@@ -590,7 +567,6 @@ pub fn resolved_knobs() -> Vec<(String, String)> {
         .iter()
         .map(|k| {
             let v = match k.name {
-                "FBLAS_STALL_GRACE_MS" => stall_grace().as_millis().to_string(),
                 "FBLAS_WAIT_SLICE_US" => wait_slice().as_micros().to_string(),
                 "FBLAS_CHUNK" => chunk().to_string(),
                 "FBLAS_BACKEND" => backend().to_string(),
@@ -625,8 +601,8 @@ mod tests {
     use super::*;
 
     // Environment-variable tests mutate process-global state, so each
-    // knob test uses its own variable and restores it; the cached knobs
-    // (grace, slice) are only exercised through their pure parsers in
+    // knob test uses its own variable and restores it; the cached wait
+    // slice is only exercised through its pure parser in
     // `simulation::tests`.
 
     #[test]
@@ -656,13 +632,17 @@ mod tests {
     #[test]
     fn backend_parses_and_rejects_garbage() {
         std::env::remove_var("FBLAS_BACKEND");
-        assert_eq!(backend(), "auto");
-        std::env::set_var("FBLAS_BACKEND", "fused");
         assert_eq!(backend(), "fused");
         std::env::set_var("FBLAS_BACKEND", "threaded");
         assert_eq!(backend(), "threaded");
+        std::env::set_var("FBLAS_BACKEND", "fused");
+        assert_eq!(backend(), "fused");
+        // `auto` is no longer a value: it warns and falls back like any
+        // other invalid one.
+        std::env::set_var("FBLAS_BACKEND", "auto");
+        assert_eq!(backend(), "fused");
         std::env::set_var("FBLAS_BACKEND", "quantum");
-        assert_eq!(backend(), "auto");
+        assert_eq!(backend(), "fused");
         std::env::remove_var("FBLAS_BACKEND");
     }
 
@@ -809,7 +789,6 @@ mod tests {
         // set of variables actually consulted to be exactly the
         // documented table. A knob added to the code without a KNOBS row
         // (or vice versa) fails here.
-        let _ = stall_grace();
         let _ = wait_slice();
         let _ = chunk();
         let _ = backend();

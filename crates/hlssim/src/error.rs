@@ -8,8 +8,8 @@ use crate::stall::StallReport;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The composition deadlocked: every live module was blocked on a
-    /// channel operation and no global progress happened for the grace
-    /// period. This is the deterministic rendering of the paper's
+    /// channel operation that only another blocked module could
+    /// complete. This is the deterministic rendering of the paper's
     /// "the composition would stall forever" (Sec. V-B).
     Stall {
         /// Wait-for graph snapshot taken at detection time, before
@@ -21,9 +21,9 @@ pub enum SimError {
     /// failing); the pending operation cannot complete.
     Poisoned {
         /// The module whose failure triggered the poisoning, when known
-        /// (a panicking peer is named here; watchdog-initiated
-        /// poisoning leaves it `None` because the stall itself carries
-        /// the forensics).
+        /// (a panicking peer is named here; poisoning by a declared stall
+        /// or an expired deadline leaves it `None` because the error
+        /// itself carries the forensics).
         by: Option<String>,
     },
     /// The simulation exceeded the wall-clock deadline configured with
@@ -32,6 +32,8 @@ pub enum SimError {
     /// the hung module is not blocked on any channel (e.g. an injected
     /// hang fault spinning without touching its FIFOs).
     Deadline {
+        /// The configured deadline, in milliseconds.
+        deadline_ms: u64,
         /// Wait-for graph snapshot taken at expiry, before poisoning:
         /// whatever modules *were* channel-blocked at that moment.
         report: StallReport,
@@ -85,8 +87,14 @@ impl fmt::Display for SimError {
                     "channel poisoned during teardown (module `{module}` failed)"
                 )
             }
-            SimError::Deadline { report } => {
-                write!(f, "simulation deadline exceeded: {report}")
+            SimError::Deadline {
+                deadline_ms,
+                report,
+            } => {
+                write!(
+                    f,
+                    "simulation deadline ({deadline_ms} ms) exceeded: {report}"
+                )
             }
             SimError::Disconnected { channel } => {
                 write!(
@@ -111,7 +119,6 @@ mod tests {
 
     fn stall_report() -> StallReport {
         StallReport {
-            grace_ms: 250,
             epoch: 3,
             blocked: vec![BlockedModule {
                 module: "a".into(),
@@ -146,9 +153,10 @@ mod tests {
         };
         assert!(e.to_string().contains("`gemv`"));
         let e = SimError::Deadline {
+            deadline_ms: 800,
             report: stall_report(),
         };
-        assert!(e.to_string().contains("deadline"));
+        assert!(e.to_string().contains("deadline (800 ms)"));
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! * [`channel()`] provides the bounded SPSC FIFO ([`Sender`] / [`Receiver`])
 //!   with blocking `push`/`pop` and poisoning for orderly teardown.
 //! * [`Simulation`] runs a set of modules ([`ModuleSpec`]) concurrently (one OS thread per
-//!   module, mirroring the spatial concurrency of circuits) and watches a
-//!   global progress epoch: when every live module is blocked on a channel
-//!   operation and no progress has occurred for a grace period, the run is
-//!   declared *stalled* and every channel is poisoned, turning the paper's
-//!   "stalls forever" into a deterministic [`SimError::Stall`].
+//!   module, mirroring the spatial concurrency of circuits) and counts the
+//!   modules blocked on a channel operation exactly: the moment every live
+//!   module is blocked the run is declared *stalled* and every channel is
+//!   poisoned, turning the paper's "stalls forever" into a deterministic
+//!   [`SimError::Stall`] without any timeout.
 //! * [`cycles`] implements the paper's pipeline cost model `C = L + I·M`
 //!   (Sec. IV) and the sequential-vs-streamed completion-time formulas of
 //!   Sec. V-A, used by the benchmark harness to regenerate the figures.
@@ -59,7 +59,6 @@ pub use fault::{
 };
 pub use module::{ModuleKind, ModuleSpec};
 pub use simulation::{
-    default_grace, parse_stall_grace_ms, parse_wait_slice_us, wait_slice, SimContext, Simulation,
-    SimulationReport, DEFAULT_GRACE, DEFAULT_WAIT_SLICE,
+    parse_wait_slice_us, wait_slice, SimContext, Simulation, SimulationReport, DEFAULT_WAIT_SLICE,
 };
 pub use stall::{BlockedModule, StallReport, WaitDirection};

@@ -5,8 +5,8 @@
 //! crate stays dependency-free); this module owns everything that needs
 //! simulator context — the resolved `FBLAS_*` knob table, the
 //! `FBLAS_FLIGHT_DIR` file write, and the final forced sample of the
-//! registry at the moment of death. The watchdog calls [`capture`] on
-//! `SimError::Stall`/`Deadline`/`Poisoned`; the composition executor
+//! registry at the moment of death. `Simulation::run` calls [`capture`]
+//! on `SimError::Stall`/`Deadline`/`Poisoned`; the composition executor
 //! calls it (with the recovery report attached) when a retry budget is
 //! exhausted, holding sim-level capture suppressed during attempts so
 //! only the authoritative exhaustion bundle is published.

@@ -1,15 +1,20 @@
 //! Concurrent execution of module graphs with stall detection.
 //!
 //! Each module runs on its own OS thread, mirroring the true spatial
-//! concurrency of circuits configured simultaneously on the FPGA. A
-//! watchdog on the calling thread observes two global counters maintained
-//! by the channels: a progress *epoch* (bumped on every successful
-//! transfer) and the number of threads currently *blocked* on a channel
-//! operation. When every live module is blocked and the epoch has not
-//! moved for a grace period, the composition has deadlocked — the paper's
-//! "stalls forever" (Sec. V-B) — and the watchdog poisons the context,
-//! unblocking everyone with [`SimError::Poisoned`] and reporting
-//! [`SimError::Stall`] to the caller.
+//! concurrency of circuits configured simultaneously on the FPGA. The
+//! context counts the *live* module threads and the *blocked* ones:
+//! threads parked on a channel whose condition no peer has made true
+//! yet. The channel operation that makes a parked waiter's condition
+//! true stops counting it at once, under the channel lock, so the count
+//! is exact: it never includes a thread that is merely waiting to be
+//! scheduled. The wait that brings `blocked` up to `live`, or the module
+//! exit that brings `live` down to `blocked`, therefore proves the
+//! composition has deadlocked — the paper's "stalls forever"
+//! (Sec. V-B) — with no clock involved. That thread snapshots the
+//! wait-for graph and poisons the context, unblocking everyone with
+//! [`SimError::Poisoned`] and reporting [`SimError::Stall`] to the
+//! caller. A module that hangs without waiting on a channel stays live
+//! but never blocked; only the run deadline catches it.
 //!
 //! Panic audit: every `unwrap`/`panic!` in this module lives in test
 //! code or doc examples. Module closures that panic are caught by the
@@ -18,8 +23,7 @@
 //! ([`crate::try_channel`]) and rejected as [`SimError::Config`].
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -43,50 +47,50 @@ pub(crate) trait ChannelProbe: Send + Sync {
     fn probe_stats(&self) -> ChannelStats;
     /// Current queue occupancy.
     fn probe_occupancy(&self) -> usize;
-    /// FIFO capacity.
-    fn probe_capacity(&self) -> usize;
     /// Integrity-guard verdict, if faults were armed and the channel saw
     /// traffic.
     fn probe_guard(&self) -> Option<GuardReport> {
         None
     }
+    /// The wait-for edges ending at this channel: one entry per parked
+    /// waiter the context counts as blocked, with the FIFO state.
+    fn probe_blocked(&self, out: &mut Vec<BlockedModule>);
 }
 
-/// A thread currently blocked on a channel operation: one edge of the
-/// wait-for graph, filed by the channel's `BlockGuard` and harvested by
-/// the watchdog to build a [`StallReport`].
-pub(crate) struct Waiter {
-    /// Module the blocked thread belongs to (from the trace scope), if any.
-    pub(crate) module: Option<Arc<str>>,
-    /// Channel being waited on.
-    pub(crate) channel: Arc<str>,
-    /// Full (push side) or empty (pop side).
-    pub(crate) direction: WaitDirection,
+/// Module threads still running and how many of them are blocked. One
+/// lock covers both, so an unblock can never interleave with the check
+/// that declares a deadlock.
+#[derive(Default)]
+pub(crate) struct Liveness {
+    pub(crate) live: usize,
+    pub(crate) blocked: usize,
+}
+
+impl Liveness {
+    /// Whether every live module is blocked, so the deadlock exists now.
+    /// Nothing can change that until the context is poisoned, so one
+    /// thread sees it.
+    fn deadlocked(&self, poisoned: bool) -> bool {
+        !poisoned && self.live > 0 && self.blocked == self.live
+    }
 }
 
 /// Shared simulation-wide state observed by channels and the watchdog.
 pub(crate) struct CtxShared {
     /// Bumped on every successful channel transfer.
     pub(crate) epoch: AtomicU64,
-    /// Number of threads currently blocked in a channel wait.
-    pub(crate) blocked: AtomicUsize,
-    /// Number of module threads still running.
-    pub(crate) live: AtomicUsize,
+    /// Live and blocked module threads.
+    pub(crate) liveness: Mutex<Liveness>,
+    /// The wait-for snapshot taken by the thread that declared the
+    /// deadlock, before it poisoned the context.
+    pub(crate) stall: Mutex<Option<StallReport>>,
     /// Once set, all channel operations fail with `Poisoned`.
     pub(crate) poisoned: AtomicBool,
     /// Probes of every channel created against this context. Strong
     /// references: a channel's statistics outlive its endpoints so the
     /// final report can include them (the context itself is dropped
-    /// when the run ends).
+    /// when the run ends). The wait-for graph is read through them.
     pub(crate) probes: Mutex<Vec<Arc<dyn ChannelProbe>>>,
-    /// Wait-for table: one entry per thread currently blocked on a
-    /// channel, keyed by a registration id. The watchdog snapshots this
-    /// (copy out, then release the lock) *before* poisoning, so the
-    /// forensics reflect the actual deadlock rather than the poison
-    /// cascade.
-    pub(crate) waiters: Mutex<HashMap<u64, Waiter>>,
-    /// Id source for waiter registrations.
-    pub(crate) waiter_seq: AtomicU64,
     /// Armed fault hook, if any. Channel operations never take this lock
     /// unless `fault_armed` is set.
     pub(crate) fault: Mutex<Option<Arc<dyn FaultHook>>>,
@@ -135,6 +139,56 @@ impl CtxShared {
     /// The recorded poison culprit, if any.
     pub(crate) fn poison_cause(&self) -> Option<String> {
         self.poison_cause.lock().clone()
+    }
+
+    /// Count one more parked waiter as blocked. Returns true when that
+    /// makes every live module blocked: the caller must then release
+    /// its channel lock and call [`declare_stall`](Self::declare_stall).
+    pub(crate) fn block(&self) -> bool {
+        let mut l = self.liveness.lock();
+        l.blocked += 1;
+        l.deadlocked(self.poisoned.load(Ordering::Acquire))
+    }
+
+    /// Stop counting a waiter as blocked: its condition became true, or
+    /// it left its wait on poison.
+    pub(crate) fn unblock(&self) {
+        self.liveness.lock().blocked -= 1;
+    }
+
+    /// A module thread finished, its endpoints already dropped (which
+    /// unblocked any peer the drop disconnected). If every module still
+    /// live is blocked, the exit leaves them deadlocked: declare it.
+    fn exit(&self) {
+        let deadlocked = {
+            let mut l = self.liveness.lock();
+            l.live -= 1;
+            l.deadlocked(self.poisoned.load(Ordering::Acquire))
+        };
+        if deadlocked {
+            self.declare_stall();
+        }
+    }
+
+    /// Record the deadlock: snapshot the wait-for graph, then poison.
+    /// The snapshot comes first because poisoning wakes every blocked
+    /// thread and their wait-for edges vanish as they leave. The caller
+    /// holds no channel lock (the snapshot takes each one).
+    pub(crate) fn declare_stall(&self) {
+        *self.stall.lock() = Some(snapshot_stall(self));
+        self.poisoned.store(true, Ordering::Release);
+    }
+}
+
+#[cfg(test)]
+impl CtxShared {
+    /// Spin until some thread is counted blocked, or the run is torn
+    /// down (a test's deadline then ends a run whose waiter never
+    /// marked itself).
+    pub(crate) fn await_blocked(&self) {
+        while self.liveness.lock().blocked == 0 && !self.poisoned.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -201,12 +255,10 @@ impl SimContext {
         SimContext {
             shared: Arc::new(CtxShared {
                 epoch: AtomicU64::new(0),
-                blocked: AtomicUsize::new(0),
-                live: AtomicUsize::new(0),
+                liveness: Mutex::new(Liveness::default()),
+                stall: Mutex::new(None),
                 poisoned: AtomicBool::new(false),
                 probes: Mutex::new(Vec::new()),
-                waiters: Mutex::new(HashMap::new()),
-                waiter_seq: AtomicU64::new(0),
                 fault: Mutex::new(None),
                 fault_armed: AtomicBool::new(false),
                 poison_cause: Mutex::new(None),
@@ -235,8 +287,8 @@ impl SimContext {
 
     /// Poison the context: every pending and future channel operation on
     /// channels created from this context fails with
-    /// [`SimError::Poisoned`]. Used by the watchdog; also available for
-    /// external cancellation.
+    /// [`SimError::Poisoned`]. Used by stall detection and the run
+    /// deadline; also available for external cancellation.
     pub fn poison(&self) {
         self.shared.poisoned.store(true, Ordering::Release);
     }
@@ -340,37 +392,8 @@ pub struct SimulationReport {
 pub struct Simulation {
     ctx: SimContext,
     modules: Vec<ModuleSpec>,
-    grace: Duration,
     deadline: Option<Duration>,
     tracer: Option<Tracer>,
-}
-
-/// Baseline stall-detection grace period: the watchdog requires the epoch
-/// to be frozen with all live modules blocked for this long before
-/// declaring a stall. Long enough to be robust against scheduling noise,
-/// short enough for tests that deliberately construct invalid
-/// compositions.
-pub const DEFAULT_GRACE: Duration = Duration::from_millis(250);
-
-/// The grace period new simulations start with: [`DEFAULT_GRACE`] unless
-/// the `FBLAS_STALL_GRACE_MS` environment variable overrides it (useful on
-/// heavily loaded CI machines where 250 ms of global scheduling starvation
-/// is not impossible). Read once and cached; invalid values warn once and
-/// fall back to the default (see [`crate::env`]). Per-simulation
-/// [`Simulation::set_grace`] still wins.
-pub fn default_grace() -> Duration {
-    crate::env::stall_grace()
-}
-
-/// Parse an `FBLAS_STALL_GRACE_MS` value: a positive integer number of
-/// milliseconds. Unset, zero, and unparsable values fall back to
-/// [`DEFAULT_GRACE`] — a zero grace would make the watchdog declare a
-/// stall on the first scheduling hiccup.
-pub fn parse_stall_grace_ms(raw: Option<&str>) -> Duration {
-    raw.and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|ms| *ms > 0)
-        .map(Duration::from_millis)
-        .unwrap_or(DEFAULT_GRACE)
 }
 
 /// Baseline wait slice: how long a blocked channel operation sleeps
@@ -382,8 +405,8 @@ pub const DEFAULT_WAIT_SLICE: Duration = Duration::from_millis(2);
 /// the `FBLAS_WAIT_SLICE_US` environment variable overrides it.
 /// Long-running differential tests can raise it to trade teardown
 /// latency for fewer spurious wakeups; stress tests can lower it to
-/// exercise the re-check path. Read once and cached, like
-/// [`default_grace`]; invalid values warn once (see [`crate::env`]).
+/// exercise the re-check path. Read once and cached; invalid values
+/// warn once (see [`crate::env`]).
 pub fn wait_slice() -> Duration {
     crate::env::wait_slice()
 }
@@ -398,49 +421,24 @@ pub fn parse_wait_slice_us(raw: Option<&str>) -> Duration {
         .unwrap_or(DEFAULT_WAIT_SLICE)
 }
 
-/// Resolve the wait-for table into a [`StallReport`]: per blocked thread,
-/// the module, channel, direction, and the channel's occupancy/capacity.
-///
-/// The table is copied out under its lock and the probes resolved after
-/// releasing it: channel threads take `waiters` while holding their state
-/// lock, and the occupancy probe needs that state lock, so holding both
-/// here could deadlock the watchdog itself.
-fn snapshot_stall(shared: &CtxShared, grace: Duration, epoch: u64) -> StallReport {
-    let waiting: Vec<(Option<Arc<str>>, Arc<str>, WaitDirection)> = shared
-        .waiters
-        .lock()
-        .values()
-        .map(|w| (w.module.clone(), w.channel.clone(), w.direction))
-        .collect();
-    let probes = shared.probes.lock();
-    let mut blocked: Vec<BlockedModule> = waiting
-        .into_iter()
-        .map(|(module, channel, direction)| {
-            let probe = probes.iter().find(|p| p.probe_name() == *channel);
-            BlockedModule {
-                module: module
-                    .map(|m| m.to_string())
-                    .unwrap_or_else(|| "?".to_string()),
-                channel: channel.to_string(),
-                direction,
-                occupancy: probe.map(|p| p.probe_occupancy()).unwrap_or(0),
-                capacity: probe.map(|p| p.probe_capacity()).unwrap_or(0),
-            }
-        })
-        .collect();
+/// Resolve the wait-for graph into a [`StallReport`]: per blocked thread,
+/// the module, channel, direction, and the channel's occupancy/capacity,
+/// each channel read under its own lock.
+fn snapshot_stall(shared: &CtxShared) -> StallReport {
+    let epoch = shared.epoch.load(Ordering::Acquire);
+    let mut blocked = Vec::new();
+    for probe in shared.probes.lock().iter() {
+        probe.probe_blocked(&mut blocked);
+    }
     blocked.sort_by(|a, b| {
         (a.module.as_str(), a.channel.as_str()).cmp(&(b.module.as_str(), b.channel.as_str()))
     });
-    StallReport {
-        grace_ms: grace.as_millis() as u64,
-        epoch,
-        blocked,
-    }
+    StallReport { epoch, blocked }
 }
 
 /// Hand a dying simulation to the flight recorder. Cheap no-op when the
 /// recorder is disarmed; otherwise attaches the wait-for graph (if the
-/// watchdog produced one) and any non-clean-capable guard reports to the
+/// run produced one) and any non-clean-capable guard reports to the
 /// postmortem bundle.
 fn capture_sim_postmortem(
     kind: &str,
@@ -477,7 +475,6 @@ impl Simulation {
         Simulation {
             ctx: SimContext::new(),
             modules: Vec::new(),
-            grace: default_grace(),
             deadline: None,
             tracer: None,
         }
@@ -488,7 +485,6 @@ impl Simulation {
         Simulation {
             ctx,
             modules: Vec::new(),
-            grace: default_grace(),
             deadline: None,
             tracer: None,
         }
@@ -508,15 +504,10 @@ impl Simulation {
         &self.ctx
     }
 
-    /// Override the stall-detection grace period.
-    pub fn set_grace(&mut self, grace: Duration) {
-        self.grace = grace;
-    }
-
     /// Set a wall-clock deadline for the whole run. Stall detection only
     /// fires when every live module is *channel-blocked*; a module that
     /// hangs without touching its FIFOs (an injected `Hang` fault, an
-    /// infinite compute loop) keeps `blocked < live` forever and evades
+    /// infinite compute loop) stays live but never blocked and evades
     /// it. The deadline closes that gap: when it expires the watchdog
     /// snapshots whatever wait-for edges exist, poisons the context, and
     /// the run returns [`SimError::Deadline`].
@@ -549,24 +540,22 @@ impl Simulation {
     /// Run all modules concurrently to completion.
     ///
     /// Returns the first module error encountered, or [`SimError::Stall`]
-    /// if the watchdog detected a deadlocked composition. On success the
+    /// if every live module ended up blocked on a channel. On success the
     /// report carries the wall time and total transfer count.
     pub fn run(self) -> Result<SimulationReport, SimError> {
         let Simulation {
             ctx,
             modules,
-            grace,
             deadline,
             tracer,
         } = self;
         let shared = ctx.shared();
         let names: Vec<String> = modules.iter().map(|m| m.name.clone()).collect();
         let n = modules.len();
-        shared.live.store(n, Ordering::Release);
+        shared.liveness.lock().live = n;
         install_panic_poison_hook();
 
         let start = Instant::now();
-        let mut stall_report: Option<StallReport> = None;
         let mut deadline_report: Option<StallReport> = None;
         let mut results: Vec<Option<Result<(), SimError>>> = Vec::new();
         results.resize_with(n, || None);
@@ -584,9 +573,9 @@ impl Simulation {
                     let _scope = ModuleScope::enter(&name, tracer.as_ref());
                     let body = spec.body;
                     let injected = shared.module_fault(&name);
-                    // A panicking module must still decrement `live`, or
-                    // the watchdog can never conclude anything about the
-                    // remaining modules.
+                    // A panicking module must still leave `live`, or the
+                    // watchdog never returns and no deadlock among the
+                    // remaining modules can be declared.
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         match injected {
                             Some(ModuleFault::Crash) => {
@@ -607,8 +596,8 @@ impl Simulation {
                                 // open, so peers block on the FIFOs (the
                                 // hardware picture of a hung kernel)
                                 // instead of seeing a disconnect. Only
-                                // poisoning — stall detection or the run
-                                // deadline — releases us.
+                                // poisoning — a declared deadlock or the
+                                // run deadline — releases us.
                                 while !shared.poisoned.load(Ordering::Acquire) {
                                     std::thread::sleep(Duration::from_millis(1));
                                 }
@@ -634,17 +623,17 @@ impl Simulation {
                         shared.poison_with_cause(&name);
                         Err(SimError::module(name.clone(), "module thread panicked"))
                     });
-                    shared.live.fetch_sub(1, Ordering::AcqRel);
+                    // The body and its endpoints are dropped by now, so a
+                    // peer this exit disconnects is already unblocked.
+                    shared.exit();
                     r
                 }));
             }
 
-            // Watchdog: poll until all threads finish or a stall is seen.
-            // Each poll doubles as a channel-occupancy sampling tick when a
-            // tracer is attached.
+            // Watchdog: poll until all threads finish or the deadline
+            // expires. Each poll doubles as a channel-occupancy sampling
+            // tick when a tracer is attached.
             let poll = Duration::from_millis(5);
-            let mut last_epoch = shared.epoch.load(Ordering::Acquire);
-            let mut frozen_since = Instant::now();
             let metrics_reg = fblas_metrics::registry();
             let flight_rec = fblas_metrics::flight::recorder();
             loop {
@@ -673,37 +662,15 @@ impl Simulation {
                         fr.tick(reg);
                     }
                 }
-                if shared.live.load(Ordering::Acquire) == 0 {
+                if shared.liveness.lock().live == 0 {
                     break;
                 }
                 std::thread::sleep(poll);
-                let epoch = shared.epoch.load(Ordering::Acquire);
-                let live = shared.live.load(Ordering::Acquire);
-                let blocked = shared.blocked.load(Ordering::Acquire);
-                if let Some(dl) = deadline {
-                    if start.elapsed() >= dl {
-                        // Same forensics discipline as a stall: snapshot
-                        // whatever wait-for edges exist before poisoning
-                        // wakes (and deregisters) every blocked thread.
-                        deadline_report = Some(snapshot_stall(&shared, dl, epoch));
-                        shared.poisoned.store(true, Ordering::Release);
-                        break;
-                    }
-                }
-                if epoch != last_epoch || live == 0 || blocked < live {
-                    last_epoch = epoch;
-                    frozen_since = Instant::now();
-                    continue;
-                }
-                if frozen_since.elapsed() >= grace {
-                    // Snapshot the wait-for graph *before* poisoning:
-                    // poisoning wakes every blocked thread with `Poisoned`
-                    // and their waiter registrations vanish as they
-                    // unwind. (The previous implementation reconstructed
-                    // the blocked set from which modules returned errors
-                    // after the join — but poisoning makes *every* module
-                    // error, so that list named innocent bystanders.)
-                    stall_report = Some(snapshot_stall(&shared, grace, epoch));
+                if deadline.is_some_and(|dl| start.elapsed() >= dl) {
+                    // Same forensics discipline as a stall: snapshot
+                    // whatever wait-for edges exist before poisoning
+                    // wakes (and deregisters) every blocked thread.
+                    deadline_report = Some(snapshot_stall(&shared));
                     shared.poisoned.store(true, Ordering::Release);
                     break;
                 }
@@ -718,40 +685,50 @@ impl Simulation {
 
         let wall_time = start.elapsed();
 
+        let stall_report = shared.stall.lock().take();
         if let Some(report) = stall_report {
             if let Some(reg) = fblas_metrics::registry() {
                 reg.counter("fblas_sim_stalls_total", &[]).inc();
             }
+            // The culprit is the FIFO a blocked producer found full: the
+            // under-dimensioned channel of the paper's Sec. V-B.
+            let culprit = report
+                .blocked
+                .iter()
+                .find(|b| b.direction == WaitDirection::Full)
+                .map(|b| b.channel.clone());
             capture_sim_postmortem(
                 "stall",
                 format!(
-                    "deadlocked after {} ms grace with {} module(s) channel-blocked",
-                    report.grace_ms,
+                    "deadlocked: all {} live module(s) channel-blocked",
                     report.blocked.len()
                 ),
-                None,
+                culprit,
                 Some(&report),
                 &shared,
             );
             return Err(SimError::Stall { report });
         }
 
-        if let Some(report) = deadline_report {
+        if let (Some(report), Some(dl)) = (deadline_report, deadline) {
             if let Some(reg) = fblas_metrics::registry() {
                 reg.counter("fblas_sim_deadlines_total", &[]).inc();
             }
+            let deadline_ms = u64::try_from(dl.as_millis()).unwrap_or(u64::MAX);
             capture_sim_postmortem(
                 "deadline",
                 format!(
-                    "wall-clock deadline ({} ms) expired with {} module(s) channel-blocked",
-                    report.grace_ms,
+                    "wall-clock deadline ({deadline_ms} ms) expired with {} module(s) channel-blocked",
                     report.blocked.len()
                 ),
                 None,
                 Some(&report),
                 &shared,
             );
-            return Err(SimError::Deadline { report });
+            return Err(SimError::Deadline {
+                deadline_ms,
+                report,
+            });
         }
 
         // Surface the first real module error (ignoring poison cascades).
@@ -832,24 +809,6 @@ mod tests {
     use super::*;
     use crate::channel;
     use crate::stall::WaitDirection;
-
-    #[test]
-    fn stall_grace_parsing_rejects_zero_and_garbage() {
-        assert_eq!(parse_stall_grace_ms(None), DEFAULT_GRACE);
-        assert_eq!(
-            parse_stall_grace_ms(Some("1500")),
-            Duration::from_millis(1500)
-        );
-        assert_eq!(
-            parse_stall_grace_ms(Some(" 40 ")),
-            Duration::from_millis(40)
-        );
-        assert_eq!(parse_stall_grace_ms(Some("0")), DEFAULT_GRACE);
-        assert_eq!(parse_stall_grace_ms(Some("-5")), DEFAULT_GRACE);
-        assert_eq!(parse_stall_grace_ms(Some("2.5")), DEFAULT_GRACE);
-        assert_eq!(parse_stall_grace_ms(Some("soon")), DEFAULT_GRACE);
-        assert_eq!(parse_stall_grace_ms(Some("")), DEFAULT_GRACE);
-    }
 
     #[test]
     fn wait_slice_parsing_rejects_zero_and_garbage() {
@@ -1215,7 +1174,11 @@ mod tests {
             rx.pop_n(100).map(|_| ())
         });
         match sim.run() {
-            Err(SimError::Deadline { report }) => {
+            Err(SimError::Deadline {
+                deadline_ms,
+                report,
+            }) => {
+                assert_eq!(deadline_ms, 200);
                 // The hung sink holds its endpoints open without popping,
                 // so the producer is channel-blocked on the full FIFO and
                 // the forensics must say so.
@@ -1245,6 +1208,29 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert_eq!(ctx.poison_cause(), Some("boom".to_string()));
+    }
+
+    #[test]
+    fn producer_exit_under_a_parked_consumer_is_a_disconnect_not_a_stall() {
+        // The producer exits only once its consumer is parked, so its
+        // exit check runs with the consumer counted blocked until the
+        // producer's endpoint drop (which precedes the check) clears it.
+        for _ in 0..20 {
+            let mut sim = Simulation::new();
+            sim.set_deadline(Duration::from_secs(10));
+            let shared = sim.ctx().shared();
+            let (tx, rx) = channel::<u8>(sim.ctx(), 8, "cut");
+            sim.add_module("src", ModuleKind::Interface, move || {
+                tx.push_iter(0..3)?;
+                shared.await_blocked();
+                Ok(())
+            });
+            sim.add_module("sink", ModuleKind::Compute, move || rx.pop_n(4).map(|_| ()));
+            match sim.run() {
+                Err(SimError::Disconnected { channel }) => assert_eq!(channel, "cut"),
+                other => panic!("expected disconnect, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Structured stall forensics.
 //!
-//! When the watchdog declares a composition stalled (the paper's "stalls
-//! forever", Sec. V-B), the interesting question is *why*: which modules
-//! were blocked, on which channels, in which direction, and how full those
+//! When a composition is declared stalled (the paper's "stalls forever",
+//! Sec. V-B), the interesting question is *why*: which modules were
+//! blocked, on which channels, in which direction, and how full those
 //! FIFOs were at the moment of detection. That wait-for snapshot is taken
 //! **before** the context is poisoned — poisoning cascades `Poisoned`
 //! errors through every module and destroys the evidence — and carried
@@ -46,11 +46,10 @@ pub struct BlockedModule {
     pub capacity: usize,
 }
 
-/// Wait-for graph snapshot taken by the watchdog at stall detection time.
+/// Wait-for graph snapshot taken when a stall is declared (or a run
+/// deadline expires).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StallReport {
-    /// Grace period that elapsed without progress, in milliseconds.
-    pub grace_ms: u64,
     /// Progress epoch (total successful transfers) at detection.
     pub epoch: u64,
     /// Every module blocked on a channel operation, with the channel's
@@ -67,11 +66,7 @@ impl StallReport {
 
 impl fmt::Display for StallReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "no channel progress for {} ms at epoch {}; blocked modules: [",
-            self.grace_ms, self.epoch
-        )?;
+        write!(f, "blocked modules at epoch {}: [", self.epoch)?;
         for (i, b) in self.blocked.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
@@ -92,7 +87,6 @@ mod tests {
 
     fn sample() -> StallReport {
         StallReport {
-            grace_ms: 250,
             epoch: 7,
             blocked: vec![
                 BlockedModule {
@@ -131,7 +125,7 @@ mod tests {
     #[test]
     fn report_serializes_to_json() {
         let text = serde_json::to_string(&sample()).unwrap();
-        assert!(text.contains("\"grace_ms\""));
+        assert!(text.contains("\"epoch\""));
         assert!(text.contains("\"Full\""));
         assert!(text.contains("\"occupancy\""));
     }

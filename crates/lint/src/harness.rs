@@ -5,26 +5,28 @@
 //! the same actor programs. Kahn-network determinism makes the verdict
 //! schedule-independent, so the abstract scheduler and the concurrent
 //! simulator must agree: lint *accept* ⟺ the simulation completes,
-//! lint *deadlock* ⟺ the watchdog reports a stall. This module is the
-//! bridge that lets property tests assert exactly that.
+//! lint *deadlock* ⟺ the simulator reports a stall. This module is the
+//! bridge that lets property tests assert exactly that, and
+//! [`random_graph`] is the seeded corpus they assert it over.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use fblas_core::composition::{
     apply_elementwise, EdgeInfo, FusedRegion, FusedRun, Mdag, ModuleSem, RateGraph, RateOutcome,
     RateStep,
 };
 use fblas_core::routines::Dot;
-use fblas_hlssim::{try_channel, FaultHook, ModuleKind, Receiver, Sender, SimError, Simulation};
+use fblas_hlssim::{
+    try_channel, FaultHook, ModuleKind, Receiver, Sender, SimError, Simulation, SimulationReport,
+};
 
 /// What the threaded simulator said about one execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimVerdict {
     /// Every module ran to completion.
     Completed,
-    /// The stall watchdog fired: a genuine deadlock.
+    /// Every live module blocked on a channel: a genuine deadlock.
     Stalled,
     /// A channel endpoint died mid-stream (count mismatch).
     Disconnected,
@@ -33,27 +35,41 @@ pub enum SimVerdict {
 }
 
 /// Execute the graph's actor programs on `fblas-hlssim` with the given
-/// channel capacities and stall grace period.
+/// channel capacities.
+pub fn run_on_simulator(rg: &RateGraph, caps: &[u64]) -> SimVerdict {
+    match simulate(rg, caps, None) {
+        Ok(_) => SimVerdict::Completed,
+        Err(SimError::Stall { .. }) => SimVerdict::Stalled,
+        Err(SimError::Disconnected { .. }) => SimVerdict::Disconnected,
+        Err(e) => SimVerdict::Failed(e.to_string()),
+    }
+}
+
+/// [`run_on_simulator`] with the simulator's own result, and `hook`
+/// armed on the run when given (a schedule fuzzer arms one that only
+/// delays channel operations).
 ///
 /// Each rate-graph channel becomes a real bounded FIFO carrying `u32`
 /// sequence numbers; each actor becomes a module thread replaying its
 /// push/pop program. Channels are point-to-point by construction
 /// (panics if an actor program shares an endpoint).
-pub fn run_on_simulator(rg: &RateGraph, caps: &[u64], grace: Duration) -> SimVerdict {
+pub fn simulate(
+    rg: &RateGraph,
+    caps: &[u64],
+    hook: Option<Arc<dyn FaultHook>>,
+) -> Result<SimulationReport, SimError> {
     assert_eq!(caps.len(), rg.channel_count(), "capacity vector length");
     let mut sim = Simulation::new();
-    sim.set_grace(grace);
+    if let Some(hook) = hook {
+        sim.ctx().arm_faults(hook);
+    }
 
     let mut senders: Vec<Option<Sender<u32>>> = Vec::with_capacity(rg.channel_count());
     let mut receivers: Vec<Option<Receiver<u32>>> = Vec::with_capacity(rg.channel_count());
     for (ch, &cap) in caps.iter().enumerate() {
-        match try_channel::<u32>(sim.ctx(), cap as usize, rg.channel_name(ch)) {
-            Ok((s, r)) => {
-                senders.push(Some(s));
-                receivers.push(Some(r));
-            }
-            Err(e) => return SimVerdict::Failed(e.to_string()),
-        }
+        let (s, r) = try_channel::<u32>(sim.ctx(), cap as usize, rg.channel_name(ch))?;
+        senders.push(Some(s));
+        receivers.push(Some(r));
     }
 
     for a in 0..rg.actor_count() {
@@ -110,23 +126,95 @@ pub fn run_on_simulator(rg: &RateGraph, caps: &[u64], grace: Duration) -> SimVer
         );
     }
 
-    match sim.run() {
-        Ok(_) => SimVerdict::Completed,
-        Err(SimError::Stall { .. }) => SimVerdict::Stalled,
-        Err(SimError::Disconnected { .. }) => SimVerdict::Disconnected,
-        Err(e) => SimVerdict::Failed(e.to_string()),
+    sim.run()
+}
+
+/// Deterministic xorshift64* generator: no time-based seeding, so every
+/// generated graph is named by its seed.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Self {
+        Rng(seed.wrapping_mul(0x9e3779b97f4a7c15).max(1))
+    }
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x.wrapping_mul(0x2545f4914f6cdd1d)
+    }
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.next() % (hi - lo + 1)
     }
 }
 
-/// Grace period for differential runs: generous enough that a busy CI
-/// machine does not report a false stall on a composition that is
-/// merely slow, small enough that genuinely-stalled property tests
-/// finish. `FBLAS_STALL_GRACE_MS` still overrides.
-pub fn differential_grace() -> Duration {
-    match std::env::var("FBLAS_STALL_GRACE_MS") {
-        Ok(ms) => Duration::from_millis(ms.parse().unwrap_or(100)),
-        Err(_) => Duration::from_millis(100),
+/// A random DAG of 2–5 actors: a chain plus up to two forward "skip"
+/// edges, each edge carrying a balanced element total with random
+/// chunked interleavings on both endpoints. Balance means the only
+/// possible outcomes are completion and capacity/ordering deadlock —
+/// exactly the property the linter rules on. The same seed always
+/// yields the same graph.
+pub fn random_graph(seed: u64) -> RateGraph {
+    let mut rng = Rng::new(seed);
+    let n = rng.range(2, 5) as usize;
+    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
+    for i in 0..n - 1 {
+        edges.push((i, i + 1, rng.range(1, 6) * rng.range(1, 4)));
     }
+    for _ in 0..rng.range(0, 2) {
+        let a = rng.range(0, (n - 2) as u64) as usize;
+        let b = rng.range((a + 1) as u64, (n - 1) as u64) as usize;
+        edges.push((a, b, rng.range(1, 12)));
+    }
+
+    let mut rg = RateGraph::new();
+    let chans: Vec<usize> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, _)| rg.add_channel(format!("c{i}"), rng.range(1, 6)))
+        .collect();
+
+    for a in 0..n {
+        // (channel, is_push, remaining)
+        let mut ports: Vec<(usize, bool, u64)> = Vec::new();
+        for (i, &(f, t, total)) in edges.iter().enumerate() {
+            if f == a {
+                ports.push((chans[i], true, total));
+            }
+            if t == a {
+                ports.push((chans[i], false, total));
+            }
+        }
+        let mut steps = Vec::new();
+        while ports.iter().any(|p| p.2 > 0) {
+            let live: Vec<usize> = ports
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.2 > 0)
+                .map(|(k, _)| k)
+                .collect();
+            let k = live[(rng.next() % live.len() as u64) as usize];
+            let chunk = rng.range(1, 4).min(ports[k].2);
+            ports[k].2 -= chunk;
+            let (channel, is_push, _) = ports[k];
+            steps.push(if is_push {
+                RateStep::Push {
+                    channel,
+                    count: chunk,
+                }
+            } else {
+                RateStep::Pop {
+                    channel,
+                    count: chunk,
+                }
+            });
+        }
+        rg.add_actor(format!("a{a}"), steps);
+    }
+    rg
 }
 
 // ---------------------------------------------------------------------
@@ -187,11 +275,9 @@ pub fn run_region_threaded(
     sems: &[ModuleSem],
     region: &FusedRegion,
     streams: &BTreeMap<String, Vec<f32>>,
-    grace: Duration,
     fault: Option<Arc<dyn FaultHook>>,
 ) -> Result<FusedRun, String> {
     let mut sim = Simulation::new();
-    sim.set_grace(grace);
     if let Some(hook) = fault {
         sim.ctx().arm_faults(hook);
     }
@@ -457,7 +543,7 @@ pub fn run_region_threaded(
 pub fn verdict_pair(rg: &RateGraph) -> (RateOutcome, SimVerdict) {
     let caps: Vec<u64> = (0..rg.channel_count()).map(|c| rg.capacity(c)).collect();
     let abstracted = rg.analyze();
-    let simulated = run_on_simulator(rg, &caps, differential_grace());
+    let simulated = run_on_simulator(rg, &caps);
     (abstracted, simulated)
 }
 
@@ -493,8 +579,7 @@ mod tests {
         let ev = build_evaluator(&g, &sems, region).unwrap();
         let streams = seeded_streams(&ev.inputs, 0xfb1a5, 64);
         let fused = ev.run(&streams).unwrap();
-        let threaded =
-            run_region_threaded(&g, &sems, region, &streams, differential_grace(), None).unwrap();
+        let threaded = run_region_threaded(&g, &sems, region, &streams, None).unwrap();
         assert_eq!(
             fused.sinks.keys().collect::<Vec<_>>(),
             threaded.sinks.keys().collect::<Vec<_>>()
@@ -538,15 +623,8 @@ mod tests {
         let region = plan.regions.first().expect("one fused region");
         let ev = build_evaluator(&g, &sems, region).unwrap();
         let streams = seeded_streams(&ev.inputs, 1, 64);
-        let err = run_region_threaded(
-            &g,
-            &sems,
-            region,
-            &streams,
-            differential_grace(),
-            Some(Arc::new(Nop)),
-        )
-        .unwrap_err();
+        let err =
+            run_region_threaded(&g, &sems, region, &streams, Some(Arc::new(Nop))).unwrap_err();
         assert!(err.contains("fault injection armed"), "{err}");
     }
 
@@ -686,7 +764,7 @@ mod tests {
         for (ch, depth) in fixes {
             caps[ch] = depth;
         }
-        let v = run_on_simulator(&rg, &caps, differential_grace());
+        let v = run_on_simulator(&rg, &caps);
         assert_eq!(v, SimVerdict::Completed);
     }
 }

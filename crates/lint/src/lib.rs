@@ -61,7 +61,7 @@ pub mod passes;
 
 pub use diag::{Diagnostic, LintCode, LintReport, Location, Severity, REPORT_VERSION};
 pub use harness::{
-    differential_grace, run_on_simulator, run_region_threaded, seeded_stream, seeded_streams,
+    random_graph, run_on_simulator, run_region_threaded, seeded_stream, seeded_streams, simulate,
     SimVerdict,
 };
 pub use input::{classify, Document};

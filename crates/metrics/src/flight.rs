@@ -901,7 +901,7 @@ mod tests {
             run_id: Some("00000000deadbeef".to_string()),
             trigger: Trigger {
                 kind: "stall".to_string(),
-                detail: "deadlocked after 80 ms grace".to_string(),
+                detail: "deadlocked: all 2 live module(s) channel-blocked".to_string(),
                 culprit: None,
             },
             knobs: vec![

@@ -97,7 +97,7 @@ fn hung_injected_module_expires_on_deadline_with_forensics() {
         rx.pop_n(64).map(|_| ())
     });
     match sim.run() {
-        Err(SimError::Deadline { report }) => {
+        Err(SimError::Deadline { report, .. }) => {
             // The hung sink never pops, so the producer fills the FIFO
             // and must appear channel-blocked in the snapshot.
             let b = report.blocked_on("src").expect("src in wait-for graph");

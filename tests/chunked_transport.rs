@@ -4,16 +4,14 @@
 //! composition deadlocks mid-chunk.
 
 use fblas_hlssim::{channel, ChannelStats, ModuleKind, SimError, Simulation, WaitDirection};
-use std::time::Duration;
 
 /// A chunk larger than the FIFO splits at capacity and blocks; with no
-/// consumer making progress the watchdog must observe it as a stall,
+/// consumer making progress the simulator must declare a stall,
 /// with the producer registered in the wait-for graph as blocked on the
 /// full channel.
 #[test]
 fn chunk_split_at_capacity_is_seen_by_watchdog_as_stall() {
     let mut sim = Simulation::new();
-    sim.set_grace(Duration::from_millis(100));
     let (tx, rx) = channel::<u32>(sim.ctx(), 4, "narrow");
     let (never_tx, never_rx) = channel::<u8>(sim.ctx(), 1, "never");
 

@@ -175,8 +175,8 @@ fn scal_on_empty_buffer_is_fine() {
 #[test]
 fn stall_detection_bounded_even_with_many_modules() {
     // A ring of N modules each waiting on the previous one: genuinely
-    // deadlocked; the watchdog must report it within its grace window
-    // regardless of module count.
+    // deadlocked; the last module to park must declare it regardless
+    // of module count.
     let n = 24usize;
     let start = Instant::now();
     let mut sim = Simulation::new();

@@ -1,11 +1,10 @@
-//! Flight recorder + postmortem forensics, end to end: a watchdog stall
+//! Flight recorder + postmortem forensics, end to end: a declared stall
 //! and an exhausted recovery budget must each leave a schema-v1 bundle
 //! whose anomaly list names the true culprit, and seeded chaos bundles
 //! must render byte-identical deterministic documents.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use fblas_chaos::{FaultAction, FaultPlan, FaultSite};
 use fblas_core::composition::{
@@ -52,7 +51,6 @@ fn seq(n: usize, phase: f64) -> Vec<f64> {
 /// the classic under-depth composition of the paper's Sec. V-B.
 fn deadlocked_sim() -> Simulation {
     let mut sim = Simulation::new();
-    sim.set_grace(Duration::from_millis(80));
     let (hot_tx, hot_rx) = channel::<u64>(sim.ctx(), 4, "hot");
     let (side_tx, side_rx) = channel::<u64>(sim.ctx(), 1, "side");
     sim.add_module("src", ModuleKind::Interface, move || {
@@ -79,7 +77,12 @@ fn watchdog_stall_captures_bundle_naming_the_pinned_channel() {
 
     let bundle = flight::last_bundle().expect("stall captured a bundle");
     assert_eq!(bundle.trigger.kind, "stall");
-    assert!(bundle.trigger.detail.contains("80 ms grace"));
+    assert!(bundle
+        .trigger
+        .detail
+        .contains("live module(s) channel-blocked"));
+    // The trigger names the FIFO the blocked producer found full.
+    assert_eq!(bundle.trigger.culprit.as_deref(), Some("hot"));
     let stall = bundle.stall.as_ref().expect("wait-for graph attached");
     let blocked = stall
         .get("blocked")
@@ -87,8 +90,9 @@ fn watchdog_stall_captures_bundle_naming_the_pinned_channel() {
         .expect("blocked list serialized");
     assert_eq!(blocked.len(), report.blocked.len());
 
-    // The anomaly list names the true culprit: `hot` sat pinned at
-    // capacity 4 through the grace window; `side` (empty) stays clean.
+    // The anomaly list names the true culprit: `hot` sits pinned at
+    // capacity 4 in the watchdog's samples after the deadlock and in
+    // the final capture frame; `side` (empty) stays clean.
     let pinned: Vec<&str> = bundle
         .anomalies
         .iter()

@@ -34,9 +34,7 @@ use fblas_core::composition::{
     verify_witnesses, FusionPlan, Mdag, ModuleSem, Op, PlannerConfig, Program, RateGraph,
     EXEC_WIDTH,
 };
-use fblas_lint::harness::{
-    differential_grace, run_on_simulator, run_region_threaded, seeded_streams, SimVerdict,
-};
+use fblas_lint::harness::{run_on_simulator, run_region_threaded, seeded_streams, SimVerdict};
 use proptest::prelude::*;
 
 // ------------------------------------------------------------------
@@ -215,7 +213,7 @@ fn verify_plan(g: &Mdag, sems: &[ModuleSem], fp: &FusionPlan, label: &str) -> (u
         let fused = ev
             .run(&streams)
             .unwrap_or_else(|e| panic!("{label} {}: fused run: {e}", region.name));
-        let threaded = run_region_threaded(g, sems, region, &streams, differential_grace(), None)
+        let threaded = run_region_threaded(g, sems, region, &streams, None)
             .unwrap_or_else(|e| panic!("{label} {}: threaded run: {e}", region.name));
         let bits = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         assert_eq!(
@@ -553,11 +551,11 @@ proptest! {
                 if d > caps[ch] && sim_budget > 0 {
                     sim_budget -= 1;
                     prop_assert_eq!(
-                        run_on_simulator(&rg, &at, differential_grace()),
+                        run_on_simulator(&rg, &at),
                         SimVerdict::Completed
                     );
                     prop_assert_eq!(
-                        run_on_simulator(&rg, &below, differential_grace()),
+                        run_on_simulator(&rg, &below),
                         SimVerdict::Stalled
                     );
                 }

@@ -3,16 +3,17 @@
 //!
 //! The linter's deadlock verdicts come from an abstract scheduler
 //! (`fblas_core::composition::rates`); the simulator runs real threads
-//! with blocking bounded FIFOs and a stall watchdog. Kahn-network
-//! determinism says the two must agree on every composition:
+//! with blocking bounded FIFOs and declares a stall when every live
+//! module is blocked. Kahn-network determinism says the two must agree
+//! on every composition:
 //!
 //! * lint **accept** ⟺ the simulation **completes**;
-//! * lint **deadlock** ⟺ the watchdog reports a **stall**;
+//! * lint **deadlock** ⟺ the simulator reports a **stall**;
 //! * every reported minimum channel depth is **exact** — the depth
 //!   completes and depth − 1 stalls.
 //!
-//! The generated population is seeded and deterministic, so a failure
-//! here reproduces byte-for-byte.
+//! The generated population (`fblas_lint::harness::random_graph`) is
+//! seeded and deterministic, so a failure here reproduces byte-for-byte.
 
 // Test/example code may unwrap; the clippy.toml discipline targets
 // library code.
@@ -20,114 +21,18 @@
 
 use std::collections::HashMap;
 
-use fblas_core::composition::{
-    execute_plan, plan, ExecOptions, Mdag, RateGraph, RateOutcome, RateStep,
-};
+use fblas_core::composition::{execute_plan, plan, ExecOptions, Mdag, RateGraph, RateOutcome};
 use fblas_core::host::DeviceBuffer;
-use fblas_lint::harness::{differential_grace, run_on_simulator, SimVerdict};
+use fblas_lint::harness::{random_graph, run_on_simulator, SimVerdict};
 use fblas_lint::input::Document;
 use fblas_lint::{classify, lint_json, LintCode};
-
-// ------------------------------------------------------------------
-// Deterministic xorshift64* generator — no external crates, and no
-// time-based seeding: every failure names its seed.
-// ------------------------------------------------------------------
-
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9e3779b97f4a7c15).max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545f4914f6cdd1d)
-    }
-    /// Uniform in `lo..=hi`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo + 1)
-    }
-}
-
-// ------------------------------------------------------------------
-// Random balanced stream graphs.
-// ------------------------------------------------------------------
-
-/// A random DAG of 2–5 actors: a chain plus up to two forward "skip"
-/// edges, each edge carrying a balanced element total with random
-/// chunked interleavings on both endpoints. Balance means the only
-/// possible outcomes are completion and capacity/ordering deadlock —
-/// exactly the property the linter rules on.
-fn random_graph(seed: u64) -> RateGraph {
-    let mut rng = Rng::new(seed);
-    let n = rng.range(2, 5) as usize;
-    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
-    for i in 0..n - 1 {
-        edges.push((i, i + 1, rng.range(1, 6) * rng.range(1, 4)));
-    }
-    for _ in 0..rng.range(0, 2) {
-        let a = rng.range(0, (n - 2) as u64) as usize;
-        let b = rng.range((a + 1) as u64, (n - 1) as u64) as usize;
-        edges.push((a, b, rng.range(1, 12)));
-    }
-
-    let mut rg = RateGraph::new();
-    let chans: Vec<usize> = edges
-        .iter()
-        .enumerate()
-        .map(|(i, _)| rg.add_channel(format!("c{i}"), rng.range(1, 6)))
-        .collect();
-
-    for a in 0..n {
-        // (channel, is_push, remaining)
-        let mut ports: Vec<(usize, bool, u64)> = Vec::new();
-        for (i, &(f, t, total)) in edges.iter().enumerate() {
-            if f == a {
-                ports.push((chans[i], true, total));
-            }
-            if t == a {
-                ports.push((chans[i], false, total));
-            }
-        }
-        let mut steps = Vec::new();
-        while ports.iter().any(|p| p.2 > 0) {
-            let live: Vec<usize> = ports
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.2 > 0)
-                .map(|(k, _)| k)
-                .collect();
-            let k = live[(rng.next() % live.len() as u64) as usize];
-            let chunk = rng.range(1, 4).min(ports[k].2);
-            ports[k].2 -= chunk;
-            let (channel, is_push, _) = ports[k];
-            steps.push(if is_push {
-                RateStep::Push {
-                    channel,
-                    count: chunk,
-                }
-            } else {
-                RateStep::Pop {
-                    channel,
-                    count: chunk,
-                }
-            });
-        }
-        rg.add_actor(format!("a{a}"), steps);
-    }
-    rg
-}
 
 /// Assert the abstract verdict and the simulator verdict agree for one
 /// graph at its configured capacities.
 fn assert_agreement(rg: &RateGraph, seed: u64) -> bool {
     let caps: Vec<u64> = (0..rg.channel_count()).map(|c| rg.capacity(c)).collect();
     let abstracted = rg.analyze();
-    let simulated = run_on_simulator(rg, &caps, differential_grace());
+    let simulated = run_on_simulator(rg, &caps);
     match (&abstracted, &simulated) {
         (RateOutcome::Completed { .. }, SimVerdict::Completed) => true,
         (RateOutcome::Deadlock { .. }, SimVerdict::Stalled) => false,
@@ -215,7 +120,7 @@ fn reported_min_depths_are_exact() {
         if simulated < 8 {
             simulated += 1;
             assert_eq!(
-                run_on_simulator(&rg, &fixed, differential_grace()),
+                run_on_simulator(&rg, &fixed),
                 SimVerdict::Completed,
                 "seed {seed}: simulator at repaired depths"
             );
@@ -223,7 +128,7 @@ fn reported_min_depths_are_exact() {
                 let mut lowered = fixed.clone();
                 lowered[ch] = depth - 1;
                 assert_eq!(
-                    run_on_simulator(&rg, &lowered, differential_grace()),
+                    run_on_simulator(&rg, &lowered),
                     SimVerdict::Stalled,
                     "seed {seed}: simulator with channel {ch} one short"
                 );
@@ -255,10 +160,7 @@ fn fixture_atax_shallow_repairs_and_runs() {
     let rg = RateGraph::from_mdag(&g);
     let caps: Vec<u64> = (0..rg.channel_count()).map(|c| rg.capacity(c)).collect();
     assert!(matches!(rg.analyze(), RateOutcome::Deadlock { .. }));
-    assert_eq!(
-        run_on_simulator(&rg, &caps, differential_grace()),
-        SimVerdict::Stalled
-    );
+    assert_eq!(run_on_simulator(&rg, &caps), SimVerdict::Stalled);
 
     let fixes = rg.repair().expect("depth-repairable");
     assert!(
@@ -271,10 +173,7 @@ fn fixture_atax_shallow_repairs_and_runs() {
     for (ch, depth) in fixes {
         fixed[ch] = depth;
     }
-    assert_eq!(
-        run_on_simulator(&rg, &fixed, differential_grace()),
-        SimVerdict::Completed
-    );
+    assert_eq!(run_on_simulator(&rg, &fixed), SimVerdict::Completed);
 }
 
 /// Two parallel edges between the same pair where one carries a burst:
@@ -292,19 +191,13 @@ fn fixture_multi_edge_burst_agrees() {
     let rg = RateGraph::from_mdag(&g);
     let caps: Vec<u64> = (0..rg.channel_count()).map(|c| rg.capacity(c)).collect();
     assert!(matches!(rg.analyze(), RateOutcome::Deadlock { .. }));
-    assert_eq!(
-        run_on_simulator(&rg, &caps, differential_grace()),
-        SimVerdict::Stalled
-    );
+    assert_eq!(run_on_simulator(&rg, &caps), SimVerdict::Stalled);
     let fixes = rg.repair().expect("repairable");
     let mut fixed = caps;
     for (ch, depth) in fixes {
         fixed[ch] = depth;
     }
-    assert_eq!(
-        run_on_simulator(&rg, &fixed, differential_grace()),
-        SimVerdict::Completed
-    );
+    assert_eq!(run_on_simulator(&rg, &fixed), SimVerdict::Completed);
 }
 
 /// AXPYDOT's stream shape is a plain multitree — both sides accept it
@@ -328,10 +221,7 @@ fn fixture_axpydot_completes_on_both() {
     let rg = RateGraph::from_mdag(&g);
     let caps: Vec<u64> = (0..rg.channel_count()).map(|c| rg.capacity(c)).collect();
     assert!(rg.analyze().is_completed());
-    assert_eq!(
-        run_on_simulator(&rg, &caps, differential_grace()),
-        SimVerdict::Completed
-    );
+    assert_eq!(run_on_simulator(&rg, &caps), SimVerdict::Completed);
 }
 
 // ------------------------------------------------------------------

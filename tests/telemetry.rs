@@ -11,10 +11,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fblas_core::composition::{
-    execute_plan, plan, ExecMode, ExecOptions, Op, PlannerConfig, Program, RetryPolicy,
+use fblas_arch::Device;
+use fblas_core::apps::{
+    atax_host_layer, atax_invalid_streaming, atax_streaming, atax_streaming_independent_reads,
+    bicg_host_layer, bicg_streaming, gemver_host_layer, gemver_streaming,
 };
-use fblas_core::host::DeviceBuffer;
+use fblas_core::composition::{
+    execute_plan, plan, Backend, ExecMode, ExecOptions, Op, PlannerConfig, Program, RetryPolicy,
+};
+use fblas_core::host::{DeviceBuffer, Fpga, GemvTuning};
 use fblas_hlssim::{channel, ChannelStats, ModuleKind, Simulation};
 use fblas_metrics::expo;
 use fblas_trace::{EventKind, Tracer};
@@ -288,4 +293,103 @@ fn without_a_scope_no_run_id_leaks_into_any_surface() {
     assert!(!expo::prometheus_text(&collected).contains("fblas_run_info"));
     let doc: Value = serde_json::from_str(&expo::snapshot_json(&collected)).unwrap();
     assert!(matches!(doc.get("run_id"), Some(Value::Null)));
+}
+
+/// Every app entry point records exactly one run and one latency sample
+/// per call, including a call that fails (the undersized ATAX stalls).
+#[test]
+fn app_entry_points_count_each_call_once() {
+    let _guard = telemetry_lock();
+    let reg = fblas_metrics::install(4);
+    let backend = Backend::resolve().as_str();
+    let runs = |routine: &str| {
+        let l: &[(&str, &str)] = &[("routine", routine), ("backend", backend)];
+        (
+            reg.counter("fblas_routine_runs_total", l).value(),
+            reg.histogram("fblas_routine_us", l).snapshot().count,
+        )
+    };
+
+    let fpga = Fpga::new(Device::Stratix10Gx2800);
+    let n = 12;
+    let vec = |name: &str, len: usize| {
+        fpga.alloc_from(name, (0..len).map(|i| (i as f64 * 0.37).sin()).collect())
+    };
+    let (a, x, y, p, r) = (
+        vec("a", n * n),
+        vec("x", n),
+        vec("y", n),
+        vec("p", n),
+        vec("r", n),
+    );
+    let (u1, v1, u2, v2, z) = (
+        vec("u1", n),
+        vec("v1", n),
+        vec("u2", n),
+        vec("v2", n),
+        vec("z", n),
+    );
+    let (out1, out2, b) = (vec("o1", n), vec("o2", n), vec("b", n * n));
+    let tuning = GemvTuning::new(4, 4, 2);
+
+    // Each call reports whether it succeeded; only the undersized ATAX
+    // is meant to fail.
+    type Call<'a> = Box<dyn Fn() -> bool + 'a>;
+    let calls: Vec<(&str, Call)> = vec![
+        (
+            "atax_streaming",
+            Box::new(|| atax_streaming(&fpga, n, n, &a, &x, &out1, &tuning).is_ok()),
+        ),
+        (
+            "atax_invalid_streaming",
+            Box::new(|| atax_invalid_streaming(&fpga, n, n, &a, &x, &out1, &tuning).is_err()),
+        ),
+        (
+            "atax_streaming_independent_reads",
+            Box::new(|| {
+                atax_streaming_independent_reads(&fpga, n, n, &a, &x, &out1, &tuning).is_ok()
+            }),
+        ),
+        (
+            "atax_host_layer",
+            Box::new(|| atax_host_layer(&fpga, n, n, &a, &x, &out1, &tuning).is_ok()),
+        ),
+        (
+            "bicg_streaming",
+            Box::new(|| bicg_streaming(&fpga, n, n, &a, &p, &r, &out1, &out2, &tuning).is_ok()),
+        ),
+        (
+            "bicg_host_layer",
+            Box::new(|| bicg_host_layer(&fpga, n, n, &a, &p, &r, &out1, &out2, &tuning).is_ok()),
+        ),
+        (
+            "gemver_streaming",
+            Box::new(|| {
+                gemver_streaming(
+                    &fpga, n, 0.9, 1.1, &a, &u1, &v1, &u2, &v2, &y, &z, &b, &out1, &out2, &tuning,
+                )
+                .is_ok()
+            }),
+        ),
+        (
+            "gemver_host_layer",
+            Box::new(|| {
+                gemver_host_layer(
+                    &fpga, n, 0.9, 1.1, &a, &u1, &v1, &u2, &v2, &y, &z, &b, &out1, &out2, &tuning,
+                )
+                .is_ok()
+            }),
+        ),
+    ];
+    for (routine, call) in &calls {
+        let (runs_before, samples_before) = runs(routine);
+        assert!(call(), "{routine}: unexpected outcome");
+        let (runs_after, samples_after) = runs(routine);
+        assert_eq!(runs_after - runs_before, 1, "{routine}: runs per call");
+        assert_eq!(
+            samples_after - samples_before,
+            1,
+            "{routine}: samples per call"
+        );
+    }
 }
