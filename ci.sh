@@ -305,7 +305,7 @@ step "audit self-check (model vs traced simulation)"
 # missing bottleneck verdict.
 cargo run --release -q -p fblas-bench --example audit_report
 
-step "end-to-end benchmark (unit tests + traced stream_closed and small_closed smoke)"
+step "end-to-end benchmark (unit tests + traced stream_closed, small_closed and chaos_closed smoke)"
 # benchmarks/e2e is a package of its own, outside the workspace, so the
 # steps above never compile it. Its unit tests fail on any change to the
 # public items it imports; the short traced run checks every served
@@ -321,5 +321,12 @@ echo "stream_closed traced smoke run reconciled"
 cargo run --release -q --offline --manifest-path benchmarks/e2e/Cargo.toml -- \
     --workload small_closed --seed 1 --seconds 3 --trace 1 --out "$tmpdir/e2e" >/dev/null
 echo "small_closed traced smoke run reconciled"
+# chaos_closed is the only workload whose requests are corrupted on
+# purpose: every corrupted attempt must still be flagged by the guards
+# and ABFT, so the chaos tenant fails terminally as expected and the
+# healthy tenant's answers stay right.
+cargo run --release -q --offline --manifest-path benchmarks/e2e/Cargo.toml -- \
+    --workload chaos_closed --seed 1 --seconds 3 --trace 1 --out "$tmpdir/e2e" >/dev/null
+echo "chaos_closed traced smoke run reconciled"
 
 printf '\nci.sh: all checks passed\n'

@@ -7,7 +7,7 @@
 //! * `copy`: `Σout = Σx`
 //! * `scal`: `Σout = α·Σx`
 //! * `axpy`: `Σout = α·Σx + Σy`
-//! * `dot`:  the scalar result equals the `f64` recomputation
+//! * `dot`:  the scalar result equals a lane-split `f64` recomputation
 //! * `gemv`: `Σout = α·Σⱼ colsumⱼ(A)·xⱼ + β·Σy` (row sums when
 //!   transposed)
 //! * `ger`:  `ΣA' = ΣA + α·(Σx)(Σy)`
@@ -37,12 +37,53 @@ fn eps<T: Scalar>() -> f64 {
     }
 }
 
+/// Independent `f64` partial sums a checksum is split over: element
+/// `i` adds into lane `i mod LANES`, and the lanes are added at the end.
+/// The lanes carry no dependence on one another, so the loop runs at
+/// memory speed, and the split sum is at least as accurate as one
+/// serial chain, whose error the tolerance already covers.
+const LANES: usize = 8;
+
 /// Sum and absolute-value sum of a buffer, in `f64`.
 fn sums<T: Scalar>(v: &[T]) -> (f64, f64) {
-    v.iter().fold((0.0, 0.0), |(s, a), &x| {
+    let (mut s, mut a) = ([0.0f64; LANES], [0.0f64; LANES]);
+    let blocks = v.chunks_exact(LANES);
+    let tail = blocks.remainder();
+    for block in blocks {
+        for k in 0..LANES {
+            let x = block[k].to_f64();
+            s[k] += x;
+            a[k] += x.abs();
+        }
+    }
+    for (k, x) in tail.iter().enumerate() {
         let x = x.to_f64();
-        (s + x, a + x.abs())
-    })
+        s[k] += x;
+        a[k] += x.abs();
+    }
+    (s.iter().sum(), a.iter().sum())
+}
+
+/// `xᵀy` and `Σ|xᵢyᵢ|` over the common length, in `f64`.
+fn dot<T: Scalar>(xs: &[T], ys: &[T]) -> (f64, f64) {
+    let n = xs.len().min(ys.len());
+    let (xs, ys) = (&xs[..n], &ys[..n]);
+    let (mut s, mut a) = ([0.0f64; LANES], [0.0f64; LANES]);
+    let (xb, yb) = (xs.chunks_exact(LANES), ys.chunks_exact(LANES));
+    let tail = xb.remainder().iter().zip(yb.remainder());
+    for (x, y) in xb.zip(yb) {
+        for k in 0..LANES {
+            let p = x[k].to_f64() * y[k].to_f64();
+            s[k] += p;
+            a[k] += p.abs();
+        }
+    }
+    for (k, (x, y)) in tail.enumerate() {
+        let p = x.to_f64() * y.to_f64();
+        s[k] += p;
+        a[k] += p.abs();
+    }
+    (s.iter().sum(), a.iter().sum())
 }
 
 /// Tolerance for an identity over `work` flops at magnitude `scale`.
@@ -125,12 +166,6 @@ fn check_op<'b, T: Scalar>(
                 .get(out)
                 .map(|v| v.to_f64())
                 .ok_or_else(|| format!("abft: op {oi} (dot): no result stored for `{out}`"))?;
-            let dot = |xs: &[T], ys: &[T]| {
-                xs.iter().zip(ys).fold((0.0, 0.0), |(s, a), (&xi, &yi)| {
-                    let (xi, yi) = (xi.to_f64(), yi.to_f64());
-                    (xi.mul_add(yi, s), a + (xi * yi).abs())
-                })
-            };
             // One read guard per distinct buffer.
             let (xb, yb) = (need(x)?, need(y)?);
             let (want, scale, len) = xb.with_read(|xs| {
@@ -374,6 +409,164 @@ mod tests {
         bad[3] += 0.7;
         let staged: HashMap<_, _> = [buf("B", bad)].into();
         assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars).is_err());
+    }
+
+    /// Flip the top exponent bit: a gross corruption every identity
+    /// must catch.
+    fn flip_high_bit<T: Scalar>(v: T) -> T {
+        if std::mem::size_of::<T>() == 4 {
+            T::from_f64(f32::from_bits((v.to_f64() as f32).to_bits() ^ 1 << 30) as f64)
+        } else {
+            T::from_f64(f64::from_bits(v.to_f64().to_bits() ^ 1 << 62))
+        }
+    }
+
+    /// Where a fault is planted in a stream of `len`: the last element,
+    /// which falls past the last full block of lanes unless `len` is a
+    /// multiple of them, and the first lane of the first full block.
+    fn fault_sites(len: usize) -> Vec<usize> {
+        let mut sites = vec![len - 1];
+        if len >= LANES {
+            sites.push(0);
+        }
+        sites
+    }
+
+    fn tbuf<T: Scalar>(name: &str, data: Vec<T>) -> (String, DeviceBuffer<T>) {
+        (name.to_string(), DeviceBuffer::from_vec(name, data, 0))
+    }
+
+    /// Copy, axpy, dot and transposed gemv on lengths that leave a
+    /// partial block of lanes (or no full one): clean results pass, and
+    /// a high-bit flip in a tail element or a lane-aligned one fails.
+    fn ragged_lengths_pass_clean_and_catch_flips<T: Scalar>() {
+        let vals = |len: usize, f: f64| -> Vec<T> {
+            (0..len)
+                .map(|i| T::from_f64((i as f64 * f + 0.1).sin()))
+                .collect()
+        };
+        let check = |p: &Program,
+                     staged: Vec<(String, DeviceBuffer<T>)>,
+                     buffers: Vec<(String, DeviceBuffer<T>)>,
+                     scalars: &HashMap<String, T>| {
+            let staged: HashMap<_, _> = staged.into_iter().collect();
+            let buffers: HashMap<_, _> = buffers.into_iter().collect();
+            verify_component::<T>(p, &[0], &staged, &buffers, scalars)
+        };
+        let none = HashMap::new();
+        for len in [1, 7, 9, 8 * 12 + 3] {
+            let (xv, yv) = (vals(len, 0.37), vals(len, 0.11));
+
+            let mut p = Program::new();
+            p.vector("x", len).vector("z", len);
+            p.op(Op::Copy {
+                x: "x".into(),
+                out: "z".into(),
+            });
+            let x = || vec![tbuf("x", xv.clone())];
+            assert!(check(&p, vec![tbuf("z", xv.clone())], x(), &none).is_ok());
+            for i in fault_sites(len) {
+                let mut bad = xv.clone();
+                bad[i] = flip_high_bit(bad[i]);
+                let err = check(&p, vec![tbuf("z", bad)], x(), &none).unwrap_err();
+                assert!(err.contains("copy"), "len {len} site {i}: {err}");
+            }
+
+            let alpha = T::from_f64(-0.8);
+            let mut p = Program::new();
+            p.vector("x", len).vector("y", len).vector("z", len);
+            p.op(Op::Axpy {
+                alpha: -0.8,
+                x: "x".into(),
+                y: "y".into(),
+                out: "z".into(),
+            });
+            let zv: Vec<T> = xv
+                .iter()
+                .zip(&yv)
+                .map(|(a, b)| alpha.mul_add(*a, *b))
+                .collect();
+            let xy = || vec![tbuf("x", xv.clone()), tbuf("y", yv.clone())];
+            assert!(check(&p, vec![tbuf("z", zv.clone())], xy(), &none).is_ok());
+            for i in fault_sites(len) {
+                let mut bad = zv.clone();
+                bad[i] = flip_high_bit(bad[i]);
+                let err = check(&p, vec![tbuf("z", bad)], xy(), &none).unwrap_err();
+                assert!(err.contains("axpy"), "len {len} site {i}: {err}");
+            }
+
+            // A dot's result is a scalar: the fault sits in an operand
+            // the recomputation reads.
+            let mut p = Program::new();
+            p.vector("x", len).vector("y", len).scalar("r");
+            p.op(Op::Dot {
+                x: "x".into(),
+                y: "y".into(),
+                out: "r".into(),
+            });
+            let r = xv.iter().zip(&yv).fold(T::ZERO, |s, (a, b)| s + *a * *b);
+            let scalars: HashMap<_, _> = [("r".to_string(), r)].into();
+            assert!(check(&p, vec![], xy(), &scalars).is_ok());
+            for i in fault_sites(len) {
+                let mut bad = yv.clone();
+                bad[i] = flip_high_bit(bad[i]);
+                let buffers = vec![tbuf("x", xv.clone()), tbuf("y", bad)];
+                let err = check(&p, vec![], buffers, &scalars).unwrap_err();
+                assert!(err.contains("dot"), "len {len} site {i}: {err}");
+            }
+
+            // Transposed gemv over a 5 × len matrix: the row checksums
+            // run over ragged rows.
+            let n = 5;
+            let av = vals(n * len, 0.13);
+            let xv = vals(n, 0.21);
+            let (alpha, beta) = (T::from_f64(0.9), T::from_f64(0.4));
+            let mut p = Program::new();
+            p.matrix("A", n, len)
+                .vector("x", n)
+                .vector("y", len)
+                .vector("o", len);
+            p.op(Op::Gemv {
+                alpha: 0.9,
+                beta: 0.4,
+                a: "A".into(),
+                transposed: true,
+                x: "x".into(),
+                y: Some("y".into()),
+                out: "o".into(),
+            });
+            let ov: Vec<T> = (0..len)
+                .map(|j| {
+                    let col = (0..n).fold(T::ZERO, |s, i| av[i * len + j].mul_add(xv[i], s));
+                    alpha * col + beta * yv[j]
+                })
+                .collect();
+            let inputs =
+                |a: Vec<T>| vec![tbuf("A", a), tbuf("x", xv.clone()), tbuf("y", yv.clone())];
+            assert!(check(&p, vec![tbuf("o", ov.clone())], inputs(av.clone()), &none).is_ok());
+            for i in fault_sites(len) {
+                let mut bad = ov.clone();
+                bad[i] = flip_high_bit(bad[i]);
+                let err = check(&p, vec![tbuf("o", bad)], inputs(av.clone()), &none).unwrap_err();
+                assert!(err.contains("gemv"), "len {len} site {i}: {err}");
+                // The same sites in the last row of A.
+                let mut bad = av.clone();
+                bad[(n - 1) * len + i] = flip_high_bit(bad[(n - 1) * len + i]);
+                let staged = vec![tbuf("o", ov.clone())];
+                let err = check(&p, staged, inputs(bad), &none).unwrap_err();
+                assert!(err.contains("gemv"), "len {len} site {i} of A: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_lengths_pass_clean_and_catch_flips_f32() {
+        ragged_lengths_pass_clean_and_catch_flips::<f32>();
+    }
+
+    #[test]
+    fn ragged_lengths_pass_clean_and_catch_flips_f64() {
+        ragged_lengths_pass_clean_and_catch_flips::<f64>();
     }
 
     #[test]

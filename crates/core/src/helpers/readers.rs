@@ -64,16 +64,17 @@ pub fn read_matrix<T: Scalar>(
                 ),
             ));
         }
-        let order = tiling.stream_indices(n, m);
-        // Source module: gather each chunk from the tile order and push
-        // it in one batched transfer.
+        // Source module: gather each chunk from the tile order, walked
+        // run by run, and push it in one batched transfer.
         let chunk = fblas_hlssim::default_chunk();
         let mut buf: Vec<T> = Vec::with_capacity(chunk);
         for _ in 0..repetitions {
-            for &(r, c) in &order {
-                buf.push(data[r * m + c]);
-                if buf.len() == chunk {
-                    tx.push_chunk(&mut buf)?;
+            for seg in tiling.segments(n, m) {
+                for i in seg.indices() {
+                    buf.push(data[i]);
+                    if buf.len() == chunk {
+                        tx.push_chunk(&mut buf)?;
+                    }
                 }
             }
             tx.push_chunk(&mut buf)?;
@@ -135,6 +136,41 @@ mod tests {
             Ok(())
         });
         sim.run().unwrap();
+    }
+
+    #[test]
+    fn matrix_reader_and_writer_follow_every_tile_order() {
+        let (n, m) = (5, 7);
+        let data: Vec<f64> = (0..n * m).map(|i| i as f64).collect();
+        for order in [
+            TileOrder::RowTilesRowMajor,
+            TileOrder::RowTilesColMajor,
+            TileOrder::ColTilesRowMajor,
+            TileOrder::ColTilesColMajor,
+        ] {
+            // Ragged edge tiles on both axes.
+            let tiling = Tiling::new(2, 3, order);
+            let want: Vec<f64> = tiling
+                .stream_indices(n, m)
+                .into_iter()
+                .map(|(r, c)| (r * m + c) as f64)
+                .collect();
+            let mut sim = Simulation::new();
+            let src = DeviceBuffer::from_vec("a", data.clone(), 0);
+            let dst = DeviceBuffer::<f64>::zeroed("b", n * m, 0);
+            let (tx, rx) = channel(sim.ctx(), 4, "ch");
+            let (tx_b, rx_b) = channel(sim.ctx(), 4, "ch_b");
+            read_matrix(&mut sim, &src, n, m, tiling, tx, 2);
+            sim.add_module("check", ModuleKind::Compute, move || {
+                assert_eq!(rx.pop_n(n * m)?, want, "{order:?} first round");
+                let second = rx.pop_n(n * m)?;
+                assert_eq!(second, want, "{order:?} replayed round");
+                tx_b.push_slice(&second)
+            });
+            crate::helpers::writers::write_matrix(&mut sim, &dst, n, m, tiling, rx_b);
+            sim.run().unwrap();
+            assert_eq!(dst.to_host(), data, "{order:?}: writer inverts the reader");
+        }
     }
 
     #[test]

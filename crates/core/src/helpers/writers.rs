@@ -67,11 +67,12 @@ pub fn write_matrix<T: Scalar>(
                 ),
             ));
         }
-        let order = tiling.stream_indices(n, m);
         let mut out = vec![T::ZERO; n * m];
         let mut rd = ChunkReader::new(&rx);
-        for &(r, c) in &order {
-            out[r * m + c] = rd.next()?;
+        for seg in tiling.segments(n, m) {
+            for i in seg.indices() {
+                out[i] = rd.next()?;
+            }
         }
         buf.from_host(&out);
         Ok(())

@@ -11,16 +11,20 @@ use std::ops::Range;
 
 use fblas_hlssim::SimError;
 
-use crate::tiling::Tiling;
+use crate::tiling::{Segment, Tiling};
 
 fn exhausted(what: &str) -> SimError {
     SimError::module("tile-replay", format!("{what} stream exhausted"))
 }
 
+/// A tiling's runs over a matrix. The cursors walk them as contiguous
+/// ranges, so elements must be row-major within a tile.
+type Rows = Box<dyn Iterator<Item = Segment>>;
+
 /// Reads a row-major matrix in a tiling's stream order.
 pub(crate) struct TiledReader<'a, T> {
     data: &'a [T],
-    segs: std::vec::IntoIter<Range<usize>>,
+    segs: Rows,
     cur: &'a [T],
 }
 
@@ -29,7 +33,7 @@ impl<'a, T: Copy> TiledReader<'a, T> {
     pub(crate) fn new(data: &'a [T], n: usize, m: usize, tiling: Tiling) -> Self {
         TiledReader {
             data,
-            segs: tiling.row_segments(n, m).into_iter(),
+            segs: Box::new(tiling.segments(n, m)),
             cur: &[],
         }
     }
@@ -43,7 +47,7 @@ impl<'a, T: Copy> TiledReader<'a, T> {
                 return Ok(v);
             }
             let seg = self.segs.next().ok_or_else(|| exhausted("matrix"))?;
-            self.cur = &self.data[seg];
+            self.cur = &self.data[seg.range()];
         }
     }
 }
@@ -51,7 +55,7 @@ impl<'a, T: Copy> TiledReader<'a, T> {
 /// Writes a row-major matrix in a tiling's stream order.
 pub(crate) struct TiledWriter<'a, T> {
     data: &'a mut [T],
-    segs: std::vec::IntoIter<Range<usize>>,
+    segs: Rows,
     cur: Range<usize>,
 }
 
@@ -60,7 +64,7 @@ impl<'a, T> TiledWriter<'a, T> {
     pub(crate) fn new(data: &'a mut [T], n: usize, m: usize, tiling: Tiling) -> Self {
         TiledWriter {
             data,
-            segs: tiling.row_segments(n, m).into_iter(),
+            segs: Box::new(tiling.segments(n, m)),
             cur: 0..0,
         }
     }
@@ -72,7 +76,11 @@ impl<'a, T> TiledWriter<'a, T> {
             if let Some(i) = self.cur.next() {
                 break i;
             }
-            self.cur = self.segs.next().ok_or_else(|| exhausted("matrix output"))?;
+            self.cur = self
+                .segs
+                .next()
+                .ok_or_else(|| exhausted("matrix output"))?
+                .range();
         };
         self.data[i] = v;
         Ok(())

@@ -118,13 +118,40 @@ impl Scalar for f64 {
     }
 }
 
+/// Widest block [`tree_sum`] reduces flat, level by level.
+const FLAT_TREE: usize = 64;
+
 /// Sum a slice with a binary-tree reduction — the accumulation shape of a
 /// fully unrolled `W`-wide adder tree (paper Fig. 5). This is the order
 /// in which a synthesized circuit combines the `W` products of one
 /// iteration, and differs from left-to-right summation in floating point;
 /// routines use it so the simulated numerics match the hardware's.
+///
+/// The tree adds the sum of the first ⌈n/2⌉ values to the sum of the
+/// rest, recursively. On a power-of-two block (the usual `W`) that split
+/// is the pairwise tree: the first level adds neighbours
+/// `(v₀+v₁), (v₂+v₃), …` and each further level adds neighbouring
+/// partials. Such a block of at most 64 values is reduced in place in a
+/// stack buffer, level by level, which performs exactly the same
+/// additions. Other lengths split recursively, and each part that is
+/// such a block is reduced flat.
 pub fn tree_sum<T: Scalar>(values: &[T]) -> T {
-    match values.len() {
+    let n = values.len();
+    if n.is_power_of_two() && (2..=FLAT_TREE).contains(&n) {
+        let mut level = [T::ZERO; FLAT_TREE / 2];
+        for (p, pair) in level.iter_mut().zip(values.chunks_exact(2)) {
+            *p = pair[0] + pair[1];
+        }
+        let mut len = n / 2;
+        while len > 1 {
+            len /= 2;
+            for i in 0..len {
+                level[i] = level[2 * i] + level[2 * i + 1];
+            }
+        }
+        return level[0];
+    }
+    match n {
         0 => T::ZERO,
         1 => values[0],
         n => {
@@ -219,6 +246,89 @@ mod tests {
         let c = 1.0f32;
         let d = 1.0f32;
         assert_eq!(tree_sum(&[a, b, c, d]), 2.0);
+    }
+
+    /// `tree_sum`'s definition: the first ⌈n/2⌉ values' sum plus the
+    /// rest's, recursively.
+    fn recursive_tree_sum<T: Scalar>(values: &[T]) -> T {
+        match values.len() {
+            0 => T::ZERO,
+            1 => values[0],
+            n => {
+                let mid = n.div_ceil(2);
+                recursive_tree_sum(&values[..mid]) + recursive_tree_sum(&values[mid..])
+            }
+        }
+    }
+
+    /// Seeded values that stress the grouping: ordinary magnitudes over
+    /// a wide exponent range, ±0.0, subnormals (multiples of `tiny`),
+    /// ±inf, NaN, and pairs of huge values that cancel.
+    fn awkward_values(seed: u64, n: usize, tiny: f64) -> Vec<f64> {
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let r = next();
+            let unit = (r >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+            // Specials are rare so that most vectors stay finite and the
+            // grouping decides the bits.
+            match r % 64 {
+                0 => out.push(if r & 64 == 0 { 0.0 } else { -0.0 }),
+                1 => out.push(unit * tiny),
+                2 if seed.is_multiple_of(3) => out.push(f64::INFINITY.copysign(unit)),
+                3 if seed.is_multiple_of(5) => out.push(f64::NAN),
+                4..=11 => {
+                    let big = unit * 1e16;
+                    out.push(big);
+                    out.push(-big + unit);
+                }
+                _ => out.push(unit * 10f64.powi((r >> 8) as i32 % 9 - 4)),
+            }
+        }
+        out.truncate(n);
+        out
+    }
+
+    /// Bits of a sum; Rust leaves the payload of a NaN produced by
+    /// arithmetic unspecified, so every NaN compares as one value.
+    fn sum_bits<T: Scalar>(v: T) -> u64 {
+        let v = v.to_f64();
+        if v.is_nan() {
+            u64::MAX
+        } else {
+            v.to_bits()
+        }
+    }
+
+    #[test]
+    fn tree_sum_is_bit_identical_to_the_recursive_split() {
+        for n in 0..=64 {
+            for seed in 0..40u64 {
+                let seed = seed * 65 + n as u64;
+                let v64 = awkward_values(seed, n, 1e-310);
+                let v32: Vec<f32> = awkward_values(seed, n, 1e-40)
+                    .into_iter()
+                    .map(|v| v as f32)
+                    .collect();
+                assert_eq!(
+                    sum_bits(tree_sum(&v64)),
+                    sum_bits(recursive_tree_sum(&v64)),
+                    "f64 n={n} seed={seed}: {v64:?}"
+                );
+                assert_eq!(
+                    sum_bits(tree_sum(&v32)),
+                    sum_bits(recursive_tree_sum(&v32)),
+                    "f32 n={n} seed={seed}: {v32:?}"
+                );
+            }
+        }
     }
 
     #[test]

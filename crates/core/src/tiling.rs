@@ -134,33 +134,65 @@ impl Tiling {
         out
     }
 
-    /// The stream of an `n × m` row-major matrix as contiguous row
-    /// segments: one `r·m + c0 .. r·m + c1` range per row of each tile,
-    /// in streaming order. Concatenated, the ranges visit exactly
-    /// [`stream_indices`](Self::stream_indices).
+    /// The stream of an `n × m` row-major matrix as runs, in streaming
+    /// order: one run per row of each tile when elements are row-major
+    /// within a tile, one per column of each tile otherwise.
+    /// Concatenated, the runs visit exactly
+    /// [`stream_indices`](Self::stream_indices). The runs are computed
+    /// as they are consumed, so walking a matrix holds one run at a time.
+    pub(crate) fn segments(&self, n: usize, m: usize) -> impl Iterator<Item = Segment> {
+        let t = *self;
+        let (trows, tcols) = (t.tile_rows(n), t.tile_cols(m));
+        (0..trows * tcols).flat_map(move |k| {
+            let (bi, bj) = if t.order.tiles_by_rows() {
+                (k / tcols, k % tcols)
+            } else {
+                (k % trows, k / trows)
+            };
+            let (r0, c0) = (bi * t.tn, bj * t.tm);
+            let (rows, cols) = ((r0 + t.tn).min(n) - r0, (c0 + t.tm).min(m) - c0);
+            // (runs, step between run starts, run length, element stride)
+            let (runs, step, len, stride) = if t.order.elements_row_major() {
+                (rows, m, cols, 1)
+            } else {
+                (cols, 1, rows, m)
+            };
+            (0..runs).map(move |i| Segment {
+                start: r0 * m + c0 + i * step,
+                len,
+                stride,
+            })
+        })
+    }
+}
+
+/// One run of a matrix stream over its row-major buffer: `len`
+/// elements from index `start`, `stride` apart — a tile row (stride 1)
+/// or a tile column (stride `m`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Segment {
+    pub(crate) start: usize,
+    pub(crate) len: usize,
+    pub(crate) stride: usize,
+}
+
+impl Segment {
+    /// Buffer indices of the run, in stream order.
+    pub(crate) fn indices(self) -> impl Iterator<Item = usize> {
+        (0..self.len).map(move |i| self.start + i * self.stride)
+    }
+
+    /// The run as one contiguous index range.
     ///
     /// # Panics
-    /// Panics if elements within a tile are streamed column-major.
-    pub(crate) fn row_segments(&self, n: usize, m: usize) -> Vec<std::ops::Range<usize>> {
+    /// Panics if the run is strided (a tile column of a matrix wider
+    /// than one).
+    pub(crate) fn range(self) -> std::ops::Range<usize> {
         assert!(
-            self.order.elements_row_major(),
-            "row segments need elements row-major within a tile"
+            self.stride == 1 || self.len <= 1,
+            "a tile column is not a contiguous range"
         );
-        let (trows, tcols) = (self.tile_rows(n), self.tile_cols(m));
-        let tile = |bi: usize, bj: usize| {
-            let (r0, c0) = (bi * self.tn, bj * self.tm);
-            let c1 = (c0 + self.tm).min(m);
-            (r0..(r0 + self.tn).min(n)).map(move |r| r * m + c0..r * m + c1)
-        };
-        if self.order.tiles_by_rows() {
-            (0..trows)
-                .flat_map(|bi| (0..tcols).flat_map(move |bj| tile(bi, bj)))
-                .collect()
-        } else {
-            (0..tcols)
-                .flat_map(|bj| (0..trows).flat_map(move |bi| tile(bi, bj)))
-                .collect()
-        }
+        self.start..self.start + self.len
     }
 }
 
@@ -200,18 +232,29 @@ mod tests {
     }
 
     #[test]
-    fn row_segments_concatenate_to_the_stream_order() {
-        for order in [TileOrder::RowTilesRowMajor, TileOrder::ColTilesRowMajor] {
-            for (tn, tm) in [(3, 2), (7, 5), (2, 9)] {
-                let t = Tiling::new(tn, tm, order);
-                let (n, m) = (7, 5);
-                let flat: Vec<usize> = t.row_segments(n, m).into_iter().flatten().collect();
-                let want: Vec<usize> = t
-                    .stream_indices(n, m)
-                    .into_iter()
-                    .map(|(r, c)| r * m + c)
-                    .collect();
-                assert_eq!(flat, want, "{order:?} {tn}x{tm}");
+    fn segments_concatenate_to_the_stream_order() {
+        for order in [
+            TileOrder::RowTilesRowMajor,
+            TileOrder::RowTilesColMajor,
+            TileOrder::ColTilesRowMajor,
+            TileOrder::ColTilesColMajor,
+        ] {
+            for (tn, tm) in [(3, 2), (7, 5), (2, 9), (1, 1)] {
+                for (n, m) in [(7, 5), (1, 6), (6, 1), (0, 3)] {
+                    let t = Tiling::new(tn, tm, order);
+                    let flat: Vec<usize> = t.segments(n, m).flat_map(Segment::indices).collect();
+                    let want: Vec<usize> = t
+                        .stream_indices(n, m)
+                        .into_iter()
+                        .map(|(r, c)| r * m + c)
+                        .collect();
+                    assert_eq!(flat, want, "{order:?} {tn}x{tm} tiles of {n}x{m}");
+                    if order.elements_row_major() {
+                        let ranges: Vec<usize> =
+                            t.segments(n, m).flat_map(Segment::range).collect();
+                        assert_eq!(ranges, want, "{order:?}: rows are contiguous");
+                    }
+                }
             }
         }
     }

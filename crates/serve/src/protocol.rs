@@ -362,12 +362,39 @@ pub fn run_seed(req: &Request) -> u64 {
             .rotate_left(17)
 }
 
+/// SplitMix64's increment: element `i` of an operand's fill stream
+/// starts from `base + i·GAMMA`.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Deterministic operand fill: element `i` of operand `name` under
 /// `fill_seed`, in `[-1, 1)`. SplitMix64 over the mixed seed.
 pub fn fill_value(fill_seed: u64, name: &str, i: usize) -> f64 {
-    let mut z = fill_seed
-        .wrapping_add(fnv1a(name.as_bytes()))
-        .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    splitmix_unit(fill_base(fill_seed, name).wrapping_add((i as u64).wrapping_mul(GAMMA)))
+}
+
+/// The first `len` fill values of operand `name` under `fill_seed`:
+/// element `i` is [`fill_value`]`(fill_seed, name, i)`, bit for bit,
+/// with the name hashed once for the whole operand.
+pub fn fill_operand(fill_seed: u64, name: &str, len: usize) -> Vec<f64> {
+    // A running state in place of `i·GAMMA` keeps the loop scalar: the
+    // compiler vectorises the indexed form with emulated 64-bit
+    // multiplies, which measured slower.
+    let mut state = fill_base(fill_seed, name);
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
+        out.push(splitmix_unit(state));
+        state = state.wrapping_add(GAMMA);
+    }
+    out
+}
+
+/// The per-operand part of the fill seed.
+fn fill_base(fill_seed: u64, name: &str) -> u64 {
+    fill_seed.wrapping_add(fnv1a(name.as_bytes()))
+}
+
+/// SplitMix64's output for state `z`, mapped to `[-1, 1)`.
+fn splitmix_unit(mut z: u64) -> f64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
@@ -454,5 +481,31 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn bulk_fill_equals_fill_value_bit_for_bit() {
+        for name in ["x", "A_long_operand"] {
+            for seed in [0, 0xE2E0_5EED] {
+                for len in [0, 1, 17, 4096] {
+                    let bulk = fill_operand(seed, name, len);
+                    assert_eq!(bulk.len(), len);
+                    for (i, v) in bulk.iter().enumerate() {
+                        assert_eq!(
+                            v.to_bits(),
+                            fill_value(seed, name, i).to_bits(),
+                            "{name} seed={seed} len={len} i={i}"
+                        );
+                    }
+                }
+            }
+        }
+        // Pinned values: clients compute references from these bits.
+        assert_eq!(fill_value(0, "x", 0).to_bits(), 0xbfe4_e1f5_4f75_dbba);
+        assert_eq!(fill_value(9, "x", 3).to_bits(), 0x3fe8_ccdf_8bb3_c1d2);
+        assert_eq!(
+            fill_operand(0xE2E0, "A", 4096)[4095].to_bits(),
+            0x3fde_64aa_9b1c_8c84
+        );
     }
 }

@@ -41,7 +41,7 @@ use serde::{Serialize, Value};
 
 use crate::breaker::{shape_hash, Breakers};
 use crate::protocol::{
-    fill_value, parse_line, run_seed, wanted_outputs, Inbound, Request, Response, STATUS_FAILED,
+    fill_operand, parse_line, run_seed, wanted_outputs, Inbound, Request, Response, STATUS_FAILED,
     STATUS_OK, STATUS_REJECTED, STATUS_SHED,
 };
 use crate::quota::TenantQuotas;
@@ -838,9 +838,7 @@ fn execute_job(job: &Job, inner: &Arc<Inner>) -> Response {
         let Some(len) = elements(od) else { continue };
         let data = match req.data.as_ref().and_then(|d| d.get(&od.name)) {
             Some(v) => v.clone(),
-            None => (0..len)
-                .map(|i| fill_value(fill_seed, &od.name, i))
-                .collect(),
+            None => fill_operand(fill_seed, &od.name, len),
         };
         buffers.insert(od.name.clone(), DeviceBuffer::from_vec(&od.name, data, 0));
     }
