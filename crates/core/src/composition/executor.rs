@@ -15,6 +15,7 @@
 //! buffers (so later components and the host read them), and DOT results
 //! are returned in the outcome's scalar map.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,9 +31,11 @@ use serde::Serialize;
 use super::abft;
 use super::fused::{self, Backend};
 use super::fusion::EXEC_WIDTH;
+use super::mdag::Mdag;
 use super::planner::{
-    ContractCause, Op, Plan, PlanError, PlannedComponent, PlannerConfig, Program,
+    component_mdag, ContractCause, Op, Plan, PlanError, PlannedComponent, PlannerConfig, Program,
 };
+use super::rates::RateGraph;
 use crate::helpers::fanout::duplicate_many;
 use crate::helpers::{read_matrix, read_vector_replayed, write_matrix, write_vector};
 use crate::host::buffer::DeviceBuffer;
@@ -122,6 +125,12 @@ pub struct ExecOutcome<T> {
     /// The run's component count and run ID, plus — under
     /// [`ExecMode::Recover`] — every attempt.
     pub recovery: RecoveryReport,
+    /// Threaded simulations that ran with host-depth FIFOs: the
+    /// components and fused-schedule units of a [`Backend::Fused`] run
+    /// that the rate analysis proved live (DESIGN.md, "Modelled depth
+    /// and host depth"), counted over every simulation that completed,
+    /// retried attempts included. Always 0 on [`Backend::Threaded`].
+    pub host_depth_sims: u64,
 }
 
 /// What [`execute_plan`] does around each component besides running
@@ -224,6 +233,7 @@ pub fn execute_plan<T: Scalar>(
             run_id: fblas_metrics::current_run_id().map(|id| id.to_string()),
             ..RecoveryReport::default()
         },
+        host_depth_sims: 0,
     };
     propagate_run_id(opts.tracer);
     if let Some(t) = opts.tracer {
@@ -246,6 +256,7 @@ pub fn execute_plan<T: Scalar>(
         buffers,
         backend: opts.backend,
         metrics: ExecMetrics::arm(),
+        host_depth_sims: Cell::new(0),
     };
     for (ix, component) in plan.components.iter().enumerate() {
         // One span lane per component on this thread; module lanes are
@@ -285,6 +296,7 @@ pub fn execute_plan<T: Scalar>(
             m.component_done(t0);
         }
     }
+    out.host_depth_sims = run.host_depth_sims.get();
     Ok(out)
 }
 
@@ -606,6 +618,8 @@ struct Run<'a, T> {
     buffers: &'a HashMap<String, DeviceBuffer<T>>,
     backend: Backend,
     metrics: Option<ExecMetrics>,
+    /// [`ExecOutcome::host_depth_sims`] so far.
+    host_depth_sims: Cell<u64>,
 }
 
 impl<T: Scalar> Run<'_, T> {
@@ -622,7 +636,7 @@ impl<T: Scalar> Run<'_, T> {
         opts: &ComponentOptions,
     ) -> Result<(HashMap<String, T>, Vec<GuardReport>), ExecError> {
         let scalars = Arc::new(Mutex::new(HashMap::new()));
-        let guards = if self.backend.fused_allowed() {
+        let run = if self.backend.fused_allowed() {
             fused::run_component_fused(
                 self.program,
                 self.cfg,
@@ -646,10 +660,12 @@ impl<T: Scalar> Run<'_, T> {
                 opts,
             )?
         };
+        self.host_depth_sims
+            .set(self.host_depth_sims.get() + run.host_depth_sims);
         let scalars = Arc::try_unwrap(scalars)
             .map(Mutex::into_inner)
             .unwrap_or_else(|arc| arc.lock().clone());
-        Ok((scalars, guards))
+        Ok((scalars, run.guards))
     }
 
     /// [`ExecMode::Audit`]: run `component` under a fresh tracer, which
@@ -702,6 +718,7 @@ impl<T: Scalar> Run<'_, T> {
         let opts = ComponentOptions {
             hook: hook.clone(),
             deadline: policy.deadline,
+            ..ComponentOptions::default()
         };
         let max = policy.max_attempts.max(1);
         let mut attempt = 0;
@@ -973,12 +990,104 @@ impl<'a, T: Scalar> BufRouter<'a, T> {
 }
 
 /// Per-run extras for a component's simulation.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(super) struct ComponentOptions {
     /// Fault hook armed on the simulation context before the run.
     pub(super) hook: Option<Arc<dyn FaultHook>>,
     /// Watchdog wall-clock deadline for the run.
     pub(super) deadline: Option<Duration>,
+    /// The backend lets the run use host-depth FIFOs when
+    /// [`admit_host_depth`] proves it safe. The fused backend sets it
+    /// for its threaded fallbacks; the threaded backend, the oracle,
+    /// never does.
+    pub(super) host_depth: bool,
+}
+
+/// What one threaded simulation (or a fused schedule of several)
+/// leaves behind.
+#[derive(Default)]
+pub(super) struct ComponentRun {
+    /// Digest guard reports of the simulated channels.
+    pub(super) guards: Vec<GuardReport>,
+    /// Threaded simulations that ran with host-depth FIFOs.
+    pub(super) host_depth_sims: u64,
+}
+
+/// Host capacity of every FIFO of a threaded simulation admitted by
+/// [`admit_host_depth`]: a channel gets `max(modelled depth,
+/// HOST_DEPTH)`, so a producer and a consumer on different cores park
+/// and wake far less often than at the modelled 64. The smallest depth
+/// on the wall-clock plateau of a sweep over {256, 1024, 4096, 16384}
+/// (EXPERIMENTS.md, "Host-depth FIFOs"); a channel preallocates
+/// `min(capacity, 2¹⁶)` slots, so a small request stays cheap.
+const HOST_DEPTH: usize = 1024;
+
+/// Depth a burst edge gets above the burst it must buffer (the ATAX
+/// row of tiles, `T_N·M`).
+const BURST_SLACK: usize = 64;
+
+/// The host-depth rule: a threaded simulation runs every FIFO at host
+/// depth only when its backend allows it, no fault hook is armed, and
+/// the rate analysis of `mdag` — the simulation's MDAG at the depths it
+/// would otherwise instantiate — completes. Kahn determinism makes the
+/// deeper run produce the same bits, and extra capacity never creates a
+/// deadlock; a composition that stalls at its modelled depths keeps
+/// them, so it still stalls. Fault sites stay at modelled depth so that
+/// chaos reports match the threaded backend's.
+fn admit_host_depth(opts: &ComponentOptions, mdag: impl FnOnce() -> Option<Mdag>) -> bool {
+    opts.host_depth
+        && opts.hook.is_none()
+        && mdag().is_some_and(|g| RateGraph::from_mdag(&g).analyze().is_completed())
+}
+
+/// The MDAG of the simulation [`run_component`] instantiates for `ops`,
+/// at the depths it instantiates: the default depth, and
+/// [`edge_depth`]'s on a burst edge.
+fn exec_mdag(
+    program: &Program,
+    cfg: &PlannerConfig,
+    ops: &[usize],
+    variants: &HashMap<usize, GemvVariant>,
+) -> Option<Mdag> {
+    let mut g = component_mdag(program, ops, variants, cfg).ok()?;
+    let bursts: Vec<_> = g
+        .edges()
+        .filter(|e| e.burst_before_consume > 0)
+        .map(|e| (e.id, e.burst_before_consume))
+        .collect();
+    for (edge, burst) in bursts {
+        g.set_channel_depth(edge, burst + BURST_SLACK as u64);
+    }
+    Some(g)
+}
+
+/// The FIFO depths of one threaded simulation. Every channel
+/// [`run_component`] creates goes through [`Fifos::open`].
+#[derive(Clone, Copy)]
+struct Fifos {
+    /// Modelled depth of an ordinary channel
+    /// ([`PlannerConfig::default_depth`]).
+    ordinary: usize,
+    /// Admitted by [`admit_host_depth`].
+    host: bool,
+}
+
+impl Fifos {
+    /// A channel of modelled depth `modelled`, at host depth when
+    /// admitted.
+    fn open<T: Send + 'static>(
+        self,
+        sim: &Simulation,
+        modelled: usize,
+        name: String,
+    ) -> (Sender<T>, Receiver<T>) {
+        let depth = if self.host {
+            modelled.max(HOST_DEPTH)
+        } else {
+            modelled
+        };
+        channel(sim.ctx(), depth, name)
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -992,7 +1101,7 @@ pub(super) fn run_component<T: Scalar>(
     tracer: Option<&Tracer>,
     mut predictions: Option<&mut Vec<ModulePrediction>>,
     opts: &ComponentOptions,
-) -> Result<Vec<GuardReport>, ExecError> {
+) -> Result<ComponentRun, ExecError> {
     let mut sim = Simulation::new();
     if let Some(t) = tracer {
         sim.set_tracer(t.clone());
@@ -1003,7 +1112,10 @@ pub(super) fn run_component<T: Scalar>(
     if let Some(deadline) = opts.deadline {
         sim.set_deadline(deadline);
     }
-    let depth = cfg.default_depth as usize;
+    let fifos = Fifos {
+        ordinary: cfg.default_depth as usize,
+        host: admit_host_depth(opts, || exec_mdag(program, cfg, ops, variants)),
+    };
 
     // Producer map restricted to this component.
     let mut in_comp: HashMap<&str, usize> = HashMap::new();
@@ -1061,7 +1173,7 @@ pub(super) fn run_component<T: Scalar>(
             let oi = cons[0];
             let tiling = consumer_tiling(program, cfg, oi, variants);
             let d = edge_depth(program, cfg, oi, mat, &in_comp);
-            let (tx, rx) = channel(sim.ctx(), d, format!("{mat}->{oi}"));
+            let (tx, rx) = fifos.open(&sim, d, format!("{mat}->{oi}"));
             read_matrix(&mut sim, router.input(mat)?, n, m, tiling, tx, 1);
             incoming.insert((oi, (*mat).to_string()), rx);
         } else {
@@ -1072,12 +1184,12 @@ pub(super) fn run_component<T: Scalar>(
                 cfg.tm.min(m.max(1)),
                 crate::tiling::TileOrder::RowTilesRowMajor,
             );
-            let (tx, rx) = channel(sim.ctx(), depth, format!("read_{mat}"));
+            let (tx, rx) = fifos.open(&sim, fifos.ordinary, format!("read_{mat}"));
             read_matrix(&mut sim, router.input(mat)?, n, m, tiling, tx, 1);
             let mut sinks = Vec::new();
             for &oi in cons.iter() {
                 let d = edge_depth(program, cfg, oi, mat, &in_comp);
-                let (ctx_tx, ctx_rx) = channel(sim.ctx(), d, format!("{mat}->{oi}"));
+                let (ctx_tx, ctx_rx) = fifos.open(&sim, d, format!("{mat}->{oi}"));
                 sinks.push(ctx_tx);
                 incoming.insert((oi, (*mat).to_string()), ctx_rx);
             }
@@ -1101,7 +1213,7 @@ pub(super) fn run_component<T: Scalar>(
                 }
                 // Source vector (or scalar-free) read from DRAM.
                 program.vec_len(name)?;
-                let (tx, rx) = channel(sim.ctx(), depth, format!("{name}->{oi}"));
+                let (tx, rx) = fifos.open(sim, fifos.ordinary, format!("{name}->{oi}"));
                 read_vector_replayed(sim, router.input(name)?, tx, reps);
                 Ok(rx)
             };
@@ -1122,7 +1234,7 @@ pub(super) fn run_component<T: Scalar>(
                 let tx = vector_output(
                     &mut sim,
                     program,
-                    cfg,
+                    fifos,
                     router,
                     &mut incoming,
                     &out_name,
@@ -1142,7 +1254,7 @@ pub(super) fn run_component<T: Scalar>(
                 let tx = vector_output(
                     &mut sim,
                     program,
-                    cfg,
+                    fifos,
                     router,
                     &mut incoming,
                     &out_name,
@@ -1154,7 +1266,7 @@ pub(super) fn run_component<T: Scalar>(
                 let n = program.vec_len(x)?;
                 let rx = take_input(&mut sim, x, 1)?;
                 let ry = take_input(&mut sim, y, 1)?;
-                let (tr, rr) = channel(sim.ctx(), 1, format!("{out}_res"));
+                let (tr, rr) = fifos.open(&sim, 1, format!("{out}_res"));
                 Dot::new(n, EXEC_WIDTH).attach(&mut sim, rx, ry, tr);
                 let out = out.clone();
                 let scalars = scalars.clone();
@@ -1189,7 +1301,8 @@ pub(super) fn run_component<T: Scalar>(
                     let ryi = match y {
                         Some(yn) => take_input(&mut sim, yn, 1)?,
                         None => {
-                            let (tyi, ryi) = channel(sim.ctx(), depth, format!("{out_name}_y_in"));
+                            let (tyi, ryi) =
+                                fifos.open(&sim, fifos.ordinary, format!("{out_name}_y_in"));
                             read_vector_replayed(&mut sim, &zeros, tyi, 1);
                             ryi
                         }
@@ -1197,7 +1310,7 @@ pub(super) fn run_component<T: Scalar>(
                     let tx = vector_output(
                         &mut sim,
                         program,
-                        cfg,
+                        fifos,
                         router,
                         &mut incoming,
                         &out_name,
@@ -1224,13 +1337,19 @@ pub(super) fn run_component<T: Scalar>(
                     };
                     // Partial replay through DRAM, with a tap for
                     // in-component consumers of the final round.
-                    let (tyi, ryi) = channel(sim.ctx(), depth, format!("{out_name}_y_in"));
-                    let (tyo, ryo) = channel(sim.ctx(), depth, format!("{out_name}_y_out"));
+                    let (tyi, ryi) = fifos.open(&sim, fifos.ordinary, format!("{out_name}_y_in"));
+                    let (tyo, ryo) = fifos.open(&sim, fifos.ordinary, format!("{out_name}_y_out"));
                     g.attach(&mut sim, T::from_f64(*alpha), eff_beta, ra, rxv, ryi, tyo);
-                    let taps =
-                        consumer_channels(&mut sim, cfg, &mut incoming, &out_name, &out_consumers);
+                    let taps = consumer_channels(
+                        &mut sim,
+                        fifos,
+                        &mut incoming,
+                        &out_name,
+                        &out_consumers,
+                    );
                     replay_with_taps(
                         &mut sim,
+                        fifos,
                         &initial,
                         router.output(&out_name)?,
                         y_len,
@@ -1250,6 +1369,7 @@ pub(super) fn run_component<T: Scalar>(
                 let tx = matrix_output(
                     &mut sim,
                     cfg,
+                    fifos,
                     router,
                     &mut incoming,
                     &out_name,
@@ -1265,7 +1385,10 @@ pub(super) fn run_component<T: Scalar>(
     // Guard reports outlive the simulation through the shared context.
     let ctx = sim.ctx().clone();
     sim.run()?;
-    Ok(ctx.guard_reports())
+    Ok(ComponentRun {
+        guards: ctx.guard_reports(),
+        host_depth_sims: fifos.host as u64,
+    })
 }
 
 fn op_inputs(op: &Op) -> Vec<&str> {
@@ -1409,7 +1532,7 @@ fn edge_depth(
     if let Op::Gemv { a, x, .. } = &program.ops()[oi] {
         if a == mat && in_comp.contains_key(x.as_str()) {
             let (_, m) = program.mat_dims(a).expect("checked during planning");
-            return cfg.tn * m + 64;
+            return cfg.tn * m + BURST_SLACK;
         }
     }
     cfg.default_depth as usize
@@ -1418,18 +1541,14 @@ fn edge_depth(
 /// Create the consumer-side channels for an operand and register them.
 fn consumer_channels<T: Scalar>(
     sim: &mut Simulation,
-    cfg: &PlannerConfig,
+    fifos: Fifos,
     incoming: &mut HashMap<(usize, String), Receiver<T>>,
     name: &str,
     out_consumers: &[usize],
 ) -> Vec<Sender<T>> {
     let mut sinks = Vec::new();
     for &ci in out_consumers {
-        let (tx, rx) = channel(
-            sim.ctx(),
-            cfg.default_depth as usize,
-            format!("{name}->{ci}"),
-        );
+        let (tx, rx) = fifos.open(sim, fifos.ordinary, format!("{name}->{ci}"));
         incoming.insert((ci, name.to_string()), rx);
         sinks.push(tx);
     }
@@ -1441,29 +1560,21 @@ fn consumer_channels<T: Scalar>(
 fn vector_output<T: Scalar>(
     sim: &mut Simulation,
     program: &Program,
-    cfg: &PlannerConfig,
+    fifos: Fifos,
     router: &BufRouter<'_, T>,
     incoming: &mut HashMap<(usize, String), Receiver<T>>,
     name: &str,
     out_consumers: &[usize],
 ) -> Result<Sender<T>, ExecError> {
     let n = program.vec_len(name)?;
-    let (w_tx, w_rx) = channel(
-        sim.ctx(),
-        cfg.default_depth as usize,
-        format!("write_{name}"),
-    );
+    let (w_tx, w_rx) = fifos.open(sim, fifos.ordinary, format!("write_{name}"));
     write_vector(sim, router.output(name)?, n, w_rx);
-    let mut sinks = consumer_channels(sim, cfg, incoming, name, out_consumers);
+    let mut sinks = consumer_channels(sim, fifos, incoming, name, out_consumers);
     if sinks.is_empty() {
         return Ok(w_tx);
     }
     sinks.push(w_tx);
-    let (tx, rx) = channel(
-        sim.ctx(),
-        cfg.default_depth as usize,
-        format!("{name}_fanout"),
-    );
+    let (tx, rx) = fifos.open(sim, fifos.ordinary, format!("{name}_fanout"));
     duplicate_many(sim, format!("dup_{name}"), n, rx, sinks);
     Ok(tx)
 }
@@ -1473,6 +1584,7 @@ fn vector_output<T: Scalar>(
 fn matrix_output<T: Scalar>(
     sim: &mut Simulation,
     cfg: &PlannerConfig,
+    fifos: Fifos,
     router: &BufRouter<'_, T>,
     incoming: &mut HashMap<(usize, String), Receiver<T>>,
     name: &str,
@@ -1485,22 +1597,14 @@ fn matrix_output<T: Scalar>(
         cfg.tm.min(m.max(1)),
         crate::tiling::TileOrder::RowTilesRowMajor,
     );
-    let (w_tx, w_rx) = channel(
-        sim.ctx(),
-        cfg.default_depth as usize,
-        format!("write_{name}"),
-    );
+    let (w_tx, w_rx) = fifos.open(sim, fifos.ordinary, format!("write_{name}"));
     write_matrix(sim, router.output(name)?, n, m, tiling, w_rx);
-    let mut sinks = consumer_channels(sim, cfg, incoming, name, out_consumers);
+    let mut sinks = consumer_channels(sim, fifos, incoming, name, out_consumers);
     if sinks.is_empty() {
         return Ok(w_tx);
     }
     sinks.push(w_tx);
-    let (tx, rx) = channel(
-        sim.ctx(),
-        cfg.default_depth as usize,
-        format!("{name}_fanout"),
-    );
+    let (tx, rx) = fifos.open(sim, fifos.ordinary, format!("{name}_fanout"));
     duplicate_many(sim, format!("dup_{name}"), n * m, rx, sinks);
     Ok(tx)
 }
@@ -1511,6 +1615,7 @@ fn matrix_output<T: Scalar>(
 #[allow(clippy::too_many_arguments)]
 fn replay_with_taps<T: Scalar>(
     sim: &mut Simulation,
+    fifos: Fifos,
     initial: &DeviceBuffer<T>,
     result: &DeviceBuffer<T>,
     n: usize,
@@ -1519,11 +1624,8 @@ fn replay_with_taps<T: Scalar>(
     from_module: Receiver<T>,
     taps: Vec<Sender<T>>,
 ) {
-    let (loop_tx, loop_rx) = channel::<T>(
-        sim.ctx(),
-        n.max(1),
-        format!("replay_{}_dram", initial.name()),
-    );
+    let (loop_tx, loop_rx) =
+        fifos.open::<T>(sim, n.max(1), format!("replay_{}_dram", initial.name()));
     let init = initial.clone();
     sim.add_module(
         format!("replay_{}_read", init.name()),
@@ -1549,10 +1651,12 @@ fn replay_with_taps<T: Scalar>(
                 }
             }
             let final_vals = from_module.pop_n(n)?;
-            result.from_host(&final_vals);
             for tap in &taps {
                 tap.push_slice(&final_vals)?;
             }
+            // The write lock is the module's last step (see
+            // `read_matrix`).
+            result.from_host(&final_vals);
             Ok(())
         },
     );
@@ -2122,5 +2226,73 @@ mod tests {
                 .map_err(|e| e.error),
             Err(ExecError::WrongLength { .. })
         ));
+    }
+
+    #[test]
+    fn host_depth_needs_the_fused_backend_a_live_graph_and_no_hook() {
+        use crate::composition::rates::atax_mdag;
+        let fused = ComponentOptions {
+            host_depth: true,
+            ..ComponentOptions::default()
+        };
+        let atax = |depth| move || Some(atax_mdag(64, 32, 8, depth));
+        // The ATAX burst is 64·8 elements: one slot short, it stalls.
+        assert!(admit_host_depth(&fused, atax(64 * 8)));
+        assert!(!admit_host_depth(&fused, atax(64 * 8 - 1)));
+        assert!(!admit_host_depth(
+            &ComponentOptions::default(),
+            atax(64 * 8)
+        ));
+        let armed = ComponentOptions {
+            hook: Some(OneShot::crash("no_such_module")),
+            ..fused.clone()
+        };
+        assert!(!admit_host_depth(&armed, atax(64 * 8)));
+
+        // End to end on a one-GEMV component, which the fused backend
+        // runs threaded: host depth on the fused backend only, not
+        // under an armed hook, and the same bits on every path.
+        let (n, m) = (40, 24);
+        let mut p = Program::new();
+        p.matrix("A", n, m).vector("x", m).vector("q", n);
+        p.op(Op::Gemv {
+            alpha: 1.5,
+            beta: 0.0,
+            a: "A".into(),
+            transposed: false,
+            x: "x".into(),
+            y: None,
+            out: "q".into(),
+        });
+        let cfg = PlannerConfig {
+            tn: 16,
+            tm: 8,
+            ..Default::default()
+        };
+        let thep = plan(&p, &cfg).unwrap();
+        let run = |opts: &ExecOptions| {
+            let bufs = bind(vec![
+                ("A", seq(n * m, 0.0)),
+                ("x", seq(m, 1.0)),
+                ("q", vec![0.0; n]),
+            ]);
+            let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, opts).unwrap();
+            let bits: Vec<u64> = bufs["q"].to_host().iter().map(|v| v.to_bits()).collect();
+            (bits, out.host_depth_sims)
+        };
+        let pinned = |backend| ExecOptions {
+            backend,
+            ..ExecOptions::default()
+        };
+        let (oracle, threaded_sims) = run(&pinned(Backend::Threaded));
+        let (fused_bits, fused_sims) = run(&pinned(Backend::Fused));
+        let armed = ExecOptions {
+            backend: Backend::Fused,
+            ..recover(Some(OneShot::crash("no_such_module")))
+        };
+        let (armed_bits, armed_sims) = run(&armed);
+        assert_eq!((threaded_sims, fused_sims, armed_sims), (0, 1, 0));
+        assert_eq!(fused_bits, oracle);
+        assert_eq!(armed_bits, oracle);
     }
 }

@@ -41,12 +41,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fblas_audit::ModulePrediction;
-use fblas_hlssim::{GuardReport, SimError};
+use fblas_hlssim::SimError;
 use fblas_trace::{ModuleScope, Tracer};
 use parking_lot::{Mutex, RwLockReadGuard};
 
 use super::executor::{
-    exec_gemv, exec_ger, op_prediction, run_component, BufRouter, ComponentOptions, ExecError,
+    exec_gemv, exec_ger, op_prediction, run_component, BufRouter, ComponentOptions, ComponentRun,
+    ExecError,
 };
 use super::fusion::{
     analyze_fusion, build_evaluator, check_obligations, sems_for_component, FusedEvaluator,
@@ -546,9 +547,10 @@ fn run_region<T: Scalar>(
 /// Run one component on the fused backend: analyze, re-verify the
 /// obligations, split into units, and execute — or degrade to one
 /// plain threaded [`run_component`] call whenever fusion is not
-/// provably safe. Audit predictions come out in the component's op
-/// order regardless of unit interleaving, so `merge_predictions` sees
-/// the same sequence both backends.
+/// provably safe. Every threaded run here may use host-depth FIFOs
+/// (`ComponentOptions::host_depth`). Audit predictions come out in the
+/// component's op order regardless of unit interleaving, so
+/// `merge_predictions` sees the same sequence both backends.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_component_fused<T: Scalar>(
     program: &Program,
@@ -559,8 +561,12 @@ pub(super) fn run_component_fused<T: Scalar>(
     tracer: Option<&Tracer>,
     predictions: Option<&mut Vec<ModulePrediction>>,
     opts: &ComponentOptions,
-) -> Result<Vec<GuardReport>, ExecError> {
+) -> Result<ComponentRun, ExecError> {
     let recovery_armed = opts.hook.is_some();
+    let opts = &ComponentOptions {
+        host_depth: true,
+        ..opts.clone()
+    };
     let (sems, plan) = fusion_plan_at(program, cfg, component, recovery_armed);
     let verified = !plan.regions.is_empty()
         && check_obligations(&plan, &component.mdag, &sems, recovery_armed).is_empty();
@@ -580,7 +586,7 @@ pub(super) fn run_component_fused<T: Scalar>(
                 )?);
             }
         }
-        return Ok(Vec::new());
+        return Ok(ComponentRun::default());
     }
     let schedule = if verified {
         compile_schedule(program, cfg, component, &sems, &plan)
@@ -601,13 +607,13 @@ pub(super) fn run_component_fused<T: Scalar>(
         );
     };
 
-    let mut guards = Vec::new();
+    let mut run = ComponentRun::default();
     let mut tagged: Vec<(usize, ModulePrediction)> = Vec::new();
     for unit in &schedule.units {
         match unit {
             Unit::Threaded(ops) => {
                 let mut unit_preds = predictions.as_ref().map(|_| Vec::new());
-                let g = run_component(
+                let unit = run_component(
                     program,
                     cfg,
                     ops,
@@ -618,7 +624,8 @@ pub(super) fn run_component_fused<T: Scalar>(
                     unit_preds.as_mut(),
                     opts,
                 )?;
-                guards.extend(g);
+                run.guards.extend(unit.guards);
+                run.host_depth_sims += unit.host_depth_sims;
                 if let Some(ps) = unit_preds {
                     // `run_component` emits exactly one prediction per
                     // op, in its ops order.
@@ -647,7 +654,7 @@ pub(super) fn run_component_fused<T: Scalar>(
         tagged.sort_by_key(|(oi, _)| pos.get(oi).copied().unwrap_or(usize::MAX));
         out.extend(tagged.into_iter().map(|(_, p)| p));
     }
-    Ok(guards)
+    Ok(run)
 }
 
 #[cfg(test)]

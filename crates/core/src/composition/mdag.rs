@@ -162,6 +162,11 @@ impl Mdag {
         self.edges[edge.0].burst_before_consume = burst;
     }
 
+    /// Replace the FIFO depth of `edge`.
+    pub fn set_channel_depth(&mut self, edge: EdgeId, depth: u64) {
+        self.edges[edge.0].channel_depth = depth;
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()

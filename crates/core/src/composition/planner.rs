@@ -963,16 +963,7 @@ fn build_component(
     //    on the tile order. RowStreamed/TransRowStreamed agree (rows);
     //    ColStreamed does not — if a conflict arises the component is
     //    rejected by reporting an impossible deep-channel need.
-    let mut matrix_consumers: HashMap<&str, Vec<usize>> = HashMap::new();
-    for &oi in ops {
-        match &program.ops[oi] {
-            Op::Gemv { a, .. } | Op::Ger { a, .. } => {
-                matrix_consumers.entry(a.as_str()).or_default().push(oi)
-            }
-            _ => continue,
-        };
-    }
-    for (mat, consumers) in &matrix_consumers {
+    for (mat, consumers) in &matrix_consumers(program, ops) {
         if consumers.len() > 1 {
             let mut orders: Vec<bool> = Vec::new(); // true = by rows
             for &oi in consumers {
@@ -993,6 +984,77 @@ fn build_component(
     }
 
     // 3. Build the MDAG.
+    let g = component_mdag(program, ops, &variants, cfg)?;
+    let mut deep_channels: Vec<(String, u64)> = Vec::new();
+
+    match g.validate() {
+        Validity::Valid => {}
+        Validity::RequiresChannelDepth { .. } => {
+            // Non-multitree: the heuristic only says "some channel must
+            // deepen". Route through the rate analyzer for a verdict on
+            // the *actual* depths — it replays the abstract Kahn-network
+            // execution and, on deadlock, derives the exact minimum
+            // depth per channel (or proves none exists).
+            let rg = RateGraph::from_mdag(&g);
+            match rg.analyze() {
+                RateOutcome::Completed { .. } => {
+                    // Default depths already suffice; no deep channel.
+                }
+                RateOutcome::Deadlock { .. } => match rg.repair() {
+                    Some(fixes) => {
+                        for (ch, depth) in fixes {
+                            deep_channels.push((rg.channel_name(ch).to_string(), depth));
+                        }
+                    }
+                    None => {
+                        return Err(PlanError::Contract(ContractCause::Unschedulable {
+                            detail: "no finite channel depth removes the deadlock".into(),
+                        }))
+                    }
+                },
+                RateOutcome::Disconnected { .. } | RateOutcome::Budget => {
+                    return Err(PlanError::Contract(ContractCause::Unschedulable {
+                        detail: "rate analysis could not certify the composition".into(),
+                    }))
+                }
+            }
+        }
+        Validity::InvalidEdge { reason, .. } => {
+            return Err(PlanError::Contract(ContractCause::InvalidEdge { reason }))
+        }
+        Validity::Cyclic => return Err(PlanError::Cyclic),
+    }
+
+    let io = g.interface_io_elements();
+    Ok(PlannedComponent {
+        ops: ops.to_vec(),
+        gemv_variants: variants,
+        mdag: g,
+        io_elements: io,
+        materialized: Vec::new(),
+        deep_channels,
+        config: *cfg,
+    })
+}
+
+/// The MDAG of `ops` streaming together with GEMV variants `variants`:
+/// one node per op, an interface reader per DRAM operand (one reader
+/// and a duplicator for a DRAM matrix with several consumers), an
+/// interface writer per output, every edge at the default depth, and
+/// the ATAX burst annotated on a matrix edge whose consumer also waits
+/// for an in-component vector. The planner validates it per candidate
+/// component; the executor analyses it per threaded simulation.
+pub(super) fn component_mdag(
+    program: &Program,
+    ops: &[usize],
+    variants: &HashMap<usize, GemvVariant>,
+    cfg: &PlannerConfig,
+) -> Result<Mdag, PlanError> {
+    let in_component = |name: &str| -> Option<usize> {
+        ops.iter()
+            .copied()
+            .find(|&oi| program.ops[oi].output() == name)
+    };
     let mut g = Mdag::new();
     let mut op_nodes: HashMap<usize, NodeId> = HashMap::new();
     for &oi in ops {
@@ -1002,13 +1064,12 @@ fn build_component(
         );
     }
     let mut source_nodes: HashMap<&str, NodeId> = HashMap::new();
-    let mut deep_channels: Vec<(String, u64)> = Vec::new();
 
     // A DRAM matrix with several in-component consumers is read once and
     // fanned out by a duplicator (the BICG pattern): the interface edge
     // is counted once, the dup→consumer edges are on-chip.
     let mut dup_nodes: HashMap<&str, NodeId> = HashMap::new();
-    for (mat, consumers) in &matrix_consumers {
+    for (mat, consumers) in &matrix_consumers(program, ops) {
         if consumers.len() > 1 && in_component(mat).is_none() {
             let (n, m) = program.mat_dims(mat)?;
             let src = g.add_interface(format!("read_{mat}"));
@@ -1100,54 +1161,18 @@ fn build_component(
         );
     }
 
-    match g.validate() {
-        Validity::Valid => {}
-        Validity::RequiresChannelDepth { .. } => {
-            // Non-multitree: the heuristic only says "some channel must
-            // deepen". Route through the rate analyzer for a verdict on
-            // the *actual* depths — it replays the abstract Kahn-network
-            // execution and, on deadlock, derives the exact minimum
-            // depth per channel (or proves none exists).
-            let rg = RateGraph::from_mdag(&g);
-            match rg.analyze() {
-                RateOutcome::Completed { .. } => {
-                    // Default depths already suffice; no deep channel.
-                }
-                RateOutcome::Deadlock { .. } => match rg.repair() {
-                    Some(fixes) => {
-                        for (ch, depth) in fixes {
-                            deep_channels.push((rg.channel_name(ch).to_string(), depth));
-                        }
-                    }
-                    None => {
-                        return Err(PlanError::Contract(ContractCause::Unschedulable {
-                            detail: "no finite channel depth removes the deadlock".into(),
-                        }))
-                    }
-                },
-                RateOutcome::Disconnected { .. } | RateOutcome::Budget => {
-                    return Err(PlanError::Contract(ContractCause::Unschedulable {
-                        detail: "rate analysis could not certify the composition".into(),
-                    }))
-                }
-            }
-        }
-        Validity::InvalidEdge { reason, .. } => {
-            return Err(PlanError::Contract(ContractCause::InvalidEdge { reason }))
-        }
-        Validity::Cyclic => return Err(PlanError::Cyclic),
-    }
+    Ok(g)
+}
 
-    let io = g.interface_io_elements();
-    Ok(PlannedComponent {
-        ops: ops.to_vec(),
-        gemv_variants: variants,
-        mdag: g,
-        io_elements: io,
-        materialized: Vec::new(),
-        deep_channels,
-        config: *cfg,
-    })
+/// The ops of `ops` consuming each matrix operand, in `ops` order.
+fn matrix_consumers<'p>(program: &'p Program, ops: &[usize]) -> HashMap<&'p str, Vec<usize>> {
+    let mut consumers: HashMap<&str, Vec<usize>> = HashMap::new();
+    for &oi in ops {
+        if let Op::Gemv { a, .. } | Op::Ger { a, .. } = &program.ops[oi] {
+            consumers.entry(a.as_str()).or_default().push(oi);
+        }
+    }
+    consumers
 }
 
 #[cfg(test)]

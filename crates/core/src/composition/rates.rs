@@ -671,6 +671,26 @@ impl RateGraph {
     }
 }
 
+/// An ATAX-shaped MDAG (Fig. 8): `A` read twice, the second GEMV
+/// draining its copy only after the first emits a burst of `n·tn`
+/// elements, through a channel `depth` deep.
+#[cfg(test)]
+pub(crate) fn atax_mdag(n: u64, m: u64, tn: u64, depth: u64) -> Mdag {
+    let mut g = Mdag::new();
+    let a = g.add_interface("read_A");
+    let x = g.add_interface("read_x");
+    let g1 = g.add_compute("gemv");
+    let g2 = g.add_compute("gemv_t");
+    let y = g.add_interface("write_y");
+    g.add_edge(a, g1, n * m, n * m, 16);
+    let e_a2 = g.add_edge(a, g2, n * m, n * m, depth);
+    g.add_edge(x, g1, m, m, 16);
+    g.add_edge(g1, g2, n, n, 16);
+    g.add_edge(g2, y, m, m, 16);
+    g.set_burst_before_consume(e_a2, n * tn);
+    g
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -846,22 +866,6 @@ mod tests {
     }
 
     // ---- MDAG front end -------------------------------------------------
-
-    fn atax_mdag(n: u64, m: u64, tn: u64, depth: u64) -> Mdag {
-        let mut g = Mdag::new();
-        let a = g.add_interface("read_A");
-        let x = g.add_interface("read_x");
-        let g1 = g.add_compute("gemv");
-        let g2 = g.add_compute("gemv_t");
-        let y = g.add_interface("write_y");
-        g.add_edge(a, g1, n * m, n * m, 16);
-        let e_a2 = g.add_edge(a, g2, n * m, n * m, depth);
-        g.add_edge(x, g1, m, m, 16);
-        g.add_edge(g1, g2, n, n, 16);
-        g.add_edge(g2, y, m, m, 16);
-        g.set_burst_before_consume(e_a2, n * tn);
-        g
-    }
 
     #[test]
     fn atax_mdag_deadlocks_shallow_and_completes_at_burst() {

@@ -12,7 +12,8 @@ pub fn read_vector<T: Scalar>(sim: &mut Simulation, buf: &DeviceBuffer<T>, tx: S
 }
 
 /// Add an interface module streaming the contents of `buf` `repetitions`
-/// times back to back.
+/// times back to back, in place: the module holds a read guard on the
+/// buffer while it streams (see [`read_matrix`]).
 ///
 /// Replaying from DRAM is how a vector operand is re-sent when a routine's
 /// tiling requires it (e.g. `x` in tiles-by-rows GEMV is replayed
@@ -28,7 +29,7 @@ pub fn read_vector_replayed<T: Scalar>(
     let buf = buf.clone();
     let name = format!("read_{}", buf.name());
     sim.add_module(name, ModuleKind::Interface, move || {
-        let data = buf.to_host();
+        let data = buf.read();
         for _ in 0..repetitions {
             tx.push_slice(&data)?;
         }
@@ -38,6 +39,13 @@ pub fn read_vector_replayed<T: Scalar>(
 
 /// Add an interface module streaming an `n × m` row-major matrix from
 /// `buf` in the element order of `tiling`, `repetitions` times.
+///
+/// The module streams in place, holding a read guard on the buffer
+/// until its last push. A writer of the same storage in the same
+/// simulation (an in-place host routine, such as `ger` reading and
+/// writing `A`) waits on that lock. Every writer module takes its write
+/// lock as its last step, after its last channel operation, so a writer
+/// waiting on the lock holds up no channel.
 ///
 /// # Panics (inside the module)
 /// The module fails if `buf` does not hold exactly `n·m` elements.
@@ -53,7 +61,7 @@ pub fn read_matrix<T: Scalar>(
     let buf = buf.clone();
     let name = format!("read_{}", buf.name());
     sim.add_module(name.clone(), ModuleKind::Interface, move || {
-        let data = buf.to_host();
+        let data = buf.read();
         if data.len() != n * m {
             return Err(fblas_hlssim::SimError::module(
                 name,
@@ -67,17 +75,17 @@ pub fn read_matrix<T: Scalar>(
         // Source module: gather each chunk from the tile order, walked
         // run by run, and push it in one batched transfer.
         let chunk = fblas_hlssim::default_chunk();
-        let mut buf: Vec<T> = Vec::with_capacity(chunk);
+        let mut out: Vec<T> = Vec::with_capacity(chunk);
         for _ in 0..repetitions {
             for seg in tiling.segments(n, m) {
                 for i in seg.indices() {
-                    buf.push(data[i]);
-                    if buf.len() == chunk {
-                        tx.push_chunk(&mut buf)?;
+                    out.push(data[i]);
+                    if out.len() == chunk {
+                        tx.push_chunk(&mut out)?;
                     }
                 }
             }
-            tx.push_chunk(&mut buf)?;
+            tx.push_chunk(&mut out)?;
         }
         Ok(())
     });

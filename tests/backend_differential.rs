@@ -22,7 +22,9 @@
 //! many actually fused — a differential that never fuses proves
 //! nothing. Two more blocks run seeded Level-2 compositions (BICG-,
 //! ATAX- and GEMVER-shaped, over ragged multi-tile matrices) with a
-//! floor on components replayed tile by tile.
+//! floor on components replayed tile by tile. Every block also sets a
+//! floor on the fused backend's threaded simulations that ran with
+//! host-depth FIFOs, so the bit identity covers deepened runs too.
 
 // Test code may unwrap; the clippy.toml discipline targets library code.
 #![allow(clippy::disallowed_methods)]
@@ -193,6 +195,8 @@ struct Observed {
     predicted_cycles: Vec<u64>,
     /// Module rows of each component's audit (measured lanes included).
     audit_modules: Vec<Vec<String>>,
+    /// Threaded simulations that ran with host-depth FIFOs.
+    host_depth_sims: u64,
 }
 
 fn run_backend(
@@ -232,14 +236,21 @@ fn run_backend(
             .iter()
             .map(|a| a.modules.iter().map(|m| m.module.clone()).collect())
             .collect(),
+        host_depth_sims: out.host_depth_sims,
     }
 }
 
 /// Run one seed block, asserting non-vacuity floors on how many fused
 /// regions the population's plans admitted (legality side, recovery
-/// disarmed) and how many of those a DOT closes — the regions whose
-/// scalars `scalar_bits` compares.
-fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64, floor_reductions: u64) {
+/// disarmed), how many of those a DOT closes — the regions whose
+/// scalars `scalar_bits` compares — and how many threaded simulations
+/// of the fused runs used host-depth FIFOs.
+fn run_seed_block(
+    seeds: std::ops::Range<u64>,
+    floor_regions: u64,
+    floor_reductions: u64,
+    floor_host_depth: u64,
+) {
     let cfg = PlannerConfig::default();
     let audit = |backend| ExecOptions {
         backend,
@@ -262,7 +273,7 @@ fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64, floor_reducti
         },
         hook: None,
     });
-    let (mut regions, mut reductions) = (0u64, 0u64);
+    let (mut regions, mut reductions, mut host_depth) = (0u64, 0u64, 0u64);
     for seed in seeds {
         let (program, shapes, seed) = random_program(seed);
         let planned = plan(&program, &cfg).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
@@ -303,6 +314,11 @@ fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64, floor_reducti
             threaded.predicted_cycles, fused.predicted_cycles,
             "seed {seed}: analytic model diverged across backends"
         );
+        assert_eq!(
+            threaded.host_depth_sims, 0,
+            "seed {seed}: the oracle deepened"
+        );
+        host_depth += fused.host_depth_sims;
         // Staged write-back and commit must not move a bit: one clean
         // recovery attempt matches the plain run exactly.
         let plain = run_backend(&program, &planned, &cfg, &shapes, seed, &plain);
@@ -322,26 +338,32 @@ fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64, floor_reducti
         "population too thin: {reductions} fused regions closed by a DOT \
          (< {floor_reductions})"
     );
+    assert!(
+        host_depth >= floor_host_depth,
+        "population too thin: {host_depth} threaded simulations at host depth \
+         (< {floor_host_depth})"
+    );
 }
 
 // 4 × 55 = 220 seeded programs, split across test threads. Each block
 // must admit at least 8 fused regions (≥ 32 total), at least 15 of
-// them closed by a DOT (≥ 60 total; the population yields 26–31 a block).
+// them closed by a DOT (≥ 60 total; the population yields 26–31 a block),
+// and run at least 40 threaded simulations at host depth (63–68 a block).
 #[test]
 fn backends_are_bit_identical_block0() {
-    run_seed_block(0..55, 8, 15);
+    run_seed_block(0..55, 8, 15, 40);
 }
 #[test]
 fn backends_are_bit_identical_block1() {
-    run_seed_block(55..110, 8, 15);
+    run_seed_block(55..110, 8, 15, 40);
 }
 #[test]
 fn backends_are_bit_identical_block2() {
-    run_seed_block(110..165, 8, 15);
+    run_seed_block(110..165, 8, 15, 40);
 }
 #[test]
 fn backends_are_bit_identical_block3() {
-    run_seed_block(165..220, 8, 15);
+    run_seed_block(165..220, 8, 15, 40);
 }
 
 // ------------------------------------------------------------------
@@ -549,8 +571,14 @@ fn level2_program(seed: u64) -> (Program, Shapes, PlannerConfig) {
 /// mode, identical predicted cycles, plain vs hook-free recovery on the
 /// fused backend, and per component the backend's lane shape — a
 /// replayed component shows one `fused:` lane, a one-tile component
-/// keeps its `singleton` witness and its threaded interface lanes.
-fn run_level2_block(seeds: std::ops::Range<u64>, floor_replays: u64, floor_singletons: u64) {
+/// keeps its `singleton` witness and its threaded interface lanes, and
+/// runs with host-depth FIFOs (every one of them is live).
+fn run_level2_block(
+    seeds: std::ops::Range<u64>,
+    floor_replays: u64,
+    floor_singletons: u64,
+    floor_host_depth: u64,
+) {
     let audit = |backend| ExecOptions {
         backend,
         tracer: None,
@@ -573,6 +601,7 @@ fn run_level2_block(seeds: std::ops::Range<u64>, floor_replays: u64, floor_singl
         hook: None,
     });
     let (mut replays, mut multi_round, mut singletons) = (0u64, 0u64, 0u64);
+    let mut host_depth = 0u64;
     for seed in seeds {
         let (program, shapes, cfg) = level2_program(seed);
         let planned = plan(&program, &cfg).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
@@ -600,6 +629,12 @@ fn run_level2_block(seeds: std::ops::Range<u64>, floor_replays: u64, floor_singl
             threaded.predicted_cycles, fused.predicted_cycles,
             "seed {seed}: analytic model diverged across backends"
         );
+        assert_eq!(
+            threaded.host_depth_sims, 0,
+            "seed {seed}: the oracle deepened"
+        );
+        host_depth += fused.host_depth_sims;
+        let mut seed_singletons = 0u64;
         for (ci, c) in planned.components.iter().enumerate() {
             let (sems, fp) = fusion_plan_for_component(&program, c, false);
             let lanes = &fused.audit_modules[ci];
@@ -621,6 +656,7 @@ fn run_level2_block(seeds: std::ops::Range<u64>, floor_replays: u64, floor_singl
             }
             if let Some(rej) = fp.rejections.iter().find(|r| r.reason == "singleton") {
                 singletons += 1;
+                seed_singletons += 1;
                 let witness = rej.witness_module.as_deref().unwrap_or("");
                 assert!(
                     witness.starts_with("gemv"),
@@ -632,6 +668,12 @@ fn run_level2_block(seeds: std::ops::Range<u64>, floor_replays: u64, floor_singl
                 );
             }
         }
+        assert!(
+            fused.host_depth_sims >= seed_singletons,
+            "seed {seed}: {} simulations at host depth, but {seed_singletons} one-GEMV \
+             components",
+            fused.host_depth_sims
+        );
         let plain = run_backend(&program, &planned, &cfg, &shapes, seed, &plain);
         let recovered = run_backend(&program, &planned, &cfg, &shapes, seed, &recover);
         assert_eq!(
@@ -657,17 +699,23 @@ fn run_level2_block(seeds: std::ops::Range<u64>, floor_replays: u64, floor_singl
         singletons >= floor_singletons,
         "population too thin: {singletons} one-GEMV components (< {floor_singletons})"
     );
+    assert!(
+        host_depth >= floor_host_depth,
+        "population too thin: {host_depth} threaded simulations at host depth \
+         (< {floor_host_depth})"
+    );
 }
 
 // 2 × 30 seeded Level-2 programs. Each block must replay at least 12
 // components tile by tile (the population yields 20 a block), 6 of them
-// holding a GEMV with a multi-round y, and keep at least 8 one-GEMV
-// components threaded (16–22 a block).
+// holding a GEMV with a multi-round y, keep at least 8 one-GEMV
+// components threaded (16–22 a block), and run at least 16 threaded
+// simulations at host depth (23–26 a block).
 #[test]
 fn level2_compositions_are_bit_identical_block0() {
-    run_level2_block(0..30, 12, 8);
+    run_level2_block(0..30, 12, 8, 16);
 }
 #[test]
 fn level2_compositions_are_bit_identical_block1() {
-    run_level2_block(30..60, 12, 8);
+    run_level2_block(30..60, 12, 8, 16);
 }
