@@ -305,7 +305,7 @@ step "audit self-check (model vs traced simulation)"
 # missing bottleneck verdict.
 cargo run --release -q -p fblas-bench --example audit_report
 
-step "end-to-end benchmark (unit tests + traced stream_closed, small_closed and chaos_closed smoke)"
+step "end-to-end benchmark (unit tests + traced stream_closed, small_closed, chaos_closed and mix_open smoke)"
 # benchmarks/e2e is a package of its own, outside the workspace, so the
 # steps above never compile it. Its unit tests fail on any change to the
 # public items it imports; the short traced run checks every served
@@ -328,5 +328,11 @@ echo "small_closed traced smoke run reconciled"
 cargo run --release -q --offline --manifest-path benchmarks/e2e/Cargo.toml -- \
     --workload chaos_closed --seed 1 --seconds 3 --trace 1 --out "$tmpdir/e2e" >/dev/null
 echo "chaos_closed traced smoke run reconciled"
+# mix_open is the only workload that sends fresh program shapes and
+# lint rejects, so the server's lint cache takes its miss path here
+# (the other workloads repeat a few programs and mostly hit it).
+cargo run --release -q --offline --manifest-path benchmarks/e2e/Cargo.toml -- \
+    --workload mix_open --seed 1 --seconds 3 --trace 1 --out "$tmpdir/e2e" >/dev/null
+echo "mix_open traced smoke run reconciled"
 
 printf '\nci.sh: all checks passed\n'

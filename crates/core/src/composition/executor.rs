@@ -8,7 +8,11 @@
 //! sinks, DRAM-replay loops for the partial-result variants, and deep
 //! FIFOs where the plan derived them — and run to completion. Components
 //! execute sequentially, communicating through the operand buffers,
-//! exactly as the paper's Fig. 9 schedule does.
+//! exactly as the paper's Fig. 9 schedule does. A simulation that the
+//! rate analysis proves live on the fused backend runs at host depth,
+//! and its GEMV/GER tiles read their DRAM operands in place instead of
+//! through interface readers (DESIGN.md, "Modelled depth and host
+//! depth").
 //!
 //! Every operand the program names must be bound to a
 //! [`DeviceBuffer`] of matching shape; outputs are written back to their
@@ -16,7 +20,7 @@
 //! are returned in the outcome's scalar map.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,7 +44,7 @@ use crate::helpers::fanout::duplicate_many;
 use crate::helpers::{read_matrix, read_vector_replayed, write_matrix, write_vector};
 use crate::host::buffer::DeviceBuffer;
 use crate::routines::gemv::{Gemv, GemvVariant};
-use crate::routines::{Axpy, Dot, Ger, Scal, VecCopy};
+use crate::routines::{Axpy, Dot, Ger, Input, Scal, VecCopy};
 use crate::scalar::Scalar;
 
 /// Errors raised while executing a plan.
@@ -827,10 +831,10 @@ impl<T: Scalar> Run<'_, T> {
                     recovered: attempt > 1,
                 });
                 // Commit: publish the verified scratch to the caller's
-                // buffers.
+                // buffers, copied once, straight from its read guard.
                 for (name, scratch) in &staged {
                     if let Some(real) = buffers.get(name) {
-                        real.from_host(&scratch.to_host());
+                        scratch.with_read(|data| real.from_host(data));
                     }
                 }
                 if attempt > 1 {
@@ -1161,6 +1165,35 @@ pub(super) fn run_component<T: Scalar>(
         }
     }
 
+    // 4. In-place operands: in an admitted simulation a GEMV/GER tile
+    //    reads each operand it would get from DRAM straight from the
+    //    buffer, with no interface reader and no FIFO — the host-depth
+    //    rule at its limit, a DRAM edge of unbounded depth. A shared
+    //    matrix keeps its reader and `dup_*` stage, a multi-round `y`
+    //    its replay loop. An entry is taken by the tile's first use of
+    //    the name, so a tile holds one guard per buffer.
+    let mut in_place: HashSet<(usize, String)> = HashSet::new();
+    if fifos.host {
+        for &oi in ops {
+            let operands = match &program.ops()[oi] {
+                Op::Gemv { a, x, y, .. } => {
+                    let single = exec_gemv(program, cfg, a, variants[&oi])?.y_rounds() == 1;
+                    vec![Some(a), Some(x), y.as_ref().filter(|_| single)]
+                }
+                Op::Ger { a, x, y, .. } => vec![Some(a), Some(x), Some(y)],
+                _ => continue,
+            };
+            for name in operands.into_iter().flatten() {
+                let sole = matrix_source_consumers
+                    .get(name.as_str())
+                    .is_none_or(|c| c.len() == 1);
+                if sole && !in_comp.contains_key(name.as_str()) {
+                    in_place.insert((oi, name.clone()));
+                }
+            }
+        }
+    }
+
     // Incoming channel per (consumer, operand): receivers the op attach
     // step will take.
     let mut incoming: HashMap<(usize, String), Receiver<T>> = HashMap::new();
@@ -1171,6 +1204,9 @@ pub(super) fn run_component<T: Scalar>(
             // Sole consumer: the reader adopts that consumer's tile
             // order (a ColStreamed GEMV expects tiles by columns).
             let oi = cons[0];
+            if in_place.contains(&(oi, (*mat).to_string())) {
+                continue;
+            }
             let tiling = consumer_tiling(program, cfg, oi, variants);
             let d = edge_depth(program, cfg, oi, mat, &in_comp);
             let (tx, rx) = fifos.open(&sim, d, format!("{mat}->{oi}"));
@@ -1197,7 +1233,7 @@ pub(super) fn run_component<T: Scalar>(
         }
     }
 
-    // 4. Attach ops in component order, building source readers and
+    // 5. Attach ops in component order, building source readers and
     //    output fan-out as we go.
     for &oi in ops {
         let op = &program.ops()[oi];
@@ -1216,6 +1252,14 @@ pub(super) fn run_component<T: Scalar>(
                 let (tx, rx) = fifos.open(sim, fifos.ordinary, format!("{name}->{oi}"));
                 read_vector_replayed(sim, router.input(name)?, tx, reps);
                 Ok(rx)
+            };
+        // A tile's input: the buffer when read in place, else a channel.
+        let mut tile_input =
+            |sim: &mut Simulation, name: &str, reps: usize| -> Result<Input<T>, ExecError> {
+                if in_place.remove(&(oi, name.to_string())) {
+                    return Ok(Input::Buffer(router.input(name)?.clone()));
+                }
+                take_input(sim, name, reps).map(Input::Channel)
             };
 
         // --- output sinks ---
@@ -1285,8 +1329,8 @@ pub(super) fn run_component<T: Scalar>(
                 ..
             } => {
                 let g = exec_gemv(program, cfg, a, variants[&oi])?;
-                let ra = take_input(&mut sim, a, 1)?;
-                let rxv = take_input(&mut sim, x, x_reps(oi))?;
+                let ra = tile_input(&mut sim, a, 1)?;
+                let rxv = tile_input(&mut sim, x, x_reps(oi))?;
                 // Effective beta: 0 when no y operand is given.
                 let eff_beta = if y.is_some() {
                     T::from_f64(*beta)
@@ -1299,12 +1343,13 @@ pub(super) fn run_component<T: Scalar>(
 
                 if g.y_rounds() == 1 {
                     let ryi = match y {
-                        Some(yn) => take_input(&mut sim, yn, 1)?,
+                        Some(yn) => tile_input(&mut sim, yn, 1)?,
+                        None if fifos.host => Input::Buffer(zeros),
                         None => {
                             let (tyi, ryi) =
                                 fifos.open(&sim, fifos.ordinary, format!("{out_name}_y_in"));
                             read_vector_replayed(&mut sim, &zeros, tyi, 1);
-                            ryi
+                            Input::Channel(ryi)
                         }
                     };
                     let tx = vector_output(
@@ -1363,9 +1408,9 @@ pub(super) fn run_component<T: Scalar>(
             Op::Ger { alpha, a, x, y, .. } => {
                 let g = exec_ger(program, cfg, a)?;
                 let (n, m) = (g.n, g.m);
-                let ra = take_input(&mut sim, a, 1)?;
-                let rxv = take_input(&mut sim, x, 1)?;
-                let ryv = take_input(&mut sim, y, g.y_repetitions())?;
+                let ra = tile_input(&mut sim, a, 1)?;
+                let rxv = tile_input(&mut sim, x, 1)?;
+                let ryv = tile_input(&mut sim, y, g.y_repetitions())?;
                 let tx = matrix_output(
                     &mut sim,
                     cfg,
@@ -2294,5 +2339,237 @@ mod tests {
         assert_eq!((threaded_sims, fused_sims, armed_sims), (0, 1, 0));
         assert_eq!(fused_bits, oracle);
         assert_eq!(armed_bits, oracle);
+    }
+
+    /// Lane names and result bits of one traced run of `p`.
+    fn traced(
+        p: &Program,
+        cfg: &PlannerConfig,
+        operands: &[(&str, Vec<f64>)],
+        result: &str,
+        opts: ExecOptions,
+    ) -> (Vec<u64>, Vec<String>) {
+        let thep = plan(p, cfg).unwrap();
+        let bufs = bind(operands.to_vec());
+        let tracer = Tracer::new();
+        let opts = ExecOptions {
+            tracer: Some(&tracer),
+            ..opts
+        };
+        execute_plan::<f64>(p, &thep, cfg, &bufs, &opts).unwrap();
+        let bits = bufs[result].to_host().iter().map(|v| v.to_bits()).collect();
+        let lanes = tracer.lanes().into_iter().map(|l| l.module).collect();
+        (bits, lanes)
+    }
+
+    #[test]
+    fn admitted_tiles_read_their_dram_operands_in_place() {
+        let (n, m) = (40, 24);
+        let cfg = PlannerConfig {
+            tn: 16,
+            tm: 8,
+            ..Default::default()
+        };
+        let pinned = |backend| ExecOptions {
+            backend,
+            ..ExecOptions::default()
+        };
+        let armed = || ExecOptions {
+            backend: Backend::Fused,
+            ..recover(Some(OneShot::crash("no_such_module")))
+        };
+        let has = |lanes: &[String], name: &str| lanes.iter().any(|l| l == name);
+
+        // A lone GEMV with a single-round y, and a transposed one whose
+        // y makes ⌈40/16⌉ = 3 rounds through DRAM.
+        for transposed in [false, true] {
+            let (xn, yn) = if transposed { (n, m) } else { (m, n) };
+            let mut p = Program::new();
+            p.matrix("A", n, m)
+                .vector("x", xn)
+                .vector("y", yn)
+                .vector("q", yn);
+            p.op(Op::Gemv {
+                alpha: 1.5,
+                beta: -0.5,
+                a: "A".into(),
+                transposed,
+                x: "x".into(),
+                y: Some("y".into()),
+                out: "q".into(),
+            });
+            let operands = [
+                ("A", seq(n * m, 0.0)),
+                ("x", seq(xn, 1.0)),
+                ("y", seq(yn, 2.0)),
+                ("q", vec![0.0; yn]),
+            ];
+            let run = |opts| traced(&p, &cfg, &operands, "q", opts);
+            let (oracle, threaded) = run(pinned(Backend::Threaded));
+            let (fused_bits, fused) = run(pinned(Backend::Fused));
+            let (armed_bits, armed) = run(armed());
+            assert_eq!(fused_bits, oracle, "transposed {transposed}");
+            assert_eq!(armed_bits, oracle, "transposed {transposed}");
+            for lanes in [&threaded, &armed] {
+                assert!(
+                    has(lanes, "read_A") && has(lanes, "read_x"),
+                    "transposed {transposed}: {lanes:?}"
+                );
+            }
+            assert!(
+                !has(&fused, "read_A") && !has(&fused, "read_x"),
+                "transposed {transposed}: {fused:?}"
+            );
+            if transposed {
+                // The multi-round y keeps its replay loop.
+                assert!(has(&fused, "replay_y_read"), "{fused:?}");
+            } else {
+                assert!(has(&threaded, "read_y"), "{threaded:?}");
+                assert!(!fused.iter().any(|l| l.starts_with("read_")), "{fused:?}");
+            }
+        }
+
+        // A lone GER.
+        let mut p = Program::new();
+        p.matrix("A", n, m)
+            .matrix("B", n, m)
+            .vector("u", n)
+            .vector("v", m);
+        p.op(Op::Ger {
+            alpha: 0.75,
+            a: "A".into(),
+            x: "u".into(),
+            y: "v".into(),
+            out: "B".into(),
+        });
+        let operands = [
+            ("A", seq(n * m, 0.0)),
+            ("u", seq(n, 1.0)),
+            ("v", seq(m, 2.0)),
+            ("B", vec![0.0; n * m]),
+        ];
+        let run = |opts| traced(&p, &cfg, &operands, "B", opts);
+        let (oracle, threaded) = run(pinned(Backend::Threaded));
+        let (fused_bits, fused) = run(pinned(Backend::Fused));
+        let (armed_bits, armed) = run(armed());
+        assert_eq!((&fused_bits, &armed_bits), (&oracle, &oracle));
+        for lanes in [&threaded, &armed] {
+            for reader in ["read_A", "read_u", "read_v"] {
+                assert!(has(lanes, reader), "{lanes:?}");
+            }
+        }
+        assert!(has(&fused, "ger"), "{fused:?}");
+        assert!(!fused.iter().any(|l| l.starts_with("read_")), "{fused:?}");
+
+        // A matrix shared through `dup_A` keeps its reader in an
+        // admitted simulation; the vectors are read in place. BICG's
+        // component runs threaded here (the fused backend would replay
+        // it tile by tile).
+        let mut p = Program::new();
+        p.matrix("A", n, m)
+            .vector("p", m)
+            .vector("r", n)
+            .vector("q", n)
+            .vector("s", m);
+        for (transposed, x, out) in [(false, "p", "q"), (true, "r", "s")] {
+            p.op(Op::Gemv {
+                alpha: 1.0,
+                beta: 0.0,
+                a: "A".into(),
+                transposed,
+                x: x.into(),
+                y: None,
+                out: out.into(),
+            });
+        }
+        let thep = plan(&p, &cfg).unwrap();
+        let component = &thep.components[0];
+        assert_eq!(component.ops.len(), 2);
+        let host = |host_depth| {
+            let bufs = bind(vec![
+                ("A", seq(n * m, 0.0)),
+                ("p", seq(m, 1.0)),
+                ("r", seq(n, 2.0)),
+                ("q", vec![0.0; n]),
+                ("s", vec![0.0; m]),
+            ]);
+            let tracer = Tracer::new();
+            let run = run_component(
+                &p,
+                &cfg,
+                &component.ops,
+                &component.gemv_variants,
+                &BufRouter::direct(&bufs),
+                &Arc::new(Mutex::new(HashMap::new())),
+                Some(&tracer),
+                None,
+                &ComponentOptions {
+                    host_depth,
+                    ..ComponentOptions::default()
+                },
+            )
+            .unwrap();
+            let bits: Vec<u64> = ["q", "s"]
+                .iter()
+                .flat_map(|o| bufs[*o].to_host())
+                .map(f64::to_bits)
+                .collect();
+            let lanes: Vec<String> = tracer.lanes().into_iter().map(|l| l.module).collect();
+            (bits, lanes, run.host_depth_sims)
+        };
+        let (oracle, modelled, sims) = host(false);
+        assert_eq!(sims, 0);
+        for reader in ["read_A", "dup_A", "read_p", "read_r"] {
+            assert!(has(&modelled, reader), "{modelled:?}");
+        }
+        let (bits, admitted, sims) = host(true);
+        assert_eq!((bits, sims), (oracle, 1));
+        assert!(
+            has(&admitted, "read_A") && has(&admitted, "dup_A"),
+            "{admitted:?}"
+        );
+        assert!(
+            !has(&admitted, "read_p") && !has(&admitted, "read_r"),
+            "{admitted:?}"
+        );
+    }
+
+    /// Faults aim at channels, so a hook-armed attempt keeps every
+    /// reader: a corrupted element on the matrix edge must still trip
+    /// that edge's digest guard on the fused backend.
+    #[test]
+    fn an_armed_hook_keeps_the_matrix_channel_and_its_guard() {
+        let (n, m) = (40, 24);
+        let mut p = Program::new();
+        p.matrix("A", n, m).vector("x", m).vector("q", n);
+        p.op(Op::Gemv {
+            alpha: 1.5,
+            beta: 0.0,
+            a: "A".into(),
+            transposed: false,
+            x: "x".into(),
+            y: None,
+            out: "q".into(),
+        });
+        let cfg = PlannerConfig {
+            tn: 16,
+            tm: 8,
+            ..Default::default()
+        };
+        let thep = plan(&p, &cfg).unwrap();
+        let bufs = bind(vec![
+            ("A", seq(n * m, 0.0)),
+            ("x", seq(m, 1.0)),
+            ("q", vec![0.0; n]),
+        ]);
+        let opts = ExecOptions {
+            backend: Backend::Fused,
+            ..recover(Some(OneShot::corrupt("A->0", 17, 62)))
+        };
+        let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, &opts).unwrap();
+        let first = &out.recovery.attempts[0];
+        assert_eq!(first.error, Some(RecoveryErrorKind::Corruption));
+        assert!(first.guard_flagged, "the `A->0` guard should have tripped");
+        assert_eq!(out.recovery.recovered, 1);
     }
 }

@@ -1715,6 +1715,11 @@ pub fn build_evaluator(
     })
 }
 
+/// `W`-lane blocks per stride of [`FusedEvaluator::execute`]: long
+/// enough that interpreting the steps costs little per element, short
+/// enough that every slot stays in L1.
+const STRIDE_BLOCKS: usize = 64;
+
 /// What one pass of a region's loop produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedValues<T> {
@@ -1749,13 +1754,14 @@ fn lanes<'a, T>(
 impl FusedEvaluator {
     /// The straight-line loop itself, shared by [`FusedEvaluator::run`]
     /// and the fused execution backend. It walks the elements in
-    /// `W`-lane blocks aligned to the start of the stream — the closing
-    /// DOT's width, [`EXEC_WIDTH`] otherwise — and per block runs every
-    /// relay step through [`apply_lanes`], reads the sinks and output
-    /// off their slots, and hands the closing DOT's lane pairs to a
-    /// [`DotAccumulator`], whose blocks they are. `ins` holds the input
-    /// streams in [`FusedEvaluator::inputs`] order, each at least
-    /// `elements` long.
+    /// strides of 64 `W`-lane blocks aligned to the start of the stream
+    /// — `W` is the closing DOT's width, [`EXEC_WIDTH`] otherwise — and
+    /// per stride runs every relay step through [`apply_lanes`], reads
+    /// the sinks and output off their slots, and hands the closing DOT's
+    /// lane pairs to a [`DotAccumulator`], which cuts them into the same
+    /// `W`-lane blocks. Relays are elementwise, so the stride changes no
+    /// bit. `ins` holds the input streams in [`FusedEvaluator::inputs`]
+    /// order, each at least `elements` long.
     pub fn execute<T: Scalar>(&self, ins: &[&[T]]) -> Result<FusedValues<T>, String> {
         let elements = self.elements as usize;
         if let Some(short) = ins.iter().position(|s| s.len() < elements) {
@@ -1764,7 +1770,7 @@ impl FusedEvaluator {
                 ins[short].len()
             ));
         }
-        let width = self.reduce.as_ref().map_or(EXEC_WIDTH, |r| r.width).max(1);
+        let stride = self.reduce.as_ref().map_or(EXEC_WIDTH, |r| r.width).max(1) * STRIDE_BLOCKS;
         let mut sinks: Vec<Vec<T>> = self
             .sinks
             .iter()
@@ -1775,10 +1781,10 @@ impl FusedEvaluator {
             .reduce
             .as_ref()
             .map(|r| DotAccumulator::<T>::new(r.width));
-        let mut slots = vec![vec![T::ZERO; width]; self.steps.len()];
+        let mut slots = vec![vec![T::ZERO; stride.min(elements)]; self.steps.len()];
         let mut t0 = 0;
         while t0 < elements {
-            let len = width.min(elements - t0);
+            let len = stride.min(elements - t0);
             let block = t0..t0 + len;
             for step in &self.steps {
                 // Topological order: a step reads only earlier slots.

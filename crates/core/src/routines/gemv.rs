@@ -24,9 +24,9 @@
 //! [`TransColStreamed`]: GemvVariant::TransColStreamed
 
 use fblas_arch::{estimate_circuit, CircuitClass, ResourceEstimate};
-use fblas_hlssim::{ChunkReader, ModuleKind, PipelineCost, Receiver, Sender, SimError, Simulation};
+use fblas_hlssim::{ModuleKind, PipelineCost, Sender, SimError, Simulation};
 
-use super::replay::{Cycle, TiledReader};
+use super::replay::{Cycle, Input, MatrixIn, TiledReader, VectorIn};
 use super::validate_width;
 use crate::scalar::{tree_sum, Scalar};
 use crate::tiling::{gemv_io_tiles_by_cols, gemv_io_tiles_by_rows, TileOrder, Tiling};
@@ -160,23 +160,27 @@ impl Gemv {
 
     /// Attach the module.
     ///
-    /// * `ch_a` — matrix stream in the order of [`a_tiling`](Self::a_tiling);
-    /// * `ch_x` — input vector, sent [`x_repetitions`](Self::x_repetitions)
+    /// * `a` — matrix stream in the order of [`a_tiling`](Self::a_tiling);
+    /// * `x` — input vector, sent [`x_repetitions`](Self::x_repetitions)
     ///   times;
-    /// * `ch_y_in` — incoming `y` (original values on the first round,
+    /// * `y_in` — incoming `y` (original values on the first round,
     ///   partials on later rounds);
-    /// * `ch_y_out` — outgoing `y` blocks ([`y_rounds`](Self::y_rounds)
+    /// * `y_out` — outgoing `y` blocks ([`y_rounds`](Self::y_rounds)
     ///   rounds; the last round carries the final result).
+    ///
+    /// Each input is a channel or an operand buffer the module reads in
+    /// place ([`Input`]); a buffered `y_in` holds the initial values of
+    /// a single-round `y`.
     #[allow(clippy::too_many_arguments)]
     pub fn attach<T: Scalar>(
         &self,
         sim: &mut Simulation,
         alpha: T,
         beta: T,
-        ch_a: Receiver<T>,
-        ch_x: Receiver<T>,
-        ch_y_in: Receiver<T>,
-        ch_y_out: Sender<T>,
+        a: impl Into<Input<T>>,
+        x: impl Into<Input<T>>,
+        y_in: impl Into<Input<T>>,
+        y_out: Sender<T>,
     ) {
         let cfg = *self;
         let name = if cfg.variant.transposed() {
@@ -184,12 +188,16 @@ impl Gemv {
         } else {
             "gemv"
         };
+        let (a, x, y_in) = (a.into(), x.into(), y_in.into());
         sim.add_module(name, ModuleKind::Compute, move || {
-            let mut ports = ChannelPorts {
-                a: ChunkReader::new(&ch_a),
-                x: &ch_x,
-                y_in: &ch_y_in,
-                y_out: &ch_y_out,
+            let (a, x, y_in) = (a.open(), x.open(), y_in.open());
+            let mut ports = Ports {
+                a: a.matrix(name, cfg.n, cfg.m, cfg.a_tiling())?,
+                x: x.vector(name, cfg.x_len())?,
+                y: YPort::Stream {
+                    y_in: y_in.vector(name, cfg.y_len())?,
+                    y_out: &y_out,
+                },
             };
             cfg.run(alpha, beta, &mut ports)
         });
@@ -225,22 +233,15 @@ impl Gemv {
                 ));
             }
         }
-        let mut ports = SlicePorts {
-            a: TiledReader::new(a, self.n, self.m, self.a_tiling()),
-            x: Cycle::new(x),
-            y,
-            y_in: 0,
-            y_out: 0,
+        let mut ports = Ports {
+            a: MatrixIn::Buffer(TiledReader::new(a, self.n, self.m, self.a_tiling())),
+            x: VectorIn::Buffer(Cycle::new(x)),
+            y: YPort::InPlace { y, rd: 0, wr: 0 },
         };
         self.run(alpha, beta, &mut ports)
     }
 
-    fn run<T: Scalar>(
-        &self,
-        alpha: T,
-        beta: T,
-        ports: &mut impl GemvPorts<T>,
-    ) -> Result<(), SimError> {
+    fn run<T: Scalar>(&self, alpha: T, beta: T, ports: &mut Ports<'_, T>) -> Result<(), SimError> {
         match self.variant {
             GemvVariant::RowStreamed => self.run_row_streamed(alpha, beta, ports),
             GemvVariant::ColStreamed => self.run_col_streamed(alpha, beta, ports),
@@ -254,7 +255,7 @@ impl Gemv {
     /// is scratch space for one chunk's lanes.
     fn row_dot<T: Scalar>(
         &self,
-        ports: &mut impl GemvPorts<T>,
+        ports: &mut Ports<'_, T>,
         xblock: &[T],
         products: &mut Vec<T>,
     ) -> Result<T, SimError> {
@@ -262,7 +263,7 @@ impl Gemv {
         for xs in xblock.chunks(self.w) {
             products.clear();
             for x in xs {
-                products.push(ports.a()? * *x);
+                products.push(ports.a.next()? * *x);
             }
             acc += tree_sum(products);
         }
@@ -273,7 +274,7 @@ impl Gemv {
         &self,
         alpha: T,
         beta: T,
-        ports: &mut impl GemvPorts<T>,
+        ports: &mut Ports<'_, T>,
     ) -> Result<(), SimError> {
         let mut products = Vec::with_capacity(self.w);
         for bi in 0..self.tile_rows() {
@@ -282,7 +283,7 @@ impl Gemv {
             let mut acc = vec![T::ZERO; rows];
             for bj in 0..self.tile_cols() {
                 let cols = tile_extent(bj, self.tm, self.m);
-                let xblock = ports.x(cols)?;
+                let xblock = ports.x.block(cols)?;
                 for a in acc.iter_mut() {
                     *a += self.row_dot(ports, &xblock, &mut products)?;
                 }
@@ -303,12 +304,12 @@ impl Gemv {
         &self,
         alpha: T,
         beta: T,
-        ports: &mut impl GemvPorts<T>,
+        ports: &mut Ports<'_, T>,
     ) -> Result<(), SimError> {
         let mut products = Vec::with_capacity(self.w);
         for bj in 0..self.tile_cols() {
             let cols = tile_extent(bj, self.tm, self.m);
-            let xblock = ports.x(cols)?;
+            let xblock = ports.x.block(cols)?;
             for bi in 0..self.tile_rows() {
                 let rows = tile_extent(bi, self.tn, self.n);
                 let mut yp = ports.y_in(rows)?;
@@ -331,11 +332,11 @@ impl Gemv {
         &self,
         alpha: T,
         beta: T,
-        ports: &mut impl GemvPorts<T>,
+        ports: &mut Ports<'_, T>,
     ) -> Result<(), SimError> {
         for bi in 0..self.tile_rows() {
             let rows = tile_extent(bi, self.tn, self.n);
-            let xblock = ports.x(rows)?;
+            let xblock = ports.x.block(rows)?;
             for bj in 0..self.tile_cols() {
                 let cols = tile_extent(bj, self.tm, self.m);
                 let mut yp = ports.y_in(cols)?;
@@ -348,7 +349,7 @@ impl Gemv {
                 let mut tacc = vec![T::ZERO; cols];
                 for xi in &xblock {
                     for t in tacc.iter_mut() {
-                        let a = ports.a()?;
+                        let a = ports.a.next()?;
                         *t = a.mul_add(*xi, *t);
                     }
                 }
@@ -365,17 +366,17 @@ impl Gemv {
         &self,
         alpha: T,
         beta: T,
-        ports: &mut impl GemvPorts<T>,
+        ports: &mut Ports<'_, T>,
     ) -> Result<(), SimError> {
         for bj in 0..self.tile_cols() {
             let cols = tile_extent(bj, self.tm, self.m);
             let mut acc = vec![T::ZERO; cols];
             for bi in 0..self.tile_rows() {
                 let rows = tile_extent(bi, self.tn, self.n);
-                let xblock = ports.x(rows)?;
+                let xblock = ports.x.block(rows)?;
                 for xi in &xblock {
                     for a_j in acc.iter_mut() {
-                        let a = ports.a()?;
+                        let a = ports.a.next()?;
                         *a_j = a.mul_add(*xi, *a_j);
                     }
                 }
@@ -414,76 +415,61 @@ fn tile_extent(b: usize, t: usize, total: usize) -> usize {
     t.min(total - start)
 }
 
-/// The streams a GEMV kernel consumes and produces. The threaded module
-/// binds them to its channels ([`ChannelPorts`]), tile replay to operand
-/// slices ([`SlicePorts`]); both hand the kernel the same elements in
-/// the same order, so the arithmetic — and every result bit — is the
-/// kernel's alone.
-trait GemvPorts<T> {
-    /// Next element of `A`, in the variant's tile order.
-    fn a(&mut self) -> Result<T, SimError>;
-    /// Next `len` elements of the (replayed) `x` stream.
-    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError>;
+/// The streams a GEMV kernel consumes and produces. The threaded
+/// module binds each input to a channel or, read in place, to its
+/// operand buffer; tile replay binds all of them to operand slices.
+/// Every binding hands the kernel the same elements in the same order.
+struct Ports<'a, T: Send + 'static> {
+    /// `A`, in the variant's tile order.
+    a: MatrixIn<'a, T>,
+    /// The (replayed) `x` stream.
+    x: VectorIn<'a, T>,
+    y: YPort<'a, T>,
+}
+
+/// Where `y` comes from and goes to.
+enum YPort<'a, T> {
+    /// The threaded module: the initial values (or the previous round's
+    /// partials) come in on a stream, finished blocks leave on a
+    /// channel.
+    Stream {
+        y_in: VectorIn<'a, T>,
+        y_out: &'a Sender<T>,
+    },
+    /// Tile replay: `y` is updated in place, its read and write cursors
+    /// wrapping once per round — the DRAM round trip of the threaded
+    /// `y` replay without the trip.
+    InPlace {
+        y: &'a mut [T],
+        rd: usize,
+        wr: usize,
+    },
+}
+
+impl<T: Scalar> Ports<'_, T> {
     /// Next `len` elements of incoming `y`: the initial values on the
     /// first round, the previous round's partials after that.
-    fn y_in(&mut self, len: usize) -> Result<Vec<T>, SimError>;
+    fn y_in(&mut self, len: usize) -> Result<Vec<T>, SimError> {
+        match &mut self.y {
+            YPort::Stream { y_in, .. } => y_in.block(len),
+            YPort::InPlace { y, rd, .. } => {
+                let block = y[*rd..*rd + len].to_vec();
+                *rd = (*rd + len) % y.len();
+                Ok(block)
+            }
+        }
+    }
+
     /// One finished `y` block.
-    fn y_out(&mut self, block: &[T]) -> Result<(), SimError>;
-}
-
-/// The threaded module's ports: the matrix through a chunked reader,
-/// vector blocks popped and pushed whole.
-struct ChannelPorts<'a, T: Send + 'static> {
-    a: ChunkReader<'a, T>,
-    x: &'a Receiver<T>,
-    y_in: &'a Receiver<T>,
-    y_out: &'a Sender<T>,
-}
-
-impl<T: Scalar> GemvPorts<T> for ChannelPorts<'_, T> {
-    #[inline]
-    fn a(&mut self) -> Result<T, SimError> {
-        self.a.next()
-    }
-    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError> {
-        self.x.pop_n(len)
-    }
-    fn y_in(&mut self, len: usize) -> Result<Vec<T>, SimError> {
-        self.y_in.pop_n(len)
-    }
     fn y_out(&mut self, block: &[T]) -> Result<(), SimError> {
-        self.y_out.push_slice(block)
-    }
-}
-
-/// Tile replay's ports: `y` is updated in place, its read and write
-/// cursors wrapping once per round — the DRAM round trip of the
-/// threaded `y` replay without the trip.
-struct SlicePorts<'a, T> {
-    a: TiledReader<'a, T>,
-    x: Cycle<'a, T>,
-    y: &'a mut [T],
-    y_in: usize,
-    y_out: usize,
-}
-
-impl<T: Scalar> GemvPorts<T> for SlicePorts<'_, T> {
-    #[inline]
-    fn a(&mut self) -> Result<T, SimError> {
-        self.a.next()
-    }
-    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError> {
-        self.x.block(len)
-    }
-    fn y_in(&mut self, len: usize) -> Result<Vec<T>, SimError> {
-        let block = self.y[self.y_in..self.y_in + len].to_vec();
-        self.y_in = (self.y_in + len) % self.y.len();
-        Ok(block)
-    }
-    fn y_out(&mut self, block: &[T]) -> Result<(), SimError> {
-        self.y[self.y_out..self.y_out + block.len()].copy_from_slice(block);
-        self.y_out = (self.y_out + block.len()) % self.y.len();
-        Ok(())
+        match &mut self.y {
+            YPort::Stream { y_out, .. } => y_out.push_slice(block),
+            YPort::InPlace { y, wr, .. } => {
+                y[*wr..*wr + block.len()].copy_from_slice(block);
+                *wr = (*wr + block.len()) % y.len();
+                Ok(())
+            }
+        }
     }
 }
 

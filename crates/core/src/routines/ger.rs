@@ -11,7 +11,7 @@ use fblas_hlssim::{
     ChunkReader, ChunkWriter, ModuleKind, PipelineCost, Receiver, Sender, SimError, Simulation,
 };
 
-use super::replay::{Cycle, TiledReader, TiledWriter};
+use super::replay::{Cycle, Input, MatrixIn, MatrixOut, TiledReader, TiledWriter, VectorIn};
 use super::{validate_width, Uplo};
 use crate::scalar::Scalar;
 use crate::tiling::{TileOrder, Tiling};
@@ -22,74 +22,20 @@ fn tile_extent(b: usize, t: usize, total: usize) -> usize {
     t.min(total - start)
 }
 
-/// The streams a GER kernel consumes and produces: bound to channels
-/// by the threaded module ([`ChannelPorts`]), to operand slices by tile
-/// replay ([`SlicePorts`]), with the same elements in the same order.
-trait GerPorts<T> {
-    /// Next element of `A`, in tile order.
-    fn a(&mut self) -> Result<T, SimError>;
-    /// Next `len` elements of `x`.
-    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError>;
-    /// Next `len` elements of the replayed `y`.
-    fn y(&mut self, len: usize) -> Result<Vec<T>, SimError>;
-    /// Next element of the updated matrix, in tile order.
-    fn out(&mut self, v: T) -> Result<(), SimError>;
-    /// A tile is complete.
-    fn end_tile(&mut self) -> Result<(), SimError>;
-}
-
-struct ChannelPorts<'a, T: Send + 'static> {
-    a: ChunkReader<'a, T>,
-    x: &'a Receiver<T>,
-    y: &'a Receiver<T>,
-    out: ChunkWriter<'a, T>,
-}
-
-impl<T: Scalar> GerPorts<T> for ChannelPorts<'_, T> {
-    #[inline]
-    fn a(&mut self) -> Result<T, SimError> {
-        self.a.next()
-    }
-    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError> {
-        self.x.pop_n(len)
-    }
-    fn y(&mut self, len: usize) -> Result<Vec<T>, SimError> {
-        self.y.pop_n(len)
-    }
-    #[inline]
-    fn out(&mut self, v: T) -> Result<(), SimError> {
-        self.out.push(v)
-    }
-    fn end_tile(&mut self) -> Result<(), SimError> {
-        self.out.flush()
-    }
-}
-
-struct SlicePorts<'a, T> {
-    a: TiledReader<'a, T>,
-    x: Cycle<'a, T>,
-    y: Cycle<'a, T>,
-    out: TiledWriter<'a, T>,
-}
-
-impl<T: Scalar> GerPorts<T> for SlicePorts<'_, T> {
-    #[inline]
-    fn a(&mut self) -> Result<T, SimError> {
-        self.a.next()
-    }
-    fn x(&mut self, len: usize) -> Result<Vec<T>, SimError> {
-        self.x.block(len)
-    }
-    fn y(&mut self, len: usize) -> Result<Vec<T>, SimError> {
-        self.y.block(len)
-    }
-    #[inline]
-    fn out(&mut self, v: T) -> Result<(), SimError> {
-        self.out.push(v)
-    }
-    fn end_tile(&mut self) -> Result<(), SimError> {
-        Ok(())
-    }
+/// The streams a GER kernel consumes and produces. The threaded module
+/// binds each input to a channel or, read in place, to its operand
+/// buffer, and the result to a channel; tile replay binds all of them
+/// to operand slices. Every binding carries the same elements in the
+/// same order.
+struct Ports<'a, T: Send + 'static> {
+    /// `A`, in tile order.
+    a: MatrixIn<'a, T>,
+    /// `x`, one row block per row of tiles.
+    x: VectorIn<'a, T>,
+    /// `y`, replayed per row of tiles.
+    y: VectorIn<'a, T>,
+    /// The updated matrix, in tile order.
+    out: MatrixOut<'a, T>,
 }
 
 /// GER: `A ← α·x·yᵀ + A` over an `n × m` matrix streamed in tiles by
@@ -126,28 +72,32 @@ impl Ger {
         self.n.div_ceil(self.tn)
     }
 
-    /// Attach the module: `ch_a`/`ch_out` carry the matrix in tile order,
-    /// `ch_x` delivers `x` in row blocks (once), `ch_y` delivers `y`
-    /// replayed [`y_repetitions`](Self::y_repetitions) times.
+    /// Attach the module: `a` and `out` carry the matrix in tile order,
+    /// `x` delivers `x` in row blocks (once), `y` delivers `y` replayed
+    /// [`y_repetitions`](Self::y_repetitions) times. Each input is a
+    /// channel or an operand buffer the module reads in place
+    /// ([`Input`]).
     pub fn attach<T: Scalar>(
         &self,
         sim: &mut Simulation,
         alpha: T,
-        ch_a: Receiver<T>,
-        ch_x: Receiver<T>,
-        ch_y: Receiver<T>,
-        ch_out: Sender<T>,
+        a: impl Into<Input<T>>,
+        x: impl Into<Input<T>>,
+        y: impl Into<Input<T>>,
+        out: Sender<T>,
     ) {
         let cfg = *self;
+        let (a, x, y) = (a.into(), x.into(), y.into());
         sim.add_module("ger", ModuleKind::Compute, move || {
+            let (a, x, y) = (a.open(), x.open(), y.open());
             // The matrix stream is relayed in chunks; the writer is
             // flushed at every tile boundary so no output is buffered
             // across the blocking vector-block reads.
-            let mut ports = ChannelPorts {
-                a: ChunkReader::new(&ch_a),
-                x: &ch_x,
-                y: &ch_y,
-                out: ChunkWriter::new(&ch_out),
+            let mut ports = Ports {
+                a: a.matrix("ger", cfg.n, cfg.m, cfg.a_tiling())?,
+                x: x.vector("ger", cfg.n)?,
+                y: y.vector("ger", cfg.m)?,
+                out: MatrixOut::Channel(ChunkWriter::new(&out)),
             };
             cfg.run(alpha, &mut ports)
         });
@@ -182,30 +132,30 @@ impl Ger {
             }
         }
         let tiling = self.a_tiling();
-        let mut ports = SlicePorts {
-            a: TiledReader::new(a, self.n, self.m, tiling),
-            x: Cycle::new(x),
-            y: Cycle::new(y),
-            out: TiledWriter::new(out, self.n, self.m, tiling),
+        let mut ports = Ports {
+            a: MatrixIn::Buffer(TiledReader::new(a, self.n, self.m, tiling)),
+            x: VectorIn::Buffer(Cycle::new(x)),
+            y: VectorIn::Buffer(Cycle::new(y)),
+            out: MatrixOut::Buffer(TiledWriter::new(out, self.n, self.m, tiling)),
         };
         self.run(alpha, &mut ports)
     }
 
-    fn run<T: Scalar>(&self, alpha: T, ports: &mut impl GerPorts<T>) -> Result<(), SimError> {
+    fn run<T: Scalar>(&self, alpha: T, ports: &mut Ports<'_, T>) -> Result<(), SimError> {
         for bi in 0..self.n.div_ceil(self.tn) {
             let rows = tile_extent(bi, self.tn, self.n);
-            let xblock = ports.x(rows)?;
+            let xblock = ports.x.block(rows)?;
             for bj in 0..self.m.div_ceil(self.tm) {
                 let cols = tile_extent(bj, self.tm, self.m);
-                let yblock = ports.y(cols)?;
+                let yblock = ports.y.block(cols)?;
                 for xi in &xblock {
                     let ax = alpha * *xi;
                     for yj in &yblock {
-                        let a = ports.a()?;
-                        ports.out(ax.mul_add(*yj, a))?;
+                        let a = ports.a.next()?;
+                        ports.out.push(ax.mul_add(*yj, a))?;
                     }
                 }
-                ports.end_tile()?;
+                ports.out.end_tile()?;
             }
         }
         Ok(())

@@ -136,19 +136,26 @@ impl<T: Scalar> DotAccumulator<T> {
         }
     }
 
-    /// Feed a run of lane pairs, in order. A run that fills a whole
-    /// block from its start goes through the adder tree in one step;
-    /// the blocks and their sums are exactly those of pushing the pairs
-    /// one by one.
+    /// Feed a run of lane pairs, in order. Each whole block the run
+    /// holds from a block boundary goes through the adder tree in one
+    /// step; the blocks and their sums are exactly those of pushing the
+    /// pairs one by one.
     pub fn push_lanes(&mut self, xs: &[T], ys: &[T]) {
-        if self.products.is_empty() && xs.len() == self.w && ys.len() == self.w {
+        let n = xs.len().min(ys.len());
+        let mut i = 0;
+        while i < n && !self.products.is_empty() {
+            self.push(xs[i], ys[i]);
+            i += 1;
+        }
+        while n - i >= self.w {
+            let (bx, by) = (&xs[i..i + self.w], &ys[i..i + self.w]);
             self.products
-                .extend(xs.iter().zip(ys).map(|(x, y)| *x * *y));
+                .extend(bx.iter().zip(by).map(|(x, y)| *x * *y));
             self.block();
-        } else {
-            for (x, y) in xs.iter().zip(ys) {
-                self.push(*x, *y);
-            }
+            i += self.w;
+        }
+        for (x, y) in xs[i..n].iter().zip(&ys[i..n]) {
+            self.push(*x, *y);
         }
     }
 
@@ -441,6 +448,26 @@ mod tests {
             tx.push_slice(&data)
         });
         rx
+    }
+
+    /// Runs of any length and offset cut the same blocks as pushing
+    /// the pairs one by one, so the sums agree bit for bit.
+    #[test]
+    fn push_lanes_matches_pushing_pairs_one_by_one() {
+        let xs: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin()).collect();
+        let ys: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.91).cos() * 1e3).collect();
+        let mut one = DotAccumulator::<f64>::new(16);
+        for (x, y) in xs.iter().zip(&ys) {
+            one.push(*x, *y);
+        }
+        let want = one.finish().to_bits();
+        for run in [1, 7, 16, 33, 64 * 16, 1000] {
+            let mut acc = DotAccumulator::<f64>::new(16);
+            for (bx, by) in xs.chunks(run).zip(ys.chunks(run)) {
+                acc.push_lanes(bx, by);
+            }
+            assert_eq!(acc.finish().to_bits(), want, "runs of {run}");
+        }
     }
 
     fn result<T: Scalar>(sim: Simulation, rx: Receiver<T>) -> T {

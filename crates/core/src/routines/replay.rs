@@ -1,20 +1,161 @@
-//! Slice-backed streams for tile replay.
+//! The operand streams of the Level-2 kernels.
 //!
-//! A Level-2 module's kernel pulls its matrix element by element in
-//! tile order and its vectors block by block, replaying them as the
-//! tiling demands. The threaded module feeds the kernel from channels;
-//! tile replay feeds the *same* kernel from the operand buffers through
-//! these cursors, which visit exactly the elements the interface
-//! readers would have streamed, in the same order.
+//! A GEMV or GER kernel pulls its matrix element by element in tile
+//! order and its vectors block by block, replaying them as the tiling
+//! demands. Each stream comes from one of two places: a FIFO fed by
+//! another module, or an operand buffer read in place through the
+//! cursors below ([`TiledReader`], [`Cycle`]), which visit exactly the
+//! elements an interface reader would have streamed, in the same
+//! order. The threaded module, a module that reads its DRAM operands in
+//! place, and tile replay on the calling thread all run one kernel
+//! through these ports, so the arithmetic — and every result bit — is
+//! the kernel's alone.
 
 use std::ops::Range;
 
-use fblas_hlssim::SimError;
+use fblas_hlssim::{ChunkReader, ChunkWriter, Receiver, SimError};
+use parking_lot::RwLockReadGuard;
 
+use crate::host::buffer::DeviceBuffer;
 use crate::tiling::{Segment, Tiling};
 
 fn exhausted(what: &str) -> SimError {
     SimError::module("tile-replay", format!("{what} stream exhausted"))
+}
+
+/// Where a Level-2 module reads one of its inputs from.
+pub enum Input<T> {
+    /// A FIFO fed by another module (an interface reader, a producer,
+    /// a fan-out stage).
+    Channel(Receiver<T>),
+    /// An operand buffer, read in place: the module holds the buffer's
+    /// read guard for its whole run and streams from it what an
+    /// interface reader would have sent — a matrix in the module's tile
+    /// order, a vector replayed as often as the tiling consumes it.
+    Buffer(DeviceBuffer<T>),
+}
+
+impl<T> From<Receiver<T>> for Input<T> {
+    fn from(rx: Receiver<T>) -> Self {
+        Input::Channel(rx)
+    }
+}
+
+impl<T: Copy + Send + Sync + 'static> Input<T> {
+    /// Open the input for the module's run.
+    pub(crate) fn open(&self) -> Opened<'_, T> {
+        match self {
+            Input::Channel(rx) => Opened::Channel(rx),
+            Input::Buffer(buf) => Opened::Buffer(buf.read()),
+        }
+    }
+}
+
+/// An [`Input`] open for a module's run: the channel, or the buffer
+/// under its read guard.
+pub(crate) enum Opened<'a, T> {
+    Channel(&'a Receiver<T>),
+    Buffer(RwLockReadGuard<'a, Vec<T>>),
+}
+
+impl<T: Copy + Send + 'static> Opened<'_, T> {
+    /// An `n × m` matrix in `tiling`'s stream order.
+    pub(crate) fn matrix(
+        &self,
+        module: &str,
+        n: usize,
+        m: usize,
+        tiling: Tiling,
+    ) -> Result<MatrixIn<'_, T>, SimError> {
+        Ok(match self {
+            Opened::Channel(rx) => MatrixIn::Channel(ChunkReader::new(rx)),
+            Opened::Buffer(data) => {
+                sized(module, "matrix", data.len(), n * m)?;
+                MatrixIn::Buffer(TiledReader::new(data, n, m, tiling))
+            }
+        })
+    }
+
+    /// A vector of `len` elements, block by block, replayed from the
+    /// start once it runs out.
+    pub(crate) fn vector(&self, module: &str, len: usize) -> Result<VectorIn<'_, T>, SimError> {
+        Ok(match self {
+            Opened::Channel(rx) => VectorIn::Channel(rx),
+            Opened::Buffer(data) => {
+                sized(module, "vector", data.len(), len)?;
+                VectorIn::Buffer(Cycle::new(data))
+            }
+        })
+    }
+}
+
+fn sized(module: &str, what: &str, got: usize, want: usize) -> Result<(), SimError> {
+    if got == want {
+        return Ok(());
+    }
+    Err(SimError::module(
+        module,
+        format!("{what} buffer holds {got} elements, expected {want}"),
+    ))
+}
+
+/// A matrix input, element by element in tile order.
+pub(crate) enum MatrixIn<'a, T: Send + 'static> {
+    Channel(ChunkReader<'a, T>),
+    Buffer(TiledReader<'a, T>),
+}
+
+impl<T: Copy + Send + 'static> MatrixIn<'_, T> {
+    /// Next element in stream order.
+    #[inline]
+    pub(crate) fn next(&mut self) -> Result<T, SimError> {
+        match self {
+            MatrixIn::Channel(rd) => rd.next(),
+            MatrixIn::Buffer(rd) => rd.next(),
+        }
+    }
+}
+
+/// A vector input, block by block.
+pub(crate) enum VectorIn<'a, T> {
+    Channel(&'a Receiver<T>),
+    Buffer(Cycle<'a, T>),
+}
+
+impl<T: Copy + Send + 'static> VectorIn<'_, T> {
+    /// The next `len` elements.
+    pub(crate) fn block(&mut self, len: usize) -> Result<Vec<T>, SimError> {
+        match self {
+            VectorIn::Channel(rx) => rx.pop_n(len),
+            VectorIn::Buffer(c) => c.block(len),
+        }
+    }
+}
+
+/// A matrix output, element by element in tile order.
+pub(crate) enum MatrixOut<'a, T: Send + 'static> {
+    Channel(ChunkWriter<'a, T>),
+    Buffer(TiledWriter<'a, T>),
+}
+
+impl<T: Send + 'static> MatrixOut<'_, T> {
+    /// Store the next element in stream order.
+    #[inline]
+    pub(crate) fn push(&mut self, v: T) -> Result<(), SimError> {
+        match self {
+            MatrixOut::Channel(wr) => wr.push(v),
+            MatrixOut::Buffer(wr) => wr.push(v),
+        }
+    }
+
+    /// A tile is complete: a channel writer flushes, so no output waits
+    /// in its buffer across the next blocking vector read.
+    pub(crate) fn end_tile(&mut self) -> Result<(), SimError> {
+        match self {
+            MatrixOut::Channel(wr) => wr.flush(),
+            MatrixOut::Buffer(_) => Ok(()),
+        }
+    }
 }
 
 /// A tiling's runs over a matrix. The cursors walk them as contiguous

@@ -2,8 +2,9 @@
 //!
 //! One OS thread per connection reads JSON lines and runs *admission*
 //! inline: drain gate → circuit breaker → tenant quota → fblas-lint
-//! (which builds and plans the program) → operand bindings → chaos
-//! plan → bounded queue. Admission is the only place a request is
+//! (which builds and plans the program; a program text the server has
+//! accepted before comes from its lint cache) → operand bindings →
+//! chaos plan → bounded queue. Admission is the only place a request is
 //! validated: every rejection is an explicit structured response
 //! written before the queue — nothing is ever silently dropped — and
 //! an admitted job carries the linted program, its plan and the built
@@ -193,10 +194,12 @@ impl Conn {
     }
 }
 
+/// A program that passed lint, built and planned.
+type Planned = Arc<(Program, Plan)>;
+
 struct Job {
     req: Request,
-    program: Program,
-    plan: Plan,
+    planned: Planned,
     hook: Option<Arc<dyn FaultHook>>,
     shape: u64,
     admitted_at: Instant,
@@ -300,6 +303,46 @@ impl JobQueue {
     }
 }
 
+/// Accepted programs the lint cache holds. Serving traffic repeats a
+/// handful of programs; a fresh program past this many evicts the
+/// least recently used one.
+const LINT_CACHE: usize = 64;
+
+/// Lint once per program: the accepted artifact of each program text
+/// the server has linted, keyed by the program's canonical JSON (its
+/// config, coefficients and sizes included, so two programs share an
+/// entry only when they are the same program). Rejections are never
+/// cached, and bindings and chaos plans stay per request.
+#[derive(Default)]
+struct LintCache {
+    entries: HashMap<String, (Planned, u64)>,
+    clock: u64,
+}
+
+impl LintCache {
+    fn get(&mut self, key: &str) -> Option<Planned> {
+        self.clock += 1;
+        let (planned, used) = self.entries.get_mut(key)?;
+        *used = self.clock;
+        Some(Arc::clone(planned))
+    }
+
+    fn insert(&mut self, key: String, planned: Planned) {
+        if self.entries.len() >= LINT_CACHE && !self.entries.contains_key(&key) {
+            let oldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| k.clone());
+            if let Some(k) = oldest {
+                self.entries.remove(&k);
+            }
+        }
+        self.clock += 1;
+        self.entries.insert(key, (planned, self.clock));
+    }
+}
+
 const STATE_RUNNING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_STOPPED: u8 = 2;
@@ -309,6 +352,7 @@ struct Inner {
     queue: JobQueue,
     quotas: TenantQuotas,
     breakers: Breakers,
+    lint_cache: Mutex<LintCache>,
     state: AtomicU8,
     stats: Stats,
     /// `(clean, lost)` once a drain has completed.
@@ -381,6 +425,7 @@ impl Server {
         let inner = Arc::new(Inner {
             quotas: TenantQuotas::new(cfg.tenant_qps, cfg.tenant_burst),
             breakers: Breakers::new(cfg.breaker),
+            lint_cache: Mutex::new(LintCache::default()),
             queue: JobQueue::new(cfg.queue),
             state: AtomicU8::new(STATE_RUNNING),
             stats: Stats::default(),
@@ -663,12 +708,29 @@ fn admit(req: Request, out: &Out, inner: &Arc<Inner>) {
         resp.diagnostics = diagnostics;
         inner.refuse(out, &inner.stats.rejected, "rejected", &resp);
     };
-    let lint = lint_document_full(&Document::Program(req.program.clone()), "<request>");
-    let Some((program, plan)) = lint.planned.filter(|_| lint.report.accepted()) else {
-        let errors = lint.report.errors();
-        let diagnostics = serde_json::to_value(&lint.report.diagnostics).ok();
-        let detail = format!("rejected by fblas-lint with {errors} error(s)");
-        return reject("lint", detail, diagnostics);
+    let key = serde_json::to_string(&req.program).ok();
+    let cached = key.as_deref().and_then(|k| inner.lint_cache.lock().get(k));
+    let planned = match cached {
+        Some(planned) => {
+            if let Some(reg) = fblas_metrics::registry() {
+                reg.counter("fblas_serve_lint_cache_hits_total", &[]).inc();
+            }
+            planned
+        }
+        None => {
+            let lint = lint_document_full(&Document::Program(req.program.clone()), "<request>");
+            let Some(planned) = lint.planned.filter(|_| lint.report.accepted()) else {
+                let errors = lint.report.errors();
+                let diagnostics = serde_json::to_value(&lint.report.diagnostics).ok();
+                let detail = format!("rejected by fblas-lint with {errors} error(s)");
+                return reject("lint", detail, diagnostics);
+            };
+            let planned = Arc::new(planned);
+            if let Some(k) = key {
+                inner.lint_cache.lock().insert(k, Arc::clone(&planned));
+            }
+            planned
+        }
     };
     if let Err(e) = check_bindings(&req) {
         return reject("data", e, None);
@@ -686,8 +748,7 @@ fn admit(req: Request, out: &Out, inner: &Arc<Inner>) {
         .deadline_ms
         .map(|ms| admitted_at + Duration::from_millis(ms));
     let job = Box::new(Job {
-        program,
-        plan,
+        planned,
         hook,
         shape,
         admitted_at,
@@ -859,7 +920,8 @@ fn execute_job(job: &Job, inner: &Arc<Inner>) -> Response {
         mode: ExecMode::Recover { policy, hook },
         ..ExecOptions::default()
     };
-    match execute_plan::<f64>(&job.program, &job.plan, &cfg, &buffers, &opts) {
+    let (program, plan) = &*job.planned;
+    match execute_plan::<f64>(program, plan, &cfg, &buffers, &opts) {
         Ok(outcome) => {
             inner.breakers.record_success(tenant, job.shape);
             let mut resp = Response::skeleton(id, tenant, STATUS_OK, 200);
@@ -912,14 +974,41 @@ fn postmortem_path(run_id: &str) -> Option<String> {
 mod tests {
     use super::*;
     use crate::Client;
+    use fblas_core::composition::{plan, PlannerConfig};
 
-    /// A served request is linted once, by the same entry point that
-    /// records the lint metrics, so it adds exactly one lint run. No
-    /// other test in this binary lints, so the global count is ours.
+    /// A full cache evicts its least recently used entry, so a program
+    /// the traffic keeps repeating survives a run of fresh ones.
+    #[test]
+    fn lint_cache_evicts_the_least_recently_used_program() {
+        let empty = Program::new();
+        let planned: Planned = Arc::new((
+            empty.clone(),
+            plan(&empty, &PlannerConfig::default()).expect("an empty program plans"),
+        ));
+        let mut cache = LintCache::default();
+        for k in 0..LINT_CACHE {
+            cache.insert(k.to_string(), Arc::clone(&planned));
+        }
+        assert!(cache.get("0").is_some());
+        cache.insert("fresh".to_string(), Arc::clone(&planned));
+        assert_eq!(cache.entries.len(), LINT_CACHE);
+        assert!(cache.get("0").is_some() && cache.get("fresh").is_some());
+        assert!(cache.get("1").is_none());
+    }
+
+    /// A served program is linted once per server, by the same entry
+    /// point that records the lint metrics: the first request adds one
+    /// lint run, a repeat of it is a cache hit, and a request that
+    /// changes only `alpha` is a different program. No other test in
+    /// this binary lints, so the global counts are ours.
     #[test]
     fn served_request_counts_one_lint_run() {
         let reg = fblas_metrics::install(1);
         let runs = || reg.counter("fblas_lint_runs_total", &[]).value();
+        let hits = || {
+            reg.counter("fblas_serve_lint_cache_hits_total", &[])
+                .value()
+        };
         let server = Server::start(ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
@@ -932,12 +1021,26 @@ mod tests {
         })
         .expect("server starts");
         let mut c = Client::connect(server.addr()).expect("client connects");
-        let before = runs();
-        let line = r#"{"id":1,"tenant":"t","fill_seed":3,"program":{"operands":[{"name":"x","kind":"vector","len":8},{"name":"o","kind":"vector","len":8}],"ops":[{"op":"scal","alpha":2.0,"x":"x","out":"o"}]}}"#;
-        let resp = crate::parse_response(&c.roundtrip_line(line).expect("roundtrip"))
-            .expect("response parses");
-        assert_eq!(resp.status, STATUS_OK, "{:?}", resp.detail);
-        assert_eq!(runs() - before, 1);
+        let (runs0, hits0) = (runs(), hits());
+        let line = |id: u32, alpha: &str| {
+            format!(
+                r#"{{"id":{id},"tenant":"t","fill_seed":3,"program":{{"operands":[{{"name":"x","kind":"vector","len":8}},{{"name":"o","kind":"vector","len":8}}],"ops":[{{"op":"scal","alpha":{alpha},"x":"x","out":"o"}}]}}}}"#
+            )
+        };
+        let mut serve = |line: String| {
+            let resp = crate::parse_response(&c.roundtrip_line(&line).expect("roundtrip"))
+                .expect("response parses");
+            assert_eq!(resp.status, STATUS_OK, "{:?}", resp.detail);
+            resp.outputs["o"].clone()
+        };
+        let first = serve(line(1, "2.0"));
+        assert_eq!((runs() - runs0, hits() - hits0), (1, 0));
+        let repeat = serve(line(2, "2.0"));
+        assert_eq!((runs() - runs0, hits() - hits0), (1, 1));
+        assert_eq!(repeat, first);
+        let other = serve(line(3, "3.0"));
+        assert_eq!((runs() - runs0, hits() - hits0), (2, 1));
+        assert_ne!(other, first);
         assert!(server.drain().clean);
     }
 }

@@ -662,9 +662,28 @@ fn run_level2_block(
                     witness.starts_with("gemv"),
                     "seed {seed} c{ci}: singleton witness `{witness}`"
                 );
+                // Fused-backend audits are admitted at host depth, so
+                // the GEMV reads its matrix in place; the threaded
+                // oracle keeps the interface reader.
+                let matrices: Vec<String> = c
+                    .ops
+                    .iter()
+                    .filter_map(|&oi| match &program.ops()[oi] {
+                        Op::Gemv { a, .. } => Some(format!("read_{a}")),
+                        _ => None,
+                    })
+                    .collect();
                 assert!(
-                    !fused_lane && lanes.iter().any(|m| m.starts_with("read_")),
-                    "seed {seed} c{ci}: a one-GEMV component must run threaded: {lanes:?}"
+                    !fused_lane
+                        && lanes.iter().any(|m| m.starts_with("gemv"))
+                        && !lanes.iter().any(|m| matrices.contains(m)),
+                    "seed {seed} c{ci}: a one-GEMV component must run threaded, its matrix \
+                     read in place: {lanes:?}"
+                );
+                let oracle = &threaded.audit_modules[ci];
+                assert!(
+                    oracle.iter().any(|m| matrices.contains(m)),
+                    "seed {seed} c{ci}: the threaded oracle must read the matrix: {oracle:?}"
                 );
             }
         }

@@ -372,11 +372,12 @@ fn admission_rejects_bad_bindings_and_chaos_before_the_queue() {
 }
 
 /// The five `stream_closed` kernels of the repository benchmark. Each
-/// is served once and run cold on the same fill (`to_program` → `plan`
-/// → `execute_plan`) on the threaded backend, the oracle: the served
+/// is served twice — the second time from the server's lint cache —
+/// and run cold on the same fill (`to_program` → `plan` →
+/// `execute_plan`) on the threaded backend, the oracle: both served
 /// outputs and scalars — fused, replayed tile by tile, or threaded —
-/// must match bit for bit, so neither the plan admission built nor the
-/// backend that ran it changes anything.
+/// must match bit for bit, so neither the plan admission built or
+/// cached nor the backend that ran it changes anything.
 #[test]
 fn served_kernels_match_the_cold_path_bit_for_bit() {
     let vec = |name: &str, n: usize| format!(r#"{{"name":"{name}","kind":"vector","len":{n}}}"#);
@@ -438,14 +439,13 @@ fn served_kernels_match_the_cold_path_bit_for_bit() {
     let server = Server::start(cfg(1, 1_000, 1_000)).expect("server starts");
     let mut c = Client::connect(server.addr()).expect("client connects");
     for (id, (name, operands, ops)) in kernels.iter().enumerate() {
-        let line = format!(
-            r#"{{"id":{id},"tenant":"t","fill_seed":{fill_seed},"program":{{"operands":[{}],"ops":[{ops}],"config":{{"tn":16,"tm":16}}}}}}"#,
-            operands.join(",")
-        );
-        let served = exec(&mut c, &line);
-        assert_eq!(served.status, "ok", "{name}: {:?}", served.detail);
-
-        let Ok(Inbound::Exec(req)) = parse_line(&line) else {
+        let line = |id: usize| {
+            format!(
+                r#"{{"id":{id},"tenant":"t","fill_seed":{fill_seed},"program":{{"operands":[{}],"ops":[{ops}],"config":{{"tn":16,"tm":16}}}}}}"#,
+                operands.join(",")
+            )
+        };
+        let Ok(Inbound::Exec(req)) = parse_line(&line(id)) else {
             panic!("{name}: request parses")
         };
         let program = req.program.to_program().expect("program converts");
@@ -473,24 +473,32 @@ fn served_kernels_match_the_cold_path_bit_for_bit() {
         };
         let cold = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &threaded)
             .expect("cold run succeeds");
-
-        assert!(!served.outputs.is_empty() || !served.scalars.is_empty());
-        for (out, values) in &served.outputs {
-            let cold_values = buffers[out].to_host();
-            assert_eq!(bits(values), bits(&cold_values), "{name}: output `{out}`");
-        }
         let cold_scalars: BTreeMap<String, f64> = cold.scalars.into_iter().collect();
-        assert_eq!(
-            served.scalars.keys().collect::<Vec<_>>(),
-            cold_scalars.keys().collect::<Vec<_>>(),
-            "{name}: scalar names"
-        );
-        for (s, v) in &served.scalars {
+
+        for round in 0..2 {
+            let served = exec(&mut c, &line(id + round * kernels.len()));
+            assert_eq!(served.status, "ok", "{name} #{round}: {:?}", served.detail);
+            assert!(!served.outputs.is_empty() || !served.scalars.is_empty());
+            for (out, values) in &served.outputs {
+                let cold_values = buffers[out].to_host();
+                assert_eq!(
+                    bits(values),
+                    bits(&cold_values),
+                    "{name} #{round}: output `{out}`"
+                );
+            }
             assert_eq!(
-                v.to_bits(),
-                cold_scalars[s].to_bits(),
-                "{name}: scalar `{s}`"
+                served.scalars.keys().collect::<Vec<_>>(),
+                cold_scalars.keys().collect::<Vec<_>>(),
+                "{name} #{round}: scalar names"
             );
+            for (s, v) in &served.scalars {
+                assert_eq!(
+                    v.to_bits(),
+                    cold_scalars[s].to_bits(),
+                    "{name} #{round}: scalar `{s}`"
+                );
+            }
         }
     }
     assert!(server.drain().clean);
