@@ -258,7 +258,11 @@ cargo run --release -q -p fblas-serve --bin bench_serve -- \
 cmp "$tmpdir/serve_smoke_a.txt" "$tmpdir/serve_smoke_b.txt"
 echo "serve smoke transcripts are byte-identical across runs"
 # The daemon must exit 0 on a clean client-driven drain, and a request
-# with mis-sized data must be rejected at admission, never queued.
+# with mis-sized data must be rejected at admission, never queued. A
+# DOT of 2^18 sent twice must answer identically: the second request
+# reuses the first one's plan and its fusion analysis, and both fill
+# their operands on every core and compute the ABFT predictions beside
+# the run.
 cargo run --release -q -p fblas-serve --bin fblas-serve -- \
     --addr 127.0.0.1:0 --workers 2 --tenant-qps 0 2>"$tmpdir/serve_daemon.log" &
 serve_pid=$!
@@ -283,11 +287,24 @@ bad = dict(req, id=2, tenant="ci-bad", data={"x": [1.0, 2.0]})
 f.write(json.dumps(bad) + "\n"); f.flush()
 resp = json.loads(f.readline())
 assert (resp["status"], resp["code"], resp["kind"]) == ("rejected", 400, "data"), resp
+n = 1 << 18
+dot = {"fill_seed": 11, "program": {
+    "operands": [{"name": "x", "kind": "vector", "len": n},
+                 {"name": "y", "kind": "vector", "len": n},
+                 {"name": "s", "kind": "scalar"}],
+    "ops": [{"op": "dot", "x": "x", "y": "y", "out": "s"}]}}
+answers = []
+for i in (3, 4):
+    f.write(json.dumps(dict(dot, id=i, tenant=f"ci-dot-{i}")) + "\n"); f.flush()
+    resp = json.loads(f.readline())
+    assert resp["status"] == "ok", resp
+    answers.append((resp.get("scalars"), resp.get("outputs"), resp["recovery"]["attempts"]))
+assert answers[0] == answers[1], answers
 f.write('{"control":"drain"}\n'); f.flush()
 drain = json.loads(f.readline())
 assert drain["status"] == "ok", drain
 assert drain["stats"]["rejected"] == 1, drain
-assert drain["stats"]["admitted"] == drain["stats"]["ok"] == 1, drain
+assert drain["stats"]["admitted"] == drain["stats"]["ok"] == 3, drain
 print("daemon served and drained:", drain["stats"]["ok"], "request,",
       drain["stats"]["rejected"], "rejected at admission")
 EOF

@@ -91,6 +91,34 @@ fn tol<T: Scalar>(work: usize, scale: f64) -> f64 {
     eps::<T>() * 8.0 * (work as f64 + 16.0) * scale.max(1.0)
 }
 
+/// The input half of one op's checksum identity: the output checksum
+/// (for a DOT, the result) the identity predicts, the magnitude that
+/// scales its tolerance, and the flop count. It reads the op's inputs
+/// only, so when the component writes none of them it can be computed
+/// while the component runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Prediction {
+    want: f64,
+    scale: f64,
+    work: usize,
+}
+
+/// Predictions by op index; an error names the input that could not be
+/// read, and surfaces when the op is checked.
+pub(crate) type Predictions = HashMap<usize, Result<Prediction, String>>;
+
+/// [`predict`] every op of `ops` from `buffers`.
+pub(crate) fn predict_ops<T: Scalar>(
+    program: &Program,
+    ops: &[usize],
+    buffers: &HashMap<String, DeviceBuffer<T>>,
+) -> Predictions {
+    let resolve = |name: &str| buffers.get(name);
+    ops.iter()
+        .map(|&oi| (oi, predict::<T>(program, oi, &resolve)))
+        .collect()
+}
+
 /// Check every op of a component against its checksum identity.
 ///
 /// Operand values are resolved *staged-preferred*: an operand this
@@ -98,76 +126,75 @@ fn tol<T: Scalar>(work: usize, scale: f64) -> f64 {
 /// the downstream ops actually consumed and the commit would publish),
 /// anything else from the caller's buffers, which still hold the
 /// pre-component state because writes are staged. Buffers are read in
-/// place. `scalars` holds the attempt's DOT results. Returns the first
-/// violated identity as a human-readable detail string.
+/// place. `scalars` holds the attempt's DOT results; `predicted` holds
+/// the predictions already computed from the caller's buffers, and the
+/// rest are computed here. Returns the first violated identity as a
+/// human-readable detail string.
 pub(crate) fn verify_component<T: Scalar>(
     program: &Program,
     ops: &[usize],
     staged: &HashMap<String, DeviceBuffer<T>>,
     buffers: &HashMap<String, DeviceBuffer<T>>,
     scalars: &HashMap<String, T>,
+    predicted: &Predictions,
 ) -> Result<(), String> {
     let resolve = |name: &str| staged.get(name).or_else(|| buffers.get(name));
     for &oi in ops {
-        let op = &program.ops()[oi];
-        check_op::<T>(program, oi, op, &resolve, scalars)?;
+        let prediction = match predicted.get(&oi) {
+            Some(p) => p.clone(),
+            None => predict::<T>(program, oi, &resolve),
+        };
+        check_op::<T>(program, oi, prediction, &resolve, scalars)?;
     }
     Ok(())
 }
 
-fn check_op<'b, T: Scalar>(
+/// The buffer `resolve` binds to `name`, or the op's error.
+fn need<'b, T: Scalar>(
+    resolve: &dyn Fn(&str) -> Option<&'b DeviceBuffer<T>>,
+    oi: usize,
+    name: &str,
+) -> Result<&'b DeviceBuffer<T>, String> {
+    resolve(name).ok_or_else(|| format!("abft: op {oi}: operand `{name}` has no buffer"))
+}
+
+/// (sum, absolute sum, length) of one operand.
+fn sums_of<'b, T: Scalar>(
+    resolve: &dyn Fn(&str) -> Option<&'b DeviceBuffer<T>>,
+    oi: usize,
+    name: &str,
+) -> Result<(f64, f64, usize), String> {
+    Ok(need(resolve, oi, name)?.with_read(|v| {
+        let (s, a) = sums(v);
+        (s, a, v.len())
+    }))
+}
+
+/// The input half of op `oi`'s identity.
+fn predict<'b, T: Scalar>(
     program: &Program,
     oi: usize,
-    op: &Op,
     resolve: &dyn Fn(&str) -> Option<&'b DeviceBuffer<T>>,
-    scalars: &HashMap<String, T>,
-) -> Result<(), String> {
-    let need = |name: &str| -> Result<&'b DeviceBuffer<T>, String> {
-        resolve(name).ok_or_else(|| format!("abft: op {oi}: operand `{name}` has no buffer"))
-    };
-    // (sum, absolute sum, length) of one operand.
-    let sums_of = |name: &str| -> Result<(f64, f64, usize), String> {
-        Ok(need(name)?.with_read(|v| {
-            let (s, a) = sums(v);
-            (s, a, v.len())
-        }))
-    };
-    let verdict = |routine: &str, out: &str, got: f64, want: f64, work: usize, scale: f64| {
-        let t = tol::<T>(work, scale);
-        if (got - want).abs() <= t {
-            Ok(())
-        } else {
-            Err(format!(
-                "abft: op {oi} ({routine}): checksum of `{out}` is {got:.9e}, \
-                 identity predicts {want:.9e} (|Δ| = {:.3e} > tol {t:.3e})",
-                (got - want).abs()
-            ))
-        }
-    };
-    match op {
-        Op::Copy { x, out } => {
+) -> Result<Prediction, String> {
+    let sums_of = |name: &str| sums_of(resolve, oi, name);
+    let prediction = |want, scale, work| Prediction { want, scale, work };
+    Ok(match &program.ops()[oi] {
+        Op::Copy { x, .. } => {
             let (sx, ax, len) = sums_of(x)?;
-            let (so, _, _) = sums_of(out)?;
-            verdict("copy", out, so, sx, len, ax)
+            prediction(sx, ax, len)
         }
-        Op::Scal { alpha, x, out } => {
+        Op::Scal { alpha, x, .. } => {
             let (sx, ax, len) = sums_of(x)?;
-            let (so, _, _) = sums_of(out)?;
-            verdict("scal", out, so, alpha * sx, len, alpha.abs() * ax)
+            prediction(alpha * sx, alpha.abs() * ax, len)
         }
-        Op::Axpy { alpha, x, y, out } => {
+        Op::Axpy { alpha, x, y, .. } => {
             let (sx, ax, len) = sums_of(x)?;
             let (sy, ay, _) = sums_of(y)?;
-            let (so, _, _) = sums_of(out)?;
-            verdict("axpy", out, so, alpha * sx + sy, len, alpha.abs() * ax + ay)
+            prediction(alpha * sx + sy, alpha.abs() * ax + ay, len)
         }
-        Op::Dot { x, y, out } => {
-            let got = scalars
-                .get(out)
-                .map(|v| v.to_f64())
-                .ok_or_else(|| format!("abft: op {oi} (dot): no result stored for `{out}`"))?;
+        Op::Dot { x, y, .. } => {
             // One read guard per distinct buffer.
-            let (xb, yb) = (need(x)?, need(y)?);
+            let (xb, yb) = (need(resolve, oi, x)?, need(resolve, oi, y)?);
             let (want, scale, len) = xb.with_read(|xs| {
                 let (want, scale) = if x == y {
                     dot(xs, xs)
@@ -176,7 +203,7 @@ fn check_op<'b, T: Scalar>(
                 };
                 (want, scale, xs.len())
             });
-            verdict("dot", out, got, want, len, scale)
+            prediction(want, scale, len)
         }
         Op::Gemv {
             alpha,
@@ -185,18 +212,18 @@ fn check_op<'b, T: Scalar>(
             transposed,
             x,
             y,
-            out,
+            ..
         } => {
             let (n, m) = program
                 .mat_dims(a)
                 .map_err(|e| format!("abft: op {oi} (gemv): {e}"))?;
-            let xb = need(x)?;
+            let xb = need(resolve, oi, x)?;
             // Checksum along the dimension the products collapse over:
             // column sums of A pair with x for the plain product, row
             // sums for the transposed one. Column sums accumulate in
             // one pass over the rows, one accumulator per column, each
             // summing its column top to bottom.
-            let (mut want, mut scale) = need(a)?.with_read(|av| {
+            let (mut want, mut scale) = need(resolve, oi, a)?.with_read(|av| {
                 xb.with_read(|xs| {
                     let (mut want, mut scale) = (0.0f64, 0.0f64);
                     if *transposed {
@@ -230,38 +257,72 @@ fn check_op<'b, T: Scalar>(
                 want += beta * sy;
                 scale += beta.abs() * ay;
             }
-            let (so, _, _) = sums_of(out)?;
-            verdict("gemv", out, so, want, n * m, scale)
+            prediction(want, scale, n * m)
         }
-        Op::Ger {
-            alpha,
-            a,
-            x,
-            y,
-            out,
-        } => {
+        Op::Ger { alpha, a, x, y, .. } => {
             let (sa, aa, _) = sums_of(a)?;
             let (sx, ax, _) = sums_of(x)?;
             let (sy, ay, _) = sums_of(y)?;
-            let (so, _, _) = sums_of(out)?;
             let (n, m) = program
                 .mat_dims(a)
                 .map_err(|e| format!("abft: op {oi} (ger): {e}"))?;
-            verdict(
-                "ger",
-                out,
-                so,
-                sa + alpha * sx * sy,
-                n * m,
-                aa + alpha.abs() * ax * ay,
-            )
+            prediction(sa + alpha * sx * sy, aa + alpha.abs() * ax * ay, n * m)
         }
+    })
+}
+
+/// The output half of op `oi`'s identity: the checksum of its output
+/// (for a DOT, the stored result) against `prediction`.
+fn check_op<'b, T: Scalar>(
+    program: &Program,
+    oi: usize,
+    prediction: Result<Prediction, String>,
+    resolve: &dyn Fn(&str) -> Option<&'b DeviceBuffer<T>>,
+    scalars: &HashMap<String, T>,
+) -> Result<(), String> {
+    let op = &program.ops()[oi];
+    let out = op.output();
+    let routine = match op {
+        Op::Copy { .. } => "copy",
+        Op::Scal { .. } => "scal",
+        Op::Axpy { .. } => "axpy",
+        Op::Dot { .. } => "dot",
+        Op::Gemv { .. } => "gemv",
+        Op::Ger { .. } => "ger",
+    };
+    // A DOT reports a missing result before a missing input; every
+    // other op reports its inputs before its output.
+    let (got, p) = if let Op::Dot { .. } = op {
+        let got = scalars
+            .get(out)
+            .map(|v| v.to_f64())
+            .ok_or_else(|| format!("abft: op {oi} (dot): no result stored for `{out}`"))?;
+        (got, prediction?)
+    } else {
+        let p = prediction?;
+        (sums_of(resolve, oi, out)?.0, p)
+    };
+    let Prediction { want, scale, work } = p;
+    let t = tol::<T>(work, scale);
+    if (got - want).abs() <= t {
+        Ok(())
+    } else {
+        Err(format!(
+            "abft: op {oi} ({routine}): checksum of `{out}` is {got:.9e}, \
+             identity predicts {want:.9e} (|Δ| = {:.3e} > tol {t:.3e})",
+            (got - want).abs()
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// No prediction computed ahead: every op is checked inline.
+    fn none() -> Predictions {
+        Predictions::new()
+    }
 
     fn buf(name: &str, data: Vec<f64>) -> (String, DeviceBuffer<f64>) {
         (name.to_string(), DeviceBuffer::from_vec(name, data, 0))
@@ -284,14 +345,15 @@ mod tests {
         let buffers: HashMap<_, _> = [buf("x", xv), buf("y", yv)].into();
         let staged: HashMap<_, _> = [buf("z", zv.clone())].into();
         let scalars = HashMap::new();
-        assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars).is_ok());
+        assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars, &none()).is_ok());
 
         // Flip the sign bit of one element: a gross corruption the
         // checksum must catch.
         let mut bad = zv;
         bad[7] = -bad[7] - 1.0;
         let staged: HashMap<_, _> = [buf("z", bad)].into();
-        let err = verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars).unwrap_err();
+        let err =
+            verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars, &none()).unwrap_err();
         assert!(err.contains("axpy"), "{err}");
     }
 
@@ -312,11 +374,12 @@ mod tests {
         let staged = HashMap::new();
         let mut scalars = HashMap::new();
         scalars.insert("r".to_string(), r);
-        assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars).is_ok());
+        assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars, &none()).is_ok());
         scalars.insert("r".to_string(), r + 0.5);
-        assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars).is_err());
+        assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars, &none()).is_err());
         scalars.clear();
-        let err = verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars).unwrap_err();
+        let err =
+            verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars, &none()).unwrap_err();
         assert!(err.contains("no result"), "{err}");
     }
 
@@ -356,14 +419,14 @@ mod tests {
             let staged: HashMap<_, _> = [buf("o", ov.clone())].into();
             let scalars = HashMap::new();
             assert!(
-                verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars).is_ok(),
+                verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars, &none()).is_ok(),
                 "transposed={transposed}"
             );
             let mut bad = ov;
             bad[0] += 1e-3;
             let staged: HashMap<_, _> = [buf("o", bad)].into();
             assert!(
-                verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars).is_err(),
+                verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars, &none()).is_err(),
                 "transposed={transposed} corruption missed"
             );
         }
@@ -402,13 +465,13 @@ mod tests {
         .into();
         let staged: HashMap<_, _> = [buf("B", bv.clone())].into();
         let scalars = HashMap::new();
-        assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars).is_ok());
+        assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars, &none()).is_ok());
         // Exponent-bit flip on one element.
         let mut bad = bv;
         bad[3] *= 2.0;
         bad[3] += 0.7;
         let staged: HashMap<_, _> = [buf("B", bad)].into();
-        assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars).is_err());
+        assert!(verify_component::<f64>(&p, &[0], &staged, &buffers, &scalars, &none()).is_err());
     }
 
     /// Flip the top exponent bit: a gross corruption every identity
@@ -451,7 +514,7 @@ mod tests {
                      scalars: &HashMap<String, T>| {
             let staged: HashMap<_, _> = staged.into_iter().collect();
             let buffers: HashMap<_, _> = buffers.into_iter().collect();
-            verify_component::<T>(p, &[0], &staged, &buffers, scalars)
+            verify_component::<T>(p, &[0], &staged, &buffers, scalars, &none())
         };
         let none = HashMap::new();
         for len in [1, 7, 9, 8 * 12 + 3] {
@@ -592,10 +655,10 @@ mod tests {
         let buffers: HashMap<_, _> = [b32("x", xv), b32("y", yv)].into();
         let staged: HashMap<_, _> = [b32("z", zv.clone())].into();
         let scalars = HashMap::new();
-        assert!(verify_component::<f32>(&p, &[0], &staged, &buffers, &scalars).is_ok());
+        assert!(verify_component::<f32>(&p, &[0], &staged, &buffers, &scalars, &none()).is_ok());
         let mut bad = zv;
         bad[100] = f32::from_bits(bad[100].to_bits() ^ (1 << 27));
         let staged: HashMap<_, _> = [b32("z", bad)].into();
-        assert!(verify_component::<f32>(&p, &[0], &staged, &buffers, &scalars).is_err());
+        assert!(verify_component::<f32>(&p, &[0], &staged, &buffers, &scalars, &none()).is_err());
     }
 }

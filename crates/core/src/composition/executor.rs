@@ -724,6 +724,17 @@ impl<T: Scalar> Run<'_, T> {
             deadline: policy.deadline,
             ..ComponentOptions::default()
         };
+        // ABFT predictions of the ops whose inputs the component does
+        // not write read only committed state, which no attempt
+        // changes: with enough input to be worth a thread, they are
+        // computed once, beside the first attempt.
+        let mut predicted = abft::Predictions::new();
+        let beside = if policy.abft {
+            abft_beside(program, &component.ops, &out_names, buffers)
+        } else {
+            Vec::new()
+        };
+        let mut predict_beside = !beside.is_empty();
         let max = policy.max_attempts.max(1);
         let mut attempt = 0;
         loop {
@@ -768,7 +779,18 @@ impl<T: Scalar> Run<'_, T> {
             // recovery history attached) below.
             let result = {
                 let _supp = fblas_metrics::flight::suppress_capture();
-                self.once(component, &router, tracer, None, &opts)
+                if std::mem::take(&mut predict_beside) {
+                    std::thread::scope(|s| {
+                        let helper = s.spawn(|| abft::predict_ops(program, &beside, buffers));
+                        let result = self.once(component, &router, tracer, None, &opts);
+                        predicted = helper
+                            .join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                        result
+                    })
+                } else {
+                    self.once(component, &router, tracer, None, &opts)
+                }
             };
 
             let mut attempt_guards: Option<serde::Value> = None;
@@ -781,8 +803,15 @@ impl<T: Scalar> Run<'_, T> {
                     }
                     guard_flagged = guards.iter().any(|g| !g.clean());
                     let abft_detail = if policy.abft {
-                        abft::verify_component(program, &component.ops, &staged, buffers, &scalars)
-                            .err()
+                        abft::verify_component(
+                            program,
+                            &component.ops,
+                            &staged,
+                            buffers,
+                            &scalars,
+                            &predicted,
+                        )
+                        .err()
                     } else {
                         None
                     };
@@ -876,6 +905,52 @@ impl<T: Scalar> Run<'_, T> {
     }
 }
 
+/// Input elements from which a component's ABFT predictions run on a
+/// helper thread beside the component rather than after it: below it,
+/// the thread costs more than the sums it takes off the critical path.
+const ABFT_BESIDE_MIN: usize = 1 << 16;
+
+#[cfg(test)]
+thread_local! {
+    /// Tests set this on their own thread to compute every ABFT
+    /// prediction inline, for comparison with the helper thread.
+    static ABFT_INLINE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The ops of a component whose ABFT predictions run beside it: those
+/// reading no operand in `written` (sorted), when their inputs hold at
+/// least [`ABFT_BESIDE_MIN`] elements; none otherwise.
+fn abft_beside<T: Scalar>(
+    program: &Program,
+    ops: &[usize],
+    written: &[&str],
+    buffers: &HashMap<String, DeviceBuffer<T>>,
+) -> Vec<usize> {
+    #[cfg(test)]
+    if ABFT_INLINE.with(Cell::get) {
+        return Vec::new();
+    }
+    let beside: Vec<usize> = ops
+        .iter()
+        .copied()
+        .filter(|&oi| {
+            op_inputs(&program.ops()[oi])
+                .iter()
+                .all(|name| written.binary_search(name).is_err())
+        })
+        .collect();
+    let elements: usize = beside
+        .iter()
+        .flat_map(|&oi| op_inputs(&program.ops()[oi]))
+        .filter_map(|name| buffers.get(name).map(DeviceBuffer::len))
+        .sum();
+    if elements >= ABFT_BESIDE_MIN {
+        beside
+    } else {
+        Vec::new()
+    }
+}
+
 /// Shape-check every operand binding up front.
 fn check_bindings<T: Scalar>(
     program: &Program,
@@ -912,7 +987,7 @@ fn merge_predictions(preds: Vec<ModulePrediction>) -> Vec<ModulePrediction> {
     out
 }
 
-fn op_operands(op: &Op) -> Vec<&str> {
+pub(super) fn op_operands(op: &Op) -> Vec<&str> {
     let mut v: Vec<&str> = match op {
         Op::Copy { x, out } | Op::Scal { x, out, .. } => vec![x, out],
         Op::Axpy { x, y, out, .. } => vec![x, y, out],
@@ -1005,6 +1080,9 @@ pub(super) struct ComponentOptions {
     /// for its threaded fallbacks; the threaded backend, the oracle,
     /// never does.
     pub(super) host_depth: bool,
+    /// The run's [`rates_live`] verdict when the caller already has it
+    /// (the fused backend's memo); `None` runs the analysis.
+    pub(super) live: Option<bool>,
 }
 
 /// What one threaded simulation (or a fused schedule of several)
@@ -1039,9 +1117,26 @@ const BURST_SLACK: usize = 64;
 /// them, so it still stalls. Fault sites stay at modelled depth so that
 /// chaos reports match the threaded backend's.
 fn admit_host_depth(opts: &ComponentOptions, mdag: impl FnOnce() -> Option<Mdag>) -> bool {
-    opts.host_depth
-        && opts.hook.is_none()
-        && mdag().is_some_and(|g| RateGraph::from_mdag(&g).analyze().is_completed())
+    opts.host_depth && opts.hook.is_none() && opts.live.unwrap_or_else(|| completes(mdag()))
+}
+
+/// Whether the rate analysis of `mdag` completes.
+fn completes(mdag: Option<Mdag>) -> bool {
+    mdag.is_some_and(|g| RateGraph::from_mdag(&g).analyze().is_completed())
+}
+
+/// The rate half of [`admit_host_depth`] for the simulation
+/// [`run_component`] instantiates for `ops`: whether its MDAG at the
+/// executor's depths completes. It reads no data, so the fused backend
+/// keeps the verdict with the component.
+pub(super) fn rates_live(
+    program: &Program,
+    cfg: &PlannerConfig,
+    ops: &[usize],
+    variants: &HashMap<usize, GemvVariant>,
+) -> bool {
+    fused::count_analysis(2);
+    completes(exec_mdag(program, cfg, ops, variants))
 }
 
 /// The MDAG of the simulation [`run_component`] instantiates for `ops`,
@@ -1891,15 +1986,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn executes_gemver_two_component_plan() {
-        let n = 14;
+    /// GEMVER over an `n × n` `A` in 4×4 tiles: `B = A + u1·v1ᵀ +
+    /// u2·v2ᵀ`, `x = β·Bᵀy + z`, `w = α·B·x`.
+    fn gemver_program(n: usize, alpha: f64, beta: f64) -> (Program, PlannerConfig) {
         let mut p = Program::new();
         p.matrix("A", n, n).matrix("B1", n, n).matrix("B", n, n);
         for v in ["u1", "v1", "u2", "v2", "y", "z", "x", "w"] {
             p.vector(v, n);
         }
-        let (alpha, beta) = (1.2, 0.7);
         p.op(Op::Ger {
             alpha: 1.0,
             a: "A".into(),
@@ -1937,6 +2031,14 @@ mod tests {
             tm: 4,
             ..Default::default()
         };
+        (p, cfg)
+    }
+
+    #[test]
+    fn executes_gemver_two_component_plan() {
+        let n = 14;
+        let (alpha, beta) = (1.2, 0.7);
+        let (p, cfg) = gemver_program(n, alpha, beta);
         let thep = plan(&p, &cfg).unwrap();
         assert_eq!(thep.components.len(), 2, "{}", thep.describe(&p));
 
@@ -2571,5 +2673,185 @@ mod tests {
         assert_eq!(first.error, Some(RecoveryErrorKind::Corruption));
         assert!(first.guard_flagged, "the `A->0` guard should have tripped");
         assert_eq!(out.recovery.recovered, 1);
+    }
+
+    /// Analyses the fused backend has run on this thread: fusion,
+    /// obligations, rates.
+    fn analyses() -> [u32; 3] {
+        fused::ANALYSES.with(Cell::get)
+    }
+
+    /// Every output of GEMVER `p` executed under `thep`, as bits.
+    fn gemver_bits(p: &Program, thep: &Plan, cfg: &PlannerConfig, opts: &ExecOptions) -> Vec<u64> {
+        let n = 14;
+        let bufs = bind(vec![
+            ("A", seq(n * n, 0.0)),
+            ("B1", vec![0.0; n * n]),
+            ("B", vec![0.0; n * n]),
+            ("u1", seq(n, 1.0)),
+            ("v1", seq(n, 2.0)),
+            ("u2", seq(n, 3.0)),
+            ("v2", seq(n, 4.0)),
+            ("y", seq(n, 5.0)),
+            ("z", seq(n, 6.0)),
+            ("x", vec![0.0; n]),
+            ("w", vec![0.0; n]),
+        ]);
+        execute_plan::<f64>(p, thep, cfg, &bufs, opts).unwrap();
+        ["B1", "B", "x", "w"]
+            .iter()
+            .flat_map(|o| bufs[*o].to_host())
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn a_plan_executed_twice_is_analysed_once() {
+        // GEMVER's tile-replay component runs the fusion analysis and
+        // the obligation check; its lone trailing GEMV runs the fusion
+        // analysis and the host-depth rate analysis.
+        let (p, cfg) = gemver_program(14, 1.2, 0.7);
+        let thep = plan(&p, &cfg).unwrap();
+        let opts = ExecOptions::default();
+        let start = analyses();
+        let first = gemver_bits(&p, &thep, &cfg, &opts);
+        let once = analyses();
+        assert_eq!(
+            [0, 1, 2].map(|k| once[k] - start[k]),
+            [2, 1, 1],
+            "fusion, obligations, rates"
+        );
+        assert!(thep.components.iter().all(|c| c.analysis.is_filled()));
+        let second = gemver_bits(&p, &thep, &cfg, &opts);
+        assert_eq!(analyses(), once, "the second execution re-analysed");
+        assert_eq!(first, second);
+        // Under recovery too, and bit for bit with the threaded oracle.
+        let recovered = gemver_bits(&p, &thep, &cfg, &recover(None));
+        assert_eq!(analyses(), once);
+        let threaded = ExecOptions {
+            backend: Backend::Threaded,
+            ..ExecOptions::default()
+        };
+        assert_eq!(recovered, first);
+        assert_eq!(gemver_bits(&p, &thep, &cfg, &threaded), first);
+    }
+
+    #[test]
+    fn a_plan_re_run_with_changed_coefficients_matches_a_fresh_plan() {
+        // AXPYDOT fuses into one region whose loop carries `alpha`.
+        let (p, cfg, _, _) = axpydot_setup();
+        let run = |p: &Program, thep: &Plan| {
+            let (_, _, bufs, _) = axpydot_setup();
+            let out = execute_plan::<f64>(p, thep, &cfg, &bufs, &ExecOptions::default()).unwrap();
+            let mut bits: Vec<u64> = bufs["z"].to_host().iter().map(|v| v.to_bits()).collect();
+            bits.push(out.scalars["beta"].to_bits());
+            bits
+        };
+        let thep = plan(&p, &cfg).unwrap();
+        let old = run(&p, &thep);
+        assert!(thep.components[0].analysis.is_filled());
+
+        let mut changed = Program::new();
+        for name in ["w", "v", "u", "z"] {
+            changed.vector(name, 97);
+        }
+        changed.scalar("beta");
+        for op in p.ops() {
+            let mut op = op.clone();
+            if let Op::Axpy { alpha, .. } = &mut op {
+                *alpha = 0.5;
+            }
+            changed.op(op);
+        }
+        let before = analyses();
+        let reused = run(&changed, &thep);
+        assert_eq!(
+            analyses()[0],
+            before[0] + 1,
+            "a changed alpha is analysed afresh"
+        );
+        let fresh = run(&changed, &plan(&changed, &cfg).unwrap());
+        assert_eq!(reused, fresh);
+        assert_ne!(reused, old);
+        // The memo still answers the program it was filled for.
+        let before = analyses();
+        assert_eq!(run(&p, &thep), old);
+        assert_eq!(analyses(), before);
+    }
+
+    #[test]
+    fn an_armed_run_leaves_the_memo_empty() {
+        let (p, cfg) = gemver_program(14, 1.2, 0.7);
+        let thep = plan(&p, &cfg).unwrap();
+        let oracle = gemver_bits(&p, &plan(&p, &cfg).unwrap(), &cfg, &ExecOptions::default());
+        let before = analyses();
+        let armed = recover(Some(OneShot::crash("no_such_module")));
+        assert_eq!(gemver_bits(&p, &thep, &cfg, &armed), oracle);
+        assert!(thep.components.iter().all(|c| !c.analysis.is_filled()));
+        let after = analyses();
+        // The armed analysis rejects every region: no obligations to
+        // check, and no simulation may run at host depth.
+        assert_eq!([0, 1, 2].map(|k| after[k] - before[k]), [2, 0, 0]);
+    }
+
+    /// The recovery report and output bits of one run of `q = 1.5·A·x −
+    /// 0.5·y` over an `n × n` `A`, with ABFT predictions beside the run
+    /// unless `inline`.
+    fn abft_gemv_run(n: usize, hook: Option<Arc<OneShot>>, inline: bool) -> (String, Vec<u64>) {
+        let mut p = Program::new();
+        p.matrix("A", n, n)
+            .vector("x", n)
+            .vector("y", n)
+            .vector("q", n);
+        p.op(Op::Gemv {
+            alpha: 1.5,
+            beta: -0.5,
+            a: "A".into(),
+            transposed: false,
+            x: "x".into(),
+            y: Some("y".into()),
+            out: "q".into(),
+        });
+        let cfg = PlannerConfig {
+            tn: 64,
+            tm: 64,
+            ..Default::default()
+        };
+        let thep = plan(&p, &cfg).unwrap();
+        let bufs = bind(vec![
+            ("A", seq(n * n, 0.0)),
+            ("x", seq(n, 1.0)),
+            ("y", seq(n, 2.0)),
+            ("q", vec![0.0; n]),
+        ]);
+        let beside = abft_beside(&p, &[0], &["q"], &bufs);
+        assert_eq!(beside.is_empty(), n * n < ABFT_BESIDE_MIN, "n = {n}");
+        ABFT_INLINE.with(|c| c.set(inline));
+        let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, &recover(hook));
+        ABFT_INLINE.with(|c| c.set(false));
+        let report = serde_json::to_string(&out.unwrap().recovery).unwrap();
+        let bits = bufs["q"].to_host().iter().map(|v| v.to_bits()).collect();
+        (report, bits)
+    }
+
+    #[test]
+    fn abft_predictions_beside_the_run_match_inline_ones() {
+        // 384² elements clear the threshold; 16² do not.
+        for n in [384, 16] {
+            let corrupt = || Some(OneShot::corrupt("A->0", 17, 62));
+            for hook in [None, corrupt()] {
+                let corrupted = hook.is_some();
+                let beside = abft_gemv_run(n, hook, false);
+                let hook = if corrupted { corrupt() } else { None };
+                let inline = abft_gemv_run(n, hook, true);
+                assert_eq!(beside, inline, "n = {n}, corrupted {corrupted}");
+                assert_eq!(
+                    beside.0.contains("\"abft_flagged\":true"),
+                    corrupted,
+                    "{}",
+                    beside.0
+                );
+            }
+        }
     }
 }

@@ -19,12 +19,13 @@
 //! therefore changes *where* values travel, not *what* they are.
 //!
 //! Safety posture: the backend re-verifies every region's proof
-//! obligations with [`check_obligations`] at execution time and
-//! degrades to the plain threaded path whenever anything — obligations,
-//! evaluator compilation, an unexpected module name — does not check
-//! out. An armed fault hook rejects all regions (`recovery-guards`),
-//! so chaos/recovery runs under injection are *identical* to the
-//! threaded backend by construction. Value bit-identity of the fused
+//! obligations with [`check_obligations`] when it first executes a
+//! component (the verdict is kept with the component, in its
+//! `AnalysisMemo`) and degrades to the plain threaded path whenever
+//! anything — obligations, evaluator compilation, an unexpected module
+//! name — does not check out. An armed fault hook rejects all regions
+//! (`recovery-guards`), so chaos/recovery runs under injection are
+//! *identical* to the threaded backend by construction. Value bit-identity of the fused
 //! loop itself is by shared semantics: the loop
 //! ([`FusedEvaluator::execute`]) applies the per-element function
 //! ([`super::fusion::apply_elementwise_t`]) that performs exactly the
@@ -37,7 +38,7 @@
 //! guard per buffer.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use fblas_audit::ModulePrediction;
@@ -46,8 +47,8 @@ use fblas_trace::{ModuleScope, Tracer};
 use parking_lot::{Mutex, RwLockReadGuard};
 
 use super::executor::{
-    exec_gemv, exec_ger, op_prediction, run_component, BufRouter, ComponentOptions, ComponentRun,
-    ExecError,
+    exec_gemv, exec_ger, op_operands, op_prediction, rates_live, run_component, BufRouter,
+    ComponentOptions, ComponentRun, ExecError,
 };
 use super::fusion::{
     analyze_fusion, build_evaluator, check_obligations, sems_for_component, FusedEvaluator,
@@ -544,13 +545,146 @@ fn run_region<T: Scalar>(
     Ok(())
 }
 
-/// Run one component on the fused backend: analyze, re-verify the
-/// obligations, split into units, and execute — or degrade to one
-/// plain threaded [`run_component`] call whenever fusion is not
-/// provably safe. Every threaded run here may use host-depth FIFOs
-/// (`ComponentOptions::host_depth`). Audit predictions come out in the
-/// component's op order regardless of unit interleaving, so
-/// `merge_predictions` sees the same sequence both backends.
+#[cfg(test)]
+thread_local! {
+    /// Analyses the fused backend has run on this thread, by kind: the
+    /// fusion analysis, its obligation check, and the host-depth rate
+    /// analysis of a threaded unit. Tests read it to see the memo work.
+    pub(super) static ANALYSES: std::cell::Cell<[u32; 3]> = const { std::cell::Cell::new([0; 3]) };
+}
+
+/// Counts one analysis of `kind` (an index into [`ANALYSES`]); a no-op
+/// outside tests.
+pub(super) fn count_analysis(_kind: usize) {
+    #[cfg(test)]
+    ANALYSES.with(|c| {
+        let mut n = c.get();
+        n[_kind] += 1;
+        c.set(n);
+    });
+}
+
+/// How the fused backend runs a component: the part of its work that
+/// depends on the component and the configuration only, never on the
+/// operands' data.
+enum Route {
+    /// Replay every tile through the verified `tile-replay` region.
+    Tiles(FusedRegion),
+    /// Run the compiled units in order. `live[i]` is the host-depth
+    /// rate verdict of `schedule.units[i]` when it is threaded.
+    Units { schedule: Schedule, live: Vec<bool> },
+    /// Run the whole component on one threaded simulation, at host
+    /// depth when `live`.
+    Threaded { live: bool },
+}
+
+/// What an analysis was computed from: the component's `Op` values
+/// (coefficients included), the shapes of their operands and the
+/// configuration the executor instantiates the tiles under.
+#[derive(Clone, PartialEq)]
+struct AnalysisKey {
+    cfg: PlannerConfig,
+    ops: Vec<Op>,
+    /// Per operand of each op: its length if a vector, its dims if a
+    /// matrix.
+    shapes: Vec<OperandShape>,
+}
+
+type OperandShape = (Option<usize>, Option<(usize, usize)>);
+
+impl AnalysisKey {
+    fn of(program: &Program, cfg: &PlannerConfig, component: &PlannedComponent) -> Self {
+        let ops: Vec<Op> = component
+            .ops
+            .iter()
+            .map(|&oi| program.ops()[oi].clone())
+            .collect();
+        let shapes = ops
+            .iter()
+            .flat_map(op_operands)
+            .map(|name| (program.vec_len(name).ok(), program.mat_dims(name).ok()))
+            .collect();
+        AnalysisKey {
+            cfg: *cfg,
+            ops,
+            shapes,
+        }
+    }
+}
+
+/// A planned component's [`Route`], kept with the component after its
+/// first execution without a fault hook, so a plan executed again —
+/// the server shares one per distinct program — is analysed once. It
+/// answers only a program whose [`AnalysisKey`] matches; any other is
+/// analysed afresh, and an armed run never reads or fills it.
+#[derive(Default)]
+pub(crate) struct AnalysisMemo(OnceLock<(AnalysisKey, Route)>);
+
+impl AnalysisMemo {
+    /// Whether an execution has filled the memo.
+    pub(crate) fn is_filled(&self) -> bool {
+        self.0.get().is_some()
+    }
+}
+
+impl std::fmt::Debug for AnalysisMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AnalysisMemo")
+            .field("filled", &self.is_filled())
+            .finish()
+    }
+}
+
+/// Analyse `component` for the fused backend: the fusion analysis, the
+/// re-verification of every region's obligations (the executor's own
+/// check, never one handed over from lint), the unit schedule, and the
+/// host-depth rate verdict of each threaded simulation it will run.
+/// Under an armed hook every region is rejected and no simulation may
+/// run at host depth, so the rate analysis is skipped.
+fn analyse(
+    program: &Program,
+    cfg: &PlannerConfig,
+    component: &PlannedComponent,
+    recovery_armed: bool,
+) -> Route {
+    count_analysis(0);
+    let (sems, plan) = fusion_plan_at(program, cfg, component, recovery_armed);
+    let verified = !plan.regions.is_empty() && {
+        count_analysis(1);
+        check_obligations(&plan, &component.mdag, &sems, recovery_armed).is_empty()
+    };
+    let live =
+        |ops: &[usize]| !recovery_armed && rates_live(program, cfg, ops, &component.gemv_variants);
+    if verified {
+        let tiles = plan
+            .regions
+            .iter()
+            .find(|r| r.obligations.iter().any(|o| o.kind == "tile-replay"));
+        if let Some(region) = tiles {
+            return Route::Tiles(region.clone());
+        }
+        if let Some(schedule) = compile_schedule(program, cfg, component, &sems, &plan) {
+            let live = schedule
+                .units
+                .iter()
+                .map(|unit| matches!(unit, Unit::Threaded(ops) if live(ops)))
+                .collect();
+            return Route::Units { schedule, live };
+        }
+    }
+    Route::Threaded {
+        live: live(&component.ops),
+    }
+}
+
+/// Run one component on the fused backend: take its [`Route`] from the
+/// component's memo (or analyse it), then replay its tiles, run its
+/// units, or degrade to one plain threaded [`run_component`] call
+/// whenever fusion is not provably safe. Every threaded run here may
+/// use host-depth FIFOs (`ComponentOptions::host_depth`). Audit
+/// predictions come out in the component's op order regardless of unit
+/// interleaving, so `merge_predictions` sees the same sequence both
+/// backends.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_component_fused<T: Scalar>(
     program: &Program,
@@ -563,53 +697,64 @@ pub(super) fn run_component_fused<T: Scalar>(
     opts: &ComponentOptions,
 ) -> Result<ComponentRun, ExecError> {
     let recovery_armed = opts.hook.is_some();
-    let opts = &ComponentOptions {
-        host_depth: true,
-        ..opts.clone()
-    };
-    let (sems, plan) = fusion_plan_at(program, cfg, component, recovery_armed);
-    let verified = !plan.regions.is_empty()
-        && check_obligations(&plan, &component.mdag, &sems, recovery_armed).is_empty();
-    let tiles = plan
-        .regions
-        .iter()
-        .find(|r| r.obligations.iter().any(|o| o.kind == "tile-replay"));
-    if let (true, Some(region)) = (verified, tiles) {
-        replay_tiles(program, cfg, component, region, router, tracer)?;
-        if let Some(out) = predictions {
-            for &oi in &component.ops {
-                out.push(op_prediction::<T>(
-                    program,
-                    cfg,
-                    oi,
-                    &component.gemv_variants,
-                )?);
+    let fresh;
+    let route = if recovery_armed {
+        fresh = analyse(program, cfg, component, true);
+        &fresh
+    } else {
+        let memo = &component.analysis.0;
+        let key = AnalysisKey::of(program, cfg, component);
+        if memo.get().is_none() {
+            // Concurrent first executions may each analyse; one fills.
+            let _ = memo.set((key.clone(), analyse(program, cfg, component, false)));
+        }
+        match memo.get() {
+            Some((k, route)) if *k == key => route,
+            _ => {
+                fresh = analyse(program, cfg, component, false);
+                &fresh
             }
         }
-        return Ok(ComponentRun::default());
-    }
-    let schedule = if verified {
-        compile_schedule(program, cfg, component, &sems, &plan)
-    } else {
-        None
     };
-    let Some(schedule) = schedule else {
-        return run_component(
-            program,
-            cfg,
-            &component.ops,
-            &component.gemv_variants,
-            router,
-            scalars,
-            tracer,
-            predictions,
-            opts,
-        );
+    let unit_opts = |live: bool| ComponentOptions {
+        host_depth: true,
+        live: Some(live),
+        ..opts.clone()
+    };
+    let (schedule, live) = match route {
+        Route::Tiles(region) => {
+            replay_tiles(program, cfg, component, region, router, tracer)?;
+            if let Some(out) = predictions {
+                for &oi in &component.ops {
+                    out.push(op_prediction::<T>(
+                        program,
+                        cfg,
+                        oi,
+                        &component.gemv_variants,
+                    )?);
+                }
+            }
+            return Ok(ComponentRun::default());
+        }
+        Route::Threaded { live } => {
+            return run_component(
+                program,
+                cfg,
+                &component.ops,
+                &component.gemv_variants,
+                router,
+                scalars,
+                tracer,
+                predictions,
+                &unit_opts(*live),
+            );
+        }
+        Route::Units { schedule, live } => (schedule, live),
     };
 
     let mut run = ComponentRun::default();
     let mut tagged: Vec<(usize, ModulePrediction)> = Vec::new();
-    for unit in &schedule.units {
+    for (unit, &live) in schedule.units.iter().zip(live) {
         match unit {
             Unit::Threaded(ops) => {
                 let mut unit_preds = predictions.as_ref().map(|_| Vec::new());
@@ -622,7 +767,7 @@ pub(super) fn run_component_fused<T: Scalar>(
                     scalars,
                     tracer,
                     unit_preds.as_mut(),
-                    opts,
+                    &unit_opts(live),
                 )?;
                 run.guards.extend(unit.guards);
                 run.host_depth_sims += unit.host_depth_sims;

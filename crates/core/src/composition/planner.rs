@@ -26,6 +26,7 @@ use std::collections::HashMap;
 
 use serde::Serialize;
 
+use super::fused::AnalysisMemo;
 use super::mdag::{Mdag, NodeId, Validity};
 use super::rates::{Outcome as RateOutcome, RateGraph};
 use crate::routines::gemv::GemvVariant;
@@ -646,6 +647,8 @@ pub struct PlannedComponent {
     /// The configuration the component was planned under: the tiling
     /// its Level-2 modules are laid out for.
     pub config: PlannerConfig,
+    /// The fused backend's analysis, filled on first execution.
+    pub(super) analysis: AnalysisMemo,
 }
 
 /// A structured planning decision worth surfacing to the user — the
@@ -1034,6 +1037,7 @@ fn build_component(
         materialized: Vec::new(),
         deep_channels,
         config: *cfg,
+        analysis: AnalysisMemo::default(),
     })
 }
 

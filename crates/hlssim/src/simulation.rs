@@ -758,16 +758,17 @@ impl Simulation {
         // Under an armed fault hook, a run whose modules all finished must
         // also have drained every FIFO. A leftover element means producer
         // and consumer disagreed on the count, as with an injected
-        // duplicate of a one-element result read once. Unless the channel's
-        // integrity guard already flags it, report the disagreement as the
-        // disconnect the producer meets when the consumer exits first, so
-        // the verdict does not depend on which thread ran first.
+        // duplicate. The rule is one verdict for every surplus element: a
+        // disconnect, flagged by the channel's integrity guard or not. It
+        // is the verdict the producer meets when the consumer exits before
+        // the surplus push, so which of the two exits came first — a
+        // matter of thread timing — does not change the outcome.
         if shared.fault_armed.load(Ordering::Relaxed) {
             let leftover = shared
                 .probes
                 .lock()
                 .iter()
-                .find(|p| p.probe_occupancy() > 0 && p.probe_guard().is_none_or(|g| g.clean()))
+                .find(|p| p.probe_occupancy() > 0)
                 .map(|p| p.probe_name());
             if let Some(channel) = leftover {
                 return Err(SimError::Disconnected { channel });
@@ -1149,14 +1150,83 @@ mod tests {
         );
         assert!(ctx.guard_reports()[0].clean());
 
-        // A leftover the guard already flags is left to the guard verdict.
+        // A leftover the guard flags is the same disconnect: the verdict
+        // of a surplus element does not depend on the guard.
         let (ctx, result) = one_pop_run(Some(Arc::new(DuplicateFirst { target: "none" })), 2);
-        assert_eq!(result, Ok(()));
+        assert_eq!(
+            result,
+            Err(SimError::Disconnected {
+                channel: "ch_left".to_string()
+            })
+        );
         assert!(!ctx.guard_reports()[0].clean());
 
         // Disarmed runs keep their semantics: no leftover check.
         let (_, result) = one_pop_run(None, 2);
         assert_eq!(result, Ok(()));
+    }
+
+    /// A duplicate of element 0 on an 8-element stream through a depth-2
+    /// FIFO whose consumer pops the 8 elements it expects: the producer's
+    /// last push is a surplus. A side channel outside the simulation
+    /// orders the two exits. With `consumer_first` the consumer drops its
+    /// endpoint before the producer makes the surplus push; otherwise the
+    /// consumer holds it until that push has returned, so the surplus
+    /// stays in the FIFO.
+    fn surplus_run(consumer_first: bool) -> (SimContext, SimResult) {
+        const N: u32 = 8;
+        let mut sim = Simulation::new();
+        let ctx = sim.ctx().clone();
+        ctx.arm_faults(Arc::new(DuplicateFirst {
+            target: "ch_surplus",
+        }));
+        let (tx, rx) = channel::<u32>(sim.ctx(), 2, "ch_surplus");
+        // The side that exits first signals; the other waits for it.
+        let (signal, wait) = std::sync::mpsc::channel::<()>();
+        let (src_signal, sink_wait, sink_signal, src_wait) = if consumer_first {
+            (None, None, Some(signal), Some(wait))
+        } else {
+            (Some(signal), Some(wait), None, None)
+        };
+        sim.add_module("src", ModuleKind::Interface, move || {
+            // With the duplicate, N - 1 values fill the consumer's N.
+            (0..N - 1).try_for_each(|v| tx.push(v))?;
+            if let Some(wait) = src_wait {
+                let _ = wait.recv();
+            }
+            let surplus = tx.push(N - 1);
+            if let Some(signal) = src_signal {
+                let _ = signal.send(());
+            }
+            surplus
+        });
+        sim.add_module("sink", ModuleKind::Compute, move || {
+            let popped = rx.pop_n(N as usize).map(drop);
+            if let Some(signal) = sink_signal {
+                drop(rx);
+                let _ = signal.send(());
+            } else if let Some(wait) = sink_wait {
+                let _ = wait.recv();
+            }
+            popped
+        });
+        let result = sim.run().map(drop);
+        (ctx, result)
+    }
+
+    #[test]
+    fn a_surplus_element_is_a_disconnect_whichever_side_exits_first() {
+        let want = Err(SimError::Disconnected {
+            channel: "ch_surplus".to_string(),
+        });
+        // The consumer is gone: the surplus push meets the disconnect.
+        let (_, result) = surplus_run(true);
+        assert_eq!(result, want);
+        // The surplus landed: the leftover check reports the same
+        // disconnect, though the guard flags the channel.
+        let (ctx, result) = surplus_run(false);
+        assert_eq!(result, want);
+        assert!(!ctx.guard_reports()[0].clean());
     }
 
     #[test]

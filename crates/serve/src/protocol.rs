@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fblas_chaos::FaultPlan;
 use fblas_core::composition::RecoveryErrorKind;
@@ -372,20 +372,59 @@ pub fn fill_value(fill_seed: u64, name: &str, i: usize) -> f64 {
     splitmix_unit(fill_base(fill_seed, name).wrapping_add((i as u64).wrapping_mul(GAMMA)))
 }
 
+/// Operand length from which [`fill_operand`] splits the index range
+/// across the cores. Below it the threads cost more than they save: at
+/// 2¹⁶ an 80 000-element operand filled slower split than on one core.
+const SPLIT_FILL_MIN: usize = 1 << 17;
+
+/// The cores a split fill uses, read once: the lookup reads cgroup
+/// files, too slow to repeat per operand.
+fn fill_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 /// The first `len` fill values of operand `name` under `fill_seed`:
 /// element `i` is [`fill_value`]`(fill_seed, name, i)`, bit for bit,
-/// with the name hashed once for the whole operand.
+/// with the name hashed once for the whole operand. An operand of 2¹⁷
+/// elements or more is filled in one chunk per core, chunk `k` starting
+/// from element `k·chunk`'s state.
 pub fn fill_operand(fill_seed: u64, name: &str, len: usize) -> Vec<f64> {
-    // A running state in place of `i·GAMMA` keeps the loop scalar: the
-    // compiler vectorises the indexed form with emulated 64-bit
-    // multiplies, which measured slower.
-    let mut state = fill_base(fill_seed, name);
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(splitmix_unit(state));
+    let base = fill_base(fill_seed, name);
+    let cores = fill_cores();
+    if len < SPLIT_FILL_MIN || cores < 2 {
+        // A running state in place of `i·GAMMA` keeps the loop scalar:
+        // the compiler vectorises the indexed form with emulated 64-bit
+        // multiplies, which measured slower.
+        let (mut state, mut out) = (base, Vec::with_capacity(len));
+        for _ in 0..len {
+            out.push(splitmix_unit(state));
+            state = state.wrapping_add(GAMMA);
+        }
+        return out;
+    }
+    let mut out = vec![0.0; len];
+    let chunk = len.div_ceil(cores);
+    let start = |k: usize| base.wrapping_add(((k * chunk) as u64).wrapping_mul(GAMMA));
+    std::thread::scope(|s| {
+        let mut parts = out.chunks_mut(chunk).enumerate();
+        let first = parts.next();
+        for (k, part) in parts {
+            s.spawn(move || fill_slice(start(k), part));
+        }
+        if let Some((k, part)) = first {
+            fill_slice(start(k), part);
+        }
+    });
+    out
+}
+
+/// Fill `out` with consecutive fill values from `state` on.
+fn fill_slice(mut state: u64, out: &mut [f64]) {
+    for slot in out {
+        *slot = splitmix_unit(state);
         state = state.wrapping_add(GAMMA);
     }
-    out
 }
 
 /// The per-operand part of the fill seed.
@@ -487,7 +526,16 @@ mod tests {
     fn bulk_fill_equals_fill_value_bit_for_bit() {
         for name in ["x", "A_long_operand"] {
             for seed in [0, 0xE2E0_5EED] {
-                for len in [0, 1, 17, 4096] {
+                for len in [
+                    0,
+                    1,
+                    17,
+                    4096,
+                    (1 << 17) - 1,
+                    1 << 17,
+                    (1 << 17) + 1,
+                    (1 << 19) + 3,
+                ] {
                     let bulk = fill_operand(seed, name, len);
                     assert_eq!(bulk.len(), len);
                     for (i, v) in bulk.iter().enumerate() {

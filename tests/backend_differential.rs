@@ -738,3 +738,140 @@ fn level2_compositions_are_bit_identical_block0() {
 fn level2_compositions_are_bit_identical_block1() {
     run_level2_block(30..60, 12, 8, 16);
 }
+
+// ------------------------------------------------------------------
+// Above the host-side thresholds
+// ------------------------------------------------------------------
+
+/// A seeded program above the thresholds from which a served request's
+/// data-independent work leaves its serial path: a DOT of 2¹⁷ elements
+/// (`seed` even) or a GEMV over a 384 × 384 matrix (`seed` odd),
+/// whose inputs clear the ABFT helper thread's 2¹⁶ elements.
+fn above_threshold_program(seed: u64) -> (Program, Shapes) {
+    let mut rng = Rng::new(seed ^ 0xab0e);
+    let mut p = Program::new();
+    let mut buffers: Vec<(String, usize)> = Vec::new();
+    let mut vector = |p: &mut Program, name: &str, len: usize| {
+        p.vector(name, len);
+        buffers.push((name.to_string(), len));
+    };
+    if seed.is_multiple_of(2) {
+        let n = 1 << 17;
+        vector(&mut p, "x", n);
+        vector(&mut p, "y", n);
+        p.scalar("s");
+        p.op(Op::Dot {
+            x: "x".into(),
+            y: "y".into(),
+            out: "s".into(),
+        });
+    } else {
+        let n = 384;
+        let with_y = rng.chance(50);
+        vector(&mut p, "x", n);
+        vector(&mut p, "y", n);
+        vector(&mut p, "q", n);
+        p.matrix("A", n, n);
+        buffers.push(("A".to_string(), n * n));
+        p.op(Op::Gemv {
+            alpha: (rng.range(1, 5) as f64) / 2.0,
+            beta: -0.5,
+            a: "A".into(),
+            transposed: rng.chance(50),
+            x: "x".into(),
+            y: with_y.then(|| "y".into()),
+            out: "q".into(),
+        });
+    }
+    (p, Shapes { buffers })
+}
+
+/// Every operand and DOT scalar of one run of `program` under
+/// `planned`, as `f64` bits (an `f32` widens exactly).
+fn run_bits<T: fblas_core::Scalar>(
+    program: &Program,
+    planned: &Plan,
+    cfg: &PlannerConfig,
+    shapes: &Shapes,
+    seed: u64,
+    opts: &ExecOptions,
+) -> Vec<(String, Vec<u64>)> {
+    let bufs: HashMap<String, DeviceBuffer<T>> = shapes
+        .buffers
+        .iter()
+        .enumerate()
+        .map(|(bi, (name, len))| {
+            let phase = seed as f64 * 0.131 + bi as f64 * 7.0;
+            let data: Vec<T> = (0..*len)
+                .map(|j| T::from_f64(((j as f64 + phase) * 0.2137).sin()))
+                .collect();
+            (name.clone(), DeviceBuffer::from_vec(name, data, bi % 4))
+        })
+        .collect();
+    let out = execute_plan::<T>(program, planned, cfg, &bufs, opts)
+        .unwrap_or_else(|e| panic!("seed {seed} {}: {e}", opts.backend.as_str()));
+    let mut bits: Vec<(String, Vec<u64>)> = shapes
+        .buffers
+        .iter()
+        .map(|(name, _)| {
+            let vals = bufs[name].to_host();
+            (
+                name.clone(),
+                vals.iter().map(|v| v.to_f64().to_bits()).collect(),
+            )
+        })
+        .chain(
+            out.scalars
+                .iter()
+                .map(|(k, v)| (k.clone(), vec![v.to_f64().to_bits()])),
+        )
+        .collect();
+    bits.sort();
+    bits
+}
+
+/// One plan per seed, executed on the threaded oracle and then three
+/// times on the fused backend — plain, under recovery, and under
+/// recovery again — so the fused runs after the first reuse the
+/// component's analysis and the recovering ones compute their ABFT
+/// predictions beside the run: all bit-identical to the oracle.
+fn above_threshold_block<T: fblas_core::Scalar>(seeds: std::ops::Range<u64>) {
+    let cfg = PlannerConfig::default();
+    let opts = |backend, mode| ExecOptions {
+        backend,
+        tracer: None,
+        mode,
+    };
+    let recover = || ExecMode::Recover {
+        policy: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        hook: None,
+    };
+    for seed in seeds {
+        let (program, shapes) = above_threshold_program(seed);
+        let planned = plan(&program, &cfg).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        let run = |o: &ExecOptions| run_bits::<T>(&program, &planned, &cfg, &shapes, seed, o);
+        let oracle = run(&opts(Backend::Threaded, ExecMode::Plain));
+        for (i, mode) in [ExecMode::Plain, recover(), recover()]
+            .into_iter()
+            .enumerate()
+        {
+            assert!(
+                run(&opts(Backend::Fused, mode)) == oracle,
+                "seed {seed}: fused run {i} not bit-identical to the threaded oracle"
+            );
+        }
+    }
+}
+
+#[test]
+fn above_threshold_runs_are_bit_identical_f32() {
+    above_threshold_block::<f32>(0..2);
+}
+
+#[test]
+fn above_threshold_runs_are_bit_identical_f64() {
+    above_threshold_block::<f64>(0..2);
+}
