@@ -661,4 +661,57 @@ mod tests {
         let staged: HashMap<_, _> = [b32("z", bad)].into();
         assert!(verify_component::<f32>(&p, &[0], &staged, &buffers, &scalars, &none()).is_err());
     }
+
+    /// Predictions made ahead from the caller's buffers — as the
+    /// executor makes them beside a run — give the same verdict and the
+    /// same message as predictions made inline, on clean and corrupted
+    /// outputs, for a GEMV large enough to be predicted ahead (384²
+    /// elements) and one that is not (16²), and when an input is
+    /// missing.
+    #[test]
+    fn predictions_made_ahead_match_inline_ones() {
+        for n in [384, 16] {
+            let mut p = Program::new();
+            p.matrix("A", n, n)
+                .vector("x", n)
+                .vector("y", n)
+                .vector("q", n);
+            p.op(Op::Gemv {
+                alpha: 1.5,
+                beta: -0.5,
+                a: "A".into(),
+                transposed: false,
+                x: "x".into(),
+                y: Some("y".into()),
+                out: "q".into(),
+            });
+            let av: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.013).sin()).collect();
+            let xv: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).cos()).collect();
+            let yv: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
+            let qv: Vec<f64> = (0..n)
+                .map(|i| {
+                    let row = &av[i * n..(i + 1) * n];
+                    1.5 * row.iter().zip(&xv).map(|(a, x)| a * x).sum::<f64>() - 0.5 * yv[i]
+                })
+                .collect();
+            let mut bad = qv.clone();
+            bad[n / 2] = flip_high_bit(bad[n / 2]);
+            let buffers: HashMap<_, _> = [buf("A", av), buf("x", xv), buf("y", yv)].into();
+            let mut partial = buffers.clone();
+            partial.remove("x");
+            let scalars = HashMap::new();
+            for (inputs, out, fails) in [
+                (&buffers, &qv, false),
+                (&buffers, &bad, true),
+                (&partial, &qv, true),
+            ] {
+                let staged: HashMap<_, _> = [buf("q", out.clone())].into();
+                let ahead = predict_ops::<f64>(&p, &[0], inputs);
+                let ahead = verify_component::<f64>(&p, &[0], &staged, inputs, &scalars, &ahead);
+                let inline = verify_component::<f64>(&p, &[0], &staged, inputs, &scalars, &none());
+                assert_eq!(ahead, inline, "n = {n}");
+                assert_eq!(ahead.is_err(), fails, "n = {n}: {ahead:?}");
+            }
+        }
+    }
 }

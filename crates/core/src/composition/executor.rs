@@ -906,16 +906,13 @@ impl<T: Scalar> Run<'_, T> {
 }
 
 /// Input elements from which a component's ABFT predictions run on a
-/// helper thread beside the component rather than after it: below it,
-/// the thread costs more than the sums it takes off the critical path.
+/// helper thread beside the component rather than after it. A sweep
+/// over 2¹⁴, 2¹⁶ and 2¹⁸ (EXPERIMENTS.md, "Data-independent work once
+/// per plan or beside the run") found the thread saving 5–7% of the
+/// exec time at 92K and 160K input elements and no measurable
+/// difference at 44K; where between 44K and 92K it starts to pay is
+/// unmeasured.
 const ABFT_BESIDE_MIN: usize = 1 << 16;
-
-#[cfg(test)]
-thread_local! {
-    /// Tests set this on their own thread to compute every ABFT
-    /// prediction inline, for comparison with the helper thread.
-    static ABFT_INLINE: Cell<bool> = const { Cell::new(false) };
-}
 
 /// The ops of a component whose ABFT predictions run beside it: those
 /// reading no operand in `written` (sorted), when their inputs hold at
@@ -926,10 +923,6 @@ fn abft_beside<T: Scalar>(
     written: &[&str],
     buffers: &HashMap<String, DeviceBuffer<T>>,
 ) -> Vec<usize> {
-    #[cfg(test)]
-    if ABFT_INLINE.with(Cell::get) {
-        return Vec::new();
-    }
     let beside: Vec<usize> = ops
         .iter()
         .copied()
@@ -1075,14 +1068,12 @@ pub(super) struct ComponentOptions {
     pub(super) hook: Option<Arc<dyn FaultHook>>,
     /// Watchdog wall-clock deadline for the run.
     pub(super) deadline: Option<Duration>,
-    /// The backend lets the run use host-depth FIFOs when
-    /// [`admit_host_depth`] proves it safe. The fused backend sets it
-    /// for its threaded fallbacks; the threaded backend, the oracle,
-    /// never does.
+    /// The backend lets the run use host-depth FIFOs: the fused backend
+    /// sets it for a threaded fallback whose [`rates_live`] verdict,
+    /// kept with the component, holds; the threaded backend, the
+    /// oracle, never does. [`admit_host_depth`] still refuses it under
+    /// an armed hook.
     pub(super) host_depth: bool,
-    /// The run's [`rates_live`] verdict when the caller already has it
-    /// (the fused backend's memo); `None` runs the analysis.
-    pub(super) live: Option<bool>,
 }
 
 /// What one threaded simulation (or a fused schedule of several)
@@ -1109,15 +1100,15 @@ const HOST_DEPTH: usize = 1024;
 const BURST_SLACK: usize = 64;
 
 /// The host-depth rule: a threaded simulation runs every FIFO at host
-/// depth only when its backend allows it, no fault hook is armed, and
-/// the rate analysis of `mdag` — the simulation's MDAG at the depths it
-/// would otherwise instantiate — completes. Kahn determinism makes the
-/// deeper run produce the same bits, and extra capacity never creates a
-/// deadlock; a composition that stalls at its modelled depths keeps
-/// them, so it still stalls. Fault sites stay at modelled depth so that
-/// chaos reports match the threaded backend's.
-fn admit_host_depth(opts: &ComponentOptions, mdag: impl FnOnce() -> Option<Mdag>) -> bool {
-    opts.host_depth && opts.hook.is_none() && opts.live.unwrap_or_else(|| completes(mdag()))
+/// depth only when its backend allows it — which the fused backend does
+/// only for a simulation whose [`rates_live`] verdict holds — and no
+/// fault hook is armed. Kahn determinism makes the deeper run produce
+/// the same bits, and extra capacity never creates a deadlock; a
+/// composition that stalls at its modelled depths keeps them, so it
+/// still stalls. Fault sites stay at modelled depth so that chaos
+/// reports match the threaded backend's.
+fn admit_host_depth(opts: &ComponentOptions) -> bool {
+    opts.host_depth && opts.hook.is_none()
 }
 
 /// Whether the rate analysis of `mdag` completes.
@@ -1125,10 +1116,10 @@ fn completes(mdag: Option<Mdag>) -> bool {
     mdag.is_some_and(|g| RateGraph::from_mdag(&g).analyze().is_completed())
 }
 
-/// The rate half of [`admit_host_depth`] for the simulation
+/// The rate half of the host-depth rule for the simulation
 /// [`run_component`] instantiates for `ops`: whether its MDAG at the
-/// executor's depths completes. It reads no data, so the fused backend
-/// keeps the verdict with the component.
+/// depths it would otherwise instantiate completes. It reads no data,
+/// so the fused backend keeps the verdict with the component.
 pub(super) fn rates_live(
     program: &Program,
     cfg: &PlannerConfig,
@@ -1213,7 +1204,7 @@ pub(super) fn run_component<T: Scalar>(
     }
     let fifos = Fifos {
         ordinary: cfg.default_depth as usize,
-        host: admit_host_depth(opts, || exec_mdag(program, cfg, ops, variants)),
+        host: admit_host_depth(opts),
     };
 
     // Producer map restricted to this component.
@@ -2378,23 +2369,21 @@ mod tests {
     #[test]
     fn host_depth_needs_the_fused_backend_a_live_graph_and_no_hook() {
         use crate::composition::rates::atax_mdag;
+        // The ATAX burst is 64·8 elements: one slot short, it stalls.
+        assert!(completes(Some(atax_mdag(64, 32, 8, 64 * 8))));
+        assert!(!completes(Some(atax_mdag(64, 32, 8, 64 * 8 - 1))));
+        assert!(!completes(None));
         let fused = ComponentOptions {
             host_depth: true,
             ..ComponentOptions::default()
         };
-        let atax = |depth| move || Some(atax_mdag(64, 32, 8, depth));
-        // The ATAX burst is 64·8 elements: one slot short, it stalls.
-        assert!(admit_host_depth(&fused, atax(64 * 8)));
-        assert!(!admit_host_depth(&fused, atax(64 * 8 - 1)));
-        assert!(!admit_host_depth(
-            &ComponentOptions::default(),
-            atax(64 * 8)
-        ));
+        assert!(admit_host_depth(&fused));
+        assert!(!admit_host_depth(&ComponentOptions::default()));
         let armed = ComponentOptions {
             hook: Some(OneShot::crash("no_such_module")),
             ..fused.clone()
         };
-        assert!(!admit_host_depth(&armed, atax(64 * 8)));
+        assert!(!admit_host_depth(&armed));
 
         // End to end on a one-GEMV component, which the fused backend
         // runs threaded: host depth on the fused backend only, not
@@ -2794,64 +2783,38 @@ mod tests {
         assert_eq!([0, 1, 2].map(|k| after[k] - before[k]), [2, 0, 0]);
     }
 
-    /// The recovery report and output bits of one run of `q = 1.5·A·x −
-    /// 0.5·y` over an `n × n` `A`, with ABFT predictions beside the run
-    /// unless `inline`.
-    fn abft_gemv_run(n: usize, hook: Option<Arc<OneShot>>, inline: bool) -> (String, Vec<u64>) {
-        let mut p = Program::new();
-        p.matrix("A", n, n)
-            .vector("x", n)
-            .vector("y", n)
-            .vector("q", n);
-        p.op(Op::Gemv {
-            alpha: 1.5,
-            beta: -0.5,
-            a: "A".into(),
-            transposed: false,
-            x: "x".into(),
-            y: Some("y".into()),
-            out: "q".into(),
-        });
-        let cfg = PlannerConfig {
-            tn: 64,
-            tm: 64,
-            ..Default::default()
-        };
-        let thep = plan(&p, &cfg).unwrap();
-        let bufs = bind(vec![
-            ("A", seq(n * n, 0.0)),
-            ("x", seq(n, 1.0)),
-            ("y", seq(n, 2.0)),
-            ("q", vec![0.0; n]),
-        ]);
-        let beside = abft_beside(&p, &[0], &["q"], &bufs);
-        assert_eq!(beside.is_empty(), n * n < ABFT_BESIDE_MIN, "n = {n}");
-        ABFT_INLINE.with(|c| c.set(inline));
-        let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, &recover(hook));
-        ABFT_INLINE.with(|c| c.set(false));
-        let report = serde_json::to_string(&out.unwrap().recovery).unwrap();
-        let bits = bufs["q"].to_host().iter().map(|v| v.to_bits()).collect();
-        (report, bits)
-    }
-
+    /// A GEMV's predictions run beside the component when its inputs
+    /// clear the threshold (384² elements do, 16² do not) and the
+    /// component writes none of them.
     #[test]
-    fn abft_predictions_beside_the_run_match_inline_ones() {
-        // 384² elements clear the threshold; 16² do not.
+    fn abft_predictions_run_beside_only_above_the_threshold_on_unwritten_inputs() {
         for n in [384, 16] {
-            let corrupt = || Some(OneShot::corrupt("A->0", 17, 62));
-            for hook in [None, corrupt()] {
-                let corrupted = hook.is_some();
-                let beside = abft_gemv_run(n, hook, false);
-                let hook = if corrupted { corrupt() } else { None };
-                let inline = abft_gemv_run(n, hook, true);
-                assert_eq!(beside, inline, "n = {n}, corrupted {corrupted}");
-                assert_eq!(
-                    beside.0.contains("\"abft_flagged\":true"),
-                    corrupted,
-                    "{}",
-                    beside.0
-                );
-            }
+            let mut p = Program::new();
+            p.matrix("A", n, n)
+                .vector("x", n)
+                .vector("y", n)
+                .vector("q", n);
+            p.op(Op::Gemv {
+                alpha: 1.5,
+                beta: -0.5,
+                a: "A".into(),
+                transposed: false,
+                x: "x".into(),
+                y: Some("y".into()),
+                out: "q".into(),
+            });
+            let bufs = bind(vec![
+                ("A", seq(n * n, 0.0)),
+                ("x", seq(n, 1.0)),
+                ("y", seq(n, 2.0)),
+                ("q", vec![0.0; n]),
+            ]);
+            let above = n * n >= ABFT_BESIDE_MIN;
+            assert_eq!(
+                abft_beside(&p, &[0], &["q"], &bufs),
+                if above { vec![0] } else { vec![] }
+            );
+            assert!(abft_beside(&p, &[0], &["q", "x"], &bufs).is_empty());
         }
     }
 }

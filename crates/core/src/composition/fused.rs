@@ -680,8 +680,9 @@ fn analyse(
 /// Run one component on the fused backend: take its [`Route`] from the
 /// component's memo (or analyse it), then replay its tiles, run its
 /// units, or degrade to one plain threaded [`run_component`] call
-/// whenever fusion is not provably safe. Every threaded run here may
-/// use host-depth FIFOs (`ComponentOptions::host_depth`). Audit
+/// whenever fusion is not provably safe. Every threaded run here whose
+/// rate verdict holds uses host-depth FIFOs
+/// (`ComponentOptions::host_depth`). Audit
 /// predictions come out in the component's op order regardless of unit
 /// interleaving, so `merge_predictions` sees the same sequence both
 /// backends.
@@ -717,8 +718,7 @@ pub(super) fn run_component_fused<T: Scalar>(
         }
     };
     let unit_opts = |live: bool| ComponentOptions {
-        host_depth: true,
-        live: Some(live),
+        host_depth: live,
         ..opts.clone()
     };
     let (schedule, live) = match route {
