@@ -1,7 +1,8 @@
 //! Fused-backend throughput vs the threaded dataflow simulator.
 //!
-//! Runs five planner programs — DOT, a four-op elementwise chain,
-//! GEMVER, AXPYDOT, and BICG — through `execute_plan` in audit mode
+//! Runs six planner programs — DOT, a four-op elementwise chain,
+//! GEMVER, AXPYDOT, BICG, and a lone GEMV over 3 × 3 tiles — through
+//! `execute_plan` in audit mode
 //! under `Backend::Threaded` and `Backend::Fused`, each at
 //! `FBLAS_CHUNK ∈ {1, 256}`. The fused backend compiles validated
 //! fusion regions into straight-line loops (no channels, no threads);
@@ -41,6 +42,9 @@ const DOT_N: usize = 4096;
 const AXPYDOT_N: usize = 4096;
 const GEMVER_N: usize = 96;
 const BICG_N: usize = 96;
+const GEMV_TILES_N: usize = 96;
+/// Tile edge of the lone GEMV: its matrix spans 3 × 3 tiles.
+const GEMV_TILE: usize = 32;
 
 /// A benchmark program plus the operand shapes the harness must bind.
 struct Case {
@@ -49,6 +53,8 @@ struct Case {
     shapes: Vec<(String, usize)>,
     /// Problem size reported in the `n` column.
     n: usize,
+    /// The tiling the program is planned and executed under.
+    cfg: PlannerConfig,
 }
 
 fn seq(n: usize, seed: f64) -> Vec<f32> {
@@ -73,6 +79,7 @@ fn case_dot() -> Case {
         program: p,
         shapes: vec![("x".into(), n), ("y".into(), n)],
         n,
+        cfg: PlannerConfig::default(),
     }
 }
 
@@ -113,12 +120,13 @@ fn case_axpy_chain() -> Case {
             .map(|s| (s.to_string(), n))
             .collect(),
         n,
+        cfg: PlannerConfig::default(),
     }
 }
 
-/// GEMVER (paper Sec. V): two rank-1 updates then two GEMV passes —
-/// matrix relays are stateful, so fusion only picks at the edges while
-/// the planner's component splits carry the rest.
+/// GEMVER (paper Sec. V): two rank-1 updates then two GEMV passes, in
+/// two components — GER→GER→GEMVᵀ and the lone trailing GEMV — each
+/// replayed tile by tile.
 fn case_gemver() -> Case {
     let n = GEMVER_N;
     let mut p = Program::new();
@@ -171,6 +179,7 @@ fn case_gemver() -> Case {
         program: p,
         shapes,
         n,
+        cfg: PlannerConfig::default(),
     }
 }
 
@@ -202,6 +211,7 @@ fn case_axpydot() -> Case {
             .map(|s| (s.to_string(), n))
             .collect(),
         n,
+        cfg: PlannerConfig::default(),
     }
 }
 
@@ -239,6 +249,42 @@ fn case_bicg() -> Case {
             .chain(["p", "r", "q", "s"].iter().map(|s| (s.to_string(), n)))
             .collect(),
         n,
+        cfg: PlannerConfig::default(),
+    }
+}
+
+/// A lone GEMV `o = αAx + βy` whose matrix spans several planner
+/// tiles: replayed tile by tile although it is its component's only
+/// tile (only a program that is one single-tile GEMV/GER stays
+/// threaded).
+fn case_gemv_tiles() -> Case {
+    let n = GEMV_TILES_N;
+    let mut p = Program::new();
+    p.matrix("A", n, n);
+    for v in ["x", "y", "o"] {
+        p.vector(v, n);
+    }
+    p.op(Op::Gemv {
+        alpha: 1.5,
+        beta: -0.25,
+        a: "A".into(),
+        transposed: false,
+        x: "x".into(),
+        y: Some("y".into()),
+        out: "o".into(),
+    });
+    Case {
+        program: p,
+        shapes: [("A".to_string(), n * n)]
+            .into_iter()
+            .chain(["x", "y", "o"].iter().map(|s| (s.to_string(), n)))
+            .collect(),
+        n,
+        cfg: PlannerConfig {
+            tn: GEMV_TILE,
+            tm: GEMV_TILE,
+            ..PlannerConfig::default()
+        },
     }
 }
 
@@ -270,7 +316,7 @@ fn bind(case: &Case) -> HashMap<String, DeviceBuffer<f32>> {
 }
 
 fn run_case(case: &Case, backend: Backend) -> Sample {
-    let cfg = PlannerConfig::default();
+    let cfg = case.cfg;
     let planned = plan(&case.program, &cfg).expect("benchmark program plans");
     let fused_regions = if matches!(backend, Backend::Fused) {
         planned
@@ -345,12 +391,13 @@ fn main() {
     );
 
     type Builder = fn() -> Case;
-    let cases: [(&str, Builder); 5] = [
+    let cases: [(&str, Builder); 6] = [
         ("dot", case_dot),
         ("axpy_chain", case_axpy_chain),
         ("gemver", case_gemver),
         ("axpydot", case_axpydot),
         ("bicg", case_bicg),
+        ("gemv_tiles", case_gemv_tiles),
     ];
 
     for (name, builder) in cases {

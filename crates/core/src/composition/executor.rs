@@ -2385,9 +2385,10 @@ mod tests {
         };
         assert!(!admit_host_depth(&armed));
 
-        // End to end on a one-GEMV component, which the fused backend
-        // runs threaded: host depth on the fused backend only, not
-        // under an armed hook, and the same bits on every path.
+        // End to end on a lone GEMV. As the program's one tile the
+        // fused backend runs it threaded: host depth on the fused
+        // backend only, not under an armed hook. Over 3×3 tiles it
+        // replays, with no simulation. The same bits on every path.
         let (n, m) = (40, 24);
         let mut p = Program::new();
         p.matrix("A", n, m).vector("x", m).vector("q", n);
@@ -2400,36 +2401,42 @@ mod tests {
             y: None,
             out: "q".into(),
         });
-        let cfg = PlannerConfig {
-            tn: 16,
-            tm: 8,
-            ..Default::default()
-        };
-        let thep = plan(&p, &cfg).unwrap();
-        let run = |opts: &ExecOptions| {
-            let bufs = bind(vec![
-                ("A", seq(n * m, 0.0)),
-                ("x", seq(m, 1.0)),
-                ("q", vec![0.0; n]),
-            ]);
-            let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, opts).unwrap();
-            let bits: Vec<u64> = bufs["q"].to_host().iter().map(|v| v.to_bits()).collect();
-            (bits, out.host_depth_sims)
-        };
-        let pinned = |backend| ExecOptions {
-            backend,
-            ..ExecOptions::default()
-        };
-        let (oracle, threaded_sims) = run(&pinned(Backend::Threaded));
-        let (fused_bits, fused_sims) = run(&pinned(Backend::Fused));
-        let armed = ExecOptions {
-            backend: Backend::Fused,
-            ..recover(Some(OneShot::crash("no_such_module")))
-        };
-        let (armed_bits, armed_sims) = run(&armed);
-        assert_eq!((threaded_sims, fused_sims, armed_sims), (0, 1, 0));
-        assert_eq!(fused_bits, oracle);
-        assert_eq!(armed_bits, oracle);
+        for ((tn, tm), fused_host_depth) in [((n, m), 1), ((16, 8), 0)] {
+            let cfg = PlannerConfig {
+                tn,
+                tm,
+                ..Default::default()
+            };
+            let thep = plan(&p, &cfg).unwrap();
+            let run = |opts: &ExecOptions| {
+                let bufs = bind(vec![
+                    ("A", seq(n * m, 0.0)),
+                    ("x", seq(m, 1.0)),
+                    ("q", vec![0.0; n]),
+                ]);
+                let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, opts).unwrap();
+                let bits: Vec<u64> = bufs["q"].to_host().iter().map(|v| v.to_bits()).collect();
+                (bits, out.host_depth_sims)
+            };
+            let pinned = |backend| ExecOptions {
+                backend,
+                ..ExecOptions::default()
+            };
+            let (oracle, threaded_sims) = run(&pinned(Backend::Threaded));
+            let (fused_bits, fused_sims) = run(&pinned(Backend::Fused));
+            let armed = ExecOptions {
+                backend: Backend::Fused,
+                ..recover(Some(OneShot::crash("no_such_module")))
+            };
+            let (armed_bits, armed_sims) = run(&armed);
+            assert_eq!(
+                (threaded_sims, fused_sims, armed_sims),
+                (0, fused_host_depth, 0),
+                "tiles {tn}x{tm}"
+            );
+            assert_eq!(fused_bits, oracle, "tiles {tn}x{tm}");
+            assert_eq!(armed_bits, oracle, "tiles {tn}x{tm}");
+        }
     }
 
     /// Lane names and result bits of one traced run of `p`.
@@ -2453,9 +2460,53 @@ mod tests {
         (bits, lanes)
     }
 
+    /// Lanes, result bits and host-depth simulations of one
+    /// `run_component` call over `ops`, bypassing the fused backend's
+    /// route, at host depth or at the modelled depths.
+    fn component_lanes(
+        p: &Program,
+        cfg: &PlannerConfig,
+        operands: &[(&str, Vec<f64>)],
+        results: &[&str],
+        host_depth: bool,
+    ) -> (Vec<u64>, Vec<String>, u64) {
+        let thep = plan(p, cfg).unwrap();
+        let component = &thep.components[0];
+        let bufs = bind(operands.to_vec());
+        let tracer = Tracer::new();
+        let run = run_component(
+            p,
+            cfg,
+            &component.ops,
+            &component.gemv_variants,
+            &BufRouter::direct(&bufs),
+            &Arc::new(Mutex::new(HashMap::new())),
+            Some(&tracer),
+            None,
+            &ComponentOptions {
+                host_depth,
+                ..ComponentOptions::default()
+            },
+        )
+        .unwrap();
+        let bits = results
+            .iter()
+            .flat_map(|o| bufs[*o].to_host())
+            .map(f64::to_bits)
+            .collect();
+        let lanes = tracer.lanes().into_iter().map(|l| l.module).collect();
+        (bits, lanes, run.host_depth_sims)
+    }
+
     #[test]
     fn admitted_tiles_read_their_dram_operands_in_place() {
         let (n, m) = (40, 24);
+        // The matrix in one tile, and in ⌈40/16⌉ × ⌈24/8⌉ = 3 × 3.
+        let one_tile = PlannerConfig {
+            tn: n,
+            tm: m,
+            ..Default::default()
+        };
         let cfg = PlannerConfig {
             tn: 16,
             tm: 8,
@@ -2471,8 +2522,10 @@ mod tests {
         };
         let has = |lanes: &[String], name: &str| lanes.iter().any(|l| l == name);
 
-        // A lone GEMV with a single-round y, and a transposed one whose
-        // y makes ⌈40/16⌉ = 3 rounds through DRAM.
+        // A lone GEMV, untransposed and transposed. As its program's one
+        // tile it runs threaded at host depth and reads every operand in
+        // place; over 3 × 3 tiles it replays on one `fused:` lane. An
+        // armed hook keeps every reader either way.
         for transposed in [false, true] {
             let (xn, yn) = if transposed { (n, m) } else { (m, n) };
             let mut p = Program::new();
@@ -2495,32 +2548,52 @@ mod tests {
                 ("y", seq(yn, 2.0)),
                 ("q", vec![0.0; yn]),
             ];
-            let run = |opts| traced(&p, &cfg, &operands, "q", opts);
-            let (oracle, threaded) = run(pinned(Backend::Threaded));
-            let (fused_bits, fused) = run(pinned(Backend::Fused));
-            let (armed_bits, armed) = run(armed());
-            assert_eq!(fused_bits, oracle, "transposed {transposed}");
-            assert_eq!(armed_bits, oracle, "transposed {transposed}");
-            for lanes in [&threaded, &armed] {
+            for cfg in [&one_tile, &cfg] {
+                let run = |opts| traced(&p, cfg, &operands, "q", opts);
+                let (oracle, threaded) = run(pinned(Backend::Threaded));
+                let (fused_bits, fused) = run(pinned(Backend::Fused));
+                let (armed_bits, armed) = run(armed());
+                let at = format!("transposed {transposed}, tiles {}x{}", cfg.tn, cfg.tm);
+                assert_eq!(fused_bits, oracle, "{at}");
+                assert_eq!(armed_bits, oracle, "{at}");
+                let lone = cfg.tn == n;
+                // Only the transposed 3 × 3 GEMV sends y several rounds.
+                let y_reader = if transposed && !lone {
+                    "replay_y_read"
+                } else {
+                    "read_y"
+                };
+                for lanes in [&threaded, &armed] {
+                    for reader in ["read_A", "read_x", y_reader] {
+                        assert!(has(lanes, reader), "{at}: {lanes:?}");
+                    }
+                }
                 assert!(
-                    has(lanes, "read_A") && has(lanes, "read_x"),
-                    "transposed {transposed}: {lanes:?}"
+                    !fused.iter().any(|l| l.starts_with("read_")),
+                    "{at}: {fused:?}"
                 );
+                let gemv = fused.iter().any(|l| l.starts_with("gemv"));
+                let replayed = has(&fused, "fused:fuse0");
+                assert_eq!((gemv, replayed), (lone, !lone), "{at}: {fused:?}");
             }
+
+            // The 3 × 3 GEMV admitted at host depth outside the fused
+            // route: it reads A and x in place, x with its 3 replays
+            // when untransposed, and the transposed one keeps the
+            // replay loop of its y, which makes 3 rounds through DRAM.
+            let (oracle, modelled, sims) = component_lanes(&p, &cfg, &operands, &["q"], false);
+            assert_eq!(sims, 0);
+            assert!(has(&modelled, "read_A"), "{modelled:?}");
+            let (bits, admitted, sims) = component_lanes(&p, &cfg, &operands, &["q"], true);
+            assert_eq!((bits, sims), (oracle, 1));
+            assert_eq!(has(&admitted, "replay_y_read"), transposed, "{admitted:?}");
             assert!(
-                !has(&fused, "read_A") && !has(&fused, "read_x"),
-                "transposed {transposed}: {fused:?}"
+                !has(&admitted, "read_A") && !has(&admitted, "read_x"),
+                "{admitted:?}"
             );
-            if transposed {
-                // The multi-round y keeps its replay loop.
-                assert!(has(&fused, "replay_y_read"), "{fused:?}");
-            } else {
-                assert!(has(&threaded, "read_y"), "{threaded:?}");
-                assert!(!fused.iter().any(|l| l.starts_with("read_")), "{fused:?}");
-            }
         }
 
-        // A lone GER.
+        // A lone GER, likewise: threaded in one tile, replayed in 3 × 3.
         let mut p = Program::new();
         p.matrix("A", n, m)
             .matrix("B", n, m)
@@ -2539,18 +2612,32 @@ mod tests {
             ("v", seq(m, 2.0)),
             ("B", vec![0.0; n * m]),
         ];
-        let run = |opts| traced(&p, &cfg, &operands, "B", opts);
-        let (oracle, threaded) = run(pinned(Backend::Threaded));
-        let (fused_bits, fused) = run(pinned(Backend::Fused));
-        let (armed_bits, armed) = run(armed());
-        assert_eq!((&fused_bits, &armed_bits), (&oracle, &oracle));
-        for lanes in [&threaded, &armed] {
-            for reader in ["read_A", "read_u", "read_v"] {
-                assert!(has(lanes, reader), "{lanes:?}");
+        for cfg in [&one_tile, &cfg] {
+            let run = |opts| traced(&p, cfg, &operands, "B", opts);
+            let (oracle, threaded) = run(pinned(Backend::Threaded));
+            let (fused_bits, fused) = run(pinned(Backend::Fused));
+            let (armed_bits, armed) = run(armed());
+            assert_eq!((&fused_bits, &armed_bits), (&oracle, &oracle));
+            for lanes in [&threaded, &armed] {
+                for reader in ["read_A", "read_u", "read_v"] {
+                    assert!(has(lanes, reader), "{lanes:?}");
+                }
             }
+            let lone = cfg.tn == n;
+            let (ger, replayed) = (has(&fused, "ger"), has(&fused, "fused:fuse0"));
+            assert_eq!((ger, replayed), (lone, !lone), "{fused:?}");
+            assert!(!fused.iter().any(|l| l.starts_with("read_")), "{fused:?}");
         }
-        assert!(has(&fused, "ger"), "{fused:?}");
-        assert!(!fused.iter().any(|l| l.starts_with("read_")), "{fused:?}");
+        // Admitted at host depth outside the fused route, the 3 × 3 GER
+        // reads every operand in place, y with its 3 replays.
+        let (oracle, _, _) = component_lanes(&p, &cfg, &operands, &["B"], false);
+        let (bits, admitted, sims) = component_lanes(&p, &cfg, &operands, &["B"], true);
+        assert_eq!((bits, sims), (oracle, 1));
+        assert!(has(&admitted, "ger"), "{admitted:?}");
+        assert!(
+            !admitted.iter().any(|l| l.starts_with("read_")),
+            "{admitted:?}"
+        );
 
         // A matrix shared through `dup_A` keeps its reader in an
         // admitted simulation; the vectors are read in place. BICG's
@@ -2573,41 +2660,15 @@ mod tests {
                 out: out.into(),
             });
         }
-        let thep = plan(&p, &cfg).unwrap();
-        let component = &thep.components[0];
-        assert_eq!(component.ops.len(), 2);
-        let host = |host_depth| {
-            let bufs = bind(vec![
-                ("A", seq(n * m, 0.0)),
-                ("p", seq(m, 1.0)),
-                ("r", seq(n, 2.0)),
-                ("q", vec![0.0; n]),
-                ("s", vec![0.0; m]),
-            ]);
-            let tracer = Tracer::new();
-            let run = run_component(
-                &p,
-                &cfg,
-                &component.ops,
-                &component.gemv_variants,
-                &BufRouter::direct(&bufs),
-                &Arc::new(Mutex::new(HashMap::new())),
-                Some(&tracer),
-                None,
-                &ComponentOptions {
-                    host_depth,
-                    ..ComponentOptions::default()
-                },
-            )
-            .unwrap();
-            let bits: Vec<u64> = ["q", "s"]
-                .iter()
-                .flat_map(|o| bufs[*o].to_host())
-                .map(f64::to_bits)
-                .collect();
-            let lanes: Vec<String> = tracer.lanes().into_iter().map(|l| l.module).collect();
-            (bits, lanes, run.host_depth_sims)
-        };
+        assert_eq!(plan(&p, &cfg).unwrap().components[0].ops.len(), 2);
+        let operands = [
+            ("A", seq(n * m, 0.0)),
+            ("p", seq(m, 1.0)),
+            ("r", seq(n, 2.0)),
+            ("q", vec![0.0; n]),
+            ("s", vec![0.0; m]),
+        ];
+        let host = |host_depth| component_lanes(&p, &cfg, &operands, &["q", "s"], host_depth);
         let (oracle, modelled, sims) = host(false);
         assert_eq!(sims, 0);
         for reader in ["read_A", "dup_A", "read_p", "read_r"] {
@@ -2696,9 +2757,9 @@ mod tests {
 
     #[test]
     fn a_plan_executed_twice_is_analysed_once() {
-        // GEMVER's tile-replay component runs the fusion analysis and
-        // the obligation check; its lone trailing GEMV runs the fusion
-        // analysis and the host-depth rate analysis.
+        // GEMVER's two components both replay: each runs the fusion
+        // analysis and the obligation check, and neither needs the
+        // host-depth rate analysis.
         let (p, cfg) = gemver_program(14, 1.2, 0.7);
         let thep = plan(&p, &cfg).unwrap();
         let opts = ExecOptions::default();
@@ -2707,7 +2768,7 @@ mod tests {
         let once = analyses();
         assert_eq!(
             [0, 1, 2].map(|k| once[k] - start[k]),
-            [2, 1, 1],
+            [2, 2, 0],
             "fusion, obligations, rates"
         );
         assert!(thep.components.iter().all(|c| c.analysis.is_filled()));
@@ -2765,6 +2826,80 @@ mod tests {
         // The memo still answers the program it was filled for.
         let before = analyses();
         assert_eq!(run(&p, &thep), old);
+        assert_eq!(analyses(), before);
+    }
+
+    #[test]
+    fn a_memo_filled_for_a_one_tile_program_does_not_answer_a_composition() {
+        // A one-tile GEMV 16 alone stays threaded; beside a GER it
+        // replays. Executed under the lone program's plan (which runs
+        // op 0 only), the composition's copy of the component must be
+        // analysed afresh, and match the composition's own plan.
+        let n = 16;
+        let gemv = Op::Gemv {
+            alpha: 1.5,
+            beta: -0.25,
+            a: "A".into(),
+            transposed: false,
+            x: "x".into(),
+            y: Some("y".into()),
+            out: "o".into(),
+        };
+        let declare = |p: &mut Program| {
+            p.matrix("A", n, n)
+                .vector("x", n)
+                .vector("y", n)
+                .vector("o", n);
+        };
+        let mut lone = Program::new();
+        declare(&mut lone);
+        lone.op(gemv.clone());
+        let mut composed = Program::new();
+        declare(&mut composed);
+        composed.matrix("C", n, n).matrix("D", n, n);
+        composed.op(gemv);
+        composed.op(Op::Ger {
+            alpha: 0.5,
+            a: "C".into(),
+            x: "x".into(),
+            y: "y".into(),
+            out: "D".into(),
+        });
+        let cfg = PlannerConfig {
+            tn: n,
+            tm: n,
+            ..Default::default()
+        };
+        let run = |p: &Program, thep: &Plan| {
+            let bufs = bind(vec![
+                ("A", seq(n * n, 0.0)),
+                ("x", seq(n, 1.0)),
+                ("y", seq(n, 2.0)),
+                ("o", vec![0.0; n]),
+                ("C", seq(n * n, 3.0)),
+                ("D", vec![0.0; n * n]),
+            ]);
+            let out = execute_plan::<f64>(p, thep, &cfg, &bufs, &ExecOptions::default()).unwrap();
+            let bits: Vec<u64> = bufs["o"].to_host().iter().map(|v| v.to_bits()).collect();
+            (bits, out.host_depth_sims)
+        };
+        let thep = plan(&lone, &cfg).unwrap();
+        let (oracle, sims) = run(&lone, &thep);
+        assert_eq!(sims, 1, "the one-tile program runs threaded at host depth");
+        assert!(thep.components[0].analysis.is_filled());
+
+        let before = analyses();
+        let reused = run(&composed, &thep);
+        assert_eq!(
+            analyses()[0],
+            before[0] + 1,
+            "the composition is analysed afresh"
+        );
+        assert_eq!(reused, (oracle.clone(), 0), "and its GEMV replays");
+        assert_eq!(run(&composed, &plan(&composed, &cfg).unwrap()), reused);
+        // The memo still answers the program it was filled for.
+        let before = analyses();
+        assert_eq!(run(&lone, &thep), (oracle, 1));
         assert_eq!(analyses(), before);
     }
 

@@ -101,7 +101,8 @@ impl Backend {
 /// witness and execution stays fully threaded.
 ///
 /// GEMV and GER nodes carry their [`TileSem`]: the modules the executor
-/// instantiates at the component's planned tiling.
+/// instantiates at the component's planned tiling, and whether they are
+/// the program's only GEMV/GER op.
 pub fn fusion_plan_for_component(
     program: &Program,
     component: &PlannedComponent,
@@ -119,6 +120,7 @@ fn fusion_plan_at(
     recovery_armed: bool,
 ) -> (Vec<ModuleSem>, FusionPlan) {
     let g = &component.mdag;
+    let alone = level2_alone(program);
     let mut sems = sems_for_component(g, program.ops(), EXEC_WIDTH);
     for id in g.node_ids() {
         let Some(oi) = node_op_index(g.node_name(id)) else {
@@ -134,11 +136,18 @@ fn fusion_plan_at(
             _ => None,
         };
         if let Some(tile) = tile {
-            sems[id.0] = ModuleSem::Tile(tile);
+            sems[id.0] = ModuleSem::Tile { tile, alone };
         }
     }
     let plan = analyze_fusion(g, &sems, "exec", recovery_armed);
     (sems, plan)
+}
+
+/// Whether `program` holds at most one GEMV/GER op: the program-level
+/// fact the `singleton` rule reads beside a tile's own span.
+fn level2_alone(program: &Program) -> bool {
+    let level2 = |op: &&Op| matches!(op, Op::Gemv { .. } | Op::Ger { .. });
+    program.ops().iter().filter(level2).count() <= 1
 }
 
 /// One schedulable unit of a split component.
@@ -579,8 +588,10 @@ enum Route {
 }
 
 /// What an analysis was computed from: the component's `Op` values
-/// (coefficients included), the shapes of their operands and the
-/// configuration the executor instantiates the tiles under.
+/// (coefficients included), the shapes of their operands, the
+/// configuration the executor instantiates the tiles under, and
+/// whether the program holds other GEMV/GER ops (the `singleton` rule
+/// reads it).
 #[derive(Clone, PartialEq)]
 struct AnalysisKey {
     cfg: PlannerConfig,
@@ -588,6 +599,8 @@ struct AnalysisKey {
     /// Per operand of each op: its length if a vector, its dims if a
     /// matrix.
     shapes: Vec<OperandShape>,
+    /// [`level2_alone`] of the program.
+    alone: bool,
 }
 
 type OperandShape = (Option<usize>, Option<(usize, usize)>);
@@ -608,6 +621,7 @@ impl AnalysisKey {
             cfg: *cfg,
             ops,
             shapes,
+            alone: level2_alone(program),
         }
     }
 }
@@ -1052,9 +1066,9 @@ mod tests {
             .collect();
         assert_eq!(kinds, ["tile-replay", "no-recovery-hooks"]);
         assert!(check_obligations(&fplan, &comp.mdag, &sems, false).is_empty());
-        assert!(sems
-            .iter()
-            .any(|s| matches!(s, ModuleSem::Tile(TileSem::Gemv(g)) if g.y_rounds() == 2)));
+        assert!(sems.iter().any(
+            |s| matches!(s, ModuleSem::Tile { tile: TileSem::Gemv(g), .. } if g.y_rounds() == 2)
+        ));
         // An armed hook rejects it.
         let (_, armed) = fusion_plan_for_component(&p, comp, true);
         assert!(armed.regions.is_empty());
@@ -1068,7 +1082,11 @@ mod tests {
         let comp = &planned.components[0];
         let (mut sems, fplan) = fusion_plan_for_component(&p, comp, false);
         for s in &mut sems {
-            if let ModuleSem::Tile(TileSem::Gemv(g)) = s {
+            if let ModuleSem::Tile {
+                tile: TileSem::Gemv(g),
+                ..
+            } = s
+            {
                 if g.variant == GemvVariant::RowStreamed {
                     g.variant = GemvVariant::ColStreamed;
                 }
@@ -1090,7 +1108,11 @@ mod tests {
         let comp = &planned.components[0];
         let (mut sems, fplan) = fusion_plan_for_component(&p, comp, false);
         for s in &mut sems {
-            if let ModuleSem::Tile(TileSem::Gemv(g)) = s {
+            if let ModuleSem::Tile {
+                tile: TileSem::Gemv(g),
+                ..
+            } = s
+            {
                 g.w = EXEC_WIDTH / 2;
             }
         }

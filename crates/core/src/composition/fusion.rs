@@ -13,10 +13,11 @@
 //! obligation). A planned component whose compute modules are all
 //! Level-2 tiles ([`ModuleSem::Tile`]: GEMV or GER, plus the planner's
 //! `dup_*` of a shared DRAM matrix) is a region of its own kind: with
-//! at least two tiles, each instantiated as the planner laid it out,
-//! the whole component is replayed op by op on one thread through the
-//! threaded modules' own kernels (the `tile-replay` obligation); a lone
-//! tile stays threaded (`singleton`, the rule lone relays follow).
+//! each tile instantiated as the planner laid it out, the whole
+//! component is replayed op by op on one thread through the threaded
+//! modules' own kernels (the `tile-replay` obligation). A lone tile
+//! replays too, unless it is its program's only GEMV/GER and spans one
+//! planner tile: that program stays threaded (`singleton`).
 //! Everything else — reductions at any other width (reassociation),
 //! tiles mixed with relays, rate changes, fanout, bursts, paths that
 //! leave and re-enter the region — is a **rejection** carrying a
@@ -98,7 +99,13 @@ pub enum ModuleSem {
     /// only for planned components, where the planner's GEMV variant and
     /// tiling are on record. A component of tiles may be replayed tile
     /// by tile on one thread (the `tile-replay` obligation).
-    Tile(TileSem),
+    Tile {
+        /// The kernel and its instantiation.
+        tile: TileSem,
+        /// Whether the program holds no other GEMV/GER op — a fact of
+        /// the program, not of the component's graph.
+        alone: bool,
+    },
     /// Unknown semantics — never fused.
     Opaque,
 }
@@ -125,6 +132,15 @@ impl TileSem {
             TileSem::Gemv(g) => g.a_tiling(),
             TileSem::Ger(g) => g.a_tiling(),
         }
+    }
+
+    /// Whether the matrix fits in one tile of the planner's tiling.
+    fn spans_one_tile(&self) -> bool {
+        let (t, n, m) = match self {
+            TileSem::Gemv(g) => (g.a_tiling(), g.n, g.m),
+            TileSem::Ger(g) => (g.a_tiling(), g.n, g.m),
+        };
+        t.tile_rows(n) * t.tile_cols(m) == 1
     }
 
     /// Matrix elements the tile streams.
@@ -629,7 +645,7 @@ fn tile_members(g: &Mdag, sems: &[ModuleSem], edges: &[EdgeInfo]) -> Option<Vec<
     for id in g.node_ids() {
         let i = id.0;
         match &sems[i] {
-            ModuleSem::Tile(_) => tiles.push(i),
+            ModuleSem::Tile { .. } => tiles.push(i),
             ModuleSem::Dup => {
                 let mut ins = edges.iter().filter(|e| e.to.0 == i);
                 let from_read = ins
@@ -662,7 +678,7 @@ fn tile_violations(
     let mut out = Vec::new();
     let name = |i: usize| g.node_name(super::NodeId(i));
     for &i in tiles {
-        let ModuleSem::Tile(tile) = &sems[i] else {
+        let ModuleSem::Tile { tile, .. } = &sems[i] else {
             continue;
         };
         let mut fail = |reason, detail: String, channel| {
@@ -684,7 +700,7 @@ fn tile_violations(
             );
         }
         let ins: Vec<usize> = (0..edges.len()).filter(|&k| edges[k].to.0 == i).collect();
-        let from_tile = |k: usize| matches!(sems[edges[k].from.0], ModuleSem::Tile(_));
+        let from_tile = |k: usize| matches!(sems[edges[k].from.0], ModuleSem::Tile { .. });
         if let TileSem::Gemv(gemv) = tile {
             let base = name(i).split('#').next().unwrap_or("");
             let want = if base == "gemv_t" {
@@ -745,7 +761,10 @@ fn tile_violations(
         let a = &edges[ins[0]];
         let producer_tiling = match &sems[a.from.0] {
             ModuleSem::Read => None,
-            ModuleSem::Tile(TileSem::Ger(p)) => Some(p.a_tiling()),
+            ModuleSem::Tile {
+                tile: TileSem::Ger(p),
+                ..
+            } => Some(p.a_tiling()),
             _ => Some(Tiling::new(
                 tile.a_tiling().tn,
                 tile.a_tiling().tm,
@@ -792,6 +811,19 @@ fn tile_violations(
         });
     }
     out
+}
+
+/// Whether `tiles` is a lone tile that stays threaded (`singleton`):
+/// its program's only GEMV/GER, spanning one planner tile. Such a
+/// program streams nothing a replay would save, and it is the
+/// per-request floor the served benchmark's replica check times, so it
+/// keeps the threaded path at host depth. Every other lone tile — a
+/// multi-tile GEMV, or one GEMV of a composition — replays.
+fn singleton(sems: &[ModuleSem], tiles: &[usize]) -> bool {
+    match tiles {
+        [i] => matches!(&sems[*i], ModuleSem::Tile { tile, alone: true } if tile.spans_one_tile()),
+        _ => false,
+    }
 }
 
 fn tile_replay_obligation(tiles: usize) -> Obligation {
@@ -844,9 +876,9 @@ fn region_topo(
 
 /// The fusion verdict of a component whose compute modules are all
 /// tiles (and matrix duplicators): one `tile-replay` region holding the
-/// whole graph, or one rejection — `singleton` for a lone tile (a
-/// thread-free run of one GEMV is left to the threaded path, like a
-/// lone relay), the first broken condition, or `recovery-guards`.
+/// whole graph, or one rejection — `singleton` for a one-tile program
+/// (see [`singleton`]), the first broken condition, or
+/// `recovery-guards`.
 fn analyze_tiles(
     g: &Mdag,
     sems: &[ModuleSem],
@@ -868,7 +900,7 @@ fn analyze_tiles(
         witness_module: Some(name(module)),
         witness_channel: channel.map(|k| channel_name(g, &edges[k])),
     };
-    if tiles.len() < 2 {
+    if singleton(sems, tiles) {
         return (None, Some(reject("singleton", tiles[0], None)));
     }
     if let Some(v) = tile_violations(g, sems, edges, tiles).into_iter().next() {
@@ -881,7 +913,7 @@ fn analyze_tiles(
     let elements = tiles
         .iter()
         .filter_map(|&i| match &sems[i] {
-            ModuleSem::Tile(t) => Some(t.elements()),
+            ModuleSem::Tile { tile, .. } => Some(tile.elements()),
             _ => None,
         })
         .sum();
@@ -1135,7 +1167,7 @@ pub fn analyze_fusion(
                 Some(blocked) => blocked,
                 None => continue, // its group was rejected, already recorded
             },
-            (ModuleSem::Stateful | ModuleSem::Tile(_), _) => ("stateful", None),
+            (ModuleSem::Stateful | ModuleSem::Tile { .. }, _) => ("stateful", None),
             (ModuleSem::Dup, _) => ("fanout", None),
             (ModuleSem::Opaque, _) if g.node_kind(super::NodeId(i)) == ModuleKind::Compute => {
                 ("unknown-semantics", None)
@@ -1389,10 +1421,11 @@ pub fn check_obligations(
                             "a compute module is neither a tile nor a matrix duplicator"
                                 .to_string(),
                         ),
-                        Some(tiles) if tiles.len() < 2 => fail(
+                        Some(tiles) if singleton(sems, &tiles) => fail(
                             &mut errs,
                             format!(
-                                "`{}` is the only tile; a singleton stays threaded",
+                                "`{}` is its program's only tile and spans one planner tile; \
+                                 such a singleton stays threaded",
                                 g.node_name(super::NodeId(tiles[0]))
                             ),
                         ),

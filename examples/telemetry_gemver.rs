@@ -4,7 +4,8 @@
 //! The example arms the metrics runtime, opens a seeded
 //! [`fblas_metrics::RunScope`], and drives the full stack — lint the
 //! `examples/lint/gemver.json` program document, build the plan, and
-//! execute it with recovery under a tracer. It then asserts the *same*
+//! execute it with recovery on the threaded backend under a tracer. It
+//! then asserts the *same*
 //! 16-hex run ID appears in:
 //!
 //! 1. the Prometheus text dump (`fblas_run_info{run_id="..."} 1`),
@@ -26,7 +27,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use fblas_core::composition::{execute_plan, plan, ExecMode, ExecOptions, RetryPolicy};
+use fblas_core::composition::{execute_plan, plan, Backend, ExecMode, ExecOptions, RetryPolicy};
 use fblas_core::host::DeviceBuffer;
 use fblas_lint::{classify, lint_json, Document};
 use fblas_metrics::expo;
@@ -91,13 +92,16 @@ fn main() {
     })
     .collect();
     let tracer = Tracer::new();
+    // Threaded: on the fused backend both GEMVER components replay tile
+    // by tile with no channel, and the dump must carry the simulator's
+    // channel series.
     let opts = ExecOptions {
+        backend: Backend::Threaded,
         tracer: Some(&tracer),
         mode: ExecMode::Recover {
             policy: RetryPolicy::default(),
             hook: None,
         },
-        ..ExecOptions::default()
     };
     let report = execute_plan::<f64>(&program, &planned, &cfg, &buffers, &opts)
         .expect("GEMVER executes")

@@ -22,9 +22,11 @@
 //! many actually fused — a differential that never fuses proves
 //! nothing. Two more blocks run seeded Level-2 compositions (BICG-,
 //! ATAX- and GEMVER-shaped, over ragged multi-tile matrices) with a
-//! floor on components replayed tile by tile. Every block also sets a
-//! floor on the fused backend's threaded simulations that ran with
-//! host-depth FIFOs, so the bit identity covers deepened runs too.
+//! floor on components replayed tile by tile, lone tiles included, and
+//! one block runs seeded one-tile programs, the shape that stays
+//! threaded. Every block also sets a floor on the fused backend's
+//! threaded simulations that ran with host-depth FIFOs, so the bit
+//! identity covers deepened runs too.
 
 // Test code may unwrap; the clippy.toml discipline targets library code.
 #![allow(clippy::disallowed_methods)]
@@ -567,16 +569,27 @@ fn level2_program(seed: u64) -> (Program, Shapes, PlannerConfig) {
     (p, Shapes { buffers }, cfg)
 }
 
+/// The matrix reader lanes (`read_<A>`) of the GEMV/GER ops of `ops`.
+fn matrix_readers(program: &Program, ops: &[usize]) -> Vec<String> {
+    ops.iter()
+        .filter_map(|&oi| match &program.ops()[oi] {
+            Op::Gemv { a, .. } | Op::Ger { a, .. } => Some(format!("read_{a}")),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Run one Level-2 seed block: bit-identity across backends in audit
 /// mode, identical predicted cycles, plain vs hook-free recovery on the
 /// fused backend, and per component the backend's lane shape — a
-/// replayed component shows one `fused:` lane, a one-tile component
-/// keeps its `singleton` witness and its threaded interface lanes, and
-/// runs with host-depth FIFOs (every one of them is live).
+/// replayed component shows one `fused:` lane, and a replayed lone
+/// tile (ATAX's split GEMVs, GEMVER's trailing GEMV) reads its matrix
+/// in place. Every program holds several GEMV/GER ops, so no component
+/// is a `singleton`.
 fn run_level2_block(
     seeds: std::ops::Range<u64>,
     floor_replays: u64,
-    floor_singletons: u64,
+    floor_lone_replays: u64,
     floor_host_depth: u64,
 ) {
     let audit = |backend| ExecOptions {
@@ -600,7 +613,7 @@ fn run_level2_block(
         },
         hook: None,
     });
-    let (mut replays, mut multi_round, mut singletons) = (0u64, 0u64, 0u64);
+    let (mut replays, mut multi_round, mut lone_replays) = (0u64, 0u64, 0u64);
     let mut host_depth = 0u64;
     for seed in seeds {
         let (program, shapes, cfg) = level2_program(seed);
@@ -634,7 +647,6 @@ fn run_level2_block(
             "seed {seed}: the oracle deepened"
         );
         host_depth += fused.host_depth_sims;
-        let mut seed_singletons = 0u64;
         for (ci, c) in planned.components.iter().enumerate() {
             let (sems, fp) = fusion_plan_for_component(&program, c, false);
             let lanes = &fused.audit_modules[ci];
@@ -643,56 +655,40 @@ fn run_level2_block(
                 .regions
                 .iter()
                 .any(|r| r.obligations.iter().any(|o| o.kind == "tile-replay"));
+            assert!(
+                fp.rejections.iter().all(|r| r.reason != "singleton"),
+                "seed {seed} c{ci}: a tile of a composition kept threaded: {}",
+                fp.to_json()
+            );
             if replayed {
                 replays += 1;
-                multi_round += sems
-                    .iter()
-                    .any(|s| matches!(s, ModuleSem::Tile(TileSem::Gemv(g)) if g.y_rounds() > 1))
-                    as u64;
+                multi_round += sems.iter().any(|s| {
+                    matches!(s, ModuleSem::Tile { tile: TileSem::Gemv(g), .. } if g.y_rounds() > 1)
+                }) as u64;
                 assert!(
                     fused_lane,
                     "seed {seed} c{ci}: replayed without a fused lane"
                 );
-            }
-            if let Some(rej) = fp.rejections.iter().find(|r| r.reason == "singleton") {
-                singletons += 1;
-                seed_singletons += 1;
-                let witness = rej.witness_module.as_deref().unwrap_or("");
-                assert!(
-                    witness.starts_with("gemv"),
-                    "seed {seed} c{ci}: singleton witness `{witness}`"
-                );
-                // Fused-backend audits are admitted at host depth, so
-                // the GEMV reads its matrix in place; the threaded
-                // oracle keeps the interface reader.
-                let matrices: Vec<String> = c
-                    .ops
+                let tiles = sems
                     .iter()
-                    .filter_map(|&oi| match &program.ops()[oi] {
-                        Op::Gemv { a, .. } => Some(format!("read_{a}")),
-                        _ => None,
-                    })
-                    .collect();
-                assert!(
-                    !fused_lane
-                        && lanes.iter().any(|m| m.starts_with("gemv"))
-                        && !lanes.iter().any(|m| matrices.contains(m)),
-                    "seed {seed} c{ci}: a one-GEMV component must run threaded, its matrix \
-                     read in place: {lanes:?}"
-                );
-                let oracle = &threaded.audit_modules[ci];
-                assert!(
-                    oracle.iter().any(|m| matrices.contains(m)),
-                    "seed {seed} c{ci}: the threaded oracle must read the matrix: {oracle:?}"
-                );
+                    .filter(|s| matches!(s, ModuleSem::Tile { .. }))
+                    .count();
+                if tiles == 1 {
+                    lone_replays += 1;
+                    let matrices = matrix_readers(&program, &c.ops);
+                    assert!(
+                        !lanes.iter().any(|m| matrices.contains(m)),
+                        "seed {seed} c{ci}: a replayed lone tile must read its matrix in \
+                         place: {lanes:?}"
+                    );
+                    let oracle = &threaded.audit_modules[ci];
+                    assert!(
+                        oracle.iter().any(|m| matrices.contains(m)),
+                        "seed {seed} c{ci}: the threaded oracle must read the matrix: {oracle:?}"
+                    );
+                }
             }
         }
-        assert!(
-            fused.host_depth_sims >= seed_singletons,
-            "seed {seed}: {} simulations at host depth, but {seed_singletons} one-GEMV \
-             components",
-            fused.host_depth_sims
-        );
         let plain = run_backend(&program, &planned, &cfg, &shapes, seed, &plain);
         let recovered = run_backend(&program, &planned, &cfg, &shapes, seed, &recover);
         assert_eq!(
@@ -715,8 +711,8 @@ fn run_level2_block(
         floor_replays / 2
     );
     assert!(
-        singletons >= floor_singletons,
-        "population too thin: {singletons} one-GEMV components (< {floor_singletons})"
+        lone_replays >= floor_lone_replays,
+        "population too thin: {lone_replays} replayed lone tiles (< {floor_lone_replays})"
     );
     assert!(
         host_depth >= floor_host_depth,
@@ -725,18 +721,135 @@ fn run_level2_block(
     );
 }
 
-// 2 × 30 seeded Level-2 programs. Each block must replay at least 12
-// components tile by tile (the population yields 20 a block), 6 of them
-// holding a GEMV with a multi-round y, keep at least 8 one-GEMV
-// components threaded (16–22 a block), and run at least 16 threaded
-// simulations at host depth (23–26 a block).
+// 2 × 30 seeded Level-2 programs. Each block must replay at least 24
+// components tile by tile (the population yields 36–42 a block), 12 of
+// them holding a GEMV with a multi-round y (19–22), at least 8 of them
+// lone tiles (16–22), and run at least 2 threaded simulations at host
+// depth (4–7: the components tile replay rejects).
 #[test]
 fn level2_compositions_are_bit_identical_block0() {
-    run_level2_block(0..30, 12, 8, 16);
+    run_level2_block(0..30, 24, 8, 2);
 }
 #[test]
 fn level2_compositions_are_bit_identical_block1() {
-    run_level2_block(30..60, 12, 8, 16);
+    run_level2_block(30..60, 24, 8, 2);
+}
+
+/// A seeded program that is one GEMV or GER whose matrix fits in one
+/// planner tile: the shape the fused backend keeps threaded.
+fn one_tile_program(seed: u64) -> (Program, Shapes, PlannerConfig) {
+    let mut rng = Rng::new(seed ^ 0x0e711e);
+    let (n, m) = (rng.range(1, 40) as usize, rng.range(1, 40) as usize);
+    let cfg = PlannerConfig {
+        tn: n + rng.range(0, 8) as usize,
+        tm: m + rng.range(0, 8) as usize,
+        ..PlannerConfig::default()
+    };
+    let coef = |rng: &mut Rng| (rng.range(1, 9) as f64) / 4.0;
+    let mut p = Program::new();
+    p.matrix("A", n, m);
+    let mut buffers = vec![("A".to_string(), n * m)];
+    if rng.chance(25) {
+        p.matrix("B", n, m).vector("u", n).vector("v", m);
+        buffers.extend([("B".into(), n * m), ("u".into(), n), ("v".into(), m)]);
+        p.op(Op::Ger {
+            alpha: coef(&mut rng),
+            a: "A".into(),
+            x: "u".into(),
+            y: "v".into(),
+            out: "B".into(),
+        });
+    } else {
+        let transposed = rng.chance(50);
+        let (xn, yn) = if transposed { (n, m) } else { (m, n) };
+        let with_y = rng.chance(50);
+        p.vector("x", xn).vector("y", yn).vector("o", yn);
+        buffers.extend([("x".into(), xn), ("y".into(), yn), ("o".into(), yn)]);
+        p.op(Op::Gemv {
+            alpha: coef(&mut rng),
+            beta: coef(&mut rng),
+            a: "A".into(),
+            transposed,
+            x: "x".into(),
+            y: with_y.then(|| "y".into()),
+            out: "o".into(),
+        });
+    }
+    (p, Shapes { buffers }, cfg)
+}
+
+/// 40 seeded one-tile programs keep the threaded path: a `singleton`
+/// witness naming the tile, and on the fused backend a host-depth run
+/// with the module's lane and the matrix read in place, while the
+/// threaded oracle keeps the `read_<A>` lane. Bits match the oracle.
+#[test]
+fn one_tile_programs_stay_threaded() {
+    let audit = |backend| ExecOptions {
+        backend,
+        tracer: None,
+        mode: ExecMode::Audit {
+            freq_hz: 200.0e6,
+            tolerance: 0.25,
+        },
+    };
+    for seed in 0..40 {
+        let (program, shapes, cfg) = one_tile_program(seed);
+        let planned = plan(&program, &cfg).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        assert_eq!(planned.components.len(), 1, "seed {seed}");
+        let threaded = run_backend(
+            &program,
+            &planned,
+            &cfg,
+            &shapes,
+            seed,
+            &audit(Backend::Threaded),
+        );
+        let fused = run_backend(
+            &program,
+            &planned,
+            &cfg,
+            &shapes,
+            seed,
+            &audit(Backend::Fused),
+        );
+        assert_eq!(
+            threaded.buffer_bits, fused.buffer_bits,
+            "seed {seed}: operands not bit-identical"
+        );
+        assert_eq!((threaded.host_depth_sims, fused.host_depth_sims), (0, 1));
+        let c = &planned.components[0];
+        let (_, fp) = fusion_plan_for_component(&program, c, false);
+        assert!(fp.regions.is_empty(), "seed {seed}: {}", fp.to_json());
+        let kernel = if matches!(program.ops()[0], Op::Ger { .. }) {
+            "ger"
+        } else {
+            "gemv"
+        };
+        let witness = fp
+            .rejections
+            .iter()
+            .find(|r| r.reason == "singleton")
+            .and_then(|r| r.witness_module.as_deref())
+            .unwrap_or_else(|| panic!("seed {seed}: no singleton: {}", fp.to_json()));
+        assert!(
+            witness.starts_with(kernel),
+            "seed {seed}: singleton witness `{witness}`"
+        );
+        let matrices = matrix_readers(&program, &c.ops);
+        let lanes = &fused.audit_modules[0];
+        assert!(
+            !lanes.iter().any(|m| m.starts_with("fused:"))
+                && lanes.iter().any(|m| m.starts_with(kernel))
+                && !lanes.iter().any(|m| matrices.contains(m)),
+            "seed {seed}: a one-tile program must run threaded, its matrix read in place: \
+             {lanes:?}"
+        );
+        let oracle = &threaded.audit_modules[0];
+        assert!(
+            oracle.iter().any(|m| matrices.contains(m)),
+            "seed {seed}: the threaded oracle must read the matrix: {oracle:?}"
+        );
+    }
 }
 
 // ------------------------------------------------------------------

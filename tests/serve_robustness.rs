@@ -371,19 +371,24 @@ fn admission_rejects_bad_bindings_and_chaos_before_the_queue() {
     assert_eq!(outcome.stats.failed, 0);
 }
 
-/// The five `stream_closed` kernels of the repository benchmark. Each
-/// is served twice — the second time from the server's lint cache —
-/// and run cold on the same fill (`to_program` → `plan` →
-/// `execute_plan`) on the threaded backend, the oracle: both served
-/// outputs and scalars — fused, replayed tile by tile, or threaded —
-/// must match bit for bit, so neither the plan admission built or
-/// cached nor the backend that ran it changes anything.
+/// The five `stream_closed` kernels of the repository benchmark, plus
+/// a lone GEMV over 3 × 3 tiles. Each is served twice — the second
+/// time from the server's lint cache — and run cold on the same fill
+/// (`to_program` → `plan` → `execute_plan`) on the threaded backend,
+/// the oracle: both served outputs and scalars — fused, replayed tile
+/// by tile (BICG, both GEMVER components, the 3 × 3 GEMV), or threaded
+/// (the one-tile GEMV) — must match bit for bit, so neither the plan
+/// admission built or cached nor the backend that ran it changes
+/// anything.
 #[test]
 fn served_kernels_match_the_cold_path_bit_for_bit() {
     let vec = |name: &str, n: usize| format!(r#"{{"name":"{name}","kind":"vector","len":{n}}}"#);
-    let mat = |name: &str| format!(r#"{{"name":"{name}","kind":"matrix","rows":16,"cols":16}}"#);
+    let mat_n = |name: &str, n: usize| {
+        format!(r#"{{"name":"{name}","kind":"matrix","rows":{n},"cols":{n}}}"#)
+    };
+    let mat = |name: &str| mat_n(name, 16);
     let scalar = |name: &str| format!(r#"{{"name":"{name}","kind":"scalar"}}"#);
-    let kernels: [(&str, Vec<String>, &str); 5] = [
+    let kernels: [(&str, Vec<String>, &str); 6] = [
         (
             "dot",
             vec![vec("x", 64), vec("y", 64), scalar("d")],
@@ -403,6 +408,11 @@ fn served_kernels_match_the_cold_path_bit_for_bit() {
         (
             "gemv",
             vec![mat("A"), vec("x", 16), vec("y", 16), vec("o", 16)],
+            r#"{"op":"gemv","alpha":1.5,"beta":-0.25,"a":"A","x":"x","y":"y","out":"o"}"#,
+        ),
+        (
+            "gemv 40",
+            vec![mat_n("A", 40), vec("x", 40), vec("y", 40), vec("o", 40)],
             r#"{"op":"gemv","alpha":1.5,"beta":-0.25,"a":"A","x":"x","y":"y","out":"o"}"#,
         ),
         (
