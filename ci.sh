@@ -10,21 +10,25 @@ step() { printf '\n=== %s ===\n' "$*"; }
 step "cargo build --release"
 cargo build --release
 
+# Channel parks and an injected hang have no timeout: only a peer or a
+# poison wakes them, so a lost wake-up can hang a test for good. Each
+# test step runs under `timeout`, far above its measured time (compile
+# included); it signals the whole process group, test binaries too.
 step "cargo test -q"
-cargo test -q
+timeout -k 10 900 cargo test -q
 
 step "chunked transport under FBLAS_CHUNK=1"
 # The chunk-invariance tests again with every bulk helper degraded to
 # element-wise push/pop, so both transfer paths through the channel's
 # shared wait helper run under the same assertions.
-FBLAS_CHUNK=1 cargo test -q -p fblas-bench --test chunked_transport
+FBLAS_CHUNK=1 timeout -k 10 300 cargo test -q -p fblas-bench --test chunked_transport
 
 step "scheduler fuzzer, full sweep"
 # tier-1 runs one 60-seed block of the lint corpus jittered and
 # oversubscribed; this is the 240-seed sweep under seeded channel-op
 # delays, 4 concurrent simulations, and both at once. Every stall
 # verdict and blocked set must match lint and the unperturbed run.
-cargo test --release -q -p fblas-lint --test schedule_fuzz -- --ignored
+timeout -k 10 600 cargo test --release -q -p fblas-lint --test schedule_fuzz -- --ignored
 
 step "cargo clippy -- -D warnings"
 # crates/lint/clippy.toml and crates/core/clippy.toml additionally

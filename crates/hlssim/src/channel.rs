@@ -16,9 +16,10 @@
 //! `yield_now` rounds, re-checking after each — because a streaming peer
 //! usually frees a slot within microseconds, and a futex sleep plus wake
 //! per FIFO depth of elements costs far more. Only when the backoff runs
-//! out does the waiter mark itself blocked and park on the condvar, in
-//! short timed slices that re-check the context poison flag, so a
-//! poisoned context never needs to enumerate channels to wake sleepers.
+//! out does the waiter mark itself blocked and park on the condvar, with
+//! no timeout: a peer's transfer or endpoint drop wakes it, and so does
+//! poisoning, which wakes the parked waiters of every channel of the
+//! context under their channel locks.
 //!
 //! The blocked mark is channel state: a channel is SPSC, so each side
 //! has at most one parked waiter. The operation that makes that
@@ -40,7 +41,7 @@ use serde::Serialize;
 use crate::chunk::default_chunk;
 use crate::error::SimError;
 use crate::fault::{duplicate_value, flip_bit, FaultAction, FaultSite, GuardReport, GuardState};
-use crate::simulation::{wait_slice, ChannelProbe, CtxShared, SimContext};
+use crate::simulation::{ChannelProbe, CtxShared, SimContext};
 use crate::stall::{BlockedModule, WaitDirection};
 
 /// Occupancy and stall statistics for one channel, taken as a snapshot.
@@ -272,11 +273,13 @@ impl<T> ChannelCore<T> {
     /// A miss starts a wait episode: one stall count, then the bounded
     /// backoff ([`BACKOFF_ROUNDS`] `yield_now` rounds with the lock
     /// dropped, re-checking after each). When the backoff runs out the
-    /// thread parks for one wait slice at a time, counting one stall per
-    /// slice. Its first park marks it blocked; the mark stays across
-    /// slices until the peer clears it, so a split chunk that resumes and
-    /// must park again marks itself anew. The mark that makes every live
-    /// module blocked declares the deadlock.
+    /// thread parks until it is woken, counting one stall per park. Its
+    /// first park marks it blocked; the mark stays until the peer clears
+    /// it, so a split chunk that resumes and must park again marks itself
+    /// anew. The mark that makes every live module blocked declares the
+    /// deadlock. The poison flag is checked under the lock the park
+    /// releases, and poisoning wakes parked waiters under that lock, so
+    /// no poison is missed.
     fn transfer<R>(
         &self,
         dir: WaitDirection,
@@ -342,7 +345,7 @@ impl<T> ChannelCore<T> {
                 }
             }
             st.side(dir).parked += 1;
-            self.cond(dir).wait_for(&mut st, wait_slice());
+            self.cond(dir).wait(&mut st);
             st.side(dir).parked -= 1;
         }
     }
@@ -381,6 +384,12 @@ impl<T: Send + 'static> ChannelProbe for ChannelCore<T> {
                 });
             }
         }
+    }
+
+    fn probe_wake(&self) {
+        let _st = self.state.lock();
+        self.not_full.notify_all();
+        self.not_empty.notify_all();
     }
 }
 
@@ -1247,6 +1256,23 @@ mod tests {
     }
 
     #[test]
+    fn a_parked_waiter_counts_one_stall_per_park() {
+        // The consumer parks on an empty FIFO and stays parked until the
+        // push 25 ms later: one count opens the wait episode and one
+        // counts the park, however long it lasts.
+        let ctx = SimContext::new();
+        let (tx, rx) = channel::<u32>(&ctx, 1, "parked");
+        thread::scope(|s| {
+            let consumer = s.spawn(|| rx.pop());
+            ctx.shared().await_blocked();
+            thread::sleep(Duration::from_millis(25));
+            tx.push(7).unwrap();
+            assert_eq!(consumer.join().unwrap(), Ok(7));
+        });
+        assert_eq!(rx.stats().empty_stalls, 2);
+    }
+
+    #[test]
     fn split_chunk_marks_itself_again_when_it_parks_again() {
         // The producer parks mid-chunk; the consumer's pop unblocks it,
         // it moves what fits and must park again, now blocked anew. Only
@@ -1315,7 +1341,7 @@ mod tests {
             other => panic!("expected stall, got {other:?}"),
         }
         for (name, st) in ctx.channel_stats() {
-            // One count for the wait episode plus one per park slice.
+            // One count for the wait episode plus one per park.
             assert!(st.full_stalls >= 2, "{name}: {st:?}");
         }
     }

@@ -13,7 +13,6 @@
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
-//! | `FBLAS_WAIT_SLICE_US` | blocked-wait poison re-check slice, µs | 2000 |
 //! | `FBLAS_CHUNK` | elements per batched channel transfer | 256 |
 //! | `FBLAS_BACKEND` | execution backend: threaded or fused | fused |
 //! | `FBLAS_CHAOS_SEED` | seed for chaos fault plans | unset |
@@ -32,18 +31,16 @@
 //! | `FBLAS_SERVE_DRAIN_MS` | graceful-drain timeout, ms | 5000 |
 //! | `FBLAS_SERVE_WRITE_MS` | response write timeout before dropping a non-reading client, ms | 2000 |
 //!
-//! Caching follows each knob's use: the wait slice is read once per
-//! process (it configures long-lived machinery), while the chunk
-//! size is re-read on every call so benchmarks can sweep it in-process
-//! — only its *warning* is deduplicated. The parse functions themselves
-//! stay pure and are exercised directly by tests.
+//! Every knob is re-read on every call, so benchmarks can sweep the
+//! chunk size in-process; only the invalid-value *warning* is
+//! deduplicated. The parse functions themselves stay pure and are
+//! exercised directly by tests.
 
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 use crate::chunk::parse_chunk;
-use crate::simulation::parse_wait_slice_us;
 
 /// Default number of recovery attempts per component when
 /// `FBLAS_RETRY_MAX` is unset.
@@ -67,12 +64,6 @@ pub struct KnobSpec {
 /// honors. A test asserts this stays in sync with the reader functions:
 /// reading every knob must touch exactly these variable names.
 pub const KNOBS: &[KnobSpec] = &[
-    KnobSpec {
-        name: "FBLAS_WAIT_SLICE_US",
-        meaning: "blocked-wait poison re-check slice, us",
-        default: "2000",
-        cadence: "process",
-    },
     KnobSpec {
         name: "FBLAS_CHUNK",
         meaning: "elements per batched channel transfer",
@@ -236,20 +227,6 @@ fn read_knob<T>(
 
 fn parses_positive_u64(raw: &str) -> bool {
     raw.trim().parse::<u64>().map(|v| v > 0).unwrap_or(false)
-}
-
-/// The blocked-wait poison re-check slice: `FBLAS_WAIT_SLICE_US` if
-/// valid, else [`crate::DEFAULT_WAIT_SLICE`]. Read once per process and cached.
-pub fn wait_slice() -> Duration {
-    static SLICE: OnceLock<Duration> = OnceLock::new();
-    *SLICE.get_or_init(|| {
-        read_knob(
-            "FBLAS_WAIT_SLICE_US",
-            "2000 us",
-            parse_wait_slice_us,
-            parses_positive_u64,
-        )
-    })
 }
 
 /// The batched-transfer chunk size: `FBLAS_CHUNK` if valid, else
@@ -567,7 +544,6 @@ pub fn resolved_knobs() -> Vec<(String, String)> {
         .iter()
         .map(|k| {
             let v = match k.name {
-                "FBLAS_WAIT_SLICE_US" => wait_slice().as_micros().to_string(),
                 "FBLAS_CHUNK" => chunk().to_string(),
                 "FBLAS_BACKEND" => backend().to_string(),
                 "FBLAS_CHAOS_SEED" => chaos_seed()
@@ -601,9 +577,7 @@ mod tests {
     use super::*;
 
     // Environment-variable tests mutate process-global state, so each
-    // knob test uses its own variable and restores it; the cached wait
-    // slice is only exercised through its pure parser in
-    // `simulation::tests`.
+    // knob test uses its own variable and restores it.
 
     #[test]
     fn retry_max_parses_and_rejects_garbage() {
@@ -789,7 +763,6 @@ mod tests {
         // set of variables actually consulted to be exactly the
         // documented table. A knob added to the code without a KNOBS row
         // (or vice versa) fails here.
-        let _ = wait_slice();
         let _ = chunk();
         let _ = backend();
         let _ = chaos_seed();

@@ -58,7 +58,5 @@ pub use fault::{
     ModuleFault,
 };
 pub use module::{ModuleKind, ModuleSpec};
-pub use simulation::{
-    parse_wait_slice_us, wait_slice, SimContext, Simulation, SimulationReport, DEFAULT_WAIT_SLICE,
-};
+pub use simulation::{SimContext, Simulation, SimulationReport};
 pub use stall::{BlockedModule, StallReport, WaitDirection};

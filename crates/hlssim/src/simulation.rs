@@ -11,10 +11,11 @@
 //! exit that brings `live` down to `blocked`, therefore proves the
 //! composition has deadlocked — the paper's "stalls forever"
 //! (Sec. V-B) — with no clock involved. That thread snapshots the
-//! wait-for graph and poisons the context, unblocking everyone with
-//! [`SimError::Poisoned`] and reporting [`SimError::Stall`] to the
-//! caller. A module that hangs without waiting on a channel stays live
-//! but never blocked; only the run deadline catches it.
+//! wait-for graph and poisons the context, waking every parked waiter
+//! into [`SimError::Poisoned`] and reporting [`SimError::Stall`] to the
+//! caller. No wait is timed: poisoning wakes everyone it concerns. A
+//! module that hangs without waiting on a channel stays live but never
+//! blocked; only the run deadline or an external poison ends it.
 //!
 //! Panic audit: every `unwrap`/`panic!` in this module lives in test
 //! code or doc examples. Module closures that panic are caught by the
@@ -28,7 +29,7 @@ use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 use fblas_trace::{ModuleScope, Tracer};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
 
 use crate::channel::ChannelStats;
@@ -55,6 +56,9 @@ pub(crate) trait ChannelProbe: Send + Sync {
     /// The wait-for edges ending at this channel: one entry per parked
     /// waiter the context counts as blocked, with the FIFO state.
     fn probe_blocked(&self, out: &mut Vec<BlockedModule>);
+    /// Wake every waiter parked on this channel, under its lock, so it
+    /// re-checks the poison flag.
+    fn probe_wake(&self);
 }
 
 /// Module threads still running and how many of them are blocked. One
@@ -81,10 +85,15 @@ pub(crate) struct CtxShared {
     pub(crate) epoch: AtomicU64,
     /// Live and blocked module threads.
     pub(crate) liveness: Mutex<Liveness>,
+    /// Signalled, under `liveness`, when the context is poisoned: an
+    /// injected `Hang` waits on it.
+    poison_cv: Condvar,
     /// The wait-for snapshot taken by the thread that declared the
     /// deadlock, before it poisoned the context.
     pub(crate) stall: Mutex<Option<StallReport>>,
-    /// Once set, all channel operations fail with `Poisoned`.
+    /// Once set, all channel operations fail with `Poisoned`. Written
+    /// only by [`poison`](Self::poison) and the panic hook's
+    /// [`mark_poisoned`](Self::mark_poisoned).
     pub(crate) poisoned: AtomicBool,
     /// Probes of every channel created against this context. Strong
     /// references: a channel's statistics outlive its endpoints so the
@@ -124,16 +133,34 @@ impl CtxShared {
         hook.and_then(|h| h.on_module_start(module))
     }
 
-    /// Poison the context recording `module` as the cause (first cause
-    /// wins: a cascade of secondary failures keeps the original culprit).
-    pub(crate) fn poison_with_cause(&self, module: &str) {
-        {
-            let mut cause = self.poison_cause.lock();
-            if cause.is_none() {
-                *cause = Some(module.to_string());
+    /// Record `cause` (first cause wins: a cascade of secondary failures
+    /// keeps the original culprit) and set the poison flag, waking no
+    /// one. Only the panic hook stops here, because it may run under a
+    /// channel lock; the runner's post-unwind [`poison`](Self::poison)
+    /// does the waking.
+    fn mark_poisoned(&self, cause: Option<&str>) {
+        if let Some(module) = cause {
+            let mut recorded = self.poison_cause.lock();
+            if recorded.is_none() {
+                *recorded = Some(module.to_string());
             }
         }
         self.poisoned.store(true, Ordering::Release);
+    }
+
+    /// Poison the context and wake everyone it concerns: a `Hang` waiting
+    /// on the poison condvar and every waiter parked on a channel. Each
+    /// wake-up takes the lock its waiter checks the flag under, so none
+    /// is lost. The caller holds no channel lock.
+    pub(crate) fn poison(&self, cause: Option<&str>) {
+        self.mark_poisoned(cause);
+        {
+            let _liveness = self.liveness.lock();
+            self.poison_cv.notify_all();
+        }
+        for probe in self.probes.lock().iter() {
+            probe.probe_wake();
+        }
     }
 
     /// The recorded poison culprit, if any.
@@ -176,7 +203,15 @@ impl CtxShared {
     /// holds no channel lock (the snapshot takes each one).
     pub(crate) fn declare_stall(&self) {
         *self.stall.lock() = Some(snapshot_stall(self));
-        self.poisoned.store(true, Ordering::Release);
+        self.poison(None);
+    }
+
+    /// Block until the context is poisoned: an injected `Hang`.
+    fn await_poison(&self) {
+        let mut liveness = self.liveness.lock();
+        while !self.poisoned.load(Ordering::Acquire) {
+            self.poison_cv.wait(&mut liveness);
+        }
     }
 }
 
@@ -203,9 +238,9 @@ thread_local! {
     static PANIC_POISON: RefCell<Option<(Arc<CtxShared>, String)>> = const { RefCell::new(None) };
 }
 
-/// Install (once per process) a chained panic hook that poisons the
-/// panicking module's simulation context, then defers to the previous
-/// hook for the usual message/backtrace.
+/// Install (once per process) a chained panic hook that marks the
+/// panicking module's simulation context poisoned, then defers to the
+/// previous hook for the usual message/backtrace.
 fn install_panic_poison_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -213,7 +248,7 @@ fn install_panic_poison_hook() {
         std::panic::set_hook(Box::new(move |info| {
             PANIC_POISON.with(|slot| {
                 if let Some((shared, name)) = slot.borrow().as_ref() {
-                    shared.poison_with_cause(name);
+                    shared.mark_poisoned(Some(name));
                 }
             });
             prev(info);
@@ -256,6 +291,7 @@ impl SimContext {
             shared: Arc::new(CtxShared {
                 epoch: AtomicU64::new(0),
                 liveness: Mutex::new(Liveness::default()),
+                poison_cv: Condvar::new(),
                 stall: Mutex::new(None),
                 poisoned: AtomicBool::new(false),
                 probes: Mutex::new(Vec::new()),
@@ -285,12 +321,12 @@ impl SimContext {
         self.shared.probes.lock().push(probe);
     }
 
-    /// Poison the context: every pending and future channel operation on
-    /// channels created from this context fails with
-    /// [`SimError::Poisoned`]. Used by stall detection and the run
-    /// deadline; also available for external cancellation.
+    /// Poison the context for external cancellation: every pending and
+    /// future channel operation on channels created from this context
+    /// fails with [`SimError::Poisoned`], and a parked operation or an
+    /// injected hang is woken to see it.
     pub fn poison(&self) {
-        self.shared.poisoned.store(true, Ordering::Release);
+        self.shared.poison(None);
     }
 
     /// Whether the context has been poisoned.
@@ -394,31 +430,6 @@ pub struct Simulation {
     modules: Vec<ModuleSpec>,
     deadline: Option<Duration>,
     tracer: Option<Tracer>,
-}
-
-/// Baseline wait slice: how long a blocked channel operation sleeps
-/// before re-checking the poison flag. Keeps teardown latency low
-/// without busy-waiting.
-pub const DEFAULT_WAIT_SLICE: Duration = Duration::from_millis(2);
-
-/// The wait slice channel operations use: [`DEFAULT_WAIT_SLICE`] unless
-/// the `FBLAS_WAIT_SLICE_US` environment variable overrides it.
-/// Long-running differential tests can raise it to trade teardown
-/// latency for fewer spurious wakeups; stress tests can lower it to
-/// exercise the re-check path. Read once and cached; invalid values
-/// warn once (see [`crate::env`]).
-pub fn wait_slice() -> Duration {
-    crate::env::wait_slice()
-}
-
-/// Parse an `FBLAS_WAIT_SLICE_US` value: a positive integer number of
-/// microseconds. Unset, zero, and unparsable values fall back to
-/// [`DEFAULT_WAIT_SLICE`] — a zero slice would spin the blocked thread.
-pub fn parse_wait_slice_us(raw: Option<&str>) -> Duration {
-    raw.and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|us| *us > 0)
-        .map(Duration::from_micros)
-        .unwrap_or(DEFAULT_WAIT_SLICE)
 }
 
 /// Resolve the wait-for graph into a [`StallReport`]: per blocked thread,
@@ -586,7 +597,7 @@ impl Simulation {
                                 // into `Disconnected`. `resume_unwind`
                                 // skips the panic hook (no stderr noise
                                 // for an intentional fault).
-                                shared.poison_with_cause(&name);
+                                shared.poison(Some(&name));
                                 std::panic::resume_unwind(Box::new("injected crash fault"));
                             }
                             Some(ModuleFault::Hang) => {
@@ -596,11 +607,9 @@ impl Simulation {
                                 // open, so peers block on the FIFOs (the
                                 // hardware picture of a hung kernel)
                                 // instead of seeing a disconnect. Only
-                                // poisoning — a declared deadlock or the
-                                // run deadline — releases us.
-                                while !shared.poisoned.load(Ordering::Acquire) {
-                                    std::thread::sleep(Duration::from_millis(1));
-                                }
+                                // poisoning wakes us: the run deadline, a
+                                // failing peer or `SimContext::poison`.
+                                shared.await_poison();
                                 drop(body);
                                 Err(SimError::Poisoned {
                                     by: shared.poison_cause(),
@@ -616,11 +625,10 @@ impl Simulation {
                         }
                     }))
                     .unwrap_or_else(|_| {
-                        // Belt-and-braces: the hook already poisoned on a
-                        // real panic, and the injected crash poisoned
-                        // explicitly. First cause wins, so this is a
-                        // no-op unless something slipped through.
-                        shared.poison_with_cause(&name);
+                        // The hook only marked a real panic, so wake the
+                        // peers here; the injected crash already woke
+                        // them. First cause wins either way.
+                        shared.poison(Some(&name));
                         Err(SimError::module(name.clone(), "module thread panicked"))
                     });
                     // The body and its endpoints are dropped by now, so a
@@ -671,7 +679,7 @@ impl Simulation {
                     // whatever wait-for edges exist before poisoning
                     // wakes (and deregisters) every blocked thread.
                     deadline_report = Some(snapshot_stall(&shared));
-                    shared.poisoned.store(true, Ordering::Release);
+                    shared.poison(None);
                     break;
                 }
             }
@@ -810,21 +818,6 @@ mod tests {
     use super::*;
     use crate::channel;
     use crate::stall::WaitDirection;
-
-    #[test]
-    fn wait_slice_parsing_rejects_zero_and_garbage() {
-        assert_eq!(parse_wait_slice_us(None), DEFAULT_WAIT_SLICE);
-        assert_eq!(parse_wait_slice_us(Some("500")), Duration::from_micros(500));
-        assert_eq!(
-            parse_wait_slice_us(Some(" 8000 ")),
-            Duration::from_micros(8000)
-        );
-        assert_eq!(parse_wait_slice_us(Some("0")), DEFAULT_WAIT_SLICE);
-        assert_eq!(parse_wait_slice_us(Some("-3")), DEFAULT_WAIT_SLICE);
-        assert_eq!(parse_wait_slice_us(Some("1.5")), DEFAULT_WAIT_SLICE);
-        assert_eq!(parse_wait_slice_us(Some("fast")), DEFAULT_WAIT_SLICE);
-        assert_eq!(parse_wait_slice_us(Some("")), DEFAULT_WAIT_SLICE);
-    }
 
     #[test]
     fn occupancy_sampler_handles_an_empty_simulation() {
@@ -1258,6 +1251,33 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn external_poison_releases_a_hung_module() {
+        // No deadline: only the poison from outside the run can end it,
+        // and it must wake both the hung sink and the producer parked on
+        // the full FIFO.
+        let mut sim = Simulation::new();
+        let ctx = sim.ctx().clone();
+        ctx.arm_faults(Arc::new(ModuleFaultHook {
+            target: "sink",
+            fault: ModuleFault::Hang,
+        }));
+        let (tx, rx) = channel::<u32>(sim.ctx(), 4, "ch_hung");
+        sim.add_module("src", ModuleKind::Interface, move || tx.push_iter(0..100));
+        sim.add_module("sink", ModuleKind::Compute, move || {
+            rx.pop_n(100).map(|_| ())
+        });
+        std::thread::scope(|s| {
+            let run = s.spawn(move || sim.run());
+            ctx.shared().await_blocked();
+            ctx.poison();
+            match run.join().unwrap() {
+                Err(SimError::Poisoned { by }) => assert_eq!(by, None),
+                other => panic!("expected poisoned, got {other:?}"),
+            }
+        });
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! No lost wake-ups: a parked channel waiter is woken by its peer's
-//! transfer, never by its timed re-check.
+//! transfer.
 //!
-//! Transfers notify the condvar only when the other side is parked, so a
-//! miscounted parked side would leave a waiter asleep until its wait
-//! slice expires. This binary sets `FBLAS_WAIT_SLICE_US` to 60 s before
-//! the first channel exists, so the timed re-check cannot mask a skipped
-//! notify: a lost wake-up freezes the pipeline and surfaces as a stall
-//! or deadline error instead of a 2 ms hiccup.
+//! Transfers notify the condvar only when the other side is parked, and
+//! a park has no timeout, so a miscounted parked side would leave its
+//! waiter asleep for good. The pipeline then freezes: every module ends
+//! up parked, and the run ends in a declared [`SimError::Stall`] that
+//! fails the test.
 //!
 //! Each test streams 10^5 elements through a depth-1 and a depth-64
 //! channel, mixing `push`, `push_chunk`, `pop` and `pop_chunk`, and
 //! checks element order and counts.
 
-use std::sync::Once;
 use std::time::Duration;
 
 use fblas_hlssim::{channel, ModuleKind, SimError, Simulation};
@@ -21,12 +19,6 @@ const N: u64 = 100_000;
 
 /// Far above any healthy run; only a hang reaches it.
 const DEADLINE: Duration = Duration::from_secs(600);
-
-fn long_wait_slice() {
-    static INIT: Once = Once::new();
-    INIT.call_once(|| std::env::set_var("FBLAS_WAIT_SLICE_US", "60000000"));
-    assert_eq!(fblas_hlssim::env::wait_slice(), Duration::from_secs(60));
-}
 
 /// How a module moves elements through a channel end.
 #[derive(Clone, Copy, Debug)]
@@ -39,7 +31,6 @@ enum Style {
 /// with `src`, the relay and the sink each using their own style. A
 /// chunked relay pushes everything its last `pop_chunk` took.
 fn stream(src: Style, relay: Style, sink: Style) -> Result<(), SimError> {
-    long_wait_slice();
     let mut sim = Simulation::new();
     sim.set_deadline(DEADLINE);
     let (tx_n, rx_n) = channel::<u64>(sim.ctx(), 1, "narrow");
