@@ -17,6 +17,15 @@ cargo build --release
 step "cargo test -q"
 timeout -k 10 900 cargo test -q
 
+step "core unit tests and backend differential, release build"
+# The Level-2 kernels' arithmetic and the FMA dispatch (the only
+# `unsafe` in crates/) are compiled as shipped here: the row-segment
+# kernels against their element-wise oracles, the slice FMA primitives
+# against the scalar loop, and every seeded program bit for bit
+# against the threaded backend.
+timeout -k 10 600 cargo test --release -q -p fblas-core
+timeout -k 10 600 cargo test --release -q -p fblas-bench --test backend_differential
+
 step "chunked transport under FBLAS_CHUNK=1"
 # The chunk-invariance tests again with every bulk helper degraded to
 # element-wise push/pop, so both transfer paths through the channel's

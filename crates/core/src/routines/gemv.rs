@@ -28,7 +28,7 @@ use fblas_hlssim::{ModuleKind, PipelineCost, Sender, SimError, Simulation};
 
 use super::replay::{Cycle, Input, MatrixIn, TiledReader, VectorIn};
 use super::validate_width;
-use crate::scalar::{tree_sum, Scalar};
+use crate::scalar::{tree_dot, Scalar};
 use crate::tiling::{gemv_io_tiles_by_cols, gemv_io_tiles_by_rows, TileOrder, Tiling};
 
 /// Streaming/compute variant of the GEMV module (see module docs).
@@ -251,23 +251,15 @@ impl Gemv {
     }
 
     /// Dot of one within-tile matrix row segment against an `x` block,
-    /// W-chunked with the hardware's tree-reduction order. `products`
-    /// is scratch space for one chunk's lanes.
-    fn row_dot<T: Scalar>(
-        &self,
-        ports: &mut Ports<'_, T>,
-        xblock: &[T],
-        products: &mut Vec<T>,
-    ) -> Result<T, SimError> {
+    /// W-chunked with the hardware's tree-reduction order: each chunk's
+    /// products are tree-summed, and the chunk sums are added to the
+    /// accumulator one after another.
+    fn row_dot<T: Scalar>(&self, row: &[T], xblock: &[T]) -> T {
         let mut acc = T::ZERO;
-        for xs in xblock.chunks(self.w) {
-            products.clear();
-            for x in xs {
-                products.push(ports.a.next()? * *x);
-            }
-            acc += tree_sum(products);
+        for (a, x) in row.chunks(self.w).zip(xblock.chunks(self.w)) {
+            acc += tree_dot(a, x);
         }
-        Ok(acc)
+        acc
     }
 
     fn run_row_streamed<T: Scalar>(
@@ -276,7 +268,7 @@ impl Gemv {
         beta: T,
         ports: &mut Ports<'_, T>,
     ) -> Result<(), SimError> {
-        let mut products = Vec::with_capacity(self.w);
+        let mut scratch = Vec::new();
         for bi in 0..self.tile_rows() {
             let rows = tile_extent(bi, self.tn, self.n);
             let y0 = ports.y_in(rows)?;
@@ -285,7 +277,8 @@ impl Gemv {
                 let cols = tile_extent(bj, self.tm, self.m);
                 let xblock = ports.x.block(cols)?;
                 for a in acc.iter_mut() {
-                    *a += self.row_dot(ports, &xblock, &mut products)?;
+                    let row = ports.a.run(cols, &mut scratch)?;
+                    *a += self.row_dot(row, &xblock);
                 }
             }
             // The whole y block is pushed before the next blocking read
@@ -306,7 +299,7 @@ impl Gemv {
         beta: T,
         ports: &mut Ports<'_, T>,
     ) -> Result<(), SimError> {
-        let mut products = Vec::with_capacity(self.w);
+        let mut scratch = Vec::new();
         for bj in 0..self.tile_cols() {
             let cols = tile_extent(bj, self.tm, self.m);
             let xblock = ports.x.block(cols)?;
@@ -319,7 +312,8 @@ impl Gemv {
                     }
                 }
                 for ypi in yp.iter_mut() {
-                    let acc = self.row_dot(ports, &xblock, &mut products)?;
+                    let row = ports.a.run(cols, &mut scratch)?;
+                    let acc = self.row_dot(row, &xblock);
                     *ypi = alpha.mul_add(acc, *ypi);
                 }
                 ports.y_out(&yp)?;
@@ -334,6 +328,7 @@ impl Gemv {
         beta: T,
         ports: &mut Ports<'_, T>,
     ) -> Result<(), SimError> {
+        let mut scratch = Vec::new();
         for bi in 0..self.tile_rows() {
             let rows = tile_extent(bi, self.tn, self.n);
             let xblock = ports.x.block(rows)?;
@@ -348,10 +343,7 @@ impl Gemv {
                 // Tile-local accumulation: tacc[j] = Σ_i a_ij·x_i.
                 let mut tacc = vec![T::ZERO; cols];
                 for xi in &xblock {
-                    for t in tacc.iter_mut() {
-                        let a = ports.a.next()?;
-                        *t = a.mul_add(*xi, *t);
-                    }
+                    T::mul_add_assign(&mut tacc, ports.a.run(cols, &mut scratch)?, *xi);
                 }
                 for (y, t) in yp.iter_mut().zip(&tacc) {
                     *y = alpha.mul_add(*t, *y);
@@ -368,6 +360,7 @@ impl Gemv {
         beta: T,
         ports: &mut Ports<'_, T>,
     ) -> Result<(), SimError> {
+        let mut scratch = Vec::new();
         for bj in 0..self.tile_cols() {
             let cols = tile_extent(bj, self.tm, self.m);
             let mut acc = vec![T::ZERO; cols];
@@ -375,10 +368,7 @@ impl Gemv {
                 let rows = tile_extent(bi, self.tn, self.n);
                 let xblock = ports.x.block(rows)?;
                 for xi in &xblock {
-                    for a_j in acc.iter_mut() {
-                        let a = ports.a.next()?;
-                        *a_j = a.mul_add(*xi, *a_j);
-                    }
+                    T::mul_add_assign(&mut acc, ports.a.run(cols, &mut scratch)?, *xi);
                 }
             }
             let y0 = ports.y_in(cols)?;
@@ -479,6 +469,7 @@ mod tests {
     use crate::helpers::writers::{replay_vector_through_memory, write_vector};
     use crate::helpers::{read_matrix, read_vector_replayed};
     use crate::host::buffer::DeviceBuffer;
+    use crate::scalar::tree_sum;
     use fblas_hlssim::channel;
 
     #[allow(clippy::too_many_arguments)]
@@ -515,6 +506,20 @@ mod tests {
 
     /// Run a full reader→gemv→writer pipeline and return y.
     fn run_gemv<T: Scalar>(cfg: Gemv, alpha: T, beta: T, a: &[T], x: &[T], y: &[T]) -> Vec<T> {
+        run_gemv_fed(cfg, alpha, beta, a, x, y, false)
+    }
+
+    /// [`run_gemv`], with `A` and `x` read in place from their buffers
+    /// when `in_place` is set, as an admitted module reads them.
+    fn run_gemv_fed<T: Scalar>(
+        cfg: Gemv,
+        alpha: T,
+        beta: T,
+        a: &[T],
+        x: &[T],
+        y: &[T],
+        in_place: bool,
+    ) -> Vec<T> {
         let mut sim = Simulation::new();
         let a_buf = DeviceBuffer::from_vec("a", a.to_vec(), 0);
         let x_buf = DeviceBuffer::from_vec("x", x.to_vec(), 0);
@@ -526,9 +531,15 @@ mod tests {
         let (ty_in, ry_in) = channel(sim.ctx(), 64, "y_in");
         let (ty_out, ry_out) = channel(sim.ctx(), 64, "y_out");
 
-        read_matrix(&mut sim, &a_buf, cfg.n, cfg.m, cfg.a_tiling(), ta, 1);
-        read_vector_replayed(&mut sim, &x_buf, txv, cfg.x_repetitions());
-        cfg.attach(&mut sim, alpha, beta, ra, rxv, ry_in, ty_out);
+        if in_place {
+            drop((ta, txv));
+            let (a, x) = (Input::Buffer(a_buf.clone()), Input::Buffer(x_buf.clone()));
+            cfg.attach(&mut sim, alpha, beta, a, x, ry_in, ty_out);
+        } else {
+            read_matrix(&mut sim, &a_buf, cfg.n, cfg.m, cfg.a_tiling(), ta, 1);
+            read_vector_replayed(&mut sim, &x_buf, txv, cfg.x_repetitions());
+            cfg.attach(&mut sim, alpha, beta, ra, rxv, ry_in, ty_out);
+        }
         if cfg.y_rounds() == 1 {
             crate::helpers::read_vector(&mut sim, &y_buf, ty_in);
             write_vector(&mut sim, &out_buf, cfg.y_len(), ry_out);
@@ -593,52 +604,281 @@ mod tests {
         check_variant(GemvVariant::TransColStreamed, 5, 9, 2, 4, 2);
     }
 
-    /// Replay and the threaded module must agree bit for bit.
-    fn check_replay<T: Scalar>(variant: GemvVariant, n: usize, m: usize, tn: usize, tm: usize) {
-        let cfg = Gemv::new(variant, n, m, tn, tm, 16);
-        let cast = |v: Vec<f64>| v.into_iter().map(T::from_f64).collect::<Vec<T>>();
-        let a = cast(seq(n * m, 1.0));
-        let x = cast(seq(cfg.x_len(), 2.0));
-        let y = cast(seq(cfg.y_len(), 3.0));
+    /// Tile replay (`A` from a buffer in place), the threaded module
+    /// fed by channels and the module reading `A` and `x` in place must
+    /// each match the element-wise oracle bit for bit.
+    fn check_replay<T: Scalar>(
+        variant: GemvVariant,
+        n: usize,
+        m: usize,
+        tn: usize,
+        tm: usize,
+        w: usize,
+    ) {
+        let cfg = Gemv::new(variant, n, m, tn, tm, w);
+        let (a, x, y) = operands::<T>(&cfg);
         let (alpha, beta) = (T::from_f64(1.3), T::from_f64(-0.7));
-        let threaded = run_gemv(cfg, alpha, beta, &a, &x, &y);
-        let mut replayed = y.clone();
-        cfg.replay(alpha, beta, &a, &x, &mut replayed).unwrap();
-        let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&threaded),
-            bits(&replayed),
-            "{variant:?} n={n} m={m} tn={tn} tm={tm} ({} y rounds)",
+        let want = bits(&Elementwise::gemv(cfg, alpha, beta, &a, &x, &y));
+        let what = format!(
+            "{variant:?} {n}x{m} in {tn}x{tm} tiles, W={w} ({} y rounds)",
             cfg.y_rounds()
         );
+        let mut replayed = y.clone();
+        cfg.replay(alpha, beta, &a, &x, &mut replayed).unwrap();
+        assert_eq!(bits(&replayed), want, "buffer: {what}");
+        let channel = run_gemv_fed(cfg, alpha, beta, &a, &x, &y, false);
+        assert_eq!(bits(&channel), want, "channel: {what}");
+        let in_place = run_gemv_fed(cfg, alpha, beta, &a, &x, &y, true);
+        assert_eq!(bits(&in_place), want, "in place: {what}");
     }
 
     #[test]
     fn replay_is_bit_identical_to_the_threaded_module() {
         // Exact and ragged tiles, one tile and many; for ColStreamed
         // and TransRowStreamed the multi-tile shapes run several y
-        // rounds.
-        let shapes = [
-            (37, 53, 64, 64),
-            (32, 48, 16, 16),
-            (37, 53, 8, 20),
-            (5, 40, 2, 17),
+        // rounds. 40 x 24 in 16 x 8 tiles has a short last tile row,
+        // and 37 x 29 leaves both edges ragged, with row segments
+        // shorter than W.
+        let mut shapes = vec![
+            (37, 53, 64, 64, 16),
+            (32, 48, 16, 16, 16),
+            (37, 53, 8, 20, 16),
+            (5, 40, 2, 17, 16),
         ];
-        for variant in [
-            GemvVariant::RowStreamed,
-            GemvVariant::ColStreamed,
-            GemvVariant::TransRowStreamed,
-            GemvVariant::TransColStreamed,
-        ] {
-            for (n, m, tn, tm) in shapes {
-                check_replay::<f32>(variant, n, m, tn, tm);
-                check_replay::<f64>(variant, n, m, tn, tm);
+        for w in [4, 16, 3] {
+            shapes.extend([(40, 24, 16, 8, w), (37, 29, 16, 8, w)]);
+        }
+        for variant in VARIANTS {
+            for &(n, m, tn, tm, w) in &shapes {
+                check_replay::<f32>(variant, n, m, tn, tm, w);
+                check_replay::<f64>(variant, n, m, tn, tm, w);
             }
         }
         let multi = Gemv::new(GemvVariant::ColStreamed, 37, 53, 8, 20, 16);
         assert!(multi.y_rounds() > 1);
         let multi = Gemv::new(GemvVariant::TransRowStreamed, 37, 53, 8, 20, 16);
         assert!(multi.y_rounds() > 1);
+    }
+
+    /// The GEMV kernels as they stood when `A` was read one element at
+    /// a time and every lane was its own scalar `mul_add`: the oracle
+    /// that pins the bits of the row-segment kernels.
+    struct Elementwise<'a, T> {
+        cfg: Gemv,
+        a: std::vec::IntoIter<T>,
+        x: Cycle<'a, T>,
+        y: Vec<T>,
+        rd: usize,
+        wr: usize,
+    }
+
+    impl<T: Scalar> Elementwise<'_, T> {
+        fn gemv(cfg: Gemv, alpha: T, beta: T, a: &[T], x: &[T], y: &[T]) -> Vec<T> {
+            let stream = cfg.a_tiling().stream_indices(cfg.n, cfg.m);
+            let mut k = Elementwise {
+                cfg,
+                a: stream
+                    .into_iter()
+                    .map(|(r, c)| a[r * cfg.m + c])
+                    .collect::<Vec<_>>()
+                    .into_iter(),
+                x: Cycle::new(x),
+                y: y.to_vec(),
+                rd: 0,
+                wr: 0,
+            };
+            match cfg.variant {
+                GemvVariant::RowStreamed => k.row_streamed(alpha, beta),
+                GemvVariant::ColStreamed => k.col_streamed(alpha, beta),
+                GemvVariant::TransRowStreamed => k.trans_row_streamed(alpha, beta),
+                GemvVariant::TransColStreamed => k.trans_col_streamed(alpha, beta),
+            }
+            assert!(k.a.next().is_none(), "the oracle left `A` unread");
+            k.y
+        }
+
+        fn a(&mut self) -> T {
+            self.a.next().expect("`A` stream exhausted")
+        }
+
+        fn x(&mut self, len: usize) -> Vec<T> {
+            self.x.block(len).unwrap()
+        }
+
+        fn y_in(&mut self, len: usize) -> Vec<T> {
+            let block = self.y[self.rd..self.rd + len].to_vec();
+            self.rd = (self.rd + len) % self.y.len();
+            block
+        }
+
+        fn y_out(&mut self, block: &[T]) {
+            self.y[self.wr..self.wr + block.len()].copy_from_slice(block);
+            self.wr = (self.wr + block.len()) % self.y.len();
+        }
+
+        fn row_dot(&mut self, xblock: &[T]) -> T {
+            let mut acc = T::ZERO;
+            for xs in xblock.chunks(self.cfg.w) {
+                let mut products = Vec::new();
+                for x in xs {
+                    products.push(self.a() * *x);
+                }
+                acc += tree_sum(&products);
+            }
+            acc
+        }
+
+        fn row_streamed(&mut self, alpha: T, beta: T) {
+            let c = self.cfg;
+            for bi in 0..c.tile_rows() {
+                let rows = tile_extent(bi, c.tn, c.n);
+                let y0 = self.y_in(rows);
+                let mut acc = vec![T::ZERO; rows];
+                for bj in 0..c.tile_cols() {
+                    let xblock = self.x(tile_extent(bj, c.tm, c.m));
+                    for a in acc.iter_mut() {
+                        *a += self.row_dot(&xblock);
+                    }
+                }
+                let y: Vec<T> = acc
+                    .iter()
+                    .zip(&y0)
+                    .map(|(acc, y0)| alpha.mul_add(*acc, beta * *y0))
+                    .collect();
+                self.y_out(&y);
+            }
+        }
+
+        fn col_streamed(&mut self, alpha: T, beta: T) {
+            let c = self.cfg;
+            for bj in 0..c.tile_cols() {
+                let xblock = self.x(tile_extent(bj, c.tm, c.m));
+                for bi in 0..c.tile_rows() {
+                    let mut yp = self.y_in(tile_extent(bi, c.tn, c.n));
+                    if bj == 0 {
+                        for v in yp.iter_mut() {
+                            *v *= beta;
+                        }
+                    }
+                    for ypi in yp.iter_mut() {
+                        let acc = self.row_dot(&xblock);
+                        *ypi = alpha.mul_add(acc, *ypi);
+                    }
+                    self.y_out(&yp);
+                }
+            }
+        }
+
+        fn trans_row_streamed(&mut self, alpha: T, beta: T) {
+            let c = self.cfg;
+            for bi in 0..c.tile_rows() {
+                let xblock = self.x(tile_extent(bi, c.tn, c.n));
+                for bj in 0..c.tile_cols() {
+                    let cols = tile_extent(bj, c.tm, c.m);
+                    let mut yp = self.y_in(cols);
+                    if bi == 0 {
+                        for v in yp.iter_mut() {
+                            *v *= beta;
+                        }
+                    }
+                    let mut tacc = vec![T::ZERO; cols];
+                    for xi in &xblock {
+                        for t in tacc.iter_mut() {
+                            *t = self.a().mul_add(*xi, *t);
+                        }
+                    }
+                    for (y, t) in yp.iter_mut().zip(&tacc) {
+                        *y = alpha.mul_add(*t, *y);
+                    }
+                    self.y_out(&yp);
+                }
+            }
+        }
+
+        fn trans_col_streamed(&mut self, alpha: T, beta: T) {
+            let c = self.cfg;
+            for bj in 0..c.tile_cols() {
+                let cols = tile_extent(bj, c.tm, c.m);
+                let mut acc = vec![T::ZERO; cols];
+                for bi in 0..c.tile_rows() {
+                    let xblock = self.x(tile_extent(bi, c.tn, c.n));
+                    for xi in &xblock {
+                        for a_j in acc.iter_mut() {
+                            *a_j = self.a().mul_add(*xi, *a_j);
+                        }
+                    }
+                }
+                let y0 = self.y_in(cols);
+                let y: Vec<T> = acc
+                    .iter()
+                    .zip(&y0)
+                    .map(|(acc, y0)| alpha.mul_add(*acc, beta * *y0))
+                    .collect();
+                self.y_out(&y);
+            }
+        }
+    }
+
+    const VARIANTS: [GemvVariant; 4] = [
+        GemvVariant::RowStreamed,
+        GemvVariant::ColStreamed,
+        GemvVariant::TransRowStreamed,
+        GemvVariant::TransColStreamed,
+    ];
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|e| e.to_f64().to_bits()).collect()
+    }
+
+    /// Operands whose magnitudes span several decades, so that the
+    /// reduction order and every rounding show in the bits.
+    fn operands<T: Scalar>(cfg: &Gemv) -> (Vec<T>, Vec<T>, Vec<T>) {
+        let cast = |v: Vec<f64>| {
+            v.into_iter()
+                .enumerate()
+                .map(|(i, e)| T::from_f64(e * 10f64.powi(i as i32 % 7 - 3)))
+                .collect::<Vec<T>>()
+        };
+        let a = cast(seq(cfg.n * cfg.m, 1.0));
+        (a, cast(seq(cfg.x_len(), 2.0)), cast(seq(cfg.y_len(), 3.0)))
+    }
+
+    /// Row segments that straddle the runs of the buffer they are read
+    /// from: one tile column streams `A` row-major, which a buffer
+    /// cursor walking 1 x 5 tiles visits in the same order but in runs
+    /// of five, so every row of the kernel is gathered.
+    fn check_straddling<T: Scalar>(n: usize, m: usize, w: usize) {
+        for variant in VARIANTS {
+            let cfg = Gemv::new(variant, n, m, 16, m, w);
+            let (a, x, y) = operands::<T>(&cfg);
+            let (alpha, beta) = (T::from_f64(0.9), T::from_f64(1.1));
+            let want = bits(&Elementwise::gemv(cfg, alpha, beta, &a, &x, &y));
+            let fine = Tiling::new(1, 5, TileOrder::RowTilesRowMajor);
+            assert_eq!(
+                fine.stream_indices(n, m),
+                cfg.a_tiling().stream_indices(n, m)
+            );
+            let mut got = y.clone();
+            let mut ports = Ports {
+                a: MatrixIn::Buffer(TiledReader::new(&a, n, m, fine)),
+                x: VectorIn::Buffer(Cycle::new(&x)),
+                y: YPort::InPlace {
+                    y: &mut got,
+                    rd: 0,
+                    wr: 0,
+                },
+            };
+            cfg.run(alpha, beta, &mut ports).unwrap();
+            assert_eq!(bits(&got), want, "{variant:?} {n}x{m}, W={w}");
+        }
+    }
+
+    #[test]
+    fn straddling_row_segments_match_the_elementwise_oracle() {
+        for (n, m, w) in [(40, 24, 4), (37, 29, 16)] {
+            check_straddling::<f32>(n, m, w);
+            check_straddling::<f64>(n, m, w);
+        }
     }
 
     #[test]

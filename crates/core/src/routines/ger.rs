@@ -97,7 +97,7 @@ impl Ger {
                 a: a.matrix("ger", cfg.n, cfg.m, cfg.a_tiling())?,
                 x: x.vector("ger", cfg.n)?,
                 y: y.vector("ger", cfg.m)?,
-                out: MatrixOut::Channel(ChunkWriter::new(&out)),
+                out: MatrixOut::channel(ChunkWriter::new(&out)),
             };
             cfg.run(alpha, &mut ports)
         });
@@ -142,6 +142,7 @@ impl Ger {
     }
 
     fn run<T: Scalar>(&self, alpha: T, ports: &mut Ports<'_, T>) -> Result<(), SimError> {
+        let mut scratch = Vec::new();
         for bi in 0..self.n.div_ceil(self.tn) {
             let rows = tile_extent(bi, self.tn, self.n);
             let xblock = ports.x.block(rows)?;
@@ -150,10 +151,10 @@ impl Ger {
                 let yblock = ports.y.block(cols)?;
                 for xi in &xblock {
                     let ax = alpha * *xi;
-                    for yj in &yblock {
-                        let a = ports.a.next()?;
-                        ports.out.push(ax.mul_add(*yj, a))?;
-                    }
+                    let a = ports.a.run(cols, &mut scratch)?;
+                    ports
+                        .out
+                        .run_mut(cols, |out| T::mul_add_to(out, &yblock, ax, a))?;
                 }
                 ports.out.end_tile()?;
             }
@@ -400,6 +401,19 @@ mod tests {
     }
 
     fn run_ger<T: Scalar>(cfg: Ger, alpha: T, a: &[T], x: &[T], y: &[T]) -> Vec<T> {
+        run_ger_fed(cfg, alpha, a, x, y, false)
+    }
+
+    /// [`run_ger`], with `A`, `x` and `y` read in place from their
+    /// buffers when `in_place` is set, as an admitted module reads them.
+    fn run_ger_fed<T: Scalar>(
+        cfg: Ger,
+        alpha: T,
+        a: &[T],
+        x: &[T],
+        y: &[T],
+        in_place: bool,
+    ) -> Vec<T> {
         let mut sim = Simulation::new();
         let a_buf = DeviceBuffer::from_vec("a", a.to_vec(), 0);
         let x_buf = DeviceBuffer::from_vec("x", x.to_vec(), 0);
@@ -409,10 +423,23 @@ mod tests {
         let (tx, rx) = channel(sim.ctx(), 64, "x");
         let (ty, ry) = channel(sim.ctx(), 64, "y");
         let (to, ro) = channel(sim.ctx(), 64, "out");
-        read_matrix(&mut sim, &a_buf, cfg.n, cfg.m, cfg.a_tiling(), ta, 1);
-        read_vector(&mut sim, &x_buf, tx);
-        read_vector_replayed(&mut sim, &y_buf, ty, cfg.y_repetitions());
-        cfg.attach(&mut sim, alpha, ra, rx, ry, to);
+        if in_place {
+            drop((ta, tx, ty));
+            let input = |buf: &DeviceBuffer<T>| Input::Buffer(buf.clone());
+            cfg.attach(
+                &mut sim,
+                alpha,
+                input(&a_buf),
+                input(&x_buf),
+                input(&y_buf),
+                to,
+            );
+        } else {
+            read_matrix(&mut sim, &a_buf, cfg.n, cfg.m, cfg.a_tiling(), ta, 1);
+            read_vector(&mut sim, &x_buf, tx);
+            read_vector_replayed(&mut sim, &y_buf, ty, cfg.y_repetitions());
+            cfg.attach(&mut sim, alpha, ra, rx, ry, to);
+        }
         write_matrix(&mut sim, &out, cfg.n, cfg.m, cfg.a_tiling(), ro);
         sim.run().unwrap();
         out.to_host()
@@ -438,27 +465,114 @@ mod tests {
         }
     }
 
-    fn check_replay<T: Scalar>(n: usize, m: usize, tn: usize, tm: usize) {
-        let cfg = Ger::new(n, m, tn, tm, 16);
-        let cast = |v: Vec<f64>| v.into_iter().map(T::from_f64).collect::<Vec<T>>();
-        let (a, x, y) = (cast(seq(n * m, 0.0)), cast(seq(n, 1.0)), cast(seq(m, 2.0)));
-        let alpha = T::from_f64(-1.7);
-        let threaded = run_ger(cfg, alpha, &a, &x, &y);
-        let mut replayed = vec![T::ZERO; n * m];
-        cfg.replay(alpha, &a, &x, &y, &mut replayed).unwrap();
-        let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&threaded),
-            bits(&replayed),
-            "n={n} m={m} tn={tn} tm={tm}"
-        );
-    }
-
     #[test]
     fn replay_is_bit_identical_to_the_threaded_module() {
-        for (n, m, tn, tm) in [(37, 53, 64, 64), (32, 48, 16, 16), (37, 53, 8, 20)] {
-            check_replay::<f32>(n, m, tn, tm);
-            check_replay::<f64>(n, m, tn, tm);
+        // 40 x 24 in 16 x 8 tiles has a short last tile row, and
+        // 37 x 29 leaves both edges ragged.
+        let mut shapes = vec![
+            (37, 53, 64, 64, 16),
+            (32, 48, 16, 16, 16),
+            (37, 53, 8, 20, 16),
+        ];
+        for w in [4, 16] {
+            shapes.extend([(40, 24, 16, 8, w), (37, 29, 16, 8, w)]);
+        }
+        for (n, m, tn, tm, w) in shapes {
+            check_replay::<f32>(n, m, tn, tm, w);
+            check_replay::<f64>(n, m, tn, tm, w);
+        }
+    }
+
+    /// GER as it stood when `A` was read and written one element at a
+    /// time, each lane its own scalar `mul_add`: the oracle that pins
+    /// the bits of the row-segment kernel. Returns the row-major result.
+    fn elementwise_ger<T: Scalar>(cfg: Ger, alpha: T, a: &[T], x: &[T], y: &[T]) -> Vec<T> {
+        let m = cfg.m;
+        let mut stream = cfg.a_tiling().stream_indices(cfg.n, m).into_iter();
+        let mut out = vec![T::ZERO; cfg.n * m];
+        for bi in 0..cfg.n.div_ceil(cfg.tn) {
+            let rows = tile_extent(bi, cfg.tn, cfg.n);
+            let xblock = &x[bi * cfg.tn..bi * cfg.tn + rows];
+            for bj in 0..m.div_ceil(cfg.tm) {
+                let cols = tile_extent(bj, cfg.tm, m);
+                let yblock = &y[bj * cfg.tm..bj * cfg.tm + cols];
+                for xi in xblock {
+                    let ax = alpha * *xi;
+                    for yj in yblock {
+                        let (r, c) = stream.next().expect("`A` stream exhausted");
+                        out[r * m + c] = ax.mul_add(*yj, a[r * m + c]);
+                    }
+                }
+            }
+        }
+        assert!(stream.next().is_none(), "the oracle left `A` unread");
+        out
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|e| e.to_f64().to_bits()).collect()
+    }
+
+    /// Operands whose magnitudes span several decades, so that every
+    /// rounding shows in the bits.
+    fn operands<T: Scalar>(n: usize, m: usize) -> (Vec<T>, Vec<T>, Vec<T>) {
+        let cast = |v: Vec<f64>| {
+            v.into_iter()
+                .enumerate()
+                .map(|(i, e)| T::from_f64(e * 10f64.powi(i as i32 % 7 - 3)))
+                .collect::<Vec<T>>()
+        };
+        (cast(seq(n * m, 0.0)), cast(seq(n, 1.0)), cast(seq(m, 2.0)))
+    }
+
+    /// Tile replay over buffers, the module fed by channels and the
+    /// module reading its operands in place must each match the
+    /// element-wise oracle bit for bit.
+    fn check_replay<T: Scalar>(n: usize, m: usize, tn: usize, tm: usize, w: usize) {
+        let cfg = Ger::new(n, m, tn, tm, w);
+        let (a, x, y) = operands::<T>(n, m);
+        let alpha = T::from_f64(-1.7);
+        let want = bits(&elementwise_ger(cfg, alpha, &a, &x, &y));
+        let what = format!("{n}x{m} in {tn}x{tm} tiles, W={w}");
+        let mut replayed = vec![T::ZERO; n * m];
+        cfg.replay(alpha, &a, &x, &y, &mut replayed).unwrap();
+        assert_eq!(bits(&replayed), want, "buffer: {what}");
+        let channel = run_ger_fed(cfg, alpha, &a, &x, &y, false);
+        assert_eq!(bits(&channel), want, "channel: {what}");
+        let in_place = run_ger_fed(cfg, alpha, &a, &x, &y, true);
+        assert_eq!(bits(&in_place), want, "in place: {what}");
+    }
+
+    /// Rows that straddle the runs of the buffers they are read from
+    /// and written to: one tile column streams `A` row-major, which
+    /// cursors walking 1 x 5 tiles visit in the same order but in runs
+    /// of five, so every row is gathered and scattered.
+    #[test]
+    fn straddling_rows_match_the_elementwise_oracle() {
+        fn check<T: Scalar>(n: usize, m: usize) {
+            let cfg = Ger::new(n, m, 16, m, 4);
+            let (a, x, y) = operands::<T>(n, m);
+            let alpha = T::from_f64(0.9);
+            let want = bits(&elementwise_ger(cfg, alpha, &a, &x, &y));
+            let fine = Tiling::new(1, 5, TileOrder::RowTilesRowMajor);
+            assert_eq!(
+                fine.stream_indices(n, m),
+                cfg.a_tiling().stream_indices(n, m)
+            );
+            let mut got = vec![T::ZERO; n * m];
+            let mut ports = Ports {
+                a: MatrixIn::Buffer(TiledReader::new(&a, n, m, fine)),
+                x: VectorIn::Buffer(Cycle::new(&x)),
+                y: VectorIn::Buffer(Cycle::new(&y)),
+                out: MatrixOut::Buffer(TiledWriter::new(&mut got, n, m, fine)),
+            };
+            cfg.run(alpha, &mut ports).unwrap();
+            drop(ports);
+            assert_eq!(bits(&got), want, "{n}x{m}");
+        }
+        for (n, m) in [(40, 24), (37, 29)] {
+            check::<f32>(n, m);
+            check::<f64>(n, m);
         }
     }
 

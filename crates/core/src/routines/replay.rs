@@ -1,15 +1,18 @@
 //! The operand streams of the Level-2 kernels.
 //!
-//! A GEMV or GER kernel pulls its matrix element by element in tile
-//! order and its vectors block by block, replaying them as the tiling
-//! demands. Each stream comes from one of two places: a FIFO fed by
-//! another module, or an operand buffer read in place through the
-//! cursors below ([`TiledReader`], [`Cycle`]), which visit exactly the
-//! elements an interface reader would have streamed, in the same
-//! order. The threaded module, a module that reads its DRAM operands in
-//! place, and tile replay on the calling thread all run one kernel
-//! through these ports, so the arithmetic — and every result bit — is
-//! the kernel's alone.
+//! A GEMV or GER kernel pulls its matrix a row segment at a time in
+//! tile order — the `W`-lane rows the modelled datapath streams — and
+//! its vectors block by block, replaying them as the tiling demands.
+//! Each stream comes from one of two places: a FIFO fed by another
+//! module, or an operand buffer read in place through the cursors
+//! below ([`TiledReader`], [`Cycle`]), which visit exactly the elements
+//! an interface reader would have streamed, in the same order. A row
+//! segment of a buffer is handed out in place; one from a FIFO, or one
+//! that straddles the buffer's runs, is gathered into scratch space.
+//! The threaded module, a module that reads its DRAM operands in place,
+//! and tile replay on the calling thread all run one kernel through
+//! these ports, so the arithmetic — and every result bit — is the
+//! kernel's alone.
 
 use std::ops::Range;
 
@@ -99,20 +102,34 @@ fn sized(module: &str, what: &str, got: usize, want: usize) -> Result<(), SimErr
     ))
 }
 
-/// A matrix input, element by element in tile order.
+/// A matrix input, a run of elements at a time in tile order.
 pub(crate) enum MatrixIn<'a, T: Send + 'static> {
     Channel(ChunkReader<'a, T>),
     Buffer(TiledReader<'a, T>),
 }
 
 impl<T: Copy + Send + 'static> MatrixIn<'_, T> {
-    /// Next element in stream order.
+    /// The next `len` elements in stream order: in place when they lie
+    /// in one run of a buffer, gathered into `scratch` otherwise.
     #[inline]
-    pub(crate) fn next(&mut self) -> Result<T, SimError> {
+    pub(crate) fn run<'s>(
+        &'s mut self,
+        len: usize,
+        scratch: &'s mut Vec<T>,
+    ) -> Result<&'s [T], SimError> {
+        scratch.clear();
         match self {
-            MatrixIn::Channel(rd) => rd.next(),
-            MatrixIn::Buffer(rd) => rd.next(),
+            MatrixIn::Channel(rd) => rd.read_into(scratch, len)?,
+            MatrixIn::Buffer(rd) => {
+                if let Some(run) = rd.run(len) {
+                    return Ok(run);
+                }
+                for _ in 0..len {
+                    scratch.push(rd.next()?);
+                }
+            }
         }
+        Ok(scratch)
     }
 }
 
@@ -132,19 +149,49 @@ impl<T: Copy + Send + 'static> VectorIn<'_, T> {
     }
 }
 
-/// A matrix output, element by element in tile order.
+/// A matrix output, a run of elements at a time in tile order.
 pub(crate) enum MatrixOut<'a, T: Send + 'static> {
-    Channel(ChunkWriter<'a, T>),
+    Channel {
+        wr: ChunkWriter<'a, T>,
+        scratch: Vec<T>,
+    },
     Buffer(TiledWriter<'a, T>),
 }
 
-impl<T: Send + 'static> MatrixOut<'_, T> {
-    /// Store the next element in stream order.
+impl<'a, T: Copy + Default + Send + 'static> MatrixOut<'a, T> {
+    /// An output streamed to a channel.
+    pub(crate) fn channel(wr: ChunkWriter<'a, T>) -> Self {
+        MatrixOut::Channel {
+            wr,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Store the next `len` elements in stream order, which `fill`
+    /// writes: in place when they lie in one run of a buffer, through
+    /// scratch space otherwise.
     #[inline]
-    pub(crate) fn push(&mut self, v: T) -> Result<(), SimError> {
+    pub(crate) fn run_mut(
+        &mut self,
+        len: usize,
+        fill: impl FnOnce(&mut [T]),
+    ) -> Result<(), SimError> {
         match self {
-            MatrixOut::Channel(wr) => wr.push(v),
-            MatrixOut::Buffer(wr) => wr.push(v),
+            MatrixOut::Channel { wr, scratch } => {
+                scratch.clear();
+                scratch.resize(len, T::default());
+                fill(scratch);
+                wr.push_slice(scratch)
+            }
+            MatrixOut::Buffer(wr) => {
+                if let Some(run) = wr.run_mut(len) {
+                    fill(run);
+                    return Ok(());
+                }
+                let mut run = vec![T::default(); len];
+                fill(&mut run);
+                run.into_iter().try_for_each(|v| wr.push(v))
+            }
         }
     }
 
@@ -152,7 +199,7 @@ impl<T: Send + 'static> MatrixOut<'_, T> {
     /// in its buffer across the next blocking vector read.
     pub(crate) fn end_tile(&mut self) -> Result<(), SimError> {
         match self {
-            MatrixOut::Channel(wr) => wr.flush(),
+            MatrixOut::Channel { wr, .. } => wr.flush(),
             MatrixOut::Buffer(_) => Ok(()),
         }
     }
@@ -177,6 +224,19 @@ impl<'a, T: Copy> TiledReader<'a, T> {
             segs: Box::new(tiling.segments(n, m)),
             cur: &[],
         }
+    }
+
+    /// The next `len` elements in stream order, if they lie in one run.
+    /// `None` consumes nothing.
+    #[inline]
+    pub(crate) fn run(&mut self, len: usize) -> Option<&'a [T]> {
+        if self.cur.is_empty() {
+            self.cur = &self.data[self.segs.next()?.range()];
+        }
+        let cur = self.cur;
+        let (run, rest) = cur.split_at_checked(len)?;
+        self.cur = rest;
+        Some(run)
     }
 
     /// Next element in stream order.
@@ -208,6 +268,21 @@ impl<'a, T> TiledWriter<'a, T> {
             segs: Box::new(tiling.segments(n, m)),
             cur: 0..0,
         }
+    }
+
+    /// The next `len` elements in stream order, if they lie in one run.
+    /// `None` consumes nothing.
+    #[inline]
+    pub(crate) fn run_mut(&mut self, len: usize) -> Option<&mut [T]> {
+        if self.cur.is_empty() {
+            self.cur = self.segs.next()?.range();
+        }
+        if self.cur.len() < len {
+            return None;
+        }
+        let start = self.cur.start;
+        self.cur.start += len;
+        Some(&mut self.data[start..start + len])
     }
 
     /// Store the next element in stream order.
@@ -250,5 +325,44 @@ impl<'a, T: Copy> Cycle<'a, T> {
             .to_vec();
         self.pos = (self.pos + len) % self.data.len().max(1);
         Ok(block)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tiling::TileOrder;
+
+    /// Runs of every length, in place or straddling the tiling's runs,
+    /// read and written through the ports, visit exactly the stream
+    /// order.
+    #[test]
+    fn runs_of_any_length_follow_the_stream_order() {
+        let (n, m) = (7, 11);
+        let data: Vec<usize> = (0..n * m).collect();
+        for order in [TileOrder::RowTilesRowMajor, TileOrder::ColTilesRowMajor] {
+            let tiling = Tiling::new(3, 4, order);
+            let want: Vec<usize> = tiling
+                .stream_indices(n, m)
+                .into_iter()
+                .map(|(r, c)| r * m + c)
+                .collect();
+            for len in 1..=9 {
+                let mut rd = MatrixIn::Buffer(TiledReader::new(&data, n, m, tiling));
+                let mut out = vec![0; n * m];
+                let mut wr = MatrixOut::Buffer(TiledWriter::new(&mut out, n, m, tiling));
+                let (mut seen, mut scratch) = (Vec::new(), Vec::new());
+                while seen.len() < n * m {
+                    let len = len.min(n * m - seen.len());
+                    let run = rd.run(len, &mut scratch).unwrap();
+                    wr.run_mut(len, |dst| dst.copy_from_slice(run)).unwrap();
+                    seen.extend_from_slice(run);
+                }
+                assert!(rd.run(1, &mut scratch).is_err(), "{order:?} len {len}");
+                drop(wr);
+                assert_eq!(seen, want, "{order:?} len {len}");
+                assert_eq!(out, data, "{order:?} len {len}");
+            }
+        }
     }
 }

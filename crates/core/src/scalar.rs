@@ -54,6 +54,86 @@ pub trait Scalar:
     fn to_f64(self) -> f64;
     /// Copysign.
     fn copysign(self, sign: Self) -> Self;
+
+    /// `acc[j] = a[j]·x + acc[j]` for every lane `j`, each one
+    /// [`mul_add`](Self::mul_add): the `W` MAC lanes of a transposed
+    /// GEMV row. The slices must have equal lengths.
+    fn mul_add_assign(acc: &mut [Self], a: &[Self], x: Self) {
+        fma::assign(acc, a, x)
+    }
+
+    /// `out[j] = y[j]·s + a[j]` for every lane `j`, each one
+    /// [`mul_add`](Self::mul_add): the `W` MAC lanes of a GER row. The
+    /// slices must have equal lengths.
+    fn mul_add_to(out: &mut [Self], y: &[Self], s: Self, a: &[Self]) {
+        fma::to(out, y, s, a)
+    }
+}
+
+/// The slice primitives behind [`Scalar::mul_add_assign`] and
+/// [`Scalar::mul_add_to`].
+///
+/// A fused multiply-add rounds once, correctly, however it is computed,
+/// so the loops give the same bits on every path. Without the `fma`
+/// target feature at compile time, though, each `mul_add` is a call
+/// into libm that never vectorises. On x86-64 a CPU that has FMA
+/// therefore runs a copy of the loop compiled with the feature
+/// enabled, where it becomes packed `vfmadd` instructions; any other
+/// CPU runs the plain loop.
+mod fma {
+    use super::Scalar;
+
+    #[inline]
+    pub(super) fn assign<T: Scalar>(acc: &mut [T], a: &[T], x: T) {
+        debug_assert_eq!(acc.len(), a.len());
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: `assign_fma` differs from `assign_loop` only in
+            // enabling the `fma` target feature, and the detection just
+            // above found that feature on the running CPU.
+            return unsafe { assign_fma(acc, a, x) };
+        }
+        assign_loop(acc, a, x)
+    }
+
+    #[inline]
+    pub(super) fn to<T: Scalar>(out: &mut [T], y: &[T], s: T, a: &[T]) {
+        debug_assert!(out.len() == y.len() && out.len() == a.len());
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: `to_fma` differs from `to_loop` only in enabling
+            // the `fma` target feature, and the detection just above
+            // found that feature on the running CPU.
+            return unsafe { to_fma(out, y, s, a) };
+        }
+        to_loop(out, y, s, a)
+    }
+
+    #[inline(always)]
+    fn assign_loop<T: Scalar>(acc: &mut [T], a: &[T], x: T) {
+        for (t, &a) in acc.iter_mut().zip(a) {
+            *t = a.mul_add(x, *t);
+        }
+    }
+
+    #[inline(always)]
+    fn to_loop<T: Scalar>(out: &mut [T], y: &[T], s: T, a: &[T]) {
+        for ((o, &y), &a) in out.iter_mut().zip(y).zip(a) {
+            *o = y.mul_add(s, a);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "fma")]
+    fn assign_fma<T: Scalar>(acc: &mut [T], a: &[T], x: T) {
+        assign_loop(acc, a, x)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "fma")]
+    fn to_fma<T: Scalar>(out: &mut [T], y: &[T], s: T, a: &[T]) {
+        to_loop(out, y, s, a)
+    }
 }
 
 impl Scalar for f32 {
@@ -159,6 +239,43 @@ pub fn tree_sum<T: Scalar>(values: &[T]) -> T {
             tree_sum(&values[..mid]) + tree_sum(&values[mid..])
         }
     }
+}
+
+/// [`tree_sum`] of the lane products `a[i]·x[i]`: one `W`-wide chunk of
+/// a dot product, reduced as the circuit's adder tree reduces it. Each
+/// product is rounded before it is added, exactly as when the products
+/// are collected first. Power-of-two widths up to 64 (the usual `W`)
+/// take a fully unrolled path; the slices must have equal lengths.
+pub fn tree_dot<T: Scalar>(a: &[T], x: &[T]) -> T {
+    /// The flat tree of [`tree_sum`], at a width known to the compiler.
+    fn flat<T: Scalar, const W: usize>(a: &[T], x: &[T]) -> Option<T> {
+        let (a, x): (&[T; W], &[T; W]) = (a.try_into().ok()?, x.try_into().ok()?);
+        let mut level = [T::ZERO; W];
+        for i in 0..W / 2 {
+            level[i] = a[2 * i] * x[2 * i] + a[2 * i + 1] * x[2 * i + 1];
+        }
+        let mut len = W / 2;
+        while len > 1 {
+            len /= 2;
+            for i in 0..len {
+                level[i] = level[2 * i] + level[2 * i + 1];
+            }
+        }
+        Some(level[0])
+    }
+    let unrolled = match a.len() {
+        2 => flat::<T, 2>(a, x),
+        4 => flat::<T, 4>(a, x),
+        8 => flat::<T, 8>(a, x),
+        16 => flat::<T, 16>(a, x),
+        32 => flat::<T, 32>(a, x),
+        64 => flat::<T, 64>(a, x),
+        _ => None,
+    };
+    unrolled.unwrap_or_else(|| {
+        let products: Vec<T> = a.iter().zip(x).map(|(a, x)| *a * *x).collect();
+        tree_sum(&products)
+    })
 }
 
 /// Running accumulator with the dependence structure of the synthesized
@@ -327,6 +444,84 @@ mod tests {
                     sum_bits(recursive_tree_sum(&v32)),
                     "f32 n={n} seed={seed}: {v32:?}"
                 );
+            }
+        }
+    }
+
+    /// The slice primitives against the scalar `mul_add` loop, bit for
+    /// bit, in both precisions: seeded operands of every length up to a
+    /// few vector widths, with ±0, subnormals, ±inf and NaN among the
+    /// lanes and as the broadcast factor.
+    #[test]
+    fn slice_fma_primitives_match_the_scalar_mul_add_loop() {
+        fn check<T: Scalar>(seed: u64, n: usize, tiny: f64) {
+            let cast = |v: Vec<f64>| v.into_iter().map(T::from_f64).collect::<Vec<T>>();
+            let specials = [
+                0.0,
+                -0.0,
+                tiny,
+                -tiny,
+                f64::INFINITY,
+                -f64::INFINITY,
+                f64::NAN,
+            ];
+            let lanes = |k: u64| {
+                let mut v = awkward_values(seed * 3 + k, n, tiny);
+                // Plant the specials at seeded lanes.
+                for (i, sp) in specials.iter().enumerate() {
+                    if n > 0 && (seed + k + i as u64).is_multiple_of(3) {
+                        v[(seed as usize * 7 + i * 5) % n] = *sp;
+                    }
+                }
+                cast(v)
+            };
+            let (a, b, c) = (lanes(0), lanes(1), lanes(2));
+            let factors = cast(specials.iter().copied().chain([1.5, -3.25e-3]).collect());
+            let bits = |v: &[T]| v.iter().map(|e| sum_bits(*e)).collect::<Vec<_>>();
+            for &x in &factors {
+                let mut got = a.clone();
+                T::mul_add_assign(&mut got, &b, x);
+                let want: Vec<T> = a.iter().zip(&b).map(|(t, b)| b.mul_add(x, *t)).collect();
+                assert_eq!(bits(&got), bits(&want), "assign n={n} seed={seed} x={x}");
+
+                let mut got = vec![T::ZERO; n];
+                T::mul_add_to(&mut got, &b, x, &c);
+                let want: Vec<T> = b.iter().zip(&c).map(|(y, a)| y.mul_add(x, *a)).collect();
+                assert_eq!(bits(&got), bits(&want), "to n={n} seed={seed} s={x}");
+            }
+        }
+        for n in 0..=40 {
+            for seed in 0..12u64 {
+                check::<f64>(seed, n, 1e-310);
+                check::<f32>(seed, n, 1e-40);
+            }
+        }
+    }
+
+    #[test]
+    fn tree_dot_is_bit_identical_to_the_tree_sum_of_products() {
+        fn check<T: Scalar>(a: &[T], x: &[T], what: &str) {
+            let products: Vec<T> = a.iter().zip(x).map(|(a, x)| *a * *x).collect();
+            assert_eq!(
+                sum_bits(tree_dot(a, x)),
+                sum_bits(tree_sum(&products)),
+                "{what}"
+            );
+        }
+        for n in 0..=70 {
+            for seed in 0..20u64 {
+                let seed = seed * 71 + n as u64;
+                let (a, x) = (
+                    awkward_values(seed, n, 1e-310),
+                    awkward_values(!seed, n, 1e-310),
+                );
+                check(&a, &x, &format!("f64 n={n} seed={seed}"));
+                let cast = |v: Vec<f64>| v.into_iter().map(|v| v as f32).collect::<Vec<f32>>();
+                let (a, x) = (
+                    cast(awkward_values(seed, n, 1e-40)),
+                    cast(awkward_values(!seed, n, 1e-40)),
+                );
+                check(&a, &x, &format!("f32 n={n} seed={seed}"));
             }
         }
     }

@@ -17,14 +17,11 @@ fn current(name: &str) -> Option<String> {
 }
 
 fn print_list() {
-    println!("| variable | meaning | default | read | current |");
-    println!("|---|---|---|---|---|");
+    println!("| variable | meaning | default | current |");
+    println!("|---|---|---|---|");
     for k in KNOBS {
         let cur = current(k.name).unwrap_or_else(|| "(unset)".to_string());
-        println!(
-            "| `{}` | {} | {} | per {} | {} |",
-            k.name, k.meaning, k.default, k.cadence, cur
-        );
+        println!("| `{}` | {} | {} | {} |", k.name, k.meaning, k.default, cur);
     }
 }
 
@@ -36,7 +33,6 @@ fn print_json() {
                 ("name".to_string(), Value::Str(k.name.to_string())),
                 ("meaning".to_string(), Value::Str(k.meaning.to_string())),
                 ("default".to_string(), Value::Str(k.default.to_string())),
-                ("cadence".to_string(), Value::Str(k.cadence.to_string())),
                 (
                     "current".to_string(),
                     match current(k.name) {

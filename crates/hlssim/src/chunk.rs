@@ -109,6 +109,26 @@ impl<'a, T: Copy + Send + 'static> ChunkReader<'a, T> {
         self.pos += 1;
         Ok(v)
     }
+
+    /// Append the next `n` elements to `out`, copying whole runs of the
+    /// local buffer. It refills exactly where `n` calls to
+    /// [`next`](Self::next) would, so the channel sees the same
+    /// transfers.
+    pub fn read_into(&mut self, out: &mut Vec<T>, n: usize) -> Result<(), SimError> {
+        let mut left = n;
+        while left > 0 {
+            if self.pos == self.buf.len() {
+                self.buf.clear();
+                self.pos = 0;
+                self.rx.pop_chunk(&mut self.buf, self.chunk)?;
+            }
+            let take = (self.buf.len() - self.pos).min(left);
+            out.extend_from_slice(&self.buf[self.pos..self.pos + take]);
+            self.pos += take;
+            left -= take;
+        }
+        Ok(())
+    }
 }
 
 /// Element-at-a-time writer that flushes to the channel in chunks.
@@ -143,6 +163,24 @@ impl<'a, T: Send + 'static> ChunkWriter<'a, T> {
         self.buf.push(value);
         if self.buf.len() >= self.chunk {
             self.tx.push_chunk(&mut self.buf)?;
+        }
+        Ok(())
+    }
+
+    /// Buffer `values` in order, pushing each chunk as it fills: the
+    /// same transfers as pushing them one by one.
+    pub fn push_slice(&mut self, values: &[T]) -> Result<(), SimError>
+    where
+        T: Copy,
+    {
+        let mut rest = values;
+        while !rest.is_empty() {
+            let take = self.chunk.saturating_sub(self.buf.len()).min(rest.len());
+            self.buf.extend_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            if self.buf.len() >= self.chunk {
+                self.tx.push_chunk(&mut self.buf)?;
+            }
         }
         Ok(())
     }
@@ -229,6 +267,45 @@ mod tests {
         assert_eq!(reader.next().unwrap(), 1);
         assert_eq!(reader.next().unwrap(), 2);
         assert!(matches!(reader.next(), Err(SimError::Disconnected { .. })));
+    }
+
+    #[test]
+    fn bulk_reads_yield_the_exact_element_sequence() {
+        let ctx = SimContext::new();
+        let (tx, rx) = channel::<u32>(&ctx, 8, "ch_bulk");
+        thread::scope(|s| {
+            s.spawn(move || tx.push_iter(0..1000).unwrap());
+            let mut reader = ChunkReader::with_chunk(&rx, 7);
+            let mut got = Vec::new();
+            // Runs shorter and longer than the chunk, mixed with
+            // element reads.
+            for n in (0..).map(|k| k % 19) {
+                if got.len() + n > 999 {
+                    break;
+                }
+                reader.read_into(&mut got, n).unwrap();
+                got.push(reader.next().unwrap());
+            }
+            let left = 1000 - got.len();
+            reader.read_into(&mut got, left).unwrap();
+            assert_eq!(got, (0..1000).collect::<Vec<_>>());
+        });
+    }
+
+    #[test]
+    fn bulk_writes_push_the_same_chunks() {
+        let ctx = SimContext::new();
+        let (tx, rx) = channel::<u32>(&ctx, 64, "ch_bulk_w");
+        let mut writer = ChunkWriter::with_chunk(&tx, 4);
+        writer.push(0).unwrap();
+        writer.push_slice(&[1, 2, 3, 4, 5, 6, 7, 8, 9]).unwrap();
+        // Two full chunks of 4 are visible; the tail of 2 is buffered.
+        let mut got = Vec::new();
+        rx.pop_chunk(&mut got, 64).unwrap();
+        assert_eq!(got, (0..8).collect::<Vec<_>>());
+        writer.flush().unwrap();
+        rx.pop_chunk(&mut got, 64).unwrap();
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

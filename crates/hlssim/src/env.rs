@@ -31,8 +31,9 @@
 //! | `FBLAS_SERVE_DRAIN_MS` | graceful-drain timeout, ms | 5000 |
 //! | `FBLAS_SERVE_WRITE_MS` | response write timeout before dropping a non-reading client, ms | 2000 |
 //!
-//! Every knob is re-read on every call, so benchmarks can sweep the
-//! chunk size in-process; only the invalid-value *warning* is
+//! Every knob is read on every call, never cached, so benchmarks and
+//! harnesses can sweep a knob in-process (chunk sizes, backends, chaos
+//! seeds, worker counts); only the invalid-value *warning* is
 //! deduplicated. The parse functions themselves stay pure and are
 //! exercised directly by tests.
 
@@ -55,9 +56,6 @@ pub struct KnobSpec {
     pub meaning: &'static str,
     /// Default rendered as the reader falls back to it.
     pub default: &'static str,
-    /// When the variable is (re-)read: `"process"` (cached once) or
-    /// `"call"` (re-read every call, sweepable in-process).
-    pub cadence: &'static str,
 }
 
 /// The authoritative table of every `FBLAS_*` knob the workspace
@@ -68,103 +66,86 @@ pub const KNOBS: &[KnobSpec] = &[
         name: "FBLAS_CHUNK",
         meaning: "elements per batched channel transfer",
         default: "256",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_BACKEND",
         meaning: "execution backend: threaded, or fused (fuse when legal)",
         default: "fused",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_CHAOS_SEED",
         meaning: "seed for deterministic chaos fault plans",
         default: "unset (no fault plan)",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_RETRY_MAX",
         meaning: "recovery attempts per component",
         default: "3",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_METRICS",
         meaning: "arm the global telemetry registry (1/true/on)",
         default: "0 (disarmed)",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_METRICS_SHARDS",
         meaning: "writer shards per metric (rounded up to a power of 2)",
         default: "8",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_FLIGHT",
         meaning: "arm the flight recorder (1/true/on; implies FBLAS_METRICS)",
         default: "0 (disarmed)",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_FLIGHT_HZ",
         meaning: "flight-recorder sampling cadence, frames/sec (1..=1000)",
         default: "50",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_FLIGHT_WINDOW",
         meaning: "flight-recorder ring window, seconds",
         default: "10",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_FLIGHT_DIR",
         meaning: "directory postmortem bundles are written to",
         default: "unset (bundles stay in-memory)",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_SERVE_ADDR",
         meaning: "fblas-serve listen address (host:port)",
         default: "127.0.0.1:8377",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_SERVE_WORKERS",
         meaning: "fblas-serve execution worker threads",
         default: "4",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_SERVE_QUEUE",
         meaning: "fblas-serve admission queue depth before shedding",
         default: "64",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_SERVE_TENANT_QPS",
         meaning: "fblas-serve per-tenant token-bucket refill, requests/sec",
         default: "50",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_SERVE_BREAKER",
         meaning: "fblas-serve consecutive plan-shape failures that open the breaker",
         default: "3",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_SERVE_DRAIN_MS",
         meaning: "fblas-serve graceful-drain timeout for in-flight requests, ms",
         default: "5000",
-        cadence: "call",
     },
     KnobSpec {
         name: "FBLAS_SERVE_WRITE_MS",
         meaning: "fblas-serve response write timeout before a non-reading client is dropped, ms",
         default: "2000",
-        cadence: "call",
     },
 ];
 
@@ -230,9 +211,7 @@ fn parses_positive_u64(raw: &str) -> bool {
 }
 
 /// The batched-transfer chunk size: `FBLAS_CHUNK` if valid, else
-/// [`crate::DEFAULT_CHUNK`]. Re-read from the environment on **every call**
-/// (benchmarks sweep chunk sizes within one process); only the
-/// invalid-value warning is one-time.
+/// [`crate::DEFAULT_CHUNK`].
 pub fn chunk() -> usize {
     read_knob("FBLAS_CHUNK", "256", parse_chunk, |raw| {
         raw.trim().parse::<usize>().map(|v| v >= 1).unwrap_or(false)
@@ -241,8 +220,7 @@ pub fn chunk() -> usize {
 
 /// The execution backend selector: `FBLAS_BACKEND` as `"threaded"` or
 /// `"fused"` (the default — fuse legally fusable regions, keep
-/// everything else threaded). Re-read on every call so benchmarks can
-/// sweep backends in-process. The simulator itself only reports this
+/// everything else threaded). The simulator itself only reports this
 /// knob; `fblas-core`'s plan executor interprets it.
 pub fn backend() -> &'static str {
     read_knob(
@@ -257,8 +235,7 @@ pub fn backend() -> &'static str {
 }
 
 /// The chaos seed: `FBLAS_CHAOS_SEED` as a u64, `None` when unset or
-/// invalid. Re-read on every call so harnesses can run several seeded
-/// sweeps in one process.
+/// invalid.
 pub fn chaos_seed() -> Option<u64> {
     read_knob(
         "FBLAS_CHAOS_SEED",
@@ -269,7 +246,7 @@ pub fn chaos_seed() -> Option<u64> {
 }
 
 /// Maximum recovery attempts per component: `FBLAS_RETRY_MAX` if a
-/// positive integer, else [`DEFAULT_RETRY_MAX`]. Re-read on every call.
+/// positive integer, else [`DEFAULT_RETRY_MAX`].
 pub fn retry_max() -> u32 {
     read_knob(
         "FBLAS_RETRY_MAX",
@@ -284,7 +261,7 @@ pub fn retry_max() -> u32 {
 }
 
 /// Whether `FBLAS_METRICS` asks for the telemetry registry to be armed:
-/// `1`, `true`, or `on` (trimmed). Re-read on every call.
+/// `1`, `true`, or `on` (trimmed).
 pub fn metrics_enabled() -> bool {
     read_knob(
         "FBLAS_METRICS",
@@ -295,7 +272,7 @@ pub fn metrics_enabled() -> bool {
 }
 
 /// Writer shards per metric: `FBLAS_METRICS_SHARDS` if a positive
-/// integer, else [`fblas_metrics::DEFAULT_SHARDS`]. Re-read every call.
+/// integer, else [`fblas_metrics::DEFAULT_SHARDS`].
 pub fn metrics_shards() -> usize {
     read_knob(
         "FBLAS_METRICS_SHARDS",
@@ -310,7 +287,7 @@ pub fn metrics_shards() -> usize {
 }
 
 /// Whether `FBLAS_FLIGHT` asks for the flight recorder to be armed:
-/// `1`, `true`, or `on` (trimmed). Re-read on every call.
+/// `1`, `true`, or `on` (trimmed).
 pub fn flight_enabled() -> bool {
     read_knob(
         "FBLAS_FLIGHT",
@@ -322,7 +299,7 @@ pub fn flight_enabled() -> bool {
 
 /// Flight-recorder sampling cadence in frames/sec: `FBLAS_FLIGHT_HZ`
 /// if a positive integer (clamped to 1000), else
-/// [`fblas_metrics::flight::DEFAULT_FLIGHT_HZ`]. Re-read every call.
+/// [`fblas_metrics::flight::DEFAULT_FLIGHT_HZ`].
 pub fn flight_hz() -> u32 {
     read_knob(
         "FBLAS_FLIGHT_HZ",
@@ -339,7 +316,7 @@ pub fn flight_hz() -> u32 {
 
 /// Flight-recorder ring window in seconds: `FBLAS_FLIGHT_WINDOW` if a
 /// positive integer, else
-/// [`fblas_metrics::flight::DEFAULT_FLIGHT_WINDOW_S`]. Re-read every call.
+/// [`fblas_metrics::flight::DEFAULT_FLIGHT_WINDOW_S`].
 pub fn flight_window_s() -> u32 {
     read_knob(
         "FBLAS_FLIGHT_WINDOW",
@@ -355,7 +332,7 @@ pub fn flight_window_s() -> u32 {
 
 /// Directory postmortem bundles are written to: `FBLAS_FLIGHT_DIR` when
 /// set and non-empty, else `None` (bundles stay in-memory, reachable
-/// via `fblas_metrics::flight::last_bundle`). Re-read every call.
+/// via `fblas_metrics::flight::last_bundle`).
 pub fn flight_dir() -> Option<std::path::PathBuf> {
     read_knob(
         "FBLAS_FLIGHT_DIR",
@@ -386,7 +363,7 @@ pub const DEFAULT_SERVE_DRAIN_MS: u64 = 5000;
 pub const DEFAULT_SERVE_WRITE_MS: u64 = 2000;
 
 /// fblas-serve listen address: `FBLAS_SERVE_ADDR` when set and shaped
-/// like `host:port`, else [`DEFAULT_SERVE_ADDR`]. Re-read every call.
+/// like `host:port`, else [`DEFAULT_SERVE_ADDR`].
 pub fn serve_addr() -> String {
     fn valid(raw: &str) -> bool {
         let t = raw.trim();
@@ -407,8 +384,7 @@ pub fn serve_addr() -> String {
 }
 
 /// fblas-serve worker threads: `FBLAS_SERVE_WORKERS` if a positive
-/// integer (clamped to 256), else [`DEFAULT_SERVE_WORKERS`]. Re-read
-/// every call so benches can sweep worker counts in-process.
+/// integer (clamped to 256), else [`DEFAULT_SERVE_WORKERS`].
 pub fn serve_workers() -> usize {
     read_knob(
         "FBLAS_SERVE_WORKERS",
@@ -425,7 +401,7 @@ pub fn serve_workers() -> usize {
 
 /// fblas-serve admission queue depth: `FBLAS_SERVE_QUEUE` if a positive
 /// integer, else [`DEFAULT_SERVE_QUEUE`]. A full queue sheds with a
-/// structured over-capacity response. Re-read every call.
+/// structured over-capacity response.
 pub fn serve_queue() -> usize {
     read_knob(
         "FBLAS_SERVE_QUEUE",
@@ -441,7 +417,7 @@ pub fn serve_queue() -> usize {
 
 /// Per-tenant token-bucket refill rate in requests/sec:
 /// `FBLAS_SERVE_TENANT_QPS` if a positive integer, else
-/// [`DEFAULT_SERVE_TENANT_QPS`]. Re-read every call.
+/// [`DEFAULT_SERVE_TENANT_QPS`].
 pub fn serve_tenant_qps() -> u32 {
     read_knob(
         "FBLAS_SERVE_TENANT_QPS",
@@ -457,7 +433,7 @@ pub fn serve_tenant_qps() -> u32 {
 
 /// Consecutive failures of one plan shape that open its circuit
 /// breaker: `FBLAS_SERVE_BREAKER` if a positive integer, else
-/// [`DEFAULT_SERVE_BREAKER`]. Re-read every call.
+/// [`DEFAULT_SERVE_BREAKER`].
 pub fn serve_breaker() -> u32 {
     read_knob(
         "FBLAS_SERVE_BREAKER",
@@ -473,7 +449,7 @@ pub fn serve_breaker() -> u32 {
 
 /// Graceful-drain timeout for in-flight requests:
 /// `FBLAS_SERVE_DRAIN_MS` if a positive integer of milliseconds, else
-/// [`DEFAULT_SERVE_DRAIN_MS`]. Re-read every call.
+/// [`DEFAULT_SERVE_DRAIN_MS`].
 pub fn serve_drain() -> Duration {
     read_knob(
         "FBLAS_SERVE_DRAIN_MS",
@@ -491,7 +467,7 @@ pub fn serve_drain() -> Duration {
 
 /// Response write timeout before fblas-serve drops a client that has
 /// stopped reading: `FBLAS_SERVE_WRITE_MS` if a positive integer of
-/// milliseconds, else [`DEFAULT_SERVE_WRITE_MS`]. Re-read every call.
+/// milliseconds, else [`DEFAULT_SERVE_WRITE_MS`].
 pub fn serve_write_timeout() -> Duration {
     read_knob(
         "FBLAS_SERVE_WRITE_MS",
@@ -787,7 +763,6 @@ mod tests {
         for k in KNOBS {
             assert!(k.name.starts_with("FBLAS_"), "{}", k.name);
             assert!(!k.meaning.is_empty() && !k.default.is_empty());
-            assert!(matches!(k.cadence, "process" | "call"), "{}", k.cadence);
         }
     }
 }
