@@ -17,14 +17,16 @@ cargo build --release
 step "cargo test -q"
 timeout -k 10 900 cargo test -q
 
-step "core unit tests and backend differential, release build"
+step "core unit tests, backend differential and chaos recovery, release build"
 # The Level-2 kernels' arithmetic and the FMA dispatch (the only
 # `unsafe` in crates/) are compiled as shipped here: the row-segment
 # kernels against their element-wise oracles, the slice FMA primitives
 # against the scalar loop, and every seeded program bit for bit
-# against the threaded backend.
+# against the threaded backend. Armed and retried components run
+# through the same unit loop as optimised code too.
 timeout -k 10 600 cargo test --release -q -p fblas-core
 timeout -k 10 600 cargo test --release -q -p fblas-bench --test backend_differential
+timeout -k 10 600 cargo test --release -q -p fblas-bench --test chaos_recovery
 
 step "chunked transport under FBLAS_CHUNK=1"
 # The chunk-invariance tests again with every bulk helper degraded to

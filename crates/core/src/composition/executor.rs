@@ -273,7 +273,6 @@ pub fn execute_plan<T: Scalar>(
                     component,
                     &BufRouter::direct(buffers),
                     opts.tracer,
-                    None,
                     &ComponentOptions::default(),
                 )
                 .map(|(scalars, _)| scalars),
@@ -627,69 +626,52 @@ struct Run<'a, T> {
 }
 
 impl<T: Scalar> Run<'_, T> {
-    /// Run `component` once on the backend — the fused dispatcher when
-    /// the backend allows fusion (it degrades to threaded per component
-    /// when fusion is not provably safe), the plain threaded simulation
-    /// otherwise — and return its DOT results and guard reports.
+    /// Run `component` once, as its units on the backend
+    /// ([`fused::run_component_fused`]), and return its DOT results and
+    /// guard reports.
     fn once(
         &self,
         component: &PlannedComponent,
         router: &BufRouter<'_, T>,
         tracer: Option<&Tracer>,
-        predictions: Option<&mut Vec<ModulePrediction>>,
         opts: &ComponentOptions,
     ) -> Result<(HashMap<String, T>, Vec<GuardReport>), ExecError> {
-        let scalars = Arc::new(Mutex::new(HashMap::new()));
-        let run = if self.backend.fused_allowed() {
-            fused::run_component_fused(
-                self.program,
-                self.cfg,
-                component,
-                router,
-                &scalars,
-                tracer,
-                predictions,
-                opts,
-            )?
-        } else {
-            run_component(
-                self.program,
-                self.cfg,
-                &component.ops,
-                &component.gemv_variants,
-                router,
-                &scalars,
-                tracer,
-                predictions,
-                opts,
-            )?
-        };
+        let run = fused::run_component_fused(
+            self.program,
+            self.cfg,
+            component,
+            self.backend,
+            router,
+            tracer,
+            opts,
+        )?;
         self.host_depth_sims
             .set(self.host_depth_sims.get() + run.host_depth_sims);
-        let scalars = Arc::try_unwrap(scalars)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| arc.lock().clone());
-        Ok((scalars, run.guards))
+        Ok((run.scalars, run.guards))
     }
 
     /// [`ExecMode::Audit`]: run `component` under a fresh tracer, which
     /// keeps the audit's lanes (and the busy-share normalization over
     /// them) scoped to the modules that actually ran together, and join
-    /// the recorded predictions with the measured lanes.
+    /// the plan's predictions, one per op in component order, with the
+    /// measured lanes.
     fn audited(
         &self,
         component: &PlannedComponent,
         freq_hz: f64,
         tolerance: f64,
     ) -> Result<(HashMap<String, T>, AuditReport), ExecError> {
+        let predictions = component
+            .ops
+            .iter()
+            .map(|&oi| op_prediction::<T>(self.program, self.cfg, oi, &component.gemv_variants))
+            .collect::<Result<Vec<_>, _>>()?;
         let tracer = Tracer::new();
         tracer.set_backend(self.backend.as_str());
-        let mut predictions = Vec::new();
         let (scalars, _) = self.once(
             component,
             &BufRouter::direct(self.buffers),
             Some(&tracer),
-            Some(&mut predictions),
             &ComponentOptions::default(),
         )?;
         let mut spec = AuditSpec::new(freq_hz).with_tolerance(tolerance);
@@ -782,14 +764,14 @@ impl<T: Scalar> Run<'_, T> {
                 if std::mem::take(&mut predict_beside) {
                     std::thread::scope(|s| {
                         let helper = s.spawn(|| abft::predict_ops(program, &beside, buffers));
-                        let result = self.once(component, &router, tracer, None, &opts);
+                        let result = self.once(component, &router, tracer, &opts);
                         predicted = helper
                             .join()
                             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
                         result
                     })
                 } else {
-                    self.once(component, &router, tracer, None, &opts)
+                    self.once(component, &router, tracer, &opts)
                 }
             };
 
@@ -927,14 +909,15 @@ fn abft_beside<T: Scalar>(
         .iter()
         .copied()
         .filter(|&oi| {
-            op_inputs(&program.ops()[oi])
+            program.ops()[oi]
+                .inputs()
                 .iter()
                 .all(|name| written.binary_search(name).is_err())
         })
         .collect();
     let elements: usize = beside
         .iter()
-        .flat_map(|&oi| op_inputs(&program.ops()[oi]))
+        .flat_map(|&oi| program.ops()[oi].inputs())
         .filter_map(|name| buffers.get(name).map(DeviceBuffer::len))
         .sum();
     if elements >= ABFT_BESIDE_MIN {
@@ -950,7 +933,7 @@ fn check_bindings<T: Scalar>(
     buffers: &HashMap<String, DeviceBuffer<T>>,
 ) -> Result<(), ExecError> {
     for op in program.ops() {
-        for name in op_operands(op) {
+        for name in op.operands() {
             if let Ok(l) = program.vec_len(name) {
                 check_buffer(buffers, name, l)?;
             } else if let Ok((n, m)) = program.mat_dims(name) {
@@ -978,24 +961,6 @@ fn merge_predictions(preds: Vec<ModulePrediction>) -> Vec<ModulePrediction> {
         }
     }
     out
-}
-
-pub(super) fn op_operands(op: &Op) -> Vec<&str> {
-    let mut v: Vec<&str> = match op {
-        Op::Copy { x, out } | Op::Scal { x, out, .. } => vec![x, out],
-        Op::Axpy { x, y, out, .. } => vec![x, y, out],
-        Op::Dot { x, y, .. } => vec![x, y],
-        Op::Gemv { a, x, y, out, .. } => {
-            let mut v = vec![a.as_str(), x.as_str(), out.as_str()];
-            if let Some(y) = y {
-                v.push(y);
-            }
-            v
-        }
-        Op::Ger { a, x, y, out, .. } => vec![a, x, y, out],
-    };
-    v.dedup();
-    v
 }
 
 fn check_buffer<T: Scalar>(
@@ -1076,10 +1041,12 @@ pub(super) struct ComponentOptions {
     pub(super) host_depth: bool,
 }
 
-/// What one threaded simulation (or a fused schedule of several)
-/// leaves behind.
+/// What one threaded simulation (or a component's units) leaves
+/// behind.
 #[derive(Default)]
-pub(super) struct ComponentRun {
+pub(super) struct ComponentRun<T> {
+    /// DOT results by scalar operand name.
+    pub(super) scalars: HashMap<String, T>,
     /// Digest guard reports of the simulated channels.
     pub(super) guards: Vec<GuardReport>,
     /// Threaded simulations that ran with host-depth FIFOs.
@@ -1180,18 +1147,17 @@ impl Fifos {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Run `ops` as one threaded simulation.
 pub(super) fn run_component<T: Scalar>(
     program: &Program,
     cfg: &PlannerConfig,
     ops: &[usize],
     variants: &HashMap<usize, GemvVariant>,
     router: &BufRouter<'_, T>,
-    scalars: &Arc<Mutex<HashMap<String, T>>>,
     tracer: Option<&Tracer>,
-    mut predictions: Option<&mut Vec<ModulePrediction>>,
     opts: &ComponentOptions,
-) -> Result<ComponentRun, ExecError> {
+) -> Result<ComponentRun<T>, ExecError> {
+    let scalars = Arc::new(Mutex::new(HashMap::new()));
     let mut sim = Simulation::new();
     if let Some(t) = tracer {
         sim.set_tracer(t.clone());
@@ -1231,7 +1197,7 @@ pub(super) fn run_component<T: Scalar>(
     // 2. In-component consumer lists per produced operand.
     let mut consumers: HashMap<&str, Vec<usize>> = HashMap::new();
     for &oi in ops {
-        for inp in op_inputs(&program.ops()[oi]) {
+        for inp in program.ops()[oi].inputs() {
             if in_comp.contains_key(inp) {
                 consumers.entry(inp).or_default().push(oi);
             }
@@ -1323,9 +1289,6 @@ pub(super) fn run_component<T: Scalar>(
     //    output fan-out as we go.
     for &oi in ops {
         let op = &program.ops()[oi];
-        if let Some(preds) = predictions.as_deref_mut() {
-            preds.push(op_prediction::<T>(program, cfg, oi, variants)?);
-        }
 
         // --- inputs ---
         let mut take_input =
@@ -1516,25 +1479,15 @@ pub(super) fn run_component<T: Scalar>(
     // Guard reports outlive the simulation through the shared context.
     let ctx = sim.ctx().clone();
     sim.run()?;
+    // Every module has joined, so the store modules' handles are gone.
+    let scalars = Arc::try_unwrap(scalars)
+        .map(Mutex::into_inner)
+        .unwrap_or_else(|arc| arc.lock().clone());
     Ok(ComponentRun {
+        scalars,
         guards: ctx.guard_reports(),
         host_depth_sims: fifos.host as u64,
     })
-}
-
-fn op_inputs(op: &Op) -> Vec<&str> {
-    match op {
-        Op::Copy { x, .. } | Op::Scal { x, .. } => vec![x],
-        Op::Axpy { x, y, .. } | Op::Dot { x, y, .. } => vec![x, y],
-        Op::Gemv { a, x, y, .. } => {
-            let mut v = vec![a.as_str(), x.as_str()];
-            if let Some(y) = y {
-                v.push(y);
-            }
-            v
-        }
-        Op::Ger { a, x, y, .. } => vec![a, x, y],
-    }
 }
 
 // Invariant: every op's matrix operand was shape-checked by plan().
@@ -1584,10 +1537,10 @@ fn scal_width(cfg: &PlannerConfig) -> usize {
 }
 
 /// The cycle-model prediction for op `oi`, as its module is
-/// instantiated. Both backends record it per op, because the analytic
-/// `C = L + I·M` model is a property of the *plan*, not of the backend
-/// that runs it.
-pub(super) fn op_prediction<T: Scalar>(
+/// instantiated. The audit reads it from the plan, per op, because the
+/// analytic `C = L + I·M` model is a property of the *plan*, not of the
+/// units or the backend that run it.
+fn op_prediction<T: Scalar>(
     program: &Program,
     cfg: &PlannerConfig,
     oi: usize,
@@ -2462,7 +2415,7 @@ mod tests {
 
     /// Lanes, result bits and host-depth simulations of one
     /// `run_component` call over `ops`, bypassing the fused backend's
-    /// route, at host depth or at the modelled depths.
+    /// units, at host depth or at the modelled depths.
     fn component_lanes(
         p: &Program,
         cfg: &PlannerConfig,
@@ -2480,9 +2433,7 @@ mod tests {
             &component.ops,
             &component.gemv_variants,
             &BufRouter::direct(&bufs),
-            &Arc::new(Mutex::new(HashMap::new())),
             Some(&tracer),
-            None,
             &ComponentOptions {
                 host_depth,
                 ..ComponentOptions::default()
@@ -2578,7 +2529,7 @@ mod tests {
             }
 
             // The 3 × 3 GEMV admitted at host depth outside the fused
-            // route: it reads A and x in place, x with its 3 replays
+            // units: it reads A and x in place, x with its 3 replays
             // when untransposed, and the transposed one keeps the
             // replay loop of its y, which makes 3 rounds through DRAM.
             let (oracle, modelled, sims) = component_lanes(&p, &cfg, &operands, &["q"], false);
@@ -2628,7 +2579,7 @@ mod tests {
             assert_eq!((ger, replayed), (lone, !lone), "{fused:?}");
             assert!(!fused.iter().any(|l| l.starts_with("read_")), "{fused:?}");
         }
-        // Admitted at host depth outside the fused route, the 3 × 3 GER
+        // Admitted at host depth outside the fused units, the 3 × 3 GER
         // reads every operand in place, y with its 3 replays.
         let (oracle, _, _) = component_lanes(&p, &cfg, &operands, &["B"], false);
         let (bits, admitted, sims) = component_lanes(&p, &cfg, &operands, &["B"], true);

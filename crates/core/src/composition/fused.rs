@@ -3,25 +3,33 @@
 //! Transport, not compute, dominates the threaded simulator's wall
 //! clock, and the fusion analysis ([`super::fusion`]) proves which
 //! module chains of a planned component may legally collapse. This
-//! module closes the loop: a component whose [`FusionPlan`] admits
-//! regions is split into **execution units** — fused regions run as
-//! straight-line single-threaded loops over the operand buffers (no
-//! channels, no locks, no thread spawns), and every other module keeps
-//! running on the threaded hlssim path. A `tile-replay` region covers
-//! its whole component of GEMV/GER tiles: the ops run in component
-//! order, each through its routine's `replay` — the threaded module's
-//! own kernel, fed from the buffers in the module's stream order, with
-//! every `x` replay and `y` round in place. Units hand off through the
-//! operand [`DeviceBuffer`](crate::host::DeviceBuffer)s, which is
-//! exactly the boundary the threaded executor already uses: every op
-//! output is teed to its buffer, and a consumer whose producer is
-//! absent from the simulation reads the buffer back. Splitting
-//! therefore changes *where* values travel, not *what* they are.
+//! module closes the loop: every component runs as one list of
+//! **execution units**, in order, on either backend. A unit is one of
+//! three kinds:
 //!
-//! Safety posture: the backend re-verifies every region's proof
+//! - a `tile-replay` region over the whole component of GEMV/GER
+//!   tiles: the ops run in component order, each through its routine's
+//!   `replay` — the threaded module's own kernel, fed from the buffers
+//!   in the module's stream order, with every `x` replay and `y` round
+//!   in place;
+//! - a compiled fused region, run as a straight-line single-threaded
+//!   loop over the operand buffers (no channels, no locks, no thread
+//!   spawns);
+//! - a batch of ops run together on one threaded hlssim simulation,
+//!   carrying its own host-depth verdict.
+//!
+//! The threaded backend runs one threaded unit over the whole component
+//! at modelled depth. Units hand off through the operand
+//! [`DeviceBuffer`](crate::host::DeviceBuffer)s, which is exactly the
+//! boundary the threaded executor already uses: every op output is teed
+//! to its buffer, and a consumer whose producer is absent from the
+//! simulation reads the buffer back. Splitting therefore changes
+//! *where* values travel, not *what* they are.
+//!
+//! Safety posture: the fused backend re-verifies every region's proof
 //! obligations with [`check_obligations`] when it first executes a
-//! component (the verdict is kept with the component, in its
-//! `AnalysisMemo`) and degrades to the plain threaded path whenever
+//! component (the unit list is kept with the component, in its
+//! `AnalysisMemo`) and degrades to one threaded unit whenever
 //! anything — obligations, evaluator compilation, an unexpected module
 //! name — does not check out. An armed fault hook rejects all regions
 //! (`recovery-guards`), so chaos/recovery runs under injection are
@@ -41,14 +49,13 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use fblas_audit::ModulePrediction;
 use fblas_hlssim::SimError;
 use fblas_trace::{ModuleScope, Tracer};
-use parking_lot::{Mutex, RwLockReadGuard};
+use parking_lot::RwLockReadGuard;
 
 use super::executor::{
-    exec_gemv, exec_ger, op_operands, op_prediction, rates_live, run_component, BufRouter,
-    ComponentOptions, ComponentRun, ExecError,
+    exec_gemv, exec_ger, rates_live, run_component, BufRouter, ComponentOptions, ComponentRun,
+    ExecError,
 };
 use super::fusion::{
     analyze_fusion, build_evaluator, check_obligations, sems_for_component, FusedEvaluator,
@@ -150,12 +157,19 @@ fn level2_alone(program: &Program) -> bool {
     program.ops().iter().filter(level2).count() <= 1
 }
 
-/// One schedulable unit of a split component.
+/// One execution unit of a component: the part of its work that
+/// depends on the component and the configuration only, never on the
+/// operands' data.
 enum Unit {
-    /// Program op indices run together on one threaded simulation.
-    Threaded(Vec<usize>),
-    /// Index into [`Schedule::regions`].
-    Fused(usize),
+    /// Replay every tile of the component through its verified
+    /// `tile-replay` region.
+    Tiles(FusedRegion),
+    /// Run a compiled fused region.
+    Fused(CompiledRegion),
+    /// Run these program op indices together on one threaded
+    /// simulation, at host depth when `live` (their [`rates_live`]
+    /// verdict).
+    Threaded { ops: Vec<usize>, live: bool },
 }
 
 /// A fused region compiled against the component, with every name
@@ -178,12 +192,6 @@ struct CompiledRegion {
     deps: Vec<usize>,
 }
 
-/// The unit schedule of one component.
-struct Schedule {
-    units: Vec<Unit>,
-    regions: Vec<CompiledRegion>,
-}
-
 /// Operand a channel-producer node resolves to: `read_<v>` sources and
 /// `<op>#<oi>` compute nodes both tee/stream their operand's buffer.
 fn node_operand(program: &Program, node: &str) -> Option<String> {
@@ -200,16 +208,16 @@ fn node_op_index(node: &str) -> Option<usize> {
     node.rsplit_once('#').and_then(|(_, idx)| idx.parse().ok())
 }
 
-/// Compile the component's fusion plan into a unit schedule. `None`
-/// means "run the whole component threaded" — the safe fallback for
-/// anything this backend does not fully understand.
+/// Compile the component's fusion plan into units, each threaded one
+/// not yet live. `None` means "run the whole component threaded" — the
+/// safe fallback for anything this backend does not fully understand.
 fn compile_schedule(
     program: &Program,
     cfg: &PlannerConfig,
     component: &PlannedComponent,
     sems: &[ModuleSem],
     plan: &FusionPlan,
-) -> Option<Schedule> {
+) -> Option<Vec<Unit>> {
     if plan.regions.is_empty() {
         return None;
     }
@@ -219,7 +227,8 @@ fn compile_schedule(
         producer.insert(program.ops()[oi].output(), oi);
     }
 
-    let mut regions = Vec::new();
+    // A region's slot empties once it is scheduled.
+    let mut regions: Vec<Option<CompiledRegion>> = Vec::new();
     let mut region_of_op: HashMap<usize, usize> = HashMap::new();
     for (ri, region) in plan.regions.iter().enumerate() {
         let eval = build_evaluator(&component.mdag, sems, region).ok()?;
@@ -273,7 +282,7 @@ fn compile_schedule(
                 return None;
             }
         }
-        regions.push(CompiledRegion {
+        regions.push(Some(CompiledRegion {
             name: region.name.clone(),
             eval,
             input_operands,
@@ -281,7 +290,7 @@ fn compile_schedule(
             scalar,
             ops,
             deps,
-        });
+        }));
     }
 
     // A multi-round GEMV replays its y initial from DRAM; the threaded
@@ -324,7 +333,6 @@ fn compile_schedule(
     // unsplit component would), then every ready region, until done.
     let mut done: HashSet<usize> = HashSet::new();
     let mut pending: Vec<usize> = threaded;
-    let mut region_done = vec![false; regions.len()];
     let mut units = Vec::new();
     loop {
         let mut batch: Vec<usize> = Vec::new();
@@ -350,18 +358,20 @@ fn compile_schedule(
             batch.sort_by_key(|oi| component.ops.iter().position(|c| c == oi));
             done.extend(batch.iter().copied());
             pending.retain(|oi| !batch.contains(oi));
-            units.push(Unit::Threaded(batch));
+            units.push(Unit::Threaded {
+                ops: batch,
+                live: false,
+            });
         }
         let mut launched = false;
-        for (ri, region) in regions.iter().enumerate() {
-            if !region_done[ri] && region.deps.iter().all(|d| done.contains(d)) {
-                region_done[ri] = true;
+        for slot in &mut regions {
+            if let Some(region) = slot.take_if(|r| r.deps.iter().all(|d| done.contains(d))) {
                 done.extend(region.ops.iter().copied());
-                units.push(Unit::Fused(ri));
+                units.push(Unit::Fused(region));
                 launched = true;
             }
         }
-        if pending.is_empty() && region_done.iter().all(|d| *d) {
+        if pending.is_empty() && regions.iter().all(Option::is_none) {
             break;
         }
         if !batched && !launched {
@@ -370,7 +380,7 @@ fn compile_schedule(
             return None;
         }
     }
-    Some(Schedule { units, regions })
+    Some(units)
 }
 
 /// Read guards over operand buffers, held in place of copies: one per
@@ -516,7 +526,7 @@ fn replay_tiles<T: Scalar>(
 fn run_region<T: Scalar>(
     region: &CompiledRegion,
     router: &BufRouter<'_, T>,
-    scalars: &Mutex<HashMap<String, T>>,
+    scalars: &mut HashMap<String, T>,
     tracer: Option<&Tracer>,
 ) -> Result<(), ExecError> {
     let _span = ModuleScope::enter(&format!("fused:{}", region.name), tracer);
@@ -547,7 +557,7 @@ fn run_region<T: Scalar>(
         router.output(operand)?.from_host(vals);
     }
     if let (Some(name), Some(v)) = (&region.scalar, values.reduced) {
-        scalars.lock().insert(name.clone(), v);
+        scalars.insert(name.clone(), v);
     }
 
     timer.done(elements as u64);
@@ -571,20 +581,6 @@ pub(super) fn count_analysis(_kind: usize) {
         n[_kind] += 1;
         c.set(n);
     });
-}
-
-/// How the fused backend runs a component: the part of its work that
-/// depends on the component and the configuration only, never on the
-/// operands' data.
-enum Route {
-    /// Replay every tile through the verified `tile-replay` region.
-    Tiles(FusedRegion),
-    /// Run the compiled units in order. `live[i]` is the host-depth
-    /// rate verdict of `schedule.units[i]` when it is threaded.
-    Units { schedule: Schedule, live: Vec<bool> },
-    /// Run the whole component on one threaded simulation, at host
-    /// depth when `live`.
-    Threaded { live: bool },
 }
 
 /// What an analysis was computed from: the component's `Op` values
@@ -614,7 +610,7 @@ impl AnalysisKey {
             .collect();
         let shapes = ops
             .iter()
-            .flat_map(op_operands)
+            .flat_map(Op::operands)
             .map(|name| (program.vec_len(name).ok(), program.mat_dims(name).ok()))
             .collect();
         AnalysisKey {
@@ -626,13 +622,13 @@ impl AnalysisKey {
     }
 }
 
-/// A planned component's [`Route`], kept with the component after its
+/// A planned component's units, kept with the component after its
 /// first execution without a fault hook, so a plan executed again —
 /// the server shares one per distinct program — is analysed once. It
 /// answers only a program whose [`AnalysisKey`] matches; any other is
 /// analysed afresh, and an armed run never reads or fills it.
 #[derive(Default)]
-pub(crate) struct AnalysisMemo(OnceLock<(AnalysisKey, Route)>);
+pub(crate) struct AnalysisMemo(OnceLock<(AnalysisKey, Vec<Unit>)>);
 
 impl AnalysisMemo {
     /// Whether an execution has filled the memo.
@@ -649,25 +645,25 @@ impl std::fmt::Debug for AnalysisMemo {
     }
 }
 
-/// Analyse `component` for the fused backend: the fusion analysis, the
-/// re-verification of every region's obligations (the executor's own
-/// check, never one handed over from lint), the unit schedule, and the
-/// host-depth rate verdict of each threaded simulation it will run.
-/// Under an armed hook every region is rejected and no simulation may
-/// run at host depth, so the rate analysis is skipped.
+/// Analyse `component` for the fused backend into its units: the
+/// fusion analysis, the re-verification of every region's obligations
+/// (the executor's own check, never one handed over from lint), the
+/// unit schedule, and the host-depth rate verdict of each threaded
+/// unit. Under an armed hook every region is rejected and no simulation
+/// may run at host depth, so the rate analysis is skipped.
 fn analyse(
     program: &Program,
     cfg: &PlannerConfig,
     component: &PlannedComponent,
     recovery_armed: bool,
-) -> Route {
+) -> Vec<Unit> {
     count_analysis(0);
     let (sems, plan) = fusion_plan_at(program, cfg, component, recovery_armed);
     let verified = !plan.regions.is_empty() && {
         count_analysis(1);
         check_obligations(&plan, &component.mdag, &sems, recovery_armed).is_empty()
     };
-    let live =
+    let rates =
         |ops: &[usize]| !recovery_armed && rates_live(program, cfg, ops, &component.gemv_variants);
     if verified {
         let tiles = plan
@@ -675,143 +671,93 @@ fn analyse(
             .iter()
             .find(|r| r.obligations.iter().any(|o| o.kind == "tile-replay"));
         if let Some(region) = tiles {
-            return Route::Tiles(region.clone());
+            return vec![Unit::Tiles(region.clone())];
         }
-        if let Some(schedule) = compile_schedule(program, cfg, component, &sems, &plan) {
-            let live = schedule
-                .units
-                .iter()
-                .map(|unit| matches!(unit, Unit::Threaded(ops) if live(ops)))
-                .collect();
-            return Route::Units { schedule, live };
+        if let Some(mut units) = compile_schedule(program, cfg, component, &sems, &plan) {
+            for unit in &mut units {
+                if let Unit::Threaded { ops, live } = unit {
+                    *live = rates(ops);
+                }
+            }
+            return units;
         }
     }
-    Route::Threaded {
-        live: live(&component.ops),
+    vec![Unit::Threaded {
+        ops: component.ops.clone(),
+        live: rates(&component.ops),
+    }]
+}
+
+/// The units `component` runs as on `backend`. The threaded backend
+/// runs one threaded unit over the whole component at modelled depth,
+/// with no analysis. The fused backend takes them from the component's
+/// memo, filling it on first use, or analyses them afresh (into
+/// `fresh`) when the memo answers another program or a hook is armed.
+fn units<'c>(
+    program: &Program,
+    cfg: &PlannerConfig,
+    component: &'c PlannedComponent,
+    backend: Backend,
+    armed: bool,
+    fresh: &'c mut Option<Vec<Unit>>,
+) -> &'c [Unit] {
+    if !backend.fused_allowed() {
+        let ops = component.ops.clone();
+        return fresh.insert(vec![Unit::Threaded { ops, live: false }]);
+    }
+    if armed {
+        return fresh.insert(analyse(program, cfg, component, true));
+    }
+    let memo = &component.analysis.0;
+    let key = AnalysisKey::of(program, cfg, component);
+    if memo.get().is_none() {
+        // Concurrent first executions may each analyse; one fills.
+        let _ = memo.set((key.clone(), analyse(program, cfg, component, false)));
+    }
+    match memo.get() {
+        Some((k, units)) if *k == key => units,
+        _ => fresh.insert(analyse(program, cfg, component, false)),
     }
 }
 
-/// Run one component on the fused backend: take its [`Route`] from the
-/// component's memo (or analyse it), then replay its tiles, run its
-/// units, or degrade to one plain threaded [`run_component`] call
-/// whenever fusion is not provably safe. Every threaded run here whose
-/// rate verdict holds uses host-depth FIFOs
-/// (`ComponentOptions::host_depth`). Audit
-/// predictions come out in the component's op order regardless of unit
-/// interleaving, so `merge_predictions` sees the same sequence both
-/// backends.
-#[allow(clippy::too_many_arguments)]
+/// Run one component as its [`units`], in order: replayed tiles, fused
+/// regions, and threaded batches, each of which uses host-depth FIFOs
+/// (`ComponentOptions::host_depth`) when its rate verdict holds.
 pub(super) fn run_component_fused<T: Scalar>(
     program: &Program,
     cfg: &PlannerConfig,
     component: &PlannedComponent,
+    backend: Backend,
     router: &BufRouter<'_, T>,
-    scalars: &Arc<Mutex<HashMap<String, T>>>,
     tracer: Option<&Tracer>,
-    predictions: Option<&mut Vec<ModulePrediction>>,
     opts: &ComponentOptions,
-) -> Result<ComponentRun, ExecError> {
-    let recovery_armed = opts.hook.is_some();
-    let fresh;
-    let route = if recovery_armed {
-        fresh = analyse(program, cfg, component, true);
-        &fresh
-    } else {
-        let memo = &component.analysis.0;
-        let key = AnalysisKey::of(program, cfg, component);
-        if memo.get().is_none() {
-            // Concurrent first executions may each analyse; one fills.
-            let _ = memo.set((key.clone(), analyse(program, cfg, component, false)));
-        }
-        match memo.get() {
-            Some((k, route)) if *k == key => route,
-            _ => {
-                fresh = analyse(program, cfg, component, false);
-                &fresh
-            }
-        }
-    };
-    let unit_opts = |live: bool| ComponentOptions {
-        host_depth: live,
-        ..opts.clone()
-    };
-    let (schedule, live) = match route {
-        Route::Tiles(region) => {
-            replay_tiles(program, cfg, component, region, router, tracer)?;
-            if let Some(out) = predictions {
-                for &oi in &component.ops {
-                    out.push(op_prediction::<T>(
-                        program,
-                        cfg,
-                        oi,
-                        &component.gemv_variants,
-                    )?);
-                }
-            }
-            return Ok(ComponentRun::default());
-        }
-        Route::Threaded { live } => {
-            return run_component(
-                program,
-                cfg,
-                &component.ops,
-                &component.gemv_variants,
-                router,
-                scalars,
-                tracer,
-                predictions,
-                &unit_opts(*live),
-            );
-        }
-        Route::Units { schedule, live } => (schedule, live),
-    };
-
+) -> Result<ComponentRun<T>, ExecError> {
+    let armed = opts.hook.is_some();
+    let mut fresh = None;
     let mut run = ComponentRun::default();
-    let mut tagged: Vec<(usize, ModulePrediction)> = Vec::new();
-    for (unit, &live) in schedule.units.iter().zip(live) {
+    for unit in units(program, cfg, component, backend, armed, &mut fresh) {
         match unit {
-            Unit::Threaded(ops) => {
-                let mut unit_preds = predictions.as_ref().map(|_| Vec::new());
-                let unit = run_component(
+            Unit::Tiles(region) => replay_tiles(program, cfg, component, region, router, tracer)?,
+            Unit::Fused(region) => run_region(region, router, &mut run.scalars, tracer)?,
+            Unit::Threaded { ops, live } => {
+                let unit_opts = ComponentOptions {
+                    host_depth: *live,
+                    ..opts.clone()
+                };
+                let sim = run_component(
                     program,
                     cfg,
                     ops,
                     &component.gemv_variants,
                     router,
-                    scalars,
                     tracer,
-                    unit_preds.as_mut(),
-                    &unit_opts(live),
+                    &unit_opts,
                 )?;
-                run.guards.extend(unit.guards);
-                run.host_depth_sims += unit.host_depth_sims;
-                if let Some(ps) = unit_preds {
-                    // `run_component` emits exactly one prediction per
-                    // op, in its ops order.
-                    tagged.extend(ops.iter().copied().zip(ps));
-                }
-            }
-            Unit::Fused(ri) => {
-                let region = &schedule.regions[*ri];
-                run_region(region, router, scalars, tracer)?;
-                if predictions.is_some() {
-                    for &oi in &region.ops {
-                        let p = op_prediction::<T>(program, cfg, oi, &component.gemv_variants)?;
-                        tagged.push((oi, p));
-                    }
-                }
+                run.scalars.extend(sim.scalars);
+                run.guards.extend(sim.guards);
+                run.host_depth_sims += sim.host_depth_sims;
             }
         }
-    }
-    if let Some(out) = predictions {
-        let pos: HashMap<usize, usize> = component
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(i, &oi)| (oi, i))
-            .collect();
-        tagged.sort_by_key(|(oi, _)| pos.get(oi).copied().unwrap_or(usize::MAX));
-        out.extend(tagged.into_iter().map(|(_, p)| p));
     }
     Ok(run)
 }
@@ -865,6 +811,127 @@ mod tests {
         plan(p, cfg).unwrap()
     }
 
+    /// The compiled regions among `units`, in order.
+    fn fused_regions(units: &[Unit]) -> Vec<&CompiledRegion> {
+        units
+            .iter()
+            .filter_map(|u| match u {
+                Unit::Fused(region) => Some(region),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Each unit's kind, threaded ones with their host-depth verdict.
+    fn kinds(units: &[Unit]) -> Vec<&'static str> {
+        units
+            .iter()
+            .map(|u| match u {
+                Unit::Tiles(_) => "tiles",
+                Unit::Fused(_) => "fused",
+                Unit::Threaded { live: true, .. } => "threaded live",
+                Unit::Threaded { live: false, .. } => "threaded",
+            })
+            .collect()
+    }
+
+    /// Run `p` once under `thep` on the fused backend, with every
+    /// operand bound to a constant, and return its one component's
+    /// memoised units.
+    fn memoised<'p>(p: &Program, thep: &'p Plan, cfg: &PlannerConfig) -> &'p [Unit] {
+        let bufs: HashMap<String, DeviceBuffer<f64>> = p
+            .ops()
+            .iter()
+            .flat_map(Op::operands)
+            .map(|name| {
+                let len = p
+                    .vec_len(name)
+                    .or_else(|_| p.mat_dims(name).map(|(n, m)| n * m))
+                    .unwrap();
+                (
+                    name.to_string(),
+                    DeviceBuffer::from_vec(name, vec![0.5; len], 0),
+                )
+            })
+            .collect();
+        let opts = ExecOptions {
+            backend: Backend::Fused,
+            ..ExecOptions::default()
+        };
+        execute_plan::<f64>(p, thep, cfg, &bufs, &opts).unwrap();
+        assert_eq!(thep.components.len(), 1);
+        &thep.components[0].analysis.0.get().expect("memo filled").1
+    }
+
+    #[test]
+    fn each_component_runs_as_its_memoised_units() {
+        // BICG: both GEMVs over one shared A replay as one tile unit.
+        let (n, m) = (40, 24);
+        let mut bicg = Program::new();
+        bicg.matrix("A", n, m);
+        for (v, len) in [("p", m), ("r", n), ("q", n), ("s", m)] {
+            bicg.vector(v, len);
+        }
+        for (transposed, x, out) in [(false, "p", "q"), (true, "r", "s")] {
+            bicg.op(Op::Gemv {
+                alpha: 1.0,
+                beta: 0.0,
+                a: "A".into(),
+                transposed,
+                x: x.into(),
+                y: None,
+                out: out.into(),
+            });
+        }
+        let cfg = PlannerConfig {
+            tn: 16,
+            tm: 8,
+            ..PlannerConfig::default()
+        };
+        let thep = planned(&bicg, &cfg);
+        assert_eq!(kinds(memoised(&bicg, &thep, &cfg)), ["tiles"]);
+
+        // AXPYDOT: one fused region closed by its DOT.
+        let p = axpydot_program(100);
+        let cfg = PlannerConfig::default();
+        let thep = planned(&p, &cfg);
+        assert_eq!(kinds(memoised(&p, &thep, &cfg)), ["fused"]);
+
+        // A program that is one GEMV spanning one tile stays threaded,
+        // live at host depth.
+        let mut p = Program::new();
+        p.matrix("A", n, m).vector("x", m).vector("q", n);
+        p.op(Op::Gemv {
+            alpha: 1.5,
+            beta: 0.0,
+            a: "A".into(),
+            transposed: false,
+            x: "x".into(),
+            y: None,
+            out: "q".into(),
+        });
+        let cfg = PlannerConfig {
+            tn: n,
+            tm: m,
+            ..PlannerConfig::default()
+        };
+        let thep = planned(&p, &cfg);
+        assert_eq!(kinds(memoised(&p, &thep, &cfg)), ["threaded live"]);
+
+        // With a hook armed, or on the threaded backend, the same
+        // program runs as one threaded unit at modelled depth, and
+        // neither reads nor fills the memo.
+        let thep = planned(&p, &cfg);
+        let comp = &thep.components[0];
+        for (backend, armed) in [(Backend::Fused, true), (Backend::Threaded, false)] {
+            let mut fresh = None;
+            let units = units(&p, &cfg, comp, backend, armed, &mut fresh);
+            assert_eq!(kinds(units), ["threaded"], "{backend:?}, armed {armed}");
+            assert!(matches!(&units[0], Unit::Threaded { ops, .. } if *ops == comp.ops));
+            assert!(!comp.analysis.is_filled());
+        }
+    }
+
     #[test]
     fn relay_chain_fuses_into_one_region_and_schedules() {
         let p = chain_program(64);
@@ -875,17 +942,14 @@ mod tests {
         let (sems, fplan) = fusion_plan_for_component(&p, comp, false);
         assert_eq!(fplan.regions.len(), 1, "{:?}", fplan.rejections);
         assert!(check_obligations(&fplan, &comp.mdag, &sems, false).is_empty());
-        let schedule = compile_schedule(&p, &cfg, comp, &sems, &fplan).expect("schedulable");
-        assert_eq!(schedule.regions.len(), 1);
-        assert!(schedule.units.iter().any(|u| matches!(u, Unit::Fused(_))));
+        let units = compile_schedule(&p, &cfg, comp, &sems, &fplan).expect("schedulable");
+        let regions = fused_regions(&units);
+        assert_eq!(regions.len(), 1);
         // All three relay ops live in the region; nothing runs threaded.
-        assert_eq!(schedule.regions[0].ops.len(), 3);
-        assert!(!schedule
-            .units
-            .iter()
-            .any(|u| matches!(u, Unit::Threaded(_))));
+        assert_eq!(regions[0].ops.len(), 3);
+        assert!(!units.iter().any(|u| matches!(u, Unit::Threaded { .. })));
         // Every intermediate is drained to its buffer by an absorbed tee.
-        let mut sinks = schedule.regions[0].sink_operands.clone();
+        let mut sinks = regions[0].sink_operands.clone();
         sinks.sort();
         assert_eq!(sinks, vec!["b", "c", "d"]);
     }
@@ -962,9 +1026,9 @@ mod tests {
         let comp = &thep.components[0];
         let (sems, fplan) = fusion_plan_for_component(&p, comp, false);
         assert_eq!(fplan.regions.len(), 1, "{:?}", fplan.rejections);
-        let schedule = compile_schedule(&p, &cfg, comp, &sems, &fplan).expect("schedulable");
-        assert_eq!(schedule.units.len(), 1);
-        let region = &schedule.regions[0];
+        let units = compile_schedule(&p, &cfg, comp, &sems, &fplan).expect("schedulable");
+        assert_eq!(units.len(), 1);
+        let region = fused_regions(&units)[0];
         assert_eq!(region.ops, vec![0, 1]);
         assert_eq!(region.sink_operands, vec!["z"]);
         assert_eq!(region.scalar.as_deref(), Some("beta"));

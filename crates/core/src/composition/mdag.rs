@@ -388,23 +388,10 @@ impl Mdag {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The AXPYDOT streaming MDAG of paper Fig. 6.
-    fn axpydot_mdag(n: u64) -> Mdag {
-        let mut g = Mdag::new();
-        let w = g.add_interface("read_w");
-        let v = g.add_interface("read_v");
-        let u = g.add_interface("read_u");
-        let axpy = g.add_compute("axpy");
-        let dot = g.add_compute("dot");
-        let beta = g.add_interface("write_beta");
-        g.add_edge(w, axpy, n, n, 16);
-        g.add_edge(v, axpy, n, n, 16);
-        g.add_edge(axpy, dot, n, n, 16);
-        g.add_edge(u, dot, n, n, 16);
-        g.add_edge(dot, beta, 1, 1, 1);
-        g
-    }
+    // The AXPYDOT MDAG of paper Fig. 6, and an ATAX-shaped one (Fig. 8)
+    // whose second GEMV reads `A` straight from its interface.
+    use crate::apps::axpydot_mdag;
+    use crate::composition::rates::atax_mdag;
 
     #[test]
     fn axpydot_is_a_valid_multitree() {
@@ -437,26 +424,6 @@ mod tests {
         assert_eq!(g.validate(), Validity::Valid);
         // A read once: NM + M + N + N + M.
         assert_eq!(g.interface_io_elements(), 2 * n * m + 2 * (n + m));
-    }
-
-    /// The ATAX MDAG of paper Fig. 8: NOT a multitree (two paths from
-    /// read_A's sibling... from the shared interface to the second GEMV).
-    fn atax_mdag(n: u64, m: u64, tn: u64, depth: u64) -> Mdag {
-        let mut g = Mdag::new();
-        let a = g.add_interface("read_A");
-        let x = g.add_interface("read_x");
-        let g1 = g.add_compute("gemv");
-        let g2 = g.add_compute("gemv_t");
-        let y = g.add_interface("write_y");
-        g.add_edge(a, g1, n * m, n * m, 16);
-        let e_a2 = g.add_edge(a, g2, n * m, n * m, depth);
-        g.add_edge(x, g1, m, m, 16);
-        let _t = g.add_edge(g1, g2, n, n, 16);
-        g.add_edge(g2, y, m, m, 16);
-        // The second GEMV cannot consume A until the first produces a
-        // block of results: the A stream bursts N·T_N elements first.
-        g.set_burst_before_consume(e_a2, n * tn);
-        g
     }
 
     #[test]

@@ -126,6 +126,16 @@ impl Op {
         }
     }
 
+    /// Every vector and matrix operand the op reads or writes: its
+    /// inputs, then its output unless that is a DOT's scalar.
+    pub(crate) fn operands(&self) -> Vec<&str> {
+        let mut v = self.inputs();
+        if !matches!(self, Op::Dot { .. }) {
+            v.push(self.output());
+        }
+        v
+    }
+
     pub(crate) fn output(&self) -> &str {
         match self {
             Op::Copy { out, .. }

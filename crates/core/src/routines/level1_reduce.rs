@@ -10,7 +10,7 @@ use fblas_arch::{estimate_circuit, CircuitClass, ResourceEstimate};
 use fblas_hlssim::{ChunkReader, ModuleKind, PipelineCost, Receiver, Sender, Simulation};
 
 use super::{outer_iterations, validate_width};
-use crate::scalar::{tree_sum, InterleavedAccumulator, Scalar};
+use crate::scalar::{tree_dot, tree_sum, InterleavedAccumulator, Scalar};
 
 /// DOT: `res = xᵀy` through a `W`-wide multiply + adder tree
 /// (paper Fig. 5).
@@ -138,8 +138,8 @@ impl<T: Scalar> DotAccumulator<T> {
 
     /// Feed a run of lane pairs, in order. Each whole block the run
     /// holds from a block boundary goes through the adder tree in one
-    /// step; the blocks and their sums are exactly those of pushing the
-    /// pairs one by one.
+    /// step ([`tree_dot`]); the blocks and their sums are exactly those
+    /// of pushing the pairs one by one.
     pub fn push_lanes(&mut self, xs: &[T], ys: &[T]) {
         let n = xs.len().min(ys.len());
         let mut i = 0;
@@ -148,10 +148,8 @@ impl<T: Scalar> DotAccumulator<T> {
             i += 1;
         }
         while n - i >= self.w {
-            let (bx, by) = (&xs[i..i + self.w], &ys[i..i + self.w]);
-            self.products
-                .extend(bx.iter().zip(by).map(|(x, y)| *x * *y));
-            self.block();
+            self.res
+                .add(tree_dot(&xs[i..i + self.w], &ys[i..i + self.w]));
             i += self.w;
         }
         for (x, y) in xs[i..n].iter().zip(&ys[i..n]) {
@@ -454,19 +452,30 @@ mod tests {
     /// the pairs one by one, so the sums agree bit for bit.
     #[test]
     fn push_lanes_matches_pushing_pairs_one_by_one() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin()).collect();
-        let ys: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.91).cos() * 1e3).collect();
-        let mut one = DotAccumulator::<f64>::new(16);
-        for (x, y) in xs.iter().zip(&ys) {
-            one.push(*x, *y);
-        }
-        let want = one.finish().to_bits();
-        for run in [1, 7, 16, 33, 64 * 16, 1000] {
-            let mut acc = DotAccumulator::<f64>::new(16);
-            for (bx, by) in xs.chunks(run).zip(ys.chunks(run)) {
-                acc.push_lanes(bx, by);
+        fn check<T: Scalar>(w: usize) {
+            let xs: Vec<T> = (0..1000)
+                .map(|i| T::from_f64((i as f64 * 0.37).sin()))
+                .collect();
+            let ys: Vec<T> = (0..1000)
+                .map(|i| T::from_f64((i as f64 * 0.91).cos() * 1e3))
+                .collect();
+            let mut one = DotAccumulator::<T>::new(w);
+            for (x, y) in xs.iter().zip(&ys) {
+                one.push(*x, *y);
             }
-            assert_eq!(acc.finish().to_bits(), want, "runs of {run}");
+            let want = one.finish().to_f64().to_bits();
+            for run in [1, 7, 16, 33, 64 * 16, 1000] {
+                let mut acc = DotAccumulator::<T>::new(w);
+                for (bx, by) in xs.chunks(run).zip(ys.chunks(run)) {
+                    acc.push_lanes(bx, by);
+                }
+                let got = acc.finish().to_f64().to_bits();
+                assert_eq!(got, want, "W = {w}, runs of {run}");
+            }
+        }
+        for w in [3, 8, 16] {
+            check::<f32>(w);
+            check::<f64>(w);
         }
     }
 

@@ -23,7 +23,7 @@ use fblas_hlssim::{ModuleKind, PipelineCost, Receiver, Sender, Simulation};
 
 use super::{validate_width, Diag, Trans, Uplo};
 use crate::host::buffer::DeviceBuffer;
-use crate::scalar::{tree_sum, Scalar};
+use crate::scalar::{tree_dot, Scalar};
 
 /// Number of stored elements of an order-`n` triangle, `n(n+1)/2`.
 pub fn triangle_len(n: usize) -> usize {
@@ -154,16 +154,8 @@ impl Trsv {
     fn wide_dot<T: Scalar>(&self, a: &[T], x: &[T]) -> T {
         debug_assert_eq!(a.len(), x.len());
         let mut acc = T::ZERO;
-        let mut products = Vec::with_capacity(self.w);
-        let mut j = 0;
-        while j < a.len() {
-            let take = (a.len() - j).min(self.w);
-            products.clear();
-            for k in j..j + take {
-                products.push(a[k] * x[k]);
-            }
-            acc += tree_sum(&products);
-            j += take;
+        for (a, x) in a.chunks(self.w).zip(x.chunks(self.w)) {
+            acc += tree_dot(a, x);
         }
         acc
     }

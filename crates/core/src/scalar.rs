@@ -245,7 +245,9 @@ pub fn tree_sum<T: Scalar>(values: &[T]) -> T {
 /// a dot product, reduced as the circuit's adder tree reduces it. Each
 /// product is rounded before it is added, exactly as when the products
 /// are collected first. Power-of-two widths up to 64 (the usual `W`)
-/// take a fully unrolled path; the slices must have equal lengths.
+/// take a fully unrolled path; other lengths split as [`tree_sum`]
+/// does, with no scratch space. Lanes past the shorter slice are
+/// ignored.
 pub fn tree_dot<T: Scalar>(a: &[T], x: &[T]) -> T {
     /// The flat tree of [`tree_sum`], at a width known to the compiler.
     fn flat<T: Scalar, const W: usize>(a: &[T], x: &[T]) -> Option<T> {
@@ -263,7 +265,9 @@ pub fn tree_dot<T: Scalar>(a: &[T], x: &[T]) -> T {
         }
         Some(level[0])
     }
-    let unrolled = match a.len() {
+    let n = a.len().min(x.len());
+    let (a, x) = (&a[..n], &x[..n]);
+    let unrolled = match n {
         2 => flat::<T, 2>(a, x),
         4 => flat::<T, 4>(a, x),
         8 => flat::<T, 8>(a, x),
@@ -272,9 +276,13 @@ pub fn tree_dot<T: Scalar>(a: &[T], x: &[T]) -> T {
         64 => flat::<T, 64>(a, x),
         _ => None,
     };
-    unrolled.unwrap_or_else(|| {
-        let products: Vec<T> = a.iter().zip(x).map(|(a, x)| *a * *x).collect();
-        tree_sum(&products)
+    unrolled.unwrap_or_else(|| match n {
+        0 => T::ZERO,
+        1 => a[0] * x[0],
+        n => {
+            let mid = n.div_ceil(2);
+            tree_dot(&a[..mid], &x[..mid]) + tree_dot(&a[mid..], &x[mid..])
+        }
     })
 }
 
