@@ -43,7 +43,7 @@
 //! model did not account for — and the stall ledger says to whom.
 //!
 //! **Fused-backend caveat.** When the executor compiles a validated
-//! fusion region into a single loop (`FBLAS_BACKEND=fused`/`auto`),
+//! fusion region into a single loop (`FBLAS_BACKEND=fused`, the default),
 //! that whole region runs as one compute lane named `fused:<region>`:
 //! there are no channels inside it, so no per-channel stall ledger and
 //! no per-module busy split within the region. Modeled cycles are

@@ -17,6 +17,7 @@ use fblas_arch::RoutineClass;
 use fblas_hlssim::{channel, streamed_cycles, SimError, Simulation};
 
 use super::AppReport;
+use crate::composition::executor::BURST_SLACK;
 use crate::composition::Mdag;
 use crate::helpers::writers::replay_vector_through_memory;
 use crate::helpers::{duplicate, read_matrix, read_vector_replayed};
@@ -109,7 +110,7 @@ pub fn atax_streaming<T: Scalar>(
     let _obs = super::RoutineObservation::start("atax_streaming");
     let tu = tuning.clamped(n, m);
     // Burst (one row of tiles) plus slack for in-flight elements.
-    let depth = tu.tn * m + 64;
+    let depth = tu.tn * m + BURST_SLACK;
     let (sim, g1, g2, modules) = build_atax(fpga, n, m, a, x, y_out, tuning, depth);
     sim.run()?;
 

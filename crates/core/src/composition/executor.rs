@@ -8,19 +8,16 @@
 //! sinks, DRAM-replay loops for the partial-result variants, and deep
 //! FIFOs where the plan derived them — and run to completion. Components
 //! execute sequentially, communicating through the operand buffers,
-//! exactly as the paper's Fig. 9 schedule does. A simulation that the
-//! rate analysis proves live on the fused backend runs at host depth,
-//! and its GEMV/GER tiles read their DRAM operands in place instead of
-//! through interface readers (DESIGN.md, "Modelled depth and host
-//! depth").
+//! exactly as the paper's Fig. 9 schedule does. Every simulation opens
+//! each channel at its modelled depth and reads DRAM through its
+//! interface readers, on either backend (DESIGN.md, "Modelled depth").
 //!
 //! Every operand the program names must be bound to a
 //! [`DeviceBuffer`] of matching shape; outputs are written back to their
 //! buffers (so later components and the host read them), and DOT results
 //! are returned in the outcome's scalar map.
 
-use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,16 +32,14 @@ use serde::Serialize;
 use super::abft;
 use super::fused::{self, Backend};
 use super::fusion::EXEC_WIDTH;
-use super::mdag::Mdag;
 use super::planner::{
-    component_mdag, ContractCause, Op, Plan, PlanError, PlannedComponent, PlannerConfig, Program,
+    ContractCause, Op, Plan, PlanError, PlannedComponent, PlannerConfig, Program,
 };
-use super::rates::RateGraph;
 use crate::helpers::fanout::duplicate_many;
 use crate::helpers::{read_matrix, read_vector_replayed, write_matrix, write_vector};
 use crate::host::buffer::DeviceBuffer;
 use crate::routines::gemv::{Gemv, GemvVariant};
-use crate::routines::{Axpy, Dot, Ger, Input, Scal, VecCopy};
+use crate::routines::{Axpy, Dot, Ger, Scal, VecCopy};
 use crate::scalar::Scalar;
 
 /// Errors raised while executing a plan.
@@ -129,12 +124,6 @@ pub struct ExecOutcome<T> {
     /// The run's component count and run ID, plus — under
     /// [`ExecMode::Recover`] — every attempt.
     pub recovery: RecoveryReport,
-    /// Threaded simulations that ran with host-depth FIFOs: the
-    /// components and fused-schedule units of a [`Backend::Fused`] run
-    /// that the rate analysis proved live (DESIGN.md, "Modelled depth
-    /// and host depth"), counted over every simulation that completed,
-    /// retried attempts included. Always 0 on [`Backend::Threaded`].
-    pub host_depth_sims: u64,
 }
 
 /// What [`execute_plan`] does around each component besides running
@@ -237,7 +226,6 @@ pub fn execute_plan<T: Scalar>(
             run_id: fblas_metrics::current_run_id().map(|id| id.to_string()),
             ..RecoveryReport::default()
         },
-        host_depth_sims: 0,
     };
     propagate_run_id(opts.tracer);
     if let Some(t) = opts.tracer {
@@ -260,7 +248,6 @@ pub fn execute_plan<T: Scalar>(
         buffers,
         backend: opts.backend,
         metrics: ExecMetrics::arm(),
-        host_depth_sims: Cell::new(0),
     };
     for (ix, component) in plan.components.iter().enumerate() {
         // One span lane per component on this thread; module lanes are
@@ -299,7 +286,6 @@ pub fn execute_plan<T: Scalar>(
             m.component_done(t0);
         }
     }
-    out.host_depth_sims = run.host_depth_sims.get();
     Ok(out)
 }
 
@@ -621,8 +607,6 @@ struct Run<'a, T> {
     buffers: &'a HashMap<String, DeviceBuffer<T>>,
     backend: Backend,
     metrics: Option<ExecMetrics>,
-    /// [`ExecOutcome::host_depth_sims`] so far.
-    host_depth_sims: Cell<u64>,
 }
 
 impl<T: Scalar> Run<'_, T> {
@@ -645,8 +629,6 @@ impl<T: Scalar> Run<'_, T> {
             tracer,
             opts,
         )?;
-        self.host_depth_sims
-            .set(self.host_depth_sims.get() + run.host_depth_sims);
         Ok((run.scalars, run.guards))
     }
 
@@ -704,7 +686,6 @@ impl<T: Scalar> Run<'_, T> {
         let opts = ComponentOptions {
             hook: hook.clone(),
             deadline: policy.deadline,
-            ..ComponentOptions::default()
         };
         // ABFT predictions of the ops whose inputs the component does
         // not write read only committed state, which no attempt
@@ -1027,18 +1008,12 @@ impl<'a, T: Scalar> BufRouter<'a, T> {
 }
 
 /// Per-run extras for a component's simulation.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(super) struct ComponentOptions {
     /// Fault hook armed on the simulation context before the run.
     pub(super) hook: Option<Arc<dyn FaultHook>>,
     /// Watchdog wall-clock deadline for the run.
     pub(super) deadline: Option<Duration>,
-    /// The backend lets the run use host-depth FIFOs: the fused backend
-    /// sets it for a threaded fallback whose [`rates_live`] verdict,
-    /// kept with the component, holds; the threaded backend, the
-    /// oracle, never does. [`admit_host_depth`] still refuses it under
-    /// an armed hook.
-    pub(super) host_depth: bool,
 }
 
 /// What one threaded simulation (or a component's units) leaves
@@ -1049,105 +1024,14 @@ pub(super) struct ComponentRun<T> {
     pub(super) scalars: HashMap<String, T>,
     /// Digest guard reports of the simulated channels.
     pub(super) guards: Vec<GuardReport>,
-    /// Threaded simulations that ran with host-depth FIFOs.
-    pub(super) host_depth_sims: u64,
 }
-
-/// Host capacity of every FIFO of a threaded simulation admitted by
-/// [`admit_host_depth`]: a channel gets `max(modelled depth,
-/// HOST_DEPTH)`, so a producer and a consumer on different cores park
-/// and wake far less often than at the modelled 64. The smallest depth
-/// on the wall-clock plateau of a sweep over {256, 1024, 4096, 16384}
-/// (EXPERIMENTS.md, "Host-depth FIFOs"); a channel preallocates
-/// `min(capacity, 2¹⁶)` slots, so a small request stays cheap.
-const HOST_DEPTH: usize = 1024;
 
 /// Depth a burst edge gets above the burst it must buffer (the ATAX
 /// row of tiles, `T_N·M`).
-const BURST_SLACK: usize = 64;
+pub(crate) const BURST_SLACK: usize = 64;
 
-/// The host-depth rule: a threaded simulation runs every FIFO at host
-/// depth only when its backend allows it — which the fused backend does
-/// only for a simulation whose [`rates_live`] verdict holds — and no
-/// fault hook is armed. Kahn determinism makes the deeper run produce
-/// the same bits, and extra capacity never creates a deadlock; a
-/// composition that stalls at its modelled depths keeps them, so it
-/// still stalls. Fault sites stay at modelled depth so that chaos
-/// reports match the threaded backend's.
-fn admit_host_depth(opts: &ComponentOptions) -> bool {
-    opts.host_depth && opts.hook.is_none()
-}
-
-/// Whether the rate analysis of `mdag` completes.
-fn completes(mdag: Option<Mdag>) -> bool {
-    mdag.is_some_and(|g| RateGraph::from_mdag(&g).analyze().is_completed())
-}
-
-/// The rate half of the host-depth rule for the simulation
-/// [`run_component`] instantiates for `ops`: whether its MDAG at the
-/// depths it would otherwise instantiate completes. It reads no data,
-/// so the fused backend keeps the verdict with the component.
-pub(super) fn rates_live(
-    program: &Program,
-    cfg: &PlannerConfig,
-    ops: &[usize],
-    variants: &HashMap<usize, GemvVariant>,
-) -> bool {
-    fused::count_analysis(2);
-    completes(exec_mdag(program, cfg, ops, variants))
-}
-
-/// The MDAG of the simulation [`run_component`] instantiates for `ops`,
-/// at the depths it instantiates: the default depth, and
-/// [`edge_depth`]'s on a burst edge.
-fn exec_mdag(
-    program: &Program,
-    cfg: &PlannerConfig,
-    ops: &[usize],
-    variants: &HashMap<usize, GemvVariant>,
-) -> Option<Mdag> {
-    let mut g = component_mdag(program, ops, variants, cfg).ok()?;
-    let bursts: Vec<_> = g
-        .edges()
-        .filter(|e| e.burst_before_consume > 0)
-        .map(|e| (e.id, e.burst_before_consume))
-        .collect();
-    for (edge, burst) in bursts {
-        g.set_channel_depth(edge, burst + BURST_SLACK as u64);
-    }
-    Some(g)
-}
-
-/// The FIFO depths of one threaded simulation. Every channel
-/// [`run_component`] creates goes through [`Fifos::open`].
-#[derive(Clone, Copy)]
-struct Fifos {
-    /// Modelled depth of an ordinary channel
-    /// ([`PlannerConfig::default_depth`]).
-    ordinary: usize,
-    /// Admitted by [`admit_host_depth`].
-    host: bool,
-}
-
-impl Fifos {
-    /// A channel of modelled depth `modelled`, at host depth when
-    /// admitted.
-    fn open<T: Send + 'static>(
-        self,
-        sim: &Simulation,
-        modelled: usize,
-        name: String,
-    ) -> (Sender<T>, Receiver<T>) {
-        let depth = if self.host {
-            modelled.max(HOST_DEPTH)
-        } else {
-            modelled
-        };
-        channel(sim.ctx(), depth, name)
-    }
-}
-
-/// Run `ops` as one threaded simulation.
+/// Run `ops` as one threaded simulation, every channel at its modelled
+/// depth.
 pub(super) fn run_component<T: Scalar>(
     program: &Program,
     cfg: &PlannerConfig,
@@ -1168,10 +1052,7 @@ pub(super) fn run_component<T: Scalar>(
     if let Some(deadline) = opts.deadline {
         sim.set_deadline(deadline);
     }
-    let fifos = Fifos {
-        ordinary: cfg.default_depth as usize,
-        host: admit_host_depth(opts),
-    };
+    let depth = cfg.default_depth as usize;
 
     // Producer map restricted to this component.
     let mut in_comp: HashMap<&str, usize> = HashMap::new();
@@ -1217,35 +1098,6 @@ pub(super) fn run_component<T: Scalar>(
         }
     }
 
-    // 4. In-place operands: in an admitted simulation a GEMV/GER tile
-    //    reads each operand it would get from DRAM straight from the
-    //    buffer, with no interface reader and no FIFO — the host-depth
-    //    rule at its limit, a DRAM edge of unbounded depth. A shared
-    //    matrix keeps its reader and `dup_*` stage, a multi-round `y`
-    //    its replay loop. An entry is taken by the tile's first use of
-    //    the name, so a tile holds one guard per buffer.
-    let mut in_place: HashSet<(usize, String)> = HashSet::new();
-    if fifos.host {
-        for &oi in ops {
-            let operands = match &program.ops()[oi] {
-                Op::Gemv { a, x, y, .. } => {
-                    let single = exec_gemv(program, cfg, a, variants[&oi])?.y_rounds() == 1;
-                    vec![Some(a), Some(x), y.as_ref().filter(|_| single)]
-                }
-                Op::Ger { a, x, y, .. } => vec![Some(a), Some(x), Some(y)],
-                _ => continue,
-            };
-            for name in operands.into_iter().flatten() {
-                let sole = matrix_source_consumers
-                    .get(name.as_str())
-                    .is_none_or(|c| c.len() == 1);
-                if sole && !in_comp.contains_key(name.as_str()) {
-                    in_place.insert((oi, name.clone()));
-                }
-            }
-        }
-    }
-
     // Incoming channel per (consumer, operand): receivers the op attach
     // step will take.
     let mut incoming: HashMap<(usize, String), Receiver<T>> = HashMap::new();
@@ -1256,12 +1108,9 @@ pub(super) fn run_component<T: Scalar>(
             // Sole consumer: the reader adopts that consumer's tile
             // order (a ColStreamed GEMV expects tiles by columns).
             let oi = cons[0];
-            if in_place.contains(&(oi, (*mat).to_string())) {
-                continue;
-            }
             let tiling = consumer_tiling(program, cfg, oi, variants);
             let d = edge_depth(program, cfg, oi, mat, &in_comp);
-            let (tx, rx) = fifos.open(&sim, d, format!("{mat}->{oi}"));
+            let (tx, rx) = channel(sim.ctx(), d, format!("{mat}->{oi}"));
             read_matrix(&mut sim, router.input(mat)?, n, m, tiling, tx, 1);
             incoming.insert((oi, (*mat).to_string()), rx);
         } else {
@@ -1272,12 +1121,12 @@ pub(super) fn run_component<T: Scalar>(
                 cfg.tm.min(m.max(1)),
                 crate::tiling::TileOrder::RowTilesRowMajor,
             );
-            let (tx, rx) = fifos.open(&sim, fifos.ordinary, format!("read_{mat}"));
+            let (tx, rx) = channel(sim.ctx(), depth, format!("read_{mat}"));
             read_matrix(&mut sim, router.input(mat)?, n, m, tiling, tx, 1);
             let mut sinks = Vec::new();
             for &oi in cons.iter() {
                 let d = edge_depth(program, cfg, oi, mat, &in_comp);
-                let (ctx_tx, ctx_rx) = fifos.open(&sim, d, format!("{mat}->{oi}"));
+                let (ctx_tx, ctx_rx) = channel(sim.ctx(), d, format!("{mat}->{oi}"));
                 sinks.push(ctx_tx);
                 incoming.insert((oi, (*mat).to_string()), ctx_rx);
             }
@@ -1285,7 +1134,7 @@ pub(super) fn run_component<T: Scalar>(
         }
     }
 
-    // 5. Attach ops in component order, building source readers and
+    // 4. Attach ops in component order, building source readers and
     //    output fan-out as we go.
     for &oi in ops {
         let op = &program.ops()[oi];
@@ -1298,17 +1147,9 @@ pub(super) fn run_component<T: Scalar>(
                 }
                 // Source vector (or scalar-free) read from DRAM.
                 program.vec_len(name)?;
-                let (tx, rx) = fifos.open(sim, fifos.ordinary, format!("{name}->{oi}"));
+                let (tx, rx) = channel(sim.ctx(), depth, format!("{name}->{oi}"));
                 read_vector_replayed(sim, router.input(name)?, tx, reps);
                 Ok(rx)
-            };
-        // A tile's input: the buffer when read in place, else a channel.
-        let mut tile_input =
-            |sim: &mut Simulation, name: &str, reps: usize| -> Result<Input<T>, ExecError> {
-                if in_place.remove(&(oi, name.to_string())) {
-                    return Ok(Input::Buffer(router.input(name)?.clone()));
-                }
-                take_input(sim, name, reps).map(Input::Channel)
             };
 
         // --- output sinks ---
@@ -1327,7 +1168,7 @@ pub(super) fn run_component<T: Scalar>(
                 let tx = vector_output(
                     &mut sim,
                     program,
-                    fifos,
+                    depth,
                     router,
                     &mut incoming,
                     &out_name,
@@ -1347,7 +1188,7 @@ pub(super) fn run_component<T: Scalar>(
                 let tx = vector_output(
                     &mut sim,
                     program,
-                    fifos,
+                    depth,
                     router,
                     &mut incoming,
                     &out_name,
@@ -1359,7 +1200,7 @@ pub(super) fn run_component<T: Scalar>(
                 let n = program.vec_len(x)?;
                 let rx = take_input(&mut sim, x, 1)?;
                 let ry = take_input(&mut sim, y, 1)?;
-                let (tr, rr) = fifos.open(&sim, 1, format!("{out}_res"));
+                let (tr, rr) = channel(sim.ctx(), 1, format!("{out}_res"));
                 Dot::new(n, EXEC_WIDTH).attach(&mut sim, rx, ry, tr);
                 let out = out.clone();
                 let scalars = scalars.clone();
@@ -1378,8 +1219,8 @@ pub(super) fn run_component<T: Scalar>(
                 ..
             } => {
                 let g = exec_gemv(program, cfg, a, variants[&oi])?;
-                let ra = tile_input(&mut sim, a, 1)?;
-                let rxv = tile_input(&mut sim, x, x_reps(oi))?;
+                let ra = take_input(&mut sim, a, 1)?;
+                let rxv = take_input(&mut sim, x, x_reps(oi))?;
                 // Effective beta: 0 when no y operand is given.
                 let eff_beta = if y.is_some() {
                     T::from_f64(*beta)
@@ -1392,19 +1233,17 @@ pub(super) fn run_component<T: Scalar>(
 
                 if g.y_rounds() == 1 {
                     let ryi = match y {
-                        Some(yn) => tile_input(&mut sim, yn, 1)?,
-                        None if fifos.host => Input::Buffer(zeros),
+                        Some(yn) => take_input(&mut sim, yn, 1)?,
                         None => {
-                            let (tyi, ryi) =
-                                fifos.open(&sim, fifos.ordinary, format!("{out_name}_y_in"));
+                            let (tyi, ryi) = channel(sim.ctx(), depth, format!("{out_name}_y_in"));
                             read_vector_replayed(&mut sim, &zeros, tyi, 1);
-                            Input::Channel(ryi)
+                            ryi
                         }
                     };
                     let tx = vector_output(
                         &mut sim,
                         program,
-                        fifos,
+                        depth,
                         router,
                         &mut incoming,
                         &out_name,
@@ -1431,19 +1270,18 @@ pub(super) fn run_component<T: Scalar>(
                     };
                     // Partial replay through DRAM, with a tap for
                     // in-component consumers of the final round.
-                    let (tyi, ryi) = fifos.open(&sim, fifos.ordinary, format!("{out_name}_y_in"));
-                    let (tyo, ryo) = fifos.open(&sim, fifos.ordinary, format!("{out_name}_y_out"));
+                    let (tyi, ryi) = channel(sim.ctx(), depth, format!("{out_name}_y_in"));
+                    let (tyo, ryo) = channel(sim.ctx(), depth, format!("{out_name}_y_out"));
                     g.attach(&mut sim, T::from_f64(*alpha), eff_beta, ra, rxv, ryi, tyo);
                     let taps = consumer_channels(
                         &mut sim,
-                        fifos,
+                        depth,
                         &mut incoming,
                         &out_name,
                         &out_consumers,
                     );
                     replay_with_taps(
                         &mut sim,
-                        fifos,
                         &initial,
                         router.output(&out_name)?,
                         y_len,
@@ -1457,13 +1295,12 @@ pub(super) fn run_component<T: Scalar>(
             Op::Ger { alpha, a, x, y, .. } => {
                 let g = exec_ger(program, cfg, a)?;
                 let (n, m) = (g.n, g.m);
-                let ra = tile_input(&mut sim, a, 1)?;
-                let rxv = tile_input(&mut sim, x, 1)?;
-                let ryv = tile_input(&mut sim, y, g.y_repetitions())?;
+                let ra = take_input(&mut sim, a, 1)?;
+                let rxv = take_input(&mut sim, x, 1)?;
+                let ryv = take_input(&mut sim, y, g.y_repetitions())?;
                 let tx = matrix_output(
                     &mut sim,
                     cfg,
-                    fifos,
                     router,
                     &mut incoming,
                     &out_name,
@@ -1486,7 +1323,6 @@ pub(super) fn run_component<T: Scalar>(
     Ok(ComponentRun {
         scalars,
         guards: ctx.guard_reports(),
-        host_depth_sims: fifos.host as u64,
     })
 }
 
@@ -1625,14 +1461,14 @@ fn edge_depth(
 /// Create the consumer-side channels for an operand and register them.
 fn consumer_channels<T: Scalar>(
     sim: &mut Simulation,
-    fifos: Fifos,
+    depth: usize,
     incoming: &mut HashMap<(usize, String), Receiver<T>>,
     name: &str,
     out_consumers: &[usize],
 ) -> Vec<Sender<T>> {
     let mut sinks = Vec::new();
     for &ci in out_consumers {
-        let (tx, rx) = fifos.open(sim, fifos.ordinary, format!("{name}->{ci}"));
+        let (tx, rx) = channel(sim.ctx(), depth, format!("{name}->{ci}"));
         incoming.insert((ci, name.to_string()), rx);
         sinks.push(tx);
     }
@@ -1644,21 +1480,21 @@ fn consumer_channels<T: Scalar>(
 fn vector_output<T: Scalar>(
     sim: &mut Simulation,
     program: &Program,
-    fifos: Fifos,
+    depth: usize,
     router: &BufRouter<'_, T>,
     incoming: &mut HashMap<(usize, String), Receiver<T>>,
     name: &str,
     out_consumers: &[usize],
 ) -> Result<Sender<T>, ExecError> {
     let n = program.vec_len(name)?;
-    let (w_tx, w_rx) = fifos.open(sim, fifos.ordinary, format!("write_{name}"));
+    let (w_tx, w_rx) = channel(sim.ctx(), depth, format!("write_{name}"));
     write_vector(sim, router.output(name)?, n, w_rx);
-    let mut sinks = consumer_channels(sim, fifos, incoming, name, out_consumers);
+    let mut sinks = consumer_channels(sim, depth, incoming, name, out_consumers);
     if sinks.is_empty() {
         return Ok(w_tx);
     }
     sinks.push(w_tx);
-    let (tx, rx) = fifos.open(sim, fifos.ordinary, format!("{name}_fanout"));
+    let (tx, rx) = channel(sim.ctx(), depth, format!("{name}_fanout"));
     duplicate_many(sim, format!("dup_{name}"), n, rx, sinks);
     Ok(tx)
 }
@@ -1668,7 +1504,6 @@ fn vector_output<T: Scalar>(
 fn matrix_output<T: Scalar>(
     sim: &mut Simulation,
     cfg: &PlannerConfig,
-    fifos: Fifos,
     router: &BufRouter<'_, T>,
     incoming: &mut HashMap<(usize, String), Receiver<T>>,
     name: &str,
@@ -1681,14 +1516,15 @@ fn matrix_output<T: Scalar>(
         cfg.tm.min(m.max(1)),
         crate::tiling::TileOrder::RowTilesRowMajor,
     );
-    let (w_tx, w_rx) = fifos.open(sim, fifos.ordinary, format!("write_{name}"));
+    let depth = cfg.default_depth as usize;
+    let (w_tx, w_rx) = channel(sim.ctx(), depth, format!("write_{name}"));
     write_matrix(sim, router.output(name)?, n, m, tiling, w_rx);
-    let mut sinks = consumer_channels(sim, fifos, incoming, name, out_consumers);
+    let mut sinks = consumer_channels(sim, depth, incoming, name, out_consumers);
     if sinks.is_empty() {
         return Ok(w_tx);
     }
     sinks.push(w_tx);
-    let (tx, rx) = fifos.open(sim, fifos.ordinary, format!("{name}_fanout"));
+    let (tx, rx) = channel(sim.ctx(), depth, format!("{name}_fanout"));
     duplicate_many(sim, format!("dup_{name}"), n * m, rx, sinks);
     Ok(tx)
 }
@@ -1699,7 +1535,6 @@ fn matrix_output<T: Scalar>(
 #[allow(clippy::too_many_arguments)]
 fn replay_with_taps<T: Scalar>(
     sim: &mut Simulation,
-    fifos: Fifos,
     initial: &DeviceBuffer<T>,
     result: &DeviceBuffer<T>,
     n: usize,
@@ -1708,8 +1543,11 @@ fn replay_with_taps<T: Scalar>(
     from_module: Receiver<T>,
     taps: Vec<Sender<T>>,
 ) {
-    let (loop_tx, loop_rx) =
-        fifos.open::<T>(sim, n.max(1), format!("replay_{}_dram", initial.name()));
+    let (loop_tx, loop_rx) = channel::<T>(
+        sim.ctx(),
+        n.max(1),
+        format!("replay_{}_dram", initial.name()),
+    );
     let init = initial.clone();
     sim.add_module(
         format!("replay_{}_read", init.name()),
@@ -2319,79 +2157,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn host_depth_needs_the_fused_backend_a_live_graph_and_no_hook() {
-        use crate::composition::rates::atax_mdag;
-        // The ATAX burst is 64·8 elements: one slot short, it stalls.
-        assert!(completes(Some(atax_mdag(64, 32, 8, 64 * 8))));
-        assert!(!completes(Some(atax_mdag(64, 32, 8, 64 * 8 - 1))));
-        assert!(!completes(None));
-        let fused = ComponentOptions {
-            host_depth: true,
-            ..ComponentOptions::default()
-        };
-        assert!(admit_host_depth(&fused));
-        assert!(!admit_host_depth(&ComponentOptions::default()));
-        let armed = ComponentOptions {
-            hook: Some(OneShot::crash("no_such_module")),
-            ..fused.clone()
-        };
-        assert!(!admit_host_depth(&armed));
-
-        // End to end on a lone GEMV. As the program's one tile the
-        // fused backend runs it threaded: host depth on the fused
-        // backend only, not under an armed hook. Over 3×3 tiles it
-        // replays, with no simulation. The same bits on every path.
-        let (n, m) = (40, 24);
-        let mut p = Program::new();
-        p.matrix("A", n, m).vector("x", m).vector("q", n);
-        p.op(Op::Gemv {
-            alpha: 1.5,
-            beta: 0.0,
-            a: "A".into(),
-            transposed: false,
-            x: "x".into(),
-            y: None,
-            out: "q".into(),
-        });
-        for ((tn, tm), fused_host_depth) in [((n, m), 1), ((16, 8), 0)] {
-            let cfg = PlannerConfig {
-                tn,
-                tm,
-                ..Default::default()
-            };
-            let thep = plan(&p, &cfg).unwrap();
-            let run = |opts: &ExecOptions| {
-                let bufs = bind(vec![
-                    ("A", seq(n * m, 0.0)),
-                    ("x", seq(m, 1.0)),
-                    ("q", vec![0.0; n]),
-                ]);
-                let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs, opts).unwrap();
-                let bits: Vec<u64> = bufs["q"].to_host().iter().map(|v| v.to_bits()).collect();
-                (bits, out.host_depth_sims)
-            };
-            let pinned = |backend| ExecOptions {
-                backend,
-                ..ExecOptions::default()
-            };
-            let (oracle, threaded_sims) = run(&pinned(Backend::Threaded));
-            let (fused_bits, fused_sims) = run(&pinned(Backend::Fused));
-            let armed = ExecOptions {
-                backend: Backend::Fused,
-                ..recover(Some(OneShot::crash("no_such_module")))
-            };
-            let (armed_bits, armed_sims) = run(&armed);
-            assert_eq!(
-                (threaded_sims, fused_sims, armed_sims),
-                (0, fused_host_depth, 0),
-                "tiles {tn}x{tm}"
-            );
-            assert_eq!(fused_bits, oracle, "tiles {tn}x{tm}");
-            assert_eq!(armed_bits, oracle, "tiles {tn}x{tm}");
-        }
-    }
-
     /// Lane names and result bits of one traced run of `p`.
     fn traced(
         p: &Program,
@@ -2413,51 +2178,10 @@ mod tests {
         (bits, lanes)
     }
 
-    /// Lanes, result bits and host-depth simulations of one
-    /// `run_component` call over `ops`, bypassing the fused backend's
-    /// units, at host depth or at the modelled depths.
-    fn component_lanes(
-        p: &Program,
-        cfg: &PlannerConfig,
-        operands: &[(&str, Vec<f64>)],
-        results: &[&str],
-        host_depth: bool,
-    ) -> (Vec<u64>, Vec<String>, u64) {
-        let thep = plan(p, cfg).unwrap();
-        let component = &thep.components[0];
-        let bufs = bind(operands.to_vec());
-        let tracer = Tracer::new();
-        let run = run_component(
-            p,
-            cfg,
-            &component.ops,
-            &component.gemv_variants,
-            &BufRouter::direct(&bufs),
-            Some(&tracer),
-            &ComponentOptions {
-                host_depth,
-                ..ComponentOptions::default()
-            },
-        )
-        .unwrap();
-        let bits = results
-            .iter()
-            .flat_map(|o| bufs[*o].to_host())
-            .map(f64::to_bits)
-            .collect();
-        let lanes = tracer.lanes().into_iter().map(|l| l.module).collect();
-        (bits, lanes, run.host_depth_sims)
-    }
-
     #[test]
-    fn admitted_tiles_read_their_dram_operands_in_place() {
+    fn lone_tiles_in_3x3_tiles_replay_on_one_fused_lane() {
         let (n, m) = (40, 24);
-        // The matrix in one tile, and in ⌈40/16⌉ × ⌈24/8⌉ = 3 × 3.
-        let one_tile = PlannerConfig {
-            tn: n,
-            tm: m,
-            ..Default::default()
-        };
+        // The matrix in ⌈40/16⌉ × ⌈24/8⌉ = 3 × 3 tiles.
         let cfg = PlannerConfig {
             tn: 16,
             tm: 8,
@@ -2473,10 +2197,9 @@ mod tests {
         };
         let has = |lanes: &[String], name: &str| lanes.iter().any(|l| l == name);
 
-        // A lone GEMV, untransposed and transposed. As its program's one
-        // tile it runs threaded at host depth and reads every operand in
-        // place; over 3 × 3 tiles it replays on one `fused:` lane. An
-        // armed hook keeps every reader either way.
+        // A lone GEMV, untransposed and transposed, replays on one
+        // `fused:` lane with no reader. The threaded oracle and an armed
+        // hook keep every reader.
         for transposed in [false, true] {
             let (xn, yn) = if transposed { (n, m) } else { (m, n) };
             let mut p = Program::new();
@@ -2499,52 +2222,34 @@ mod tests {
                 ("y", seq(yn, 2.0)),
                 ("q", vec![0.0; yn]),
             ];
-            for cfg in [&one_tile, &cfg] {
-                let run = |opts| traced(&p, cfg, &operands, "q", opts);
-                let (oracle, threaded) = run(pinned(Backend::Threaded));
-                let (fused_bits, fused) = run(pinned(Backend::Fused));
-                let (armed_bits, armed) = run(armed());
-                let at = format!("transposed {transposed}, tiles {}x{}", cfg.tn, cfg.tm);
-                assert_eq!(fused_bits, oracle, "{at}");
-                assert_eq!(armed_bits, oracle, "{at}");
-                let lone = cfg.tn == n;
-                // Only the transposed 3 × 3 GEMV sends y several rounds.
-                let y_reader = if transposed && !lone {
-                    "replay_y_read"
-                } else {
-                    "read_y"
-                };
-                for lanes in [&threaded, &armed] {
-                    for reader in ["read_A", "read_x", y_reader] {
-                        assert!(has(lanes, reader), "{at}: {lanes:?}");
-                    }
+            let run = |opts| traced(&p, &cfg, &operands, "q", opts);
+            let (oracle, threaded) = run(pinned(Backend::Threaded));
+            let (fused_bits, fused) = run(pinned(Backend::Fused));
+            let (armed_bits, armed) = run(armed());
+            let at = format!("transposed {transposed}");
+            assert_eq!(fused_bits, oracle, "{at}");
+            assert_eq!(armed_bits, oracle, "{at}");
+            // Only the transposed GEMV sends y several rounds.
+            let y_reader = if transposed {
+                "replay_y_read"
+            } else {
+                "read_y"
+            };
+            for lanes in [&threaded, &armed] {
+                for reader in ["read_A", "read_x", y_reader] {
+                    assert!(has(lanes, reader), "{at}: {lanes:?}");
                 }
-                assert!(
-                    !fused.iter().any(|l| l.starts_with("read_")),
-                    "{at}: {fused:?}"
-                );
-                let gemv = fused.iter().any(|l| l.starts_with("gemv"));
-                let replayed = has(&fused, "fused:fuse0");
-                assert_eq!((gemv, replayed), (lone, !lone), "{at}: {fused:?}");
             }
-
-            // The 3 × 3 GEMV admitted at host depth outside the fused
-            // units: it reads A and x in place, x with its 3 replays
-            // when untransposed, and the transposed one keeps the
-            // replay loop of its y, which makes 3 rounds through DRAM.
-            let (oracle, modelled, sims) = component_lanes(&p, &cfg, &operands, &["q"], false);
-            assert_eq!(sims, 0);
-            assert!(has(&modelled, "read_A"), "{modelled:?}");
-            let (bits, admitted, sims) = component_lanes(&p, &cfg, &operands, &["q"], true);
-            assert_eq!((bits, sims), (oracle, 1));
-            assert_eq!(has(&admitted, "replay_y_read"), transposed, "{admitted:?}");
             assert!(
-                !has(&admitted, "read_A") && !has(&admitted, "read_x"),
-                "{admitted:?}"
+                !fused.iter().any(|l| l.starts_with("read_")),
+                "{at}: {fused:?}"
             );
+            let gemv = fused.iter().any(|l| l.starts_with("gemv"));
+            let replayed = has(&fused, "fused:fuse0");
+            assert_eq!((gemv, replayed), (false, true), "{at}: {fused:?}");
         }
 
-        // A lone GER, likewise: threaded in one tile, replayed in 3 × 3.
+        // A lone GER, likewise.
         let mut p = Program::new();
         p.matrix("A", n, m)
             .matrix("B", n, m)
@@ -2563,78 +2268,19 @@ mod tests {
             ("v", seq(m, 2.0)),
             ("B", vec![0.0; n * m]),
         ];
-        for cfg in [&one_tile, &cfg] {
-            let run = |opts| traced(&p, cfg, &operands, "B", opts);
-            let (oracle, threaded) = run(pinned(Backend::Threaded));
-            let (fused_bits, fused) = run(pinned(Backend::Fused));
-            let (armed_bits, armed) = run(armed());
-            assert_eq!((&fused_bits, &armed_bits), (&oracle, &oracle));
-            for lanes in [&threaded, &armed] {
-                for reader in ["read_A", "read_u", "read_v"] {
-                    assert!(has(lanes, reader), "{lanes:?}");
-                }
+        let run = |opts| traced(&p, &cfg, &operands, "B", opts);
+        let (oracle, threaded) = run(pinned(Backend::Threaded));
+        let (fused_bits, fused) = run(pinned(Backend::Fused));
+        let (armed_bits, armed) = run(armed());
+        assert_eq!((&fused_bits, &armed_bits), (&oracle, &oracle));
+        for lanes in [&threaded, &armed] {
+            for reader in ["read_A", "read_u", "read_v"] {
+                assert!(has(lanes, reader), "{lanes:?}");
             }
-            let lone = cfg.tn == n;
-            let (ger, replayed) = (has(&fused, "ger"), has(&fused, "fused:fuse0"));
-            assert_eq!((ger, replayed), (lone, !lone), "{fused:?}");
-            assert!(!fused.iter().any(|l| l.starts_with("read_")), "{fused:?}");
         }
-        // Admitted at host depth outside the fused units, the 3 × 3 GER
-        // reads every operand in place, y with its 3 replays.
-        let (oracle, _, _) = component_lanes(&p, &cfg, &operands, &["B"], false);
-        let (bits, admitted, sims) = component_lanes(&p, &cfg, &operands, &["B"], true);
-        assert_eq!((bits, sims), (oracle, 1));
-        assert!(has(&admitted, "ger"), "{admitted:?}");
-        assert!(
-            !admitted.iter().any(|l| l.starts_with("read_")),
-            "{admitted:?}"
-        );
-
-        // A matrix shared through `dup_A` keeps its reader in an
-        // admitted simulation; the vectors are read in place. BICG's
-        // component runs threaded here (the fused backend would replay
-        // it tile by tile).
-        let mut p = Program::new();
-        p.matrix("A", n, m)
-            .vector("p", m)
-            .vector("r", n)
-            .vector("q", n)
-            .vector("s", m);
-        for (transposed, x, out) in [(false, "p", "q"), (true, "r", "s")] {
-            p.op(Op::Gemv {
-                alpha: 1.0,
-                beta: 0.0,
-                a: "A".into(),
-                transposed,
-                x: x.into(),
-                y: None,
-                out: out.into(),
-            });
-        }
-        assert_eq!(plan(&p, &cfg).unwrap().components[0].ops.len(), 2);
-        let operands = [
-            ("A", seq(n * m, 0.0)),
-            ("p", seq(m, 1.0)),
-            ("r", seq(n, 2.0)),
-            ("q", vec![0.0; n]),
-            ("s", vec![0.0; m]),
-        ];
-        let host = |host_depth| component_lanes(&p, &cfg, &operands, &["q", "s"], host_depth);
-        let (oracle, modelled, sims) = host(false);
-        assert_eq!(sims, 0);
-        for reader in ["read_A", "dup_A", "read_p", "read_r"] {
-            assert!(has(&modelled, reader), "{modelled:?}");
-        }
-        let (bits, admitted, sims) = host(true);
-        assert_eq!((bits, sims), (oracle, 1));
-        assert!(
-            has(&admitted, "read_A") && has(&admitted, "dup_A"),
-            "{admitted:?}"
-        );
-        assert!(
-            !has(&admitted, "read_p") && !has(&admitted, "read_r"),
-            "{admitted:?}"
-        );
+        let (ger, replayed) = (has(&fused, "ger"), has(&fused, "fused:fuse0"));
+        assert_eq!((ger, replayed), (false, true), "{fused:?}");
+        assert!(!fused.iter().any(|l| l.starts_with("read_")), "{fused:?}");
     }
 
     /// Faults aim at channels, so a hook-armed attempt keeps every
@@ -2676,10 +2322,10 @@ mod tests {
         assert_eq!(out.recovery.recovered, 1);
     }
 
-    /// Analyses the fused backend has run on this thread: fusion,
-    /// obligations, rates.
-    fn analyses() -> [u32; 3] {
-        fused::ANALYSES.with(Cell::get)
+    /// Analyses the fused backend has run on this thread: fusion and
+    /// obligations.
+    fn analyses() -> [u32; 2] {
+        fused::ANALYSES.with(std::cell::Cell::get)
     }
 
     /// Every output of GEMVER `p` executed under `thep`, as bits.
@@ -2709,8 +2355,7 @@ mod tests {
     #[test]
     fn a_plan_executed_twice_is_analysed_once() {
         // GEMVER's two components both replay: each runs the fusion
-        // analysis and the obligation check, and neither needs the
-        // host-depth rate analysis.
+        // analysis and the obligation check.
         let (p, cfg) = gemver_program(14, 1.2, 0.7);
         let thep = plan(&p, &cfg).unwrap();
         let opts = ExecOptions::default();
@@ -2718,9 +2363,9 @@ mod tests {
         let first = gemver_bits(&p, &thep, &cfg, &opts);
         let once = analyses();
         assert_eq!(
-            [0, 1, 2].map(|k| once[k] - start[k]),
-            [2, 2, 0],
-            "fusion, obligations, rates"
+            [0, 1].map(|k| once[k] - start[k]),
+            [2, 2],
+            "fusion, obligations"
         );
         assert!(thep.components.iter().all(|c| c.analysis.is_filled()));
         let second = gemver_bits(&p, &thep, &cfg, &opts);
@@ -2821,6 +2466,7 @@ mod tests {
             tm: n,
             ..Default::default()
         };
+        // Result bits, and whether the GEMV replayed on a `fused:` lane.
         let run = |p: &Program, thep: &Plan| {
             let bufs = bind(vec![
                 ("A", seq(n * n, 0.0)),
@@ -2830,13 +2476,19 @@ mod tests {
                 ("C", seq(n * n, 3.0)),
                 ("D", vec![0.0; n * n]),
             ]);
-            let out = execute_plan::<f64>(p, thep, &cfg, &bufs, &ExecOptions::default()).unwrap();
+            let tracer = Tracer::new();
+            let opts = ExecOptions {
+                tracer: Some(&tracer),
+                ..ExecOptions::default()
+            };
+            execute_plan::<f64>(p, thep, &cfg, &bufs, &opts).unwrap();
             let bits: Vec<u64> = bufs["o"].to_host().iter().map(|v| v.to_bits()).collect();
-            (bits, out.host_depth_sims)
+            let lanes = tracer.lanes();
+            (bits, lanes.iter().any(|l| l.module.starts_with("fused:")))
         };
         let thep = plan(&lone, &cfg).unwrap();
-        let (oracle, sims) = run(&lone, &thep);
-        assert_eq!(sims, 1, "the one-tile program runs threaded at host depth");
+        let (oracle, replayed) = run(&lone, &thep);
+        assert!(!replayed, "the one-tile program runs threaded");
         assert!(thep.components[0].analysis.is_filled());
 
         let before = analyses();
@@ -2846,11 +2498,11 @@ mod tests {
             before[0] + 1,
             "the composition is analysed afresh"
         );
-        assert_eq!(reused, (oracle.clone(), 0), "and its GEMV replays");
+        assert_eq!(reused, (oracle.clone(), true), "and its GEMV replays");
         assert_eq!(run(&composed, &plan(&composed, &cfg).unwrap()), reused);
         // The memo still answers the program it was filled for.
         let before = analyses();
-        assert_eq!(run(&lone, &thep), (oracle, 1));
+        assert_eq!(run(&lone, &thep), (oracle, false));
         assert_eq!(analyses(), before);
     }
 
@@ -2865,8 +2517,8 @@ mod tests {
         assert!(thep.components.iter().all(|c| !c.analysis.is_filled()));
         let after = analyses();
         // The armed analysis rejects every region: no obligations to
-        // check, and no simulation may run at host depth.
-        assert_eq!([0, 1, 2].map(|k| after[k] - before[k]), [2, 0, 0]);
+        // check.
+        assert_eq!([0, 1].map(|k| after[k] - before[k]), [2, 0]);
     }
 
     /// A GEMV's predictions run beside the component when its inputs

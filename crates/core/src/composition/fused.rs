@@ -16,10 +16,10 @@
 //!   loop over the operand buffers (no channels, no locks, no thread
 //!   spawns);
 //! - a batch of ops run together on one threaded hlssim simulation,
-//!   carrying its own host-depth verdict.
+//!   exactly as the threaded backend would run them.
 //!
-//! The threaded backend runs one threaded unit over the whole component
-//! at modelled depth. Units hand off through the operand
+//! The threaded backend runs one threaded unit over the whole
+//! component. Units hand off through the operand
 //! [`DeviceBuffer`](crate::host::DeviceBuffer)s, which is exactly the
 //! boundary the threaded executor already uses: every op output is teed
 //! to its buffer, and a consumer whose producer is absent from the
@@ -54,8 +54,7 @@ use fblas_trace::{ModuleScope, Tracer};
 use parking_lot::RwLockReadGuard;
 
 use super::executor::{
-    exec_gemv, exec_ger, rates_live, run_component, BufRouter, ComponentOptions, ComponentRun,
-    ExecError,
+    exec_gemv, exec_ger, run_component, BufRouter, ComponentOptions, ComponentRun, ExecError,
 };
 use super::fusion::{
     analyze_fusion, build_evaluator, check_obligations, sems_for_component, FusedEvaluator,
@@ -167,9 +166,8 @@ enum Unit {
     /// Run a compiled fused region.
     Fused(CompiledRegion),
     /// Run these program op indices together on one threaded
-    /// simulation, at host depth when `live` (their [`rates_live`]
-    /// verdict).
-    Threaded { ops: Vec<usize>, live: bool },
+    /// simulation.
+    Threaded(Vec<usize>),
 }
 
 /// A fused region compiled against the component, with every name
@@ -208,9 +206,9 @@ fn node_op_index(node: &str) -> Option<usize> {
     node.rsplit_once('#').and_then(|(_, idx)| idx.parse().ok())
 }
 
-/// Compile the component's fusion plan into units, each threaded one
-/// not yet live. `None` means "run the whole component threaded" — the
-/// safe fallback for anything this backend does not fully understand.
+/// Compile the component's fusion plan into units. `None` means "run
+/// the whole component threaded" — the safe fallback for anything this
+/// backend does not fully understand.
 fn compile_schedule(
     program: &Program,
     cfg: &PlannerConfig,
@@ -358,10 +356,7 @@ fn compile_schedule(
             batch.sort_by_key(|oi| component.ops.iter().position(|c| c == oi));
             done.extend(batch.iter().copied());
             pending.retain(|oi| !batch.contains(oi));
-            units.push(Unit::Threaded {
-                ops: batch,
-                live: false,
-            });
+            units.push(Unit::Threaded(batch));
         }
         let mut launched = false;
         for slot in &mut regions {
@@ -567,14 +562,14 @@ fn run_region<T: Scalar>(
 #[cfg(test)]
 thread_local! {
     /// Analyses the fused backend has run on this thread, by kind: the
-    /// fusion analysis, its obligation check, and the host-depth rate
-    /// analysis of a threaded unit. Tests read it to see the memo work.
-    pub(super) static ANALYSES: std::cell::Cell<[u32; 3]> = const { std::cell::Cell::new([0; 3]) };
+    /// fusion analysis and its obligation check. Tests read it to see
+    /// the memo work.
+    pub(super) static ANALYSES: std::cell::Cell<[u32; 2]> = const { std::cell::Cell::new([0; 2]) };
 }
 
 /// Counts one analysis of `kind` (an index into [`ANALYSES`]); a no-op
 /// outside tests.
-pub(super) fn count_analysis(_kind: usize) {
+fn count_analysis(_kind: usize) {
     #[cfg(test)]
     ANALYSES.with(|c| {
         let mut n = c.get();
@@ -647,10 +642,8 @@ impl std::fmt::Debug for AnalysisMemo {
 
 /// Analyse `component` for the fused backend into its units: the
 /// fusion analysis, the re-verification of every region's obligations
-/// (the executor's own check, never one handed over from lint), the
-/// unit schedule, and the host-depth rate verdict of each threaded
-/// unit. Under an armed hook every region is rejected and no simulation
-/// may run at host depth, so the rate analysis is skipped.
+/// (the executor's own check, never one handed over from lint) and the
+/// unit schedule. Under an armed hook every region is rejected.
 fn analyse(
     program: &Program,
     cfg: &PlannerConfig,
@@ -663,8 +656,6 @@ fn analyse(
         count_analysis(1);
         check_obligations(&plan, &component.mdag, &sems, recovery_armed).is_empty()
     };
-    let rates =
-        |ops: &[usize]| !recovery_armed && rates_live(program, cfg, ops, &component.gemv_variants);
     if verified {
         let tiles = plan
             .regions
@@ -673,26 +664,18 @@ fn analyse(
         if let Some(region) = tiles {
             return vec![Unit::Tiles(region.clone())];
         }
-        if let Some(mut units) = compile_schedule(program, cfg, component, &sems, &plan) {
-            for unit in &mut units {
-                if let Unit::Threaded { ops, live } = unit {
-                    *live = rates(ops);
-                }
-            }
+        if let Some(units) = compile_schedule(program, cfg, component, &sems, &plan) {
             return units;
         }
     }
-    vec![Unit::Threaded {
-        ops: component.ops.clone(),
-        live: rates(&component.ops),
-    }]
+    vec![Unit::Threaded(component.ops.clone())]
 }
 
 /// The units `component` runs as on `backend`. The threaded backend
-/// runs one threaded unit over the whole component at modelled depth,
-/// with no analysis. The fused backend takes them from the component's
-/// memo, filling it on first use, or analyses them afresh (into
-/// `fresh`) when the memo answers another program or a hook is armed.
+/// runs one threaded unit over the whole component, with no analysis.
+/// The fused backend takes them from the component's memo, filling it
+/// on first use, or analyses them afresh (into `fresh`) when the memo
+/// answers another program or a hook is armed.
 fn units<'c>(
     program: &Program,
     cfg: &PlannerConfig,
@@ -702,8 +685,7 @@ fn units<'c>(
     fresh: &'c mut Option<Vec<Unit>>,
 ) -> &'c [Unit] {
     if !backend.fused_allowed() {
-        let ops = component.ops.clone();
-        return fresh.insert(vec![Unit::Threaded { ops, live: false }]);
+        return fresh.insert(vec![Unit::Threaded(component.ops.clone())]);
     }
     if armed {
         return fresh.insert(analyse(program, cfg, component, true));
@@ -721,8 +703,7 @@ fn units<'c>(
 }
 
 /// Run one component as its [`units`], in order: replayed tiles, fused
-/// regions, and threaded batches, each of which uses host-depth FIFOs
-/// (`ComponentOptions::host_depth`) when its rate verdict holds.
+/// regions, and threaded batches.
 pub(super) fn run_component_fused<T: Scalar>(
     program: &Program,
     cfg: &PlannerConfig,
@@ -739,23 +720,11 @@ pub(super) fn run_component_fused<T: Scalar>(
         match unit {
             Unit::Tiles(region) => replay_tiles(program, cfg, component, region, router, tracer)?,
             Unit::Fused(region) => run_region(region, router, &mut run.scalars, tracer)?,
-            Unit::Threaded { ops, live } => {
-                let unit_opts = ComponentOptions {
-                    host_depth: *live,
-                    ..opts.clone()
-                };
-                let sim = run_component(
-                    program,
-                    cfg,
-                    ops,
-                    &component.gemv_variants,
-                    router,
-                    tracer,
-                    &unit_opts,
-                )?;
+            Unit::Threaded(ops) => {
+                let variants = &component.gemv_variants;
+                let sim = run_component(program, cfg, ops, variants, router, tracer, opts)?;
                 run.scalars.extend(sim.scalars);
                 run.guards.extend(sim.guards);
-                run.host_depth_sims += sim.host_depth_sims;
             }
         }
     }
@@ -822,15 +791,14 @@ mod tests {
             .collect()
     }
 
-    /// Each unit's kind, threaded ones with their host-depth verdict.
+    /// Each unit's kind.
     fn kinds(units: &[Unit]) -> Vec<&'static str> {
         units
             .iter()
             .map(|u| match u {
                 Unit::Tiles(_) => "tiles",
                 Unit::Fused(_) => "fused",
-                Unit::Threaded { live: true, .. } => "threaded live",
-                Unit::Threaded { live: false, .. } => "threaded",
+                Unit::Threaded(_) => "threaded",
             })
             .collect()
     }
@@ -897,8 +865,7 @@ mod tests {
         let thep = planned(&p, &cfg);
         assert_eq!(kinds(memoised(&p, &thep, &cfg)), ["fused"]);
 
-        // A program that is one GEMV spanning one tile stays threaded,
-        // live at host depth.
+        // A program that is one GEMV spanning one tile stays threaded.
         let mut p = Program::new();
         p.matrix("A", n, m).vector("x", m).vector("q", n);
         p.op(Op::Gemv {
@@ -916,18 +883,18 @@ mod tests {
             ..PlannerConfig::default()
         };
         let thep = planned(&p, &cfg);
-        assert_eq!(kinds(memoised(&p, &thep, &cfg)), ["threaded live"]);
+        assert_eq!(kinds(memoised(&p, &thep, &cfg)), ["threaded"]);
 
         // With a hook armed, or on the threaded backend, the same
-        // program runs as one threaded unit at modelled depth, and
-        // neither reads nor fills the memo.
+        // program runs as one threaded unit, and neither reads nor
+        // fills the memo.
         let thep = planned(&p, &cfg);
         let comp = &thep.components[0];
         for (backend, armed) in [(Backend::Fused, true), (Backend::Threaded, false)] {
             let mut fresh = None;
             let units = units(&p, &cfg, comp, backend, armed, &mut fresh);
             assert_eq!(kinds(units), ["threaded"], "{backend:?}, armed {armed}");
-            assert!(matches!(&units[0], Unit::Threaded { ops, .. } if *ops == comp.ops));
+            assert!(matches!(&units[0], Unit::Threaded(ops) if *ops == comp.ops));
             assert!(!comp.analysis.is_filled());
         }
     }
@@ -947,7 +914,7 @@ mod tests {
         assert_eq!(regions.len(), 1);
         // All three relay ops live in the region; nothing runs threaded.
         assert_eq!(regions[0].ops.len(), 3);
-        assert!(!units.iter().any(|u| matches!(u, Unit::Threaded { .. })));
+        assert!(!units.iter().any(|u| matches!(u, Unit::Threaded(_))));
         // Every intermediate is drained to its buffer by an absorbed tee.
         let mut sinks = regions[0].sink_operands.clone();
         sinks.sort();

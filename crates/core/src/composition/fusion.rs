@@ -817,7 +817,7 @@ fn tile_violations(
 /// its program's only GEMV/GER, spanning one planner tile. Such a
 /// program streams nothing a replay would save, and it is the
 /// per-request floor the served benchmark's replica check times, so it
-/// keeps the threaded path at host depth. Every other lone tile — a
+/// keeps the threaded path. Every other lone tile — a
 /// multi-tile GEMV, or one GEMV of a composition — replays.
 fn singleton(sems: &[ModuleSem], tiles: &[usize]) -> bool {
     match tiles {

@@ -388,10 +388,8 @@ impl Mdag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    // The AXPYDOT MDAG of paper Fig. 6, and an ATAX-shaped one (Fig. 8)
-    // whose second GEMV reads `A` straight from its interface.
-    use crate::apps::axpydot_mdag;
-    use crate::composition::rates::atax_mdag;
+    // The AXPYDOT MDAG of paper Fig. 6 and the ATAX MDAG of Fig. 8.
+    use crate::apps::{atax_mdag, axpydot_mdag};
 
     #[test]
     fn axpydot_is_a_valid_multitree() {
@@ -428,7 +426,8 @@ mod tests {
 
     #[test]
     fn atax_detected_as_non_multitree_needing_depth() {
-        // a→g2 and a→g1→g2 are two paths from read_A to the second GEMV.
+        // a→dup→g2 and a→dup→g1→g2 are two paths from read_A to the
+        // second GEMV.
         let g = atax_mdag(64, 32, 8, 16);
         assert_eq!(g.is_multitree(), Some(false));
         assert!(g
@@ -436,8 +435,11 @@ mod tests {
             .iter()
             .any(|&(u, v)| g.node_name(u) == "read_A" && g.node_name(v) == "gemv_t"));
         match g.validate() {
-            Validity::RequiresChannelDepth { min_depth, .. } => {
-                assert_eq!(min_depth, 64 * 8);
+            Validity::RequiresChannelDepth { edge, min_depth } => {
+                assert_eq!(edge, EdgeId(2));
+                // One row of tiles, T_N·M: RateGraph's exact minimum.
+                assert_eq!(min_depth, 8 * 32);
+                assert_eq!(RateGraph::from_mdag(&g).min_depth(2), Some(min_depth));
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -446,8 +448,10 @@ mod tests {
     #[test]
     fn atax_valid_once_channel_is_sized() {
         // Paper's fix (a): set the channel size according to input size.
-        let g = atax_mdag(64, 32, 8, 64 * 8);
+        let g = atax_mdag(64, 32, 8, 8 * 32);
         assert_eq!(g.validate(), Validity::Valid);
+        let under = atax_mdag(64, 32, 8, 8 * 32 - 1);
+        assert_ne!(under.validate(), Validity::Valid);
     }
 
     #[test]
@@ -542,10 +546,11 @@ mod tests {
         let g = atax_mdag(64, 32, 8, 16);
         let views: Vec<EdgeInfo> = g.edges().collect();
         assert_eq!(views.len(), g.edge_count());
-        assert_eq!(views[1].burst_before_consume, 64 * 8);
-        assert_eq!(views[1].channel_depth, 16);
-        assert_eq!(g.node_kind(views[1].from), ModuleKind::Interface);
-        assert_eq!(g.node_kind(views[1].to), ModuleKind::Compute);
+        assert_eq!(views[2].burst_before_consume, 8 * 32);
+        assert_eq!(views[2].channel_depth, 16);
+        assert_eq!(g.node_kind(views[0].from), ModuleKind::Interface);
+        assert_eq!(g.node_kind(views[2].from), ModuleKind::Compute);
+        assert_eq!(g.node_kind(views[2].to), ModuleKind::Compute);
         assert_eq!(g.node_ids().count(), g.node_count());
     }
 
@@ -569,7 +574,7 @@ mod tests {
         // AXPYDOT (Fig. 6) and BICG (Fig. 7): valid multitrees.
         verdicts_agree(&axpydot_mdag(1000));
         // ATAX (Fig. 8): shallow channel rejected by both, and both
-        // derive the same minimum depth N·T_N; sized channel accepted.
+        // derive the same minimum depth T_N·M; sized channel accepted.
         let shallow = atax_mdag(64, 32, 8, 16);
         verdicts_agree(&shallow);
         let old_min = match shallow.validate() {
@@ -578,9 +583,10 @@ mod tests {
         };
         assert_eq!(
             RateGraph::from_mdag(&shallow).repair(),
-            Some(vec![(1, old_min)])
+            Some(vec![(2, old_min)])
         );
-        verdicts_agree(&atax_mdag(64, 32, 8, 64 * 8));
+        verdicts_agree(&atax_mdag(64, 32, 8, old_min));
+        verdicts_agree(&atax_mdag(64, 32, 8, old_min - 1));
     }
 
     /// The GEMVER schedule of paper Fig. 9: the first component

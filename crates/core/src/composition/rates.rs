@@ -671,29 +671,10 @@ impl RateGraph {
     }
 }
 
-/// An ATAX-shaped MDAG (Fig. 8): `A` read twice, the second GEMV
-/// draining its copy only after the first emits a burst of `n·tn`
-/// elements, through a channel `depth` deep.
-#[cfg(test)]
-pub(crate) fn atax_mdag(n: u64, m: u64, tn: u64, depth: u64) -> Mdag {
-    let mut g = Mdag::new();
-    let a = g.add_interface("read_A");
-    let x = g.add_interface("read_x");
-    let g1 = g.add_compute("gemv");
-    let g2 = g.add_compute("gemv_t");
-    let y = g.add_interface("write_y");
-    g.add_edge(a, g1, n * m, n * m, 16);
-    let e_a2 = g.add_edge(a, g2, n * m, n * m, depth);
-    g.add_edge(x, g1, m, m, 16);
-    g.add_edge(g1, g2, n, n, 16);
-    g.add_edge(g2, y, m, m, 16);
-    g.set_burst_before_consume(e_a2, n * tn);
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::atax_mdag;
 
     fn push(channel: usize, count: u64) -> Step {
         Step::Push { channel, count }
@@ -871,13 +852,16 @@ mod tests {
     fn atax_mdag_deadlocks_shallow_and_completes_at_burst() {
         let g = RateGraph::from_mdag(&atax_mdag(64, 32, 8, 16));
         assert!(matches!(g.analyze(), Outcome::Deadlock { .. }));
-        // EdgeId(1) is the read_A -> gemv_t edge; channel index matches.
-        assert_eq!(g.min_depth(1), Some(64 * 8));
-        assert_eq!(g.repair(), Some(vec![(1, 64 * 8)]));
+        // EdgeId(2) is the duplicate -> gemv_t edge; channel index
+        // matches. Its exact minimum is the burst, one row of tiles:
+        // T_N·M = 8·32.
+        let need = 8 * 32;
+        assert_eq!(g.min_depth(2), Some(need));
+        assert_eq!(g.repair(), Some(vec![(2, need)]));
 
-        let sized = RateGraph::from_mdag(&atax_mdag(64, 32, 8, 64 * 8));
+        let sized = RateGraph::from_mdag(&atax_mdag(64, 32, 8, need));
         assert!(sized.analyze().is_completed());
-        let under = RateGraph::from_mdag(&atax_mdag(64, 32, 8, 64 * 8 - 1));
+        let under = RateGraph::from_mdag(&atax_mdag(64, 32, 8, need - 1));
         assert!(matches!(under.analyze(), Outcome::Deadlock { .. }));
     }
 

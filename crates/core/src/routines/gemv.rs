@@ -24,9 +24,9 @@
 //! [`TransColStreamed`]: GemvVariant::TransColStreamed
 
 use fblas_arch::{estimate_circuit, CircuitClass, ResourceEstimate};
-use fblas_hlssim::{ModuleKind, PipelineCost, Sender, SimError, Simulation};
+use fblas_hlssim::{ChunkReader, ModuleKind, PipelineCost, Receiver, Sender, SimError, Simulation};
 
-use super::replay::{Cycle, Input, MatrixIn, TiledReader, VectorIn};
+use super::replay::{Cycle, MatrixIn, TiledReader, VectorIn};
 use super::validate_width;
 use crate::scalar::{tree_dot, Scalar};
 use crate::tiling::{gemv_io_tiles_by_cols, gemv_io_tiles_by_rows, TileOrder, Tiling};
@@ -167,19 +167,15 @@ impl Gemv {
     ///   partials on later rounds);
     /// * `y_out` — outgoing `y` blocks ([`y_rounds`](Self::y_rounds)
     ///   rounds; the last round carries the final result).
-    ///
-    /// Each input is a channel or an operand buffer the module reads in
-    /// place ([`Input`]); a buffered `y_in` holds the initial values of
-    /// a single-round `y`.
     #[allow(clippy::too_many_arguments)]
     pub fn attach<T: Scalar>(
         &self,
         sim: &mut Simulation,
         alpha: T,
         beta: T,
-        a: impl Into<Input<T>>,
-        x: impl Into<Input<T>>,
-        y_in: impl Into<Input<T>>,
+        a: Receiver<T>,
+        x: Receiver<T>,
+        y_in: Receiver<T>,
         y_out: Sender<T>,
     ) {
         let cfg = *self;
@@ -188,14 +184,12 @@ impl Gemv {
         } else {
             "gemv"
         };
-        let (a, x, y_in) = (a.into(), x.into(), y_in.into());
         sim.add_module(name, ModuleKind::Compute, move || {
-            let (a, x, y_in) = (a.open(), x.open(), y_in.open());
             let mut ports = Ports {
-                a: a.matrix(name, cfg.n, cfg.m, cfg.a_tiling())?,
-                x: x.vector(name, cfg.x_len())?,
+                a: MatrixIn::Channel(ChunkReader::new(&a)),
+                x: VectorIn::Channel(&x),
                 y: YPort::Stream {
-                    y_in: y_in.vector(name, cfg.y_len())?,
+                    y_in: &y_in,
                     y_out: &y_out,
                 },
             };
@@ -406,9 +400,9 @@ fn tile_extent(b: usize, t: usize, total: usize) -> usize {
 }
 
 /// The streams a GEMV kernel consumes and produces. The threaded
-/// module binds each input to a channel or, read in place, to its
-/// operand buffer; tile replay binds all of them to operand slices.
-/// Every binding hands the kernel the same elements in the same order.
+/// module binds each input to a channel; tile replay binds all of them
+/// to operand slices. Both bindings hand the kernel the same elements
+/// in the same order.
 struct Ports<'a, T: Send + 'static> {
     /// `A`, in the variant's tile order.
     a: MatrixIn<'a, T>,
@@ -423,7 +417,7 @@ enum YPort<'a, T> {
     /// partials) come in on a stream, finished blocks leave on a
     /// channel.
     Stream {
-        y_in: VectorIn<'a, T>,
+        y_in: &'a Receiver<T>,
         y_out: &'a Sender<T>,
     },
     /// Tile replay: `y` is updated in place, its read and write cursors
@@ -441,7 +435,7 @@ impl<T: Scalar> Ports<'_, T> {
     /// first round, the previous round's partials after that.
     fn y_in(&mut self, len: usize) -> Result<Vec<T>, SimError> {
         match &mut self.y {
-            YPort::Stream { y_in, .. } => y_in.block(len),
+            YPort::Stream { y_in, .. } => y_in.pop_n(len),
             YPort::InPlace { y, rd, .. } => {
                 let block = y[*rd..*rd + len].to_vec();
                 *rd = (*rd + len) % y.len();
@@ -506,20 +500,6 @@ mod tests {
 
     /// Run a full reader→gemv→writer pipeline and return y.
     fn run_gemv<T: Scalar>(cfg: Gemv, alpha: T, beta: T, a: &[T], x: &[T], y: &[T]) -> Vec<T> {
-        run_gemv_fed(cfg, alpha, beta, a, x, y, false)
-    }
-
-    /// [`run_gemv`], with `A` and `x` read in place from their buffers
-    /// when `in_place` is set, as an admitted module reads them.
-    fn run_gemv_fed<T: Scalar>(
-        cfg: Gemv,
-        alpha: T,
-        beta: T,
-        a: &[T],
-        x: &[T],
-        y: &[T],
-        in_place: bool,
-    ) -> Vec<T> {
         let mut sim = Simulation::new();
         let a_buf = DeviceBuffer::from_vec("a", a.to_vec(), 0);
         let x_buf = DeviceBuffer::from_vec("x", x.to_vec(), 0);
@@ -531,15 +511,9 @@ mod tests {
         let (ty_in, ry_in) = channel(sim.ctx(), 64, "y_in");
         let (ty_out, ry_out) = channel(sim.ctx(), 64, "y_out");
 
-        if in_place {
-            drop((ta, txv));
-            let (a, x) = (Input::Buffer(a_buf.clone()), Input::Buffer(x_buf.clone()));
-            cfg.attach(&mut sim, alpha, beta, a, x, ry_in, ty_out);
-        } else {
-            read_matrix(&mut sim, &a_buf, cfg.n, cfg.m, cfg.a_tiling(), ta, 1);
-            read_vector_replayed(&mut sim, &x_buf, txv, cfg.x_repetitions());
-            cfg.attach(&mut sim, alpha, beta, ra, rxv, ry_in, ty_out);
-        }
+        read_matrix(&mut sim, &a_buf, cfg.n, cfg.m, cfg.a_tiling(), ta, 1);
+        read_vector_replayed(&mut sim, &x_buf, txv, cfg.x_repetitions());
+        cfg.attach(&mut sim, alpha, beta, ra, rxv, ry_in, ty_out);
         if cfg.y_rounds() == 1 {
             crate::helpers::read_vector(&mut sim, &y_buf, ty_in);
             write_vector(&mut sim, &out_buf, cfg.y_len(), ry_out);
@@ -604,9 +578,9 @@ mod tests {
         check_variant(GemvVariant::TransColStreamed, 5, 9, 2, 4, 2);
     }
 
-    /// Tile replay (`A` from a buffer in place), the threaded module
-    /// fed by channels and the module reading `A` and `x` in place must
-    /// each match the element-wise oracle bit for bit.
+    /// Tile replay (`A` from a buffer in place) and the threaded module
+    /// fed by channels must each match the element-wise oracle bit for
+    /// bit.
     fn check_replay<T: Scalar>(
         variant: GemvVariant,
         n: usize,
@@ -626,10 +600,8 @@ mod tests {
         let mut replayed = y.clone();
         cfg.replay(alpha, beta, &a, &x, &mut replayed).unwrap();
         assert_eq!(bits(&replayed), want, "buffer: {what}");
-        let channel = run_gemv_fed(cfg, alpha, beta, &a, &x, &y, false);
+        let channel = run_gemv(cfg, alpha, beta, &a, &x, &y);
         assert_eq!(bits(&channel), want, "channel: {what}");
-        let in_place = run_gemv_fed(cfg, alpha, beta, &a, &x, &y, true);
-        assert_eq!(bits(&in_place), want, "in place: {what}");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use fblas_hlssim::{
     ChunkReader, ChunkWriter, ModuleKind, PipelineCost, Receiver, Sender, SimError, Simulation,
 };
 
-use super::replay::{Cycle, Input, MatrixIn, MatrixOut, TiledReader, TiledWriter, VectorIn};
+use super::replay::{Cycle, MatrixIn, MatrixOut, TiledReader, TiledWriter, VectorIn};
 use super::{validate_width, Uplo};
 use crate::scalar::Scalar;
 use crate::tiling::{TileOrder, Tiling};
@@ -23,10 +23,9 @@ fn tile_extent(b: usize, t: usize, total: usize) -> usize {
 }
 
 /// The streams a GER kernel consumes and produces. The threaded module
-/// binds each input to a channel or, read in place, to its operand
-/// buffer, and the result to a channel; tile replay binds all of them
-/// to operand slices. Every binding carries the same elements in the
-/// same order.
+/// binds each of them to a channel; tile replay binds all of them to
+/// operand slices. Both bindings carry the same elements in the same
+/// order.
 struct Ports<'a, T: Send + 'static> {
     /// `A`, in tile order.
     a: MatrixIn<'a, T>,
@@ -74,29 +73,25 @@ impl Ger {
 
     /// Attach the module: `a` and `out` carry the matrix in tile order,
     /// `x` delivers `x` in row blocks (once), `y` delivers `y` replayed
-    /// [`y_repetitions`](Self::y_repetitions) times. Each input is a
-    /// channel or an operand buffer the module reads in place
-    /// ([`Input`]).
+    /// [`y_repetitions`](Self::y_repetitions) times.
     pub fn attach<T: Scalar>(
         &self,
         sim: &mut Simulation,
         alpha: T,
-        a: impl Into<Input<T>>,
-        x: impl Into<Input<T>>,
-        y: impl Into<Input<T>>,
+        a: Receiver<T>,
+        x: Receiver<T>,
+        y: Receiver<T>,
         out: Sender<T>,
     ) {
         let cfg = *self;
-        let (a, x, y) = (a.into(), x.into(), y.into());
         sim.add_module("ger", ModuleKind::Compute, move || {
-            let (a, x, y) = (a.open(), x.open(), y.open());
             // The matrix stream is relayed in chunks; the writer is
             // flushed at every tile boundary so no output is buffered
             // across the blocking vector-block reads.
             let mut ports = Ports {
-                a: a.matrix("ger", cfg.n, cfg.m, cfg.a_tiling())?,
-                x: x.vector("ger", cfg.n)?,
-                y: y.vector("ger", cfg.m)?,
+                a: MatrixIn::Channel(ChunkReader::new(&a)),
+                x: VectorIn::Channel(&x),
+                y: VectorIn::Channel(&y),
                 out: MatrixOut::channel(ChunkWriter::new(&out)),
             };
             cfg.run(alpha, &mut ports)
@@ -401,19 +396,6 @@ mod tests {
     }
 
     fn run_ger<T: Scalar>(cfg: Ger, alpha: T, a: &[T], x: &[T], y: &[T]) -> Vec<T> {
-        run_ger_fed(cfg, alpha, a, x, y, false)
-    }
-
-    /// [`run_ger`], with `A`, `x` and `y` read in place from their
-    /// buffers when `in_place` is set, as an admitted module reads them.
-    fn run_ger_fed<T: Scalar>(
-        cfg: Ger,
-        alpha: T,
-        a: &[T],
-        x: &[T],
-        y: &[T],
-        in_place: bool,
-    ) -> Vec<T> {
         let mut sim = Simulation::new();
         let a_buf = DeviceBuffer::from_vec("a", a.to_vec(), 0);
         let x_buf = DeviceBuffer::from_vec("x", x.to_vec(), 0);
@@ -423,23 +405,10 @@ mod tests {
         let (tx, rx) = channel(sim.ctx(), 64, "x");
         let (ty, ry) = channel(sim.ctx(), 64, "y");
         let (to, ro) = channel(sim.ctx(), 64, "out");
-        if in_place {
-            drop((ta, tx, ty));
-            let input = |buf: &DeviceBuffer<T>| Input::Buffer(buf.clone());
-            cfg.attach(
-                &mut sim,
-                alpha,
-                input(&a_buf),
-                input(&x_buf),
-                input(&y_buf),
-                to,
-            );
-        } else {
-            read_matrix(&mut sim, &a_buf, cfg.n, cfg.m, cfg.a_tiling(), ta, 1);
-            read_vector(&mut sim, &x_buf, tx);
-            read_vector_replayed(&mut sim, &y_buf, ty, cfg.y_repetitions());
-            cfg.attach(&mut sim, alpha, ra, rx, ry, to);
-        }
+        read_matrix(&mut sim, &a_buf, cfg.n, cfg.m, cfg.a_tiling(), ta, 1);
+        read_vector(&mut sim, &x_buf, tx);
+        read_vector_replayed(&mut sim, &y_buf, ty, cfg.y_repetitions());
+        cfg.attach(&mut sim, alpha, ra, rx, ry, to);
         write_matrix(&mut sim, &out, cfg.n, cfg.m, cfg.a_tiling(), ro);
         sim.run().unwrap();
         out.to_host()
@@ -525,9 +494,8 @@ mod tests {
         (cast(seq(n * m, 0.0)), cast(seq(n, 1.0)), cast(seq(m, 2.0)))
     }
 
-    /// Tile replay over buffers, the module fed by channels and the
-    /// module reading its operands in place must each match the
-    /// element-wise oracle bit for bit.
+    /// Tile replay over buffers and the module fed by channels must
+    /// each match the element-wise oracle bit for bit.
     fn check_replay<T: Scalar>(n: usize, m: usize, tn: usize, tm: usize, w: usize) {
         let cfg = Ger::new(n, m, tn, tm, w);
         let (a, x, y) = operands::<T>(n, m);
@@ -537,10 +505,8 @@ mod tests {
         let mut replayed = vec![T::ZERO; n * m];
         cfg.replay(alpha, &a, &x, &y, &mut replayed).unwrap();
         assert_eq!(bits(&replayed), want, "buffer: {what}");
-        let channel = run_ger_fed(cfg, alpha, &a, &x, &y, false);
+        let channel = run_ger(cfg, alpha, &a, &x, &y);
         assert_eq!(bits(&channel), want, "channel: {what}");
-        let in_place = run_ger_fed(cfg, alpha, &a, &x, &y, true);
-        assert_eq!(bits(&in_place), want, "in place: {what}");
     }
 
     /// Rows that straddle the runs of the buffers they are read from

@@ -33,7 +33,6 @@ pub use level1_map::{Axpy, Rot, Rotm, Scal, Swap, VecCopy};
 pub use level1_reduce::{Asum, Dot, DotAccumulator, Iamax, Nrm2, Sdsdot};
 pub use level1_scalar::{Rotg, Rotmg};
 pub use level3::{Side, Syr2k, Syrk, Trsm};
-pub use replay::Input;
 pub use trsv::Trsv;
 
 /// Whether a matrix operand is used transposed (functional parameter of

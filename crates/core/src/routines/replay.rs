@@ -3,103 +3,23 @@
 //! A GEMV or GER kernel pulls its matrix a row segment at a time in
 //! tile order — the `W`-lane rows the modelled datapath streams — and
 //! its vectors block by block, replaying them as the tiling demands.
-//! Each stream comes from one of two places: a FIFO fed by another
-//! module, or an operand buffer read in place through the cursors
-//! below ([`TiledReader`], [`Cycle`]), which visit exactly the elements
-//! an interface reader would have streamed, in the same order. A row
-//! segment of a buffer is handed out in place; one from a FIFO, or one
-//! that straddles the buffer's runs, is gathered into scratch space.
-//! The threaded module, a module that reads its DRAM operands in place,
-//! and tile replay on the calling thread all run one kernel through
-//! these ports, so the arithmetic — and every result bit — is the
-//! kernel's alone.
+//! The threaded module takes each stream from a FIFO fed by another
+//! module. Tile replay on the calling thread reads the operand buffers
+//! through the cursors below ([`TiledReader`], [`Cycle`]), which visit
+//! exactly the elements an interface reader would have streamed, in the
+//! same order. A row segment of a buffer is handed out in place; one
+//! from a FIFO, or one that straddles the buffer's runs, is gathered
+//! into scratch space. Both run one kernel through these ports, so the
+//! arithmetic — and every result bit — is the kernel's alone.
 
 use std::ops::Range;
 
 use fblas_hlssim::{ChunkReader, ChunkWriter, Receiver, SimError};
-use parking_lot::RwLockReadGuard;
 
-use crate::host::buffer::DeviceBuffer;
 use crate::tiling::{Segment, Tiling};
 
 fn exhausted(what: &str) -> SimError {
     SimError::module("tile-replay", format!("{what} stream exhausted"))
-}
-
-/// Where a Level-2 module reads one of its inputs from.
-pub enum Input<T> {
-    /// A FIFO fed by another module (an interface reader, a producer,
-    /// a fan-out stage).
-    Channel(Receiver<T>),
-    /// An operand buffer, read in place: the module holds the buffer's
-    /// read guard for its whole run and streams from it what an
-    /// interface reader would have sent — a matrix in the module's tile
-    /// order, a vector replayed as often as the tiling consumes it.
-    Buffer(DeviceBuffer<T>),
-}
-
-impl<T> From<Receiver<T>> for Input<T> {
-    fn from(rx: Receiver<T>) -> Self {
-        Input::Channel(rx)
-    }
-}
-
-impl<T: Copy + Send + Sync + 'static> Input<T> {
-    /// Open the input for the module's run.
-    pub(crate) fn open(&self) -> Opened<'_, T> {
-        match self {
-            Input::Channel(rx) => Opened::Channel(rx),
-            Input::Buffer(buf) => Opened::Buffer(buf.read()),
-        }
-    }
-}
-
-/// An [`Input`] open for a module's run: the channel, or the buffer
-/// under its read guard.
-pub(crate) enum Opened<'a, T> {
-    Channel(&'a Receiver<T>),
-    Buffer(RwLockReadGuard<'a, Vec<T>>),
-}
-
-impl<T: Copy + Send + 'static> Opened<'_, T> {
-    /// An `n × m` matrix in `tiling`'s stream order.
-    pub(crate) fn matrix(
-        &self,
-        module: &str,
-        n: usize,
-        m: usize,
-        tiling: Tiling,
-    ) -> Result<MatrixIn<'_, T>, SimError> {
-        Ok(match self {
-            Opened::Channel(rx) => MatrixIn::Channel(ChunkReader::new(rx)),
-            Opened::Buffer(data) => {
-                sized(module, "matrix", data.len(), n * m)?;
-                MatrixIn::Buffer(TiledReader::new(data, n, m, tiling))
-            }
-        })
-    }
-
-    /// A vector of `len` elements, block by block, replayed from the
-    /// start once it runs out.
-    pub(crate) fn vector(&self, module: &str, len: usize) -> Result<VectorIn<'_, T>, SimError> {
-        Ok(match self {
-            Opened::Channel(rx) => VectorIn::Channel(rx),
-            Opened::Buffer(data) => {
-                sized(module, "vector", data.len(), len)?;
-                VectorIn::Buffer(Cycle::new(data))
-            }
-        })
-    }
-}
-
-fn sized(module: &str, what: &str, got: usize, want: usize) -> Result<(), SimError> {
-    if got == want {
-        return Ok(());
-    }
-    Err(SimError::module(
-        module,
-        format!("{what} buffer holds {got} elements, expected {want}"),
-    ))
 }
 
 /// A matrix input, a run of elements at a time in tile order.
